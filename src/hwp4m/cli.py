@@ -15,7 +15,6 @@ import json
 import sys
 
 from . import composer, search
-from .blocks import c4_block, cm_block, mixed_block, switch_block
 from .model import DecodeError, decode_solution, encode_solution, Solution
 from .verifier import verify_block, verify_solution
 
@@ -128,17 +127,9 @@ def _cmd_feasible(args) -> int:
     return EXIT_EXTERNAL
 
 
-_BLOCK_KINDS = {
-    "c4": c4_block,
-    "cm": cm_block,
-    "mixed": mixed_block,
-    "switch": switch_block,
-}
-
-
 def _cmd_block(args) -> int:
     try:
-        sol = _BLOCK_KINDS[args.kind](args.m)
+        sol = composer.BLOCK_BUILDERS[args.kind](args.m)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     _write_bytes(encode_solution(sol), args.out)
@@ -222,7 +213,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("block", help="emit one block factorization of C_m[4]")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kind", choices=sorted(_BLOCK_KINDS), required=True)
+    p.add_argument("--kind", choices=sorted(composer.BLOCK_BUILDERS), required=True)
     p.add_argument("--out", default="-", metavar="FILE")
     p.set_defaults(func=_cmd_block)
 

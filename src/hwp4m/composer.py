@@ -43,14 +43,14 @@ from .outer import (
     NONEXISTENT_OUTERS,
     SEARCHABLE_OUTERS,
     Unavailable,
-    _import_matches,
+    expected_outer_factors,
     k4_minus_matching,
     k44_pair,
     outer_cm_factorization,
     walecki,
     walecki_even,
 )
-from .verifier import check_factor, verify_factors_cover, verify_solution
+from .verifier import certifies, verify_solution
 
 # ============================================================
 # plan model and status exceptions
@@ -167,41 +167,17 @@ def _solve_recipe(r: int, const: int, budget: int):
 # ingredient availability (static; imports are proven, not trusted)
 # ============================================================
 
-def _equipartite_import(sol: Solution, a: int, b: int, m: int):
-    """Return sol if it proves itself as a Cm-factorization of K_{a:b}
-    laid out in b consecutive parts of size a, else None."""
-    if sol.v != a * b or len(sol.factors) != a * (b - 1) // 2:
-        return None
-    for f in sol.factors:
-        if any(len(c) != m for c in f.cycles) or check_factor(f, sol.v):
-            return None
-    if sol.one_factor is not None:
-        return None
-    if not verify_factors_cover(sol.factors, equipartite_graph(a, b)).ok:
-        return None
-    return sol
-
-
-def _hwp12_import(sol: Solution):
-    """Return sol if it proves itself as a (4,3)-HWP(12; 1, 4), else None."""
-    if sol.v != 12 or len(sol.factors) != 5 or sol.one_factor is None:
-        return None
-    lengths = [set(len(c) for c in f.cycles) for f in sol.factors]
-    if sum(ls == {4} for ls in lengths) != 1 or sum(ls == {3} for ls in lengths) != 4:
-        return None
-    if not verify_factors_cover(sol.factors, complete_graph(12), sol.one_factor).ok:
-        return None
-    return sol
-
-
-def _import_satisfies(sol: Solution, kind: str, params: tuple) -> bool:
+def _imported(kind: str, params: tuple, imports) -> Solution | None:
+    """The first import that proves itself as the ingredient, else None."""
     if kind == "outer_cm":
-        return _import_matches(sol, *params)
-    if kind == "equipartite_cm":
-        return _equipartite_import(sol, *params) is not None
-    if kind == "hwp12":
-        return _hwp12_import(sol) is not None
-    return False
+        n, m = params
+        space, lengths = complete_graph(n), [m] * expected_outer_factors(n)
+    elif kind == "equipartite_cm":
+        a, b, m = params
+        space, lengths = equipartite_graph(a, b), [m] * (a * (b - 1) // 2)
+    else:  # hwp12
+        space, lengths = complete_graph(12), [4, 3, 3, 3, 3]
+    return next((sol for sol in imports if certifies(sol, space, lengths)), None)
 
 
 def _availability(kind: str, params: tuple, imports) -> str:
@@ -209,7 +185,7 @@ def _availability(kind: str, params: tuple, imports) -> str:
         n, m = params
         if n == m:
             return "builtin"
-        if any(_import_satisfies(sol, kind, params) for sol in imports):
+        if _imported(kind, params, imports) is not None:
             return "import"
         if (n, m) in NONEXISTENT_OUTERS:
             return "nonexistent"
@@ -217,11 +193,11 @@ def _availability(kind: str, params: tuple, imports) -> str:
             return "searchable"
         return "unavailable"
     if kind == "hwp12":
-        if any(_import_satisfies(sol, kind, params) for sol in imports):
+        if _imported(kind, params, imports) is not None:
             return "import"
         return "searchable"
     if kind == "equipartite_cm":
-        if any(_import_satisfies(sol, kind, params) for sol in imports):
+        if _imported(kind, params, imports) is not None:
             return "import"
         return "unavailable"
     if kind == "recursive":
@@ -383,7 +359,7 @@ def describe_plan(v: int, m: int, r: int, s: int, p: Plan) -> str:
 # assembly helpers
 # ============================================================
 
-_BLOCK_BUILDERS = {
+BLOCK_BUILDERS = {
     "c4": c4_block,
     "cm": cm_block,
     "mixed": mixed_block,
@@ -393,7 +369,7 @@ _BLOCK_BUILDERS = {
 
 @lru_cache(maxsize=None)
 def _block(kind: str, m: int) -> Solution:
-    return _BLOCK_BUILDERS[kind](m)
+    return BLOCK_BUILDERS[kind](m)
 
 
 def _part_quad(p: int) -> tuple[int, int, int, int]:
@@ -518,11 +494,7 @@ def _assemble_blowup(v, m, r, s, p: Plan, outer, with_switch: bool) -> Solution:
 
 
 def _assemble_k48(r: int, s: int, p: Plan, imports, cache_dir, time_limit) -> Solution:
-    seed = None
-    for sol in imports:
-        seed = _hwp12_import(sol)
-        if seed is not None:
-            break
+    seed = _imported("hwp12", (), imports)
     if seed is None:
         from . import search
 
@@ -554,11 +526,7 @@ def _assemble_k48(r: int, s: int, p: Plan, imports, cache_dir, time_limit) -> So
 
 def _assemble_r1(v, m, r, s, imports) -> Solution:
     parts = v // 4
-    eq = None
-    for sol in imports:
-        eq = _equipartite_import(sol, 4, parts, m)
-        if eq is not None:
-            break
+    eq = _imported("equipartite_cm", (4, parts, m), imports)
     if eq is None:
         raise IngredientUnavailable(
             f"no imported Cm-factorization of K_{{4:{parts}}} was provided"
@@ -570,11 +538,7 @@ def _assemble_r1(v, m, r, s, imports) -> Solution:
 
 def _assemble_r2(v, m, r, s, p: Plan, imports, cache_dir, time_limit) -> Solution:
     t = p.t
-    eq = None
-    for sol in imports:
-        eq = _equipartite_import(sol, 4 * m, t, m)
-        if eq is not None:
-            break
+    eq = _imported("equipartite_cm", (4 * m, t, m), imports)
     if eq is None:
         raise IngredientUnavailable(
             f"no imported Cm-factorization of K_{{{4 * m}:{t}}} was provided"

@@ -6,7 +6,6 @@ Graphs built from m parts of 4 vertices use the flat id
 
     id = 4 * part + layer,        layer in 0..3,  part in 0..n_parts-1.
 
-Blown-up intermediate graphs with 2 layers per part use id = 2 * part + layer.
 Plain graphs (complete graphs on outer points) use ids 0..n-1 directly.
 
 Canonical cycle form
@@ -36,19 +35,8 @@ Cycle = tuple[int, ...]
 
 
 # ============================================================
-# flat id helpers
+# edges and cycles
 # ============================================================
-
-def make_vid(layer: int, part: int, layers_per_part: int = 4) -> int:
-    return layers_per_part * part + layer
-
-
-def layer_of(vid: int, layers_per_part: int = 4) -> int:
-    return vid % layers_per_part
-
-def part_of(vid: int, layers_per_part: int = 4) -> int:
-    return vid // layers_per_part
-
 
 def normalize_edge(u: int, v: int) -> Edge:
     if u == v:
@@ -143,7 +131,6 @@ class EdgeSpace:
     kinds:
       complete(v)        K_v
       blowup4(m)         C_m[4], the cycle of m parts blown up by 4
-      blowup2(m)         C_m[2]
       switch(m)          (C_m[4] - I) + m*K_4 with the standard removed
                          matching I = {(0,i)(2,i+1)} u {(3,i)(1,i+1)}
       equipartite(a, b)  complete equipartite K_{a:b}, b parts of size a
@@ -160,8 +147,6 @@ class EdgeSpace:
             return self.params[0]
         if self.kind in ("blowup4", "switch"):
             return 4 * self.params[0]
-        if self.kind == "blowup2":
-            return 2 * self.params[0]
         if self.kind == "equipartite":
             a, b = self.params
             return a * b
@@ -175,8 +160,6 @@ class EdgeSpace:
             return v * (v - 1) // 2
         if self.kind == "blowup4":
             return 16 * self.params[0]
-        if self.kind == "blowup2":
-            return 4 * self.params[0]
         if self.kind == "switch":
             return 20 * self.params[0]
         if self.kind == "equipartite":
@@ -190,13 +173,11 @@ class EdgeSpace:
         if self.kind == "complete":
             return [tuple(e) for e in combinations(range(self.params[0]), 2)]
         if self.kind == "blowup4":
-            return _blowup_edges(self.params[0], 4)
-        if self.kind == "blowup2":
-            return _blowup_edges(self.params[0], 2)
+            return _blowup_edges(self.params[0])
         if self.kind == "switch":
             m = self.params[0]
             removed = set(switch_matching_edges(m))
-            out = [e for e in _blowup_edges(m, 4) if e not in removed]
+            out = [e for e in _blowup_edges(m) if e not in removed]
             for p in range(m):
                 out.extend(
                     normalize_edge(4 * p + a, 4 * p + b)
@@ -222,16 +203,16 @@ class EdgeSpace:
         return adj
 
 
-def _blowup_edges(m: int, w: int) -> list[Edge]:
+def _blowup_edges(m: int) -> list[Edge]:
     # Parts around a cycle; for m = 3 the three part pairs are still distinct.
     if m < 3:
         raise ValueError("blow-up needs at least 3 parts")
     out = []
     for i in range(m):
         j = (i + 1) % m
-        for a in range(w):
-            for b in range(w):
-                out.append(normalize_edge(w * i + a, w * j + b))
+        for a in range(4):
+            for b in range(4):
+                out.append(normalize_edge(4 * i + a, 4 * j + b))
     return out
 
 
@@ -251,17 +232,11 @@ def complete_graph(v: int) -> EdgeSpace:
 def cycle_blowup4(m: int) -> EdgeSpace:
     return EdgeSpace("blowup4", (m,))
 
-def cycle_blowup2(m: int) -> EdgeSpace:
-    return EdgeSpace("blowup2", (m,))
-
 def switch_graph(m: int) -> EdgeSpace:
     return EdgeSpace("switch", (m,))
 
 def equipartite_graph(a: int, b: int) -> EdgeSpace:
     return EdgeSpace("equipartite", (a, b))
-
-def complete_bipartite_44() -> EdgeSpace:
-    return EdgeSpace("equipartite", (4, 2))
 
 def explicit_graph(n: int, edges) -> EdgeSpace:
     norm = tuple(sorted(normalize_edge(u, v) for u, v in edges))
@@ -306,6 +281,11 @@ def solution_to_doc(sol: Solution) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    # JSON true/false decode to bool, a subclass of int; they are not numbers here
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def doc_to_solution(doc: dict) -> Solution:
     if not isinstance(doc, dict):
         raise DecodeError("MalformedDocument", "top level is not an object")
@@ -313,7 +293,7 @@ def doc_to_solution(doc: dict) -> Solution:
         if key not in doc:
             raise DecodeError("MalformedDocument", f"missing key {key!r}")
     v = doc["v"]
-    if not isinstance(v, int) or v < 1:
+    if not _is_int(v) or v < 1:
         raise DecodeError("MalformedDocument", "v must be a positive integer")
     raw_factors = doc["factors"]
     if not isinstance(raw_factors, list):
@@ -327,19 +307,19 @@ def doc_to_solution(doc: dict) -> Solution:
         for cyc in entry["cycles"]:
             if not isinstance(cyc, list) or len(cyc) < 3:
                 raise DecodeError("CycleTooShort", f"factor {idx}: {cyc!r}")
-            if any(not isinstance(u, int) or u < 0 or u >= v for u in cyc):
+            if any(not _is_int(u) or u < 0 or u >= v for u in cyc):
                 raise DecodeError("VertexOutOfRange", f"factor {idx}: {cyc!r}")
             if len(set(cyc)) != len(cyc):
                 raise DecodeError("DuplicateVertex", f"factor {idx}: {cyc!r}")
             cycles.append(canonicalize_cycle(cyc))
         length = entry.get("cycle_length")
-        if length is not None and not isinstance(length, int):
+        if length is not None and not _is_int(length):
             raise DecodeError("MalformedDocument", f"factor {idx}: bad cycle_length")
         factors.append(TwoFactor(cycles=tuple(sorted(cycles)), n=v, cycle_length=length))
 
     r, s, m = doc.get("r"), doc.get("s"), doc.get("m")
     for name, val in (("r", r), ("s", s), ("m", m)):
-        if val is not None and (not isinstance(val, int) or val < 0):
+        if val is not None and (not _is_int(val) or val < 0):
             raise DecodeError("MalformedDocument", f"{name} must be a nonnegative integer")
     if r is not None and s is not None and r + s != len(factors):
         raise DecodeError(
@@ -357,7 +337,7 @@ def doc_to_solution(doc: dict) -> Solution:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise DecodeError("MalformedDocument", f"bad matching edge {pair!r}")
             u, w = pair
-            if not all(isinstance(x, int) and 0 <= x < v for x in (u, w)):
+            if not all(_is_int(x) and 0 <= x < v for x in (u, w)):
                 raise DecodeError("VertexOutOfRange", f"matching edge {pair!r}")
             if u == w:
                 raise DecodeError("MalformedDocument", f"loop matching edge {pair!r}")

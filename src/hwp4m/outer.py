@@ -33,7 +33,7 @@ from .model import (
     one_factor,
     two_factor,
 )
-from .verifier import verify_factors_cover
+from .verifier import certifies
 
 # Cm-factorizations of K_n (or K_n - I) that bounded search can supply.
 # Kept deliberately small: an entry here promises the acceptance suite a
@@ -143,17 +143,6 @@ def expected_outer_factors(n: int) -> int:
     return (n - 1) // 2
 
 
-def _import_matches(sol: Solution, n: int, m: int) -> bool:
-    if sol.v != n or len(sol.factors) != expected_outer_factors(n):
-        return False
-    for f in sol.factors:
-        if any(len(c) != m for c in f.cycles):
-            return False
-    if (n % 2 == 0) != (sol.one_factor is not None):
-        return False
-    return verify_factors_cover(sol.factors, complete_graph(n), sol.one_factor).ok
-
-
 def outer_cm_factorization(
     n: int,
     m: int,
@@ -177,8 +166,9 @@ def outer_cm_factorization(
         factors, leftover = walecki_even(n)
         return CmFactorization(n, m, tuple(factors), leftover)
 
+    lengths = [m] * expected_outer_factors(n)
     for sol in imports:
-        if _import_matches(sol, n, m):
+        if certifies(sol, complete_graph(n), lengths):
             return CmFactorization(n, m, sol.factors, sol.one_factor)
 
     if (n, m) in NONEXISTENT_OUTERS:

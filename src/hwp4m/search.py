@@ -44,7 +44,7 @@ from .model import (
     one_factor,
     two_factor,
 )
-from .verifier import verify_factors_cover
+from .verifier import certifies, verify_factors_cover
 
 _TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes
 
@@ -352,13 +352,10 @@ def solve_cached(
     try:
         with open(path, "rb") as fh:
             sol = decode_solution(fh.read())
-        if sol.v == n:
-            report = verify_factors_cover(sol.factors, instance.space, sol.one_factor)
-            lengths = [f.cycle_length for f in sol.factors]
-            if report.ok and lengths == instance.slots():
-                outcome = SearchOutcome("found", sol.factors, sol.one_factor)
-                _MEMO[key] = outcome
-                return outcome
+        if certifies(sol, instance.space, instance.slots()):
+            outcome = SearchOutcome("found", sol.factors, sol.one_factor)
+            _MEMO[key] = outcome
+            return outcome
     except (OSError, ValueError):
         pass
 

@@ -5,6 +5,21 @@ counts and edge coverage are audited, never trusted.  The only import from the
 rest of the package is the data layer, so a bug in a construction cannot leak
 into its own certificate.
 
+One core, ``_certify``, makes a single pass over the cycles and the matching:
+spanning and 2-regularity of each factor, uniform and declared cycle lengths,
+the perfect matching, and the missing, duplicated and foreign edges against
+the ambient edge space.  ``verify_solution``, ``verify_block`` and
+``verify_factors_cover`` are adapters that add only their document-level
+rules, and ``certifies`` is the one proof an imported or cached ingredient
+must pass.
+
+The work is bounded by the size of the document: O(listed vertices + listed
+edges + v).  Membership in complete and equipartite ambients and their edge
+counts come from closed forms; their edges are enumerated lazily, in sorted
+order, only to quote missing-edge examples, and the walk stops after
+``_EXAMPLE_CAP`` misses.  Missing vertices are found by a gap walk over the
+covered ones.
+
 A report carries a list of violations, each tagged with a stable code:
 
   NotSpanning            a factor misses vertices or repeats them
@@ -21,13 +36,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from .model import (
-    Edge,
     EdgeSpace,
     OneFactor,
     Solution,
-    TwoFactor,
     complete_graph,
     cycle_blowup4,
     switch_graph,
@@ -59,118 +73,161 @@ class Report:
         return "; ".join(f"{v.code}: {v.detail}" for v in self.violations)
 
 
-def _report(violations: list[Violation], factors=(), m: int | None = None) -> Report:
-    r_found, s_found = _rs_counts(factors, m)
-    return Report(ok=not violations, violations=violations, r_found=r_found, s_found=s_found)
-
-
-def _rs_counts(factors, m: int | None) -> tuple[int, int]:
-    """Recomputed factor counts by uniform cycle length: 4-cycles vs m-cycles."""
-    counts: Counter[int] = Counter()
-    for factor in factors:
-        lengths = {len(c) for c in factor.cycles}
-        if len(lengths) == 1:
-            counts[lengths.pop()] += 1
-    r_found = counts[4]
+def _report(violations: list[Violation], by_length: Counter, m: int | None) -> Report:
+    """Factor counts by uniform cycle length: 4-cycles vs m-cycles."""
     if m is None:
-        s_found = sum(k for length, k in counts.items() if length != 4)
+        s_found = sum(k for length, k in by_length.items() if length != 4)
     elif m == 4:
         s_found = 0
     else:
-        s_found = counts[m]
-    return r_found, s_found
+        s_found = by_length[m]
+    return Report(ok=not violations, violations=violations, r_found=by_length[4], s_found=s_found)
 
 
-def _fmt_edges(edges) -> str:
-    shown = ", ".join(f"{u}-{v}" for u, v in edges[:_EXAMPLE_CAP])
-    if len(edges) > _EXAMPLE_CAP:
-        shown += f", ... ({len(edges)} total)"
+def _fmt_edges(examples, total: int) -> str:
+    shown = ", ".join(f"{u}-{v}" for u, v in examples[:_EXAMPLE_CAP])
+    if total > _EXAMPLE_CAP:
+        shown += f", ... ({total} total)"
     return shown
 
 
 # ============================================================
-# single-factor structure
+# the certification core
 # ============================================================
 
-def check_factor(factor: TwoFactor, n: int) -> list[Violation]:
-    """Spanning, disjoint, uniform; declared length must match reality."""
-    out: list[Violation] = []
-    seen: Counter[int] = Counter()
-    for cyc in factor.cycles:
-        seen.update(cyc)
-    repeated = sorted(v for v, k in seen.items() if k > 1)
-    missing = sorted(set(range(n)) - set(seen))
-    stray = sorted(v for v in seen if v < 0 or v >= n)
-    if repeated:
-        out.append(Violation("NotTwoRegular", f"vertices in several cycles: {repeated[:_EXAMPLE_CAP]}"))
-    if missing:
-        out.append(Violation("NotSpanning", f"vertices uncovered: {missing[:_EXAMPLE_CAP]}"))
-    if stray:
-        out.append(Violation("NotSpanning", f"vertices out of range: {stray[:_EXAMPLE_CAP]}"))
-
-    lengths = sorted({len(c) for c in factor.cycles})
-    if len(lengths) > 1:
-        out.append(Violation("NonUniformCycleLength", f"cycle lengths {lengths}"))
-    elif factor.cycle_length is not None and lengths and lengths[0] != factor.cycle_length:
-        out.append(
-            Violation(
-                "NonUniformCycleLength",
-                f"declared {factor.cycle_length}, actual {lengths[0]}",
-            )
-        )
-    if not factor.cycles:
-        out.append(Violation("NotSpanning", "factor has no cycles"))
+def _uncovered(covered: list[int], n: int) -> list[int]:
+    """The first _EXAMPLE_CAP vertices of 0..n-1 absent from sorted ``covered``."""
+    out: list[int] = []
+    nxt = 0
+    for u in covered + [n]:
+        out.extend(range(nxt, min(u, nxt + _EXAMPLE_CAP - len(out))))
+        if len(out) == _EXAMPLE_CAP:
+            break
+        nxt = u + 1
     return out
 
 
-def check_matching(matching: OneFactor, n: int, allowed: set[Edge] | None = None) -> list[Violation]:
+def _vertex_faults(verts: list, n: int, code: str, repeat_code: str, repeat_text: str):
+    """Each of 0..n-1 must occur exactly once in ``verts``."""
     out: list[Violation] = []
-    seen: Counter[int] = Counter()
-    for u, v in matching.edges:
-        seen.update((u, v))
-    repeated = sorted(v for v, k in seen.items() if k > 1)
-    missing = sorted(set(range(n)) - set(seen))
-    stray = sorted(v for v in seen if v < 0 or v >= n)
-    if repeated:
-        out.append(Violation("MatchingInvalid", f"vertices covered twice: {repeated[:_EXAMPLE_CAP]}"))
-    if missing:
-        out.append(Violation("MatchingInvalid", f"vertices uncovered: {missing[:_EXAMPLE_CAP]}"))
-    if stray:
-        out.append(Violation("MatchingInvalid", f"vertices out of range: {stray[:_EXAMPLE_CAP]}"))
-    if allowed is not None:
-        outside = sorted(set(matching.edges) - allowed)
-        if outside:
-            out.append(Violation("MatchingInvalid", f"edges outside allowed set: {_fmt_edges(outside)}"))
+    seen = set(verts)
+    if len(seen) < len(verts):
+        repeated = sorted(u for u, k in Counter(verts).items() if k > 1)
+        out.append(Violation(repeat_code, f"{repeat_text}: {repeated[:_EXAMPLE_CAP]}"))
+    inside = seen
+    if seen and (min(seen) < 0 or max(seen) >= n):
+        inside = {u for u in seen if 0 <= u < n}
+    if len(inside) < n:
+        out.append(Violation(code, f"vertices uncovered: {_uncovered(sorted(inside), n)}"))
+    if len(inside) < len(seen):
+        stray = sorted(seen - inside)
+        out.append(Violation(code, f"vertices out of range: {stray[:_EXAMPLE_CAP]}"))
     return out
 
 
-# ============================================================
-# edge accounting
-# ============================================================
+def _matching_faults(matching: OneFactor, n: int) -> list[Violation]:
+    verts = [u for edge in matching.edges for u in edge]
+    return _vertex_faults(verts, n, "MatchingInvalid", "MatchingInvalid", "vertices covered twice")
 
-def check_edge_cover(edge_lists, space: EdgeSpace) -> list[Violation]:
-    """The concatenation of ``edge_lists`` must equal the ambient edge multiset."""
-    actual: Counter[Edge] = Counter()
-    for edges in edge_lists:
-        actual.update(edges)
-    expected: Counter[Edge] = Counter(space.edges())
 
-    missing = sorted(e for e, k in expected.items() if actual.get(e, 0) < k)
-    duplicated = sorted(e for e, k in actual.items() if e in expected and k > expected[e])
-    foreign = sorted(e for e in actual if e not in expected)
+def _ambient(space: EdgeSpace):
+    """(edge multiplicity, number of distinct edges, sorted edge iterator).
+
+    Complete and equipartite spaces answer from closed forms and enumerate
+    lazily; the other kinds are O(v) or literal, so their edges are listed."""
+    if space.kind in ("complete", "equipartite"):
+        n = space.vertex_count
+        a = space.params[0] if space.kind == "equipartite" else 1
+
+        def multiplicity(edge) -> int:
+            u, w = edge
+            return 0 <= u < w < n and u // a != w // a
+
+        # the vertices above u outside its part form one contiguous range
+        walk = ((u, w) for u in range(n) for w in range((u // a + 1) * a, n))
+        return multiplicity, space.edge_count(), walk
+    table = Counter(space.edges())
+    return table.__getitem__, len(table), iter(sorted(table))
+
+
+def _edge_faults(listed: list, space: EdgeSpace) -> list[Violation]:
+    """The listed edges must equal the ambient edge multiset."""
+    actual = Counter(listed)
+    multiplicity, distinct, walk = _ambient(space)
+    hit = 0
+    duplicated, foreign = [], []
+    for edge, k in actual.items():
+        want = multiplicity(edge)
+        if not want:
+            foreign.append(edge)
+            continue
+        if k >= want:
+            hit += 1
+        if k > want:
+            duplicated.append(edge)
 
     out: list[Violation] = []
-    if missing:
-        out.append(Violation("EdgeMissing", _fmt_edges(missing)))
+    if hit < distinct:
+        missing = islice((e for e in walk if actual[e] < multiplicity(e)), _EXAMPLE_CAP)
+        out.append(Violation("EdgeMissing", _fmt_edges(list(missing), distinct - hit)))
     if duplicated:
-        out.append(Violation("EdgeDuplicated", _fmt_edges(duplicated)))
+        out.append(Violation("EdgeDuplicated", _fmt_edges(sorted(duplicated), len(duplicated))))
     if foreign:
-        out.append(Violation("EdgeForeign", _fmt_edges(foreign)))
+        out.append(Violation("EdgeForeign", _fmt_edges(sorted(foreign), len(foreign))))
     return out
 
 
+def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
+    """One pass over the factors and the optional matching, whose edges join
+    the cover.  Returns the violations and the factor counts by uniform
+    cycle length."""
+    n = space.vertex_count
+    out: list[Violation] = []
+    by_length: Counter[int] = Counter()
+    listed: list = []
+    for idx, factor in enumerate(factors):
+        cycles = factor.cycles
+        verts = [u for cyc in cycles for u in cyc]
+        for viol in _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles"):
+            out.append(Violation(viol.code, f"factor {idx}: {viol.detail}"))
+
+        lengths = {len(cyc) for cyc in cycles}
+        if len(lengths) > 1:
+            out.append(Violation("NonUniformCycleLength", f"factor {idx}: cycle lengths {sorted(lengths)}"))
+        elif lengths:
+            (length,) = lengths
+            by_length[length] += 1
+            if factor.cycle_length is not None and length != factor.cycle_length:
+                out.append(
+                    Violation(
+                        "NonUniformCycleLength",
+                        f"factor {idx}: declared {factor.cycle_length}, actual {length}",
+                    )
+                )
+        else:
+            out.append(Violation("NotSpanning", f"factor {idx}: factor has no cycles"))
+
+        listed += [(a, b) if a < b else (b, a) for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+
+    if matching is not None:
+        out.extend(_matching_faults(matching, n))
+        listed.extend(matching.edges)
+    out.extend(_edge_faults(listed, space))
+    return out, by_length
+
+
+def certifies(sol: Solution, space: EdgeSpace, lengths) -> bool:
+    """True when ``sol``'s factors, plus its removed matching if it has one,
+    tile ``space`` exactly and their cycle lengths are the multiset
+    ``lengths``, one entry per factor."""
+    if sol.v != space.vertex_count or len(sol.factors) != len(lengths):
+        return False
+    violations, by_length = _certify(sol.factors, sol.one_factor, space)
+    return not violations and by_length == Counter(lengths)
+
+
 # ============================================================
-# whole solutions
+# entry points
 # ============================================================
 
 def verify_solution(sol: Solution) -> Report:
@@ -193,19 +250,10 @@ def verify_solution(sol: Solution) -> Report:
     if v % 2 == 1 and sol.one_factor is not None:
         out.append(Violation("MatchingInvalid", "odd order cannot remove a 1-factor"))
 
-    for idx, factor in enumerate(sol.factors):
-        for viol in check_factor(factor, v):
-            out.append(Violation(viol.code, f"factor {idx}: {viol.detail}"))
-
-    if sol.one_factor is not None:
-        out.extend(check_matching(sol.one_factor, v))
+    found, by_length = _certify(sol.factors, sol.one_factor, complete_graph(v))
+    out.extend(found)
 
     if sol.r is not None and sol.s is not None and sol.m is not None:
-        by_length: Counter[int] = Counter()
-        for factor in sol.factors:
-            lengths = {len(c) for c in factor.cycles}
-            if len(lengths) == 1:
-                by_length[lengths.pop()] += 1
         want: Counter[int] = Counter()
         want[4] += sol.r
         want[sol.m] += sol.s
@@ -217,17 +265,8 @@ def verify_solution(sol: Solution) -> Report:
                     f"found lengths {dict(sorted(by_length.items()))}",
                 )
             )
+    return _report(out, by_length, sol.m)
 
-    edge_lists = [f.edges() for f in sol.factors]
-    if sol.one_factor is not None:
-        edge_lists.append(list(sol.one_factor.edges))
-    out.extend(check_edge_cover(edge_lists, complete_graph(v)))
-    return _report(out, sol.factors, sol.m)
-
-
-# ============================================================
-# building blocks over named ambient graphs
-# ============================================================
 
 def verify_block(sol: Solution, space: EdgeSpace | None = None) -> Report:
     """Check a factor list against its ambient graph.
@@ -235,16 +274,16 @@ def verify_block(sol: Solution, space: EdgeSpace | None = None) -> Report:
     Without an explicit ``space`` the ambient is inferred from the document:
     a removed 1-factor means the switch graph on v/4 parts, otherwise the
     4-fold blow-up C_{v/4}[4].  The removed 1-factor of a switch block must be
-    a perfect matching inside the blow-up (that is what the factorization
-    earns the right to delete).
+    the standard one, a perfect matching inside the blow-up (that is what the
+    factorization earns the right to delete).
     """
     v = sol.v
     out: list[Violation] = []
     if space is None:
         if v % 4 != 0 or v < 12:
-            return _report(
-                [Violation("CountMismatch", f"no ambient graph for v={v}")], sol.factors
-            )
+            shapes = ({len(c) for c in f.cycles} for f in sol.factors)
+            by_length = Counter(lengths.pop() for lengths in shapes if len(lengths) == 1)
+            return _report([Violation("CountMismatch", f"no ambient graph for v={v}")], by_length, None)
         m = v // 4
         space = switch_graph(m) if sol.one_factor is not None else cycle_blowup4(m)
     block_m = space.params[0] if space.kind in ("blowup4", "switch") else None
@@ -265,37 +304,17 @@ def verify_block(sol: Solution, space: EdgeSpace | None = None) -> Report:
             )
         )
 
-    for idx, factor in enumerate(sol.factors):
-        for viol in check_factor(factor, n):
-            out.append(Violation(viol.code, f"factor {idx}: {viol.detail}"))
+    found, by_length = _certify(sol.factors, None, space)
+    out.extend(found)
 
+    # the removed 1-factor lies outside the ambient, so it joins no cover
     if sol.one_factor is not None:
-        if space.kind == "switch":
-            blowup = set(cycle_blowup4(space.params[0]).edges())
-            out.extend(check_matching(sol.one_factor, n, allowed=blowup))
-            standard = set(switch_matching_edges(space.params[0]))
-            if set(sol.one_factor.edges) != standard:
-                out.append(
-                    Violation("MatchingInvalid", "removed 1-factor is not the declared one")
-                )
-        else:
-            out.extend(check_matching(sol.one_factor, n))
-
-    edge_lists = [f.edges() for f in sol.factors]
-    out.extend(check_edge_cover(edge_lists, space))
-    return _report(out, sol.factors, block_m)
+        out.extend(_matching_faults(sol.one_factor, n))
+        if space.kind == "switch" and sorted(sol.one_factor.edges) != switch_matching_edges(block_m):
+            out.append(Violation("MatchingInvalid", "removed 1-factor is not the declared one"))
+    return _report(out, by_length, block_m)
 
 
 def verify_factors_cover(factors, space: EdgeSpace, matching: OneFactor | None = None) -> Report:
     """Loose helper: factors (plus optional matching) tile the ambient graph."""
-    n = space.vertex_count
-    out: list[Violation] = []
-    for idx, factor in enumerate(factors):
-        for viol in check_factor(factor, n):
-            out.append(Violation(viol.code, f"factor {idx}: {viol.detail}"))
-    edge_lists = [f.edges() for f in factors]
-    if matching is not None:
-        out.extend(check_matching(matching, n))
-        edge_lists.append(list(matching.edges))
-    out.extend(check_edge_cover(edge_lists, space))
-    return _report(out, factors)
+    return _report(*_certify(factors, matching, space), None)

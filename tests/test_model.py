@@ -14,7 +14,6 @@ from hwp4m.model import (
     DecodeError,
     Solution,
     canonicalize_cycle,
-    complete_bipartite_44,
     complete_graph,
     cycle_blowup4,
     cycle_edges,
@@ -22,11 +21,8 @@ from hwp4m.model import (
     encode_solution,
     equipartite_graph,
     explicit_graph,
-    layer_of,
-    make_vid,
     normalize_edge,
     one_factor,
-    part_of,
     solution_to_doc,
     switch_graph,
     switch_matching_edges,
@@ -36,15 +32,6 @@ from hwp4m.model import (
 # ============================================================
 # vertex layout and cycle canonicalization
 # ============================================================
-
-
-def test_vid_layout_round_trip():
-    for part in range(6):
-        for layer in range(4):
-            vid = make_vid(layer, part)
-            assert vid == 4 * part + layer
-            assert layer_of(vid) == layer
-            assert part_of(vid) == part
 
 
 def test_normalize_edge_orders_endpoints():
@@ -99,7 +86,7 @@ def test_blowup4_is_m_k44_bundles():
     assert len(edges) == len(set(edges)) == 80
     # all edges join cyclically adjacent parts
     for u, v in edges:
-        assert (part_of(v) - part_of(u)) % 5 in (1, 4)
+        assert (v // 4 - u // 4) % 5 in (1, 4)
 
 
 def test_switch_graph_swaps_matching_for_part_cliques():
@@ -121,7 +108,7 @@ def test_equipartite_graph_excludes_within_part_pairs():
     assert g.vertex_count == 24
     assert g.edge_count() == 16 * 15
     assert all(u // 4 != v // 4 for u, v in g.edges())
-    assert complete_bipartite_44().edge_count() == 16
+    assert equipartite_graph(4, 2).edge_count() == 16
 
 
 def test_explicit_graph_keeps_given_edges():
@@ -179,6 +166,21 @@ def test_decode_rejects_malformed_documents():
     with pytest.raises(DecodeError) as err:
         decode_solution(json.dumps([1, 2, 3]))
     assert err.value.code == "MalformedDocument"
+    # JSON booleans are not integers, wherever an integer is expected
+    tri = {"cycle_length": 3, "cycles": [[0, 1, 2]]}
+    for bad in (
+        {"v": True, "factors": []},
+        {"v": 3, "factors": [{"cycle_length": True, "cycles": [[0, 1, 2]]}]},
+        {"v": 3, "r": False, "factors": [tri]},
+        {"v": 3, "s": True, "factors": [tri]},
+        {"v": 3, "m": True, "factors": [tri]},
+    ):
+        with pytest.raises(DecodeError) as err:
+            decode_solution(json.dumps(bad))
+        assert err.value.code == "MalformedDocument"
+    with pytest.raises(DecodeError) as err:
+        decode_solution(json.dumps({"v": 4, "factors": [], "one_factor": [[0, True], [2, 3]]}))
+    assert err.value.code == "VertexOutOfRange"
 
 
 def test_decode_rejects_bad_cycles():
@@ -194,6 +196,9 @@ def test_decode_rejects_bad_cycles():
     with pytest.raises(DecodeError) as err:
         decode_solution(doc([[0, 1, 1]]))
     assert err.value.code == "DuplicateVertex"
+    with pytest.raises(DecodeError) as err:
+        decode_solution(doc([[0, 2, True]]))
+    assert err.value.code == "VertexOutOfRange"
 
 
 def test_decode_rejects_inconsistent_declared_counts():

@@ -7,21 +7,28 @@ matching) must tile the ambient exactly; duplication, absence, and
 foreignness are reported separately.
 """
 
+import ast
+from pathlib import Path
+
+
+import hwp4m.verifier
+from hwp4m.blocks import switch_block
 from hwp4m.k24 import k24_solution
 from hwp4m.model import (
+    EdgeSpace,
     Solution,
     complete_graph,
     cycle_blowup4,
+    decode_solution,
     explicit_graph,
     one_factor,
     switch_matching_edges,
     two_factor,
 )
+from hwp4m.outer import walecki
 from hwp4m.verifier import (
     Report,
-    check_edge_cover,
-    check_factor,
-    check_matching,
+    certifies,
     verify_block,
     verify_factors_cover,
     verify_solution,
@@ -32,37 +39,45 @@ from hwp4m.verifier import (
 # ============================================================
 
 
+def _alone(factor):
+    """Cover a lone factor against exactly its own edges, so that only its
+    vertex structure can fail."""
+    return verify_factors_cover([factor], explicit_graph(factor.n, factor.edges()))
+
+
 def test_two_disjoint_triangles_on_six_vertices_ok():
     f = two_factor([(0, 1, 2), (3, 4, 5)], 6, 3)
-    assert check_factor(f, 6) == []
+    assert _alone(f).ok
 
 
 def test_one_triangle_on_six_vertices_not_spanning():
     f = two_factor([(0, 1, 2)], 6, 3)
-    codes = {v.code for v in check_factor(f, 6)}
-    assert "NotSpanning" in codes
+    assert "NotSpanning" in _alone(f).codes()
 
 
 def test_cycles_sharing_a_vertex_violate():
     f = two_factor([(0, 1, 2), (2, 3, 4)], 5, 3)
-    assert check_factor(f, 5) != []
+    assert _alone(f).codes() == {"NotTwoRegular"}
+
+
+def _matching_alone(edges, n):
+    return verify_factors_cover([], explicit_graph(n, edges), one_factor(edges))
 
 
 def test_matching_must_be_perfect():
-    assert check_matching(one_factor([(0, 1), (2, 3)]), 4) == []
-    codes = {v.code for v in check_matching(one_factor([(0, 1)]), 4)}
-    assert codes == {"MatchingInvalid"}
-    codes = {v.code for v in check_matching(one_factor([(0, 1), (1, 2), (0, 3)]), 4)}
-    assert codes == {"MatchingInvalid"}
+    assert _matching_alone([(0, 1), (2, 3)], 4).ok
+    assert _matching_alone([(0, 1)], 4).codes() == {"MatchingInvalid"}
+    assert _matching_alone([(0, 1), (1, 2), (0, 3)], 4).codes() == {"MatchingInvalid"}
 
 
 def test_matching_against_allowed_edge_set():
-    allowed = {(0, 1), (2, 3)}
-    assert check_matching(one_factor([(0, 1), (2, 3)]), 4, allowed=allowed) == []
-    codes = {
-        v.code for v in check_matching(one_factor([(0, 2), (1, 3)]), 4, allowed=allowed)
-    }
-    assert "MatchingInvalid" in codes
+    m = 5
+    block = switch_block(m)
+    assert verify_block(block).ok
+    # a perfect matching inside the parts, outside the blow-up C_m[4]
+    inside_parts = [(4 * p + a, 4 * p + a + 1) for p in range(m) for a in (0, 2)]
+    rep = verify_block(Solution(v=4 * m, factors=block.factors, one_factor=one_factor(inside_parts)))
+    assert "MatchingInvalid" in rep.codes()
 
 
 # ============================================================
@@ -71,17 +86,13 @@ def test_matching_against_allowed_edge_set():
 
 
 def test_edge_cover_reports_each_failure_mode_separately():
-    space = explicit_graph(4, [(0, 1), (1, 2), (2, 3)])
-    ok = check_edge_cover([[(0, 1)], [(1, 2), (2, 3)]], space)
-    assert ok == []
-    missing = {v.code for v in check_edge_cover([[(0, 1)]], space)}
-    assert missing == {"EdgeMissing"}
-    dup = {v.code for v in check_edge_cover([[(0, 1), (0, 1), (1, 2), (2, 3)]], space)}
-    assert dup == {"EdgeDuplicated"}
-    foreign = {
-        v.code for v in check_edge_cover([[(0, 1), (1, 2), (2, 3), (0, 3)]], space)
-    }
-    assert foreign == {"EdgeForeign"}
+    first, second = walecki(5)
+    space = complete_graph(5)
+    assert verify_factors_cover([first, second], space).ok
+    assert verify_factors_cover([first], space).codes() == {"EdgeMissing"}
+    assert verify_factors_cover([first, first, second], space).codes() == {"EdgeDuplicated"}
+    only_first = explicit_graph(5, first.edges())
+    assert verify_factors_cover([first, second], only_first).codes() == {"EdgeForeign"}
 
 
 # ============================================================
@@ -207,3 +218,69 @@ def test_switch_matching_shape():
 def test_report_summary_is_readable():
     rep = Report(ok=True, violations=[], r_found=2, s_found=3)
     assert "r=2" in rep.summary()
+
+
+def test_certifies_checks_space_and_cycle_length_multiset():
+    sol = Solution(v=5, factors=tuple(walecki(5)))
+    assert certifies(sol, complete_graph(5), [5, 5])
+    assert not certifies(sol, complete_graph(5), [5, 3])
+    assert not certifies(sol, complete_graph(5), [5])
+    assert not certifies(sol, complete_graph(6), [5, 5])
+    assert not certifies(Solution(v=5, factors=sol.factors[:1]), complete_graph(5), [5])
+
+
+# ============================================================
+# bounded work
+# ============================================================
+
+
+def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatch):
+    """A ~1.5 MB document claiming v = 200001 with (v - 1)/2 empty factors
+    names 2*10^10 ambient edges; rejecting it must not list them, nor walk
+    the vertex range once per factor."""
+    v = 200001
+    data = b'{"factors":[' + b",".join([b'{"cycles":[]}'] * ((v - 1) // 2)) + b'],"v":%d}' % v
+    sol = decode_solution(data)
+
+    listed = EdgeSpace.edges
+
+    def guarded_edges(space):
+        if space.edge_count() > 10**6:
+            raise AssertionError(f"enumerated {space.edge_count()} ambient edges")
+        return listed(space)
+
+    budget = [10**6]
+
+    def guarded_range(*args):
+        for x in range(*args):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise AssertionError("walked more than 10^6 vertices")
+            yield x
+
+    monkeypatch.setattr(EdgeSpace, "edges", guarded_edges)
+    monkeypatch.setattr(hwp4m.verifier, "range", guarded_range, raising=False)
+    rep = verify_solution(sol)
+    assert not rep.ok
+    assert {"NotSpanning", "EdgeMissing"} <= rep.codes()
+    assert "EdgeMissing: 0-1, 0-2, 0-3, 0-4, 0-5, 0-6, ... (20000100000 total)" in rep.summary()
+
+
+# ============================================================
+# independence
+# ============================================================
+
+
+def test_verifier_imports_only_the_data_layer():
+    tree = ast.parse(Path(hwp4m.verifier.__file__).read_text())
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            package_imports.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hwp4m"):
+            package_imports.add(node.module.removeprefix("hwp4m."))
+        elif isinstance(node, ast.Import):
+            package_imports.update(
+                a.name.removeprefix("hwp4m.") for a in node.names if a.name.startswith("hwp4m")
+            )
+    assert package_imports <= {"model"}

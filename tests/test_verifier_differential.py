@@ -1,0 +1,176 @@
+"""The verifier against its reference oracle.
+
+``reference_verifier`` keeps the Counter-based implementation that lists
+every ambient edge.  On every input here both must reach the same verdict,
+the same set of codes and the same r/s counts; full solutions and plain
+factor covers must also give the same (code, detail) pairs, in any order.
+The inputs are the single-edit mutants of acceptance test 10, mutants of
+v = 404 documents, the block sweep of acceptance test 01, edits of the
+k24 table, and small hostile documents.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+import reference_verifier as oracle
+from test_acceptance import _mutate
+
+from hwp4m.blocks import c4_block, cm_block, mixed_block, switch_block
+from hwp4m.composer import build
+from hwp4m.k24 import k24_solution
+from hwp4m.model import (
+    OneFactor,
+    Solution,
+    TwoFactor,
+    complete_graph,
+    cycle_blowup4,
+    equipartite_graph,
+    explicit_graph,
+    one_factor,
+    switch_graph,
+    two_factor,
+)
+from hwp4m.outer import walecki, walecki_even
+from hwp4m.verifier import verify_block, verify_factors_cover, verify_solution
+
+
+def _pairs(report):
+    return sorted((v.code, v.detail) for v in report.violations)
+
+
+def _agree(new, old, details: bool):
+    assert (new.ok, new.codes(), new.r_found, new.s_found) == (
+        old.ok, old.codes(), old.r_found, old.s_found,
+    ), f"new: {new.summary()}\nold: {old.summary()}"
+    if details:
+        assert _pairs(new) == _pairs(old)
+
+
+def _agree_solution(sol):
+    _agree(verify_solution(sol), oracle.verify_solution(sol), details=True)
+
+
+def _agree_block(sol, space=None):
+    _agree(verify_block(sol, space), oracle.verify_block(sol, space), details=False)
+
+
+def _agree_cover(factors, space, matching=None):
+    _agree(
+        verify_factors_cover(factors, space, matching),
+        oracle.verify_factors_cover(factors, space, matching),
+        details=True,
+    )
+
+
+# ============================================================
+# mutants of built solutions
+# ============================================================
+
+
+def test_acceptance_10_mutants_agree_with_the_oracle():
+    sol = build(28, 7, 5, 8)
+    _agree_solution(sol)
+    rng = random.Random(20280407)
+    for _ in range(400):
+        _agree_solution(_mutate(sol, rng))
+
+
+@pytest.mark.parametrize("request_", [(404, 101, 3, 198), (404, 101, 4, 197)])
+def test_v404_document_mutants_agree_with_the_oracle(request_):
+    sol = build(*request_)
+    _agree_solution(sol)
+    rng = random.Random(request_[2])
+    for _ in range(6):
+        _agree_solution(_mutate(sol, rng))
+
+
+def test_k24_edits_agree_with_the_oracle():
+    sol = k24_solution()
+    _agree_solution(sol)
+    f = sol.factors[1]
+    dropped = list(sol.factors)
+    dropped[1] = two_factor(f.cycles[1:], 24, f.cycle_length)
+    rewired = list(sol.factors)
+    rewired[0] = two_factor(
+        [(0, 1, 10, 8) if c == (0, 1, 10, 9) else c for c in sol.factors[0].cycles], 24, 4
+    )
+    for edit in (
+        replace(sol, factors=tuple(dropped)),
+        replace(sol, factors=tuple(rewired)),
+        replace(sol, r=5, s=6),
+        replace(sol, one_factor=None),
+        replace(sol, m=None),
+        replace(sol, factors=sol.factors[:-1]),
+    ):
+        _agree_solution(edit)
+
+
+# ============================================================
+# blocks
+# ============================================================
+
+
+def test_acceptance_01_block_sweep_agrees_with_the_oracle():
+    for m in range(3, 31):
+        for builder in (c4_block, cm_block, mixed_block):
+            _agree_block(builder(m))
+    for m in range(3, 30, 2):
+        _agree_block(switch_block(m))
+    _agree_block(cm_block(7, adjust=False))
+
+
+def test_block_edits_agree_with_the_oracle():
+    rng = random.Random(5)
+    for m in (3, 5, 9):
+        block = switch_block(m)
+        for _ in range(40):
+            _agree_block(_mutate(block, rng))
+        _agree_block(replace(block, one_factor=None))
+        _agree_block(replace(block, one_factor=one_factor([(0, 1), (2, 3)])))
+        _agree_block(block, switch_graph(m + 2))
+    mixed = mixed_block(6)
+    _agree_block(mixed, cycle_blowup4(6))
+    _agree_block(mixed, cycle_blowup4(7))
+    _agree_block(replace(mixed, factors=mixed.factors[1:]))
+    _agree_block(replace(mixed, factors=mixed.factors + mixed.factors[:1]))
+    _agree_block(replace(mixed, v=10))
+    _agree_block(replace(mixed, one_factor=one_factor([(0, 4)])), cycle_blowup4(6))
+
+
+# ============================================================
+# factor covers and hostile documents
+# ============================================================
+
+
+def test_factor_covers_agree_with_the_oracle():
+    _agree_cover(walecki(9), complete_graph(9))
+    factors, leftover = walecki_even(10)
+    _agree_cover(factors, complete_graph(10), leftover)
+    _agree_cover(factors, complete_graph(10))
+    _agree_cover(factors[1:], complete_graph(10), leftover)
+    _agree_cover(factors, complete_graph(10), one_factor([(0, 1), (2, 3)]))
+    _agree_cover(walecki(9), equipartite_graph(3, 3))
+    tri = [two_factor([(0, 3, 6), (1, 4, 7), (2, 5, 8)], 9, 3)]
+    _agree_cover(tri, equipartite_graph(3, 3))
+    square = two_factor([(0, 1, 2, 3)], 4, 4)
+    _agree_cover([square], explicit_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 1)]))
+    _agree_cover([square, square], explicit_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    _agree_cover([square], explicit_graph(5, [(0, 1), (1, 2), (2, 4)]))
+
+
+def test_hostile_documents_agree_with_the_oracle():
+    empty = TwoFactor(cycles=(), n=41, cycle_length=3)
+    _agree_solution(Solution(v=41, factors=(empty,) * 20))
+    _agree_solution(Solution(v=40, factors=(empty,) * 19))
+    _agree_solution(Solution(v=40, factors=(), one_factor=one_factor([(0, 1)])))
+    _agree_solution(Solution(v=9, factors=(), one_factor=OneFactor(((3, 1), (1, 3), (0, 12)))))
+    stray = TwoFactor(cycles=((-2, 0, 1), (2, 3, 9), (4, 5, 6, 7)), n=7, cycle_length=3)
+    below = TwoFactor(cycles=((-1, 0, 1, 2, 3, 4, 5, 6),), n=7)
+    above = TwoFactor(cycles=((0, 1, 2, 3, 4, 5, 6, 7),), n=7)
+    _agree_solution(Solution(v=7, factors=(stray, below, above), m=3, r=0, s=3))
+    shared = TwoFactor(cycles=((0, 1, 2), (0, 3, 4), (0, 5, 6)), n=7, cycle_length=4)
+    _agree_solution(Solution(v=7, factors=(shared,) * 3, m=7, r=1, s=2))
+    factors = tuple(walecki(9))
+    _agree_solution(Solution(v=9, factors=factors + factors, m=9, r=0, s=8))
+    _agree_solution(Solution(v=12, factors=tuple(walecki(9))))
