@@ -216,13 +216,16 @@ def _blowup_edges(m: int) -> list[Edge]:
     return out
 
 
+# (layer in part i, layer in part i + 1) of the switch's removed edges
+SWITCH_REMOVED_LAYERS = ((0, 2), (3, 1))
+
+
 def switch_matching_edges(m: int) -> list[Edge]:
     """The removed matching of the switch construction, inside C_m[4]."""
     out = []
     for i in range(m):
         j = (i + 1) % m
-        out.append(normalize_edge(4 * i + 0, 4 * j + 2))
-        out.append(normalize_edge(4 * i + 3, 4 * j + 1))
+        out.extend(normalize_edge(4 * i + a, 4 * j + b) for a, b in SWITCH_REMOVED_LAYERS)
     return sorted(out)
 
 

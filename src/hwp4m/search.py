@@ -18,15 +18,28 @@ triangles of complete equipartite graphs, and for the m-cycles of C_m[4],
 which all run through one part per position); instances here set the flag
 only in those cases.
 
+The engine works on integer bitmasks: each vertex's unused edges, the
+covered vertices and the open path are ints, candidates are walked lowest
+bit first (the ascending order), and the children that would close a cycle
+are tested inline rather than by a call of their own, each still counted
+as one node.  It visits the same tree in the same order as the set-based
+engine kept in ``tests/reference_search.py``, so node counts and first
+solutions match that oracle exactly.
+
 Found results are re-checked by the verifier before being returned, and
-positive results can be cached on disk keyed by a hash of the instance.
+positive results can be cached on disk keyed by a hash of the instance;
+each cache file is written through a temporary file of the writing
+process's own and moved into place whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -40,7 +53,6 @@ from .model import (
     decode_solution,
     encode_solution,
     equipartite_graph,
-    normalize_edge,
     one_factor,
     two_factor,
 )
@@ -61,10 +73,6 @@ class SearchInstance:
         for length, count in self.factor_specs:
             out.extend([length] * count)
         return out
-
-    def leftover_expected(self) -> bool:
-        n = self.space.vertex_count
-        return self.space.edge_count() - n * len(self.slots()) == n // 2
 
     def key(self) -> str:
         doc = {
@@ -110,126 +118,156 @@ def check_budget(instance: SearchInstance) -> bool:
 
 def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOutcome:
     start = time.monotonic()
-    deadline = None if time_limit is None else start + time_limit
+    deadline = math.inf if time_limit is None else start + time_limit
     # a limit that has already expired means "do not search at all"; the
     # in-loop clock check only fires every 1024 nodes, so tiny instances
     # would otherwise complete under time_limit=0
-    if deadline is not None and time.monotonic() >= deadline:
+    if time.monotonic() >= deadline:
         return SearchOutcome("timeout", nodes=0, elapsed=0.0)
     leftover_expected = check_budget(instance)
 
     n = instance.space.vertex_count
-    adj: list[set[int]] = instance.space.adjacency()
+    bit = [1 << u for u in range(n)]
+    adj = [0] * n  # adj[u] has bit w set while edge uw is unused by earlier factors
+    for u, w in instance.space.edges():
+        adj[u] |= bit[w]
+        adj[w] |= bit[u]
+    full = (1 << n) - 1
     slots = instance.slots()
     total_slots = len(slots)
-    all_vertices = frozenset(range(n))
+    clock = time.monotonic
+    check_mask = _TIME_CHECK_MASK
 
     factor_cycles: list[list[tuple[int, ...]]] = [[] for _ in slots]
     nodes = 0
     result: dict = {}
 
-    def tick():
-        nonlocal nodes
-        nodes += 1
-        if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
-            if time.monotonic() > deadline:
-                raise _Timeout
+    # Every candidate set is masked by the covered and path vertices, and an
+    # edge of the factor being filled joins two such vertices; so a factor's
+    # edges leave ``adj`` only when the factor is complete.
 
-    def use_edge(u, w):
-        adj[u].discard(w)
-        adj[w].discard(u)
-
-    def free_edge(u, w):
-        adj[u].add(w)
-        adj[w].add(u)
+    def toggle_factor(si: int) -> None:
+        for cyc in factor_cycles[si]:
+            prev = cyc[-1]
+            for u in cyc:
+                adj[u] ^= bit[prev]
+                adj[prev] ^= bit[u]
+                prev = u
 
     def degree_ok(si: int) -> bool:
         # after finishing factor si every vertex still needs 2 edges per
         # remaining factor plus 1 if a matching must survive
         need = 2 * (total_slots - si - 1) + (1 if leftover_expected else 0)
-        return all(len(adj[v]) >= need for v in range(n))
+        return all(a.bit_count() >= need for a in adj)
 
     def finish() -> bool:
         if leftover_expected:
-            if any(len(adj[v]) != 1 for v in range(n)):
+            if any(a.bit_count() != 1 for a in adj):
                 return False
             result["matching"] = one_factor(
-                (v, w) for v in range(n) for w in adj[v] if v < w
+                (u, a.bit_length() - 1) for u, a in enumerate(adj) if u < a.bit_length() - 1
             )
         else:
             result["matching"] = None
         return True
 
-    def place(si: int, covered: frozenset[int], path: list[int]) -> bool:
-        tick()
-        length = slots[si]
-        if not path:
-            if covered == all_vertices:
-                if not degree_ok(si):
-                    return False
-                return finish() if si + 1 == total_slots else place(si + 1, frozenset(), [])
-            v0 = min(all_vertices - covered)
-            for u in sorted(adj[v0]):
-                if u in covered:
-                    continue
-                use_edge(v0, u)
-                if place(si, covered, [v0, u]):
-                    return True
-                free_edge(v0, u)
-            return False
-        if len(path) == length:
-            v0, last = path[0], path[-1]
-            if path[1] < last and v0 in adj[last]:
-                use_edge(v0, last)
-                factor_cycles[si].append(tuple(path))
-                if place(si, covered | frozenset(path), []):
-                    return True
-                factor_cycles[si].pop()
-                free_edge(v0, last)
-            return False
-        last = path[-1]
-        in_path = set(path)
-        for u in sorted(adj[last]):
-            if u in covered or u in in_path:
-                continue
-            use_edge(last, u)
-            path.append(u)
-            if place(si, covered, path):
+    def start_cycle(si: int, covered: int) -> bool:
+        """A node with an empty path: complete factor si, or open a cycle at
+        its first uncovered vertex."""
+        nonlocal nodes
+        nodes += 1
+        if not nodes & check_mask and clock() > deadline:
+            raise _Timeout
+        if covered == full:
+            toggle_factor(si)
+            if degree_ok(si) and (finish() if si + 1 == total_slots else start_cycle(si + 1, 0)):
                 return True
+            toggle_factor(si)
+            return False
+        low = ~covered & (covered + 1)
+        v0 = low.bit_length() - 1
+        cand = adj[v0] & ~covered
+        left = slots[si] - 2
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            u = b.bit_length() - 1
+            # a cycle closes back to v0 only from a vertex above its second one
+            if extend(si, [v0, u], covered | low | b, u, left, adj[v0] & -(b << 1)):
+                return True
+        return False
+
+    def extend(si: int, path: list[int], blocked: int, last: int, left: int, closable: int) -> bool:
+        """A node whose open path still needs ``left`` vertices; ``blocked``
+        holds the covered and path vertices."""
+        nonlocal nodes
+        nodes += 1
+        if not nodes & check_mask and clock() > deadline:
+            raise _Timeout
+        cand = adj[last] & ~blocked
+        if left > 1:
+            left -= 1
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                u = b.bit_length() - 1
+                path.append(u)
+                if extend(si, path, blocked | b, u, left, closable):
+                    return True
+                path.pop()
+            return False
+        # each child would close the cycle: it is one node, tested here, and
+        # only a child that does close it goes on to the next cycle
+        closers = cand & closable
+        while closers:
+            b = closers & -closers
+            closers ^= b
+            upto = cand & ((b << 1) - 1)
+            cand ^= upto
+            before = nodes
+            nodes += upto.bit_count()
+            if before | check_mask < nodes and clock() > deadline:
+                raise _Timeout
+            path.append(b.bit_length() - 1)
+            factor_cycles[si].append(tuple(path))
+            if start_cycle(si, blocked | b):
+                return True
+            factor_cycles[si].pop()
             path.pop()
-            free_edge(last, u)
+        before = nodes
+        nodes += cand.bit_count()
+        if before | check_mask < nodes and clock() > deadline:
+            raise _Timeout
         return False
 
     def forced_first_cycle() -> tuple[int, ...] | None:
         """Lexicographically least cycle of the first slot's length through
         vertex 0 (DFS candidate order is lexicographic, so first hit wins)."""
         length = slots[0]
-        found: list[tuple[int, ...]] = []
 
-        def walk(path: list[int]) -> bool:
+        def walk(path: list[int], on_path: int) -> tuple[int, ...] | None:
             if len(path) == length:
-                if path[1] < path[-1] and path[0] in adj[path[-1]]:
-                    found.append(tuple(path))
-                    return True
-                return False
-            for u in sorted(adj[path[-1]]):
-                if u not in path and walk(path + [u]):
-                    return True
-            return False
+                return tuple(path) if path[1] < path[-1] and adj[path[-1]] & 1 else None
+            cand = adj[path[-1]] & ~on_path
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                found = walk(path + [b.bit_length() - 1], on_path | b)
+                if found:
+                    return found
+            return None
 
-        return found[0] if walk([0]) else None
+        return walk([0], 1)
 
     try:
         if instance.canonical_first:
             first = forced_first_cycle()
             if first is None:
                 return SearchOutcome("unsat", nodes=nodes, elapsed=time.monotonic() - start)
-            for i in range(len(first)):
-                use_edge(first[i], first[(i + 1) % len(first)])
             factor_cycles[0].append(first)
-            ok = place(0, frozenset(first), [])
+            ok = start_cycle(0, sum(bit[u] for u in first))
         else:
-            ok = place(0, frozenset(), [])
+            ok = start_cycle(0, 0)
     except _Timeout:
         return SearchOutcome("timeout", nodes=nodes, elapsed=time.monotonic() - start)
 
@@ -325,6 +363,12 @@ def equipartite_cm_search(
 _MEMO: dict[str, SearchOutcome] = {}
 
 
+def clear_memo() -> None:
+    """Forget every outcome ``solve_cached`` holds in memory, as a new
+    process would; the disk cache is left alone."""
+    _MEMO.clear()
+
+
 def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "hwp4m")
 
@@ -363,13 +407,23 @@ def solve_cached(
     if outcome.status == "found":
         _MEMO[key] = outcome
         doc = Solution(v=n, factors=outcome.factors, one_factor=outcome.matching)
-        payload = encode_solution(doc)
-        try:
-            os.makedirs(cache_dir, exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except OSError:
-            pass  # cache is best effort
+        _write_cache(path, encode_solution(doc))
     return outcome
+
+
+def _write_cache(path: str, payload: bytes) -> None:
+    """Best effort: publish ``payload`` at ``path`` whole, through a
+    temporary file of this process's own, so concurrent writers never share
+    one."""
+    cache_dir = os.path.dirname(path)
+    tmp = None
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)

@@ -14,11 +14,11 @@ rules, and ``certifies`` is the one proof an imported or cached ingredient
 must pass.
 
 The work is bounded by the size of the document: O(listed vertices + listed
-edges + v).  Membership in complete and equipartite ambients and their edge
-counts come from closed forms; their edges are enumerated lazily, in sorted
-order, only to quote missing-edge examples, and the walk stops after
-``_EXAMPLE_CAP`` misses.  Missing vertices are found by a gap walk over the
-covered ones.
+edges + v).  Membership in complete, equipartite, blow-up and switch
+ambients and their edge counts come from closed forms; their edges are
+enumerated lazily, in sorted order, only to quote missing-edge examples, and
+the walk stops after ``_EXAMPLE_CAP`` misses.  Missing vertices are found by
+a gap walk over the covered ones.
 
 A report carries a list of violations, each tagged with a stable code:
 
@@ -36,9 +36,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .model import (
+    SWITCH_REMOVED_LAYERS,
     EdgeSpace,
     OneFactor,
     Solution,
@@ -133,10 +134,11 @@ def _matching_faults(matching: OneFactor, n: int) -> list[Violation]:
 def _ambient(space: EdgeSpace):
     """(edge multiplicity, number of distinct edges, sorted edge iterator).
 
-    Complete and equipartite spaces answer from closed forms and enumerate
-    lazily; the other kinds are O(v) or literal, so their edges are listed."""
+    Complete, equipartite, blow-up and switch spaces answer from closed
+    forms and enumerate lazily; explicit spaces are literal, so their edges
+    are listed."""
+    n = space.vertex_count
     if space.kind in ("complete", "equipartite"):
-        n = space.vertex_count
         a = space.params[0] if space.kind == "equipartite" else 1
 
         def multiplicity(edge) -> int:
@@ -146,6 +148,34 @@ def _ambient(space: EdgeSpace):
         # the vertices above u outside its part form one contiguous range
         walk = ((u, w) for u in range(n) for w in range((u // a + 1) * a, n))
         return multiplicity, space.edge_count(), walk
+    if space.kind in ("blowup4", "switch") and space.params[0] >= 3:
+        m = space.params[0]
+        switch = space.kind == "switch"
+
+        def multiplicity(edge) -> int:
+            u, w = edge
+            if not 0 <= u < w < n:
+                return False
+            p, q = u // 4, w // 4
+            if p == q:
+                return switch
+            if (q - p) % m == 1:
+                return not (switch and (u % 4, w % 4) in SWITCH_REMOVED_LAYERS)
+            if (p - q) % m == 1:
+                return not (switch and (w % 4, u % 4) in SWITCH_REMOVED_LAYERS)
+            return False
+
+        def walk():
+            # the candidates above u: the rest of its part, then the
+            # neighbouring parts above it, in order
+            for u in range(n):
+                p = u // 4
+                later = sorted(q for q in {(p + 1) % m, (p - 1) % m} if q > p)
+                for w in chain(range(u + 1, 4 * p + 4), *(range(4 * q, 4 * q + 4) for q in later)):
+                    if multiplicity((u, w)):
+                        yield u, w
+
+        return multiplicity, space.edge_count(), walk()
     table = Counter(space.edges())
     return table.__getitem__, len(table), iter(sorted(table))
 
@@ -310,7 +340,10 @@ def verify_block(sol: Solution, space: EdgeSpace | None = None) -> Report:
     # the removed 1-factor lies outside the ambient, so it joins no cover
     if sol.one_factor is not None:
         out.extend(_matching_faults(sol.one_factor, n))
-        if space.kind == "switch" and sorted(sol.one_factor.edges) != switch_matching_edges(block_m):
+        declared = sol.one_factor.edges
+        if space.kind == "switch" and (
+            len(declared) != 2 * block_m or sorted(declared) != switch_matching_edges(block_m)
+        ):
             out.append(Violation("MatchingInvalid", "removed 1-factor is not the declared one"))
     return _report(out, by_length, block_m)
 

@@ -29,7 +29,7 @@ from hwp4m.model import (
     one_factor,
     two_factor,
 )
-from hwp4m.search import _MEMO, hwp12_ingredient, kts9_instance, solve_cached
+from hwp4m.search import clear_memo, hwp12_ingredient, kts9_instance, solve_cached
 from hwp4m.verifier import verify_block, verify_solution
 
 # ============================================================
@@ -126,7 +126,7 @@ def test_05_single_block_solutions_cover_the_promised_spectrum():
 
 def test_06_searched_triangle_system_drives_the_v36_spectrum(tmp_path):
     start = time.monotonic()
-    _MEMO.clear()
+    clear_memo()
     constructive = set()
     for r in range(18):
         p = plan(36, 3, r, 17 - r)
@@ -161,7 +161,7 @@ def test_07_k24_object_verifies_with_its_frozen_matching():
 
 
 def test_08_v48_composites_from_the_searched_seed(tmp_path):
-    _MEMO.clear()
+    clear_memo()
     start = time.monotonic()
     seed = hwp12_ingredient(cache_dir=tmp_path)
     assert seed is not None and verify_solution(seed).ok
@@ -174,7 +174,7 @@ def test_08_v48_composites_from_the_searched_seed(tmp_path):
 
     # cached thereafter: with the memo dropped and no search budget at all,
     # the seed must come back from disk
-    _MEMO.clear()
+    clear_memo()
     again = hwp12_ingredient(cache_dir=tmp_path, time_limit=0.0)
     assert again is not None
     assert encode_solution(again) == encode_solution(seed)
@@ -280,7 +280,7 @@ def test_10_random_single_edit_mutations_are_all_rejected():
 
 
 def _artifact_run(cache_dir) -> dict[str, bytes]:
-    _MEMO.clear()
+    clear_memo()
     arts = {}
     arts["build-36"] = encode_solution(build(36, 3, 5, 12, cache_dir=cache_dir))
     arts["build-48"] = encode_solution(build(48, 3, 10, 13, cache_dir=cache_dir))

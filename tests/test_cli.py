@@ -10,7 +10,7 @@ import json
 
 from hwp4m.cli import main
 from hwp4m.model import decode_solution
-from hwp4m.search import _MEMO
+from hwp4m.search import clear_memo
 from hwp4m.verifier import verify_solution
 
 # ============================================================
@@ -56,7 +56,7 @@ def test_build_exit_codes_follow_the_planner(tmp_path):
 
 
 def test_build_reports_unavailable_ingredients(tmp_path):
-    _MEMO.clear()
+    clear_memo()
     out = str(tmp_path / "x.json")
     code = main(
         [
@@ -78,7 +78,7 @@ def test_build_accepts_an_ingredient_file_where_search_cannot_go(tmp_path):
         )
         == 0
     )
-    _MEMO.clear()
+    clear_memo()
     out = tmp_path / "sol.json"
     code = main(
         [
@@ -189,7 +189,7 @@ def test_ingredient_equipartite_export(tmp_path):
 
 
 def test_ingredient_timeout_exit(tmp_path):
-    _MEMO.clear()
+    clear_memo()
     code = main(
         [
             "ingredient", "--type", "hwp12", "--time-limit", "0",

@@ -26,7 +26,7 @@ from hwp4m.composer import (
 )
 from hwp4m.k24 import k24_solution
 from hwp4m.model import Solution, encode_solution
-from hwp4m.search import _MEMO, equipartite_cm_search
+from hwp4m.search import clear_memo, equipartite_cm_search
 from hwp4m.verifier import verify_solution
 
 # ============================================================
@@ -203,7 +203,7 @@ def test_build_raises_by_plan_status():
 
 
 def test_build_reports_missing_searched_outer_honestly(tmp_path):
-    _MEMO.clear()
+    clear_memo()
     with pytest.raises(IngredientUnavailable):
         build(36, 3, 1, 16, cache_dir=tmp_path, time_limit=0.0)
 

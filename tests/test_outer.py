@@ -104,7 +104,7 @@ def test_search_supplies_the_whitelisted_outers(tmp_path):
 def test_search_timeout_is_reported_not_swallowed(tmp_path):
     from hwp4m import search
 
-    search._MEMO.clear()  # other tests may have solved this instance already
+    search.clear_memo()  # other tests may have solved this instance already
     out = outer_cm_factorization(10, 5, cache_dir=tmp_path, time_limit=0.0)
     assert isinstance(out, Unavailable)
     assert out.reason == "timeout"
@@ -137,7 +137,7 @@ def test_import_is_used_when_it_proves_itself(tmp_path):
 
     found = outer_cm_factorization(9, 3, cache_dir=tmp_path)
     doc = Solution(v=9, factors=found.factors, m=3, r=0, s=4)
-    search._MEMO.clear()
+    search.clear_memo()
     out = outer_cm_factorization(9, 3, imports=(doc,), time_limit=0.0)
     assert isinstance(out, CmFactorization)
     assert out.factors == doc.factors
@@ -148,7 +148,7 @@ def test_import_that_does_not_prove_itself_is_ignored(tmp_path):
 
     found = outer_cm_factorization(9, 3, cache_dir=tmp_path)
     broken = Solution(v=9, factors=found.factors[1:], m=3, r=0, s=3)
-    search._MEMO.clear()
+    search.clear_memo()
     out = outer_cm_factorization(
         9, 3, imports=(broken,), cache_dir=tmp_path / "empty", time_limit=0.0
     )

@@ -6,14 +6,18 @@ Found results (a longer time limit could upgrade unsat-reported-as-timeout,
 so negative outcomes are never persisted).
 """
 
+import os
+
 import pytest
 
 from hwp4m.model import complete_graph
 from hwp4m.search import (
     _MEMO,
     SearchInstance,
+    _cache_path,
     c4_cm3_split_instance,
     check_budget,
+    clear_memo,
     cm_factorization_instance,
     equipartite_cm_search,
     equipartite_instance,
@@ -124,7 +128,7 @@ def test_equipartite_instance_rejects_odd_degree():
 
 
 def test_disk_cache_round_trips_found_results(tmp_path):
-    _MEMO.clear()
+    clear_memo()
     first = solve_cached(kts9_instance(), cache_dir=tmp_path)
     assert first.status == "found"
     cached_files = list(tmp_path.iterdir())
@@ -132,25 +136,37 @@ def test_disk_cache_round_trips_found_results(tmp_path):
 
     # a fresh process would have an empty memo; the expired limit proves the
     # result now comes from disk, not from a rerun of the search
-    _MEMO.clear()
+    clear_memo()
     second = solve_cached(kts9_instance(), cache_dir=tmp_path, time_limit=0.0)
     assert second.status == "found"
     assert second.factors == first.factors
 
 
 def test_corrupted_cache_is_ignored_and_recomputed(tmp_path):
-    _MEMO.clear()
+    clear_memo()
     first = solve_cached(kts9_instance(), cache_dir=tmp_path)
     path = next(tmp_path.iterdir())
     path.write_bytes(b"{ not json")
-    _MEMO.clear()
+    clear_memo()
     again = solve_cached(kts9_instance(), cache_dir=tmp_path)
     assert again.status == "found"
     assert again.factors == first.factors
 
 
+def test_cache_write_does_not_collide_with_a_leftover_temporary(tmp_path):
+    # whatever sits at path + ".tmp" (here a directory, which cannot be
+    # opened for writing) belongs to another writer and must not block this one
+    clear_memo()
+    path = _cache_path(kts9_instance(), str(tmp_path))
+    os.mkdir(path + ".tmp")
+    assert solve_cached(kts9_instance(), cache_dir=tmp_path).status == "found"
+    assert sorted(os.listdir(tmp_path)) == sorted([os.path.basename(path), os.path.basename(path) + ".tmp"])
+    clear_memo()
+    assert solve_cached(kts9_instance(), cache_dir=tmp_path, time_limit=0.0).status == "found"
+
+
 def test_timeouts_are_never_cached(tmp_path):
-    _MEMO.clear()
+    clear_memo()
     out = solve_cached(cm_factorization_instance(15, 5), cache_dir=tmp_path, time_limit=0.0)
     assert out.status == "timeout"
     assert list(tmp_path.iterdir()) == []

@@ -235,12 +235,30 @@ def test_certifies_checks_space_and_cycle_length_multiset():
 
 
 def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatch):
-    """A ~1.5 MB document claiming v = 200001 with (v - 1)/2 empty factors
-    names 2*10^10 ambient edges; rejecting it must not list them, nor walk
-    the vertex range once per factor."""
+    """Small documents with a huge v, routed as ``hwp4m verify`` routes them:
+    rejecting them must not list the ambient edges or the switch matching,
+    nor walk the vertex range once per factor."""
     v = 200001
-    data = b'{"factors":[' + b",".join([b'{"cycles":[]}'] * ((v - 1) // 2)) + b'],"v":%d}' % v
-    sol = decode_solution(data)
+    hostile = [
+        # ~1.5 MB: a full solution with (v - 1)/2 empty factors names 2*10^10 edges
+        (
+            b'{"factors":[' + b",".join([b'{"cycles":[]}'] * ((v - 1) // 2)) + b'],"v":%d}' % v,
+            {"NotSpanning", "EdgeMissing"},
+            "EdgeMissing: 0-1, 0-2, 0-3, 0-4, 0-5, 0-6, ... (20000100000 total)",
+        ),
+        # 25 bytes: a block of C_100000[4]
+        (
+            b'{"factors":[],"v":400000}',
+            {"CountMismatch", "EdgeMissing"},
+            "EdgeMissing: 0-4, 0-5, 0-6, 0-7, 0-399996, 0-399997, ... (1600000 total)",
+        ),
+        # with a matching: a block of the switch graph on 100000 parts
+        (
+            b'{"factors":[],"one_factor":[],"v":400000}',
+            {"CountMismatch", "EdgeMissing", "MatchingInvalid"},
+            "EdgeMissing: 0-1, 0-2, 0-3, 0-4, 0-5, 0-7, ... (2000000 total)",
+        ),
+    ]
 
     listed = EdgeSpace.edges
 
@@ -249,7 +267,10 @@ def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatc
             raise AssertionError(f"enumerated {space.edge_count()} ambient edges")
         return listed(space)
 
-    budget = [10**6]
+    def guarded_matching(m):
+        raise AssertionError(f"listed the switch matching on {m} parts")
+
+    budget = [0]
 
     def guarded_range(*args):
         for x in range(*args):
@@ -259,11 +280,16 @@ def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatc
             yield x
 
     monkeypatch.setattr(EdgeSpace, "edges", guarded_edges)
+    monkeypatch.setattr(hwp4m.verifier, "switch_matching_edges", guarded_matching)
     monkeypatch.setattr(hwp4m.verifier, "range", guarded_range, raising=False)
-    rep = verify_solution(sol)
-    assert not rep.ok
-    assert {"NotSpanning", "EdgeMissing"} <= rep.codes()
-    assert "EdgeMissing: 0-1, 0-2, 0-3, 0-4, 0-5, 0-6, ... (20000100000 total)" in rep.summary()
+    for data, codes, quoted in hostile:
+        sol = decode_solution(data)
+        budget[0] = 10**6
+        full = len(sol.factors) == (sol.v - 1) // 2
+        rep = verify_solution(sol) if full else verify_block(sol)
+        assert not rep.ok
+        assert codes <= rep.codes()
+        assert quoted in rep.summary()
 
 
 # ============================================================
