@@ -137,14 +137,7 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_ingredient(args) -> int:
-    if args.type == "hwp12":
-        if args.params:
-            raise _CliError("--params takes no values for type hwp12")
-        sol = search.hwp12_ingredient(cache_dir=args.cache, time_limit=args.time_limit)
-        if sol is None:
-            print("ingredient unavailable: hwp12 search hit the time limit", file=sys.stderr)
-            return EXIT_INGREDIENT
-    elif args.type == "kts9":
+    if args.type == "kts9":
         if args.params:
             raise _CliError("--params takes no values for type kts9")
         outcome = search.solve_cached(
@@ -218,7 +211,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_block)
 
     p = sub.add_parser("ingredient", help="search and export an ingredient")
-    p.add_argument("--type", choices=("hwp12", "kts9", "equipartite"), required=True)
+    p.add_argument("--type", choices=("kts9", "equipartite"), required=True)
     p.add_argument("--params", type=int, nargs="*", default=[])
     p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     p.add_argument("--cache", default=None, metavar="DIR")

@@ -24,11 +24,17 @@ with r1 + s1 + x = B: r1 copies of the all-C4 kind, x mixed, s1 all-Cm.
 The odd-r constant counts the K_4 factor (each part yields one 4-cycle plus
 two matching edges); the even-r routes spend one outer factor on switch
 blocks instead; even t adds two C4-factors from the K_{4,4}s sitting over
-the leftover outer matching.  v = 24 is settled by a hand-built table at
-r = 4, and v = 48 by blowing up a searched (4,3)-HWP(12; 1, 4) seed.  The
-remaining shapes either need ingredients we can only import (equipartite
-Cm-factorizations), are genuinely open (r = 2 at v = 8m; r = 6 at v = 24,
-48), or fall to known results we do not reconstruct (route "external").
+the leftover outer matching.  One assembler performs every such blow-up:
+it takes any verified outer 2-factorization on v/4 parts and a block kind
+per outer factor.  The all-C4 route blows up Walecki's Hamilton
+decomposition of K_{v/4} with the all-C4 kind throughout.  v = 24 is
+settled by a hand-built table at r = 4, and v = 48 by blowing up the
+(4,3)-HWP(12; 1, 4) that the odd-r route itself builds: its C4-factor
+takes the all-C4 kind, its four C3-factors the recipe, and its removed
+matching the K_{4,4} pairs.  The remaining shapes either need ingredients
+we can only import (equipartite Cm-factorizations), are genuinely open
+(r = 2 at v = 8m; r = 6 at v = 24, 48), or fall to known results we do
+not reconstruct (route "external").
 
 Every constructive build is verified in-process before it is returned.
 """
@@ -44,11 +50,10 @@ from .outer import (
     SEARCHABLE_OUTERS,
     Unavailable,
     expected_outer_factors,
+    hamilton_decomposition,
     k4_minus_matching,
     k44_pair,
     outer_cm_factorization,
-    walecki,
-    walecki_even,
 )
 from .verifier import certifies, verify_solution
 
@@ -76,8 +81,8 @@ class Ingredient:
 
     kind "outer_cm" with params (n, m) is a Cm-factorization of K_n (or
     K_n - I' for even n); "equipartite_cm" with params (a, b, m) is a
-    Cm-factorization of K_{a:b}; "hwp12" is the searched (4,3)-HWP(12;1,4)
-    seed; "recursive" with params (v, m, r, s) is an inner build.
+    Cm-factorization of K_{a:b}; "recursive" with params (v, m, r, s) is an
+    inner build, such as the (4,3)-HWP(12; 1, 4) the v = 48 route blows up.
     Availability is static: builtin, searchable, import, nonexistent, or
     unavailable; no search runs at planning time.
     """
@@ -172,11 +177,9 @@ def _imported(kind: str, params: tuple, imports) -> Solution | None:
     if kind == "outer_cm":
         n, m = params
         space, lengths = complete_graph(n), [m] * expected_outer_factors(n)
-    elif kind == "equipartite_cm":
+    else:  # equipartite_cm
         a, b, m = params
         space, lengths = equipartite_graph(a, b), [m] * (a * (b - 1) // 2)
-    else:  # hwp12
-        space, lengths = complete_graph(12), [4, 3, 3, 3, 3]
     return next((sol for sol in imports if certifies(sol, space, lengths)), None)
 
 
@@ -192,10 +195,6 @@ def _availability(kind: str, params: tuple, imports) -> str:
         if (n, m) in SEARCHABLE_OUTERS:
             return "searchable"
         return "unavailable"
-    if kind == "hwp12":
-        if _imported(kind, params, imports) is not None:
-            return "import"
-        return "searchable"
     if kind == "equipartite_cm":
         if _imported(kind, params, imports) is not None:
             return "import"
@@ -258,7 +257,7 @@ def plan(v: int, m: int, r: int, s: int, imports: tuple[Solution, ...] = ()) -> 
             r1, s1, x = sol
             return Plan(
                 route="k48_compose", t=4, r1=r1, s1=s1, x=x,
-                ingredients=(_ingredient("hwp12", (), imports),),
+                ingredients=(_ingredient("recursive", (12, 3, 1, 4), imports),),
             )
         if r == 6:
             return Plan(
@@ -356,7 +355,7 @@ def describe_plan(v: int, m: int, r: int, s: int, p: Plan) -> str:
 
 
 # ============================================================
-# assembly helpers
+# the blow-up assembler
 # ============================================================
 
 BLOCK_BUILDERS = {
@@ -376,28 +375,10 @@ def _part_quad(p: int) -> tuple[int, int, int, int]:
     return (4 * p, 4 * p + 1, 4 * p + 2, 4 * p + 3)
 
 
-def _relabel_cycles(cycles, part_map):
-    return [tuple(4 * part_map[u // 4] + u % 4 for u in cyc) for cyc in cycles]
-
-
-def _blowup_outer_factor(outer_cycles, block: Solution):
-    """Blow each part-m-cycle up to C_m[4] and lay one block on it.
-
-    Returns per-position global cycle lists, their declared lengths, and the
-    relabeled switch matching edges (empty for matchings-free kinds)."""
-    buckets = [[] for _ in block.factors]
-    matching = []
-    for cyc in outer_cycles:
-        part_map = list(cyc)
-        for i, f in enumerate(block.factors):
-            buckets[i].extend(_relabel_cycles(f.cycles, part_map))
-        if block.one_factor is not None:
-            matching.extend(
-                (4 * part_map[u // 4] + u % 4, 4 * part_map[w // 4] + w % 4)
-                for u, w in block.one_factor.edges
-            )
-    lengths = [f.cycle_length for f in block.factors]
-    return buckets, lengths, matching
+def _relabel(tuples, part_map):
+    """Block cycles or edges moved from parts 0, 1, ... onto the parts
+    ``part_map`` lists in that order."""
+    return [tuple(4 * part_map[u // 4] + u % 4 for u in tup) for tup in tuples]
 
 
 def _parts_factor(part_count: int):
@@ -441,36 +422,13 @@ def _finish(v, m, r, s, c4_factor_cycles, cm_factor_cycles, matching_edges) -> S
     )
 
 
-# ============================================================
-# per-route assemblers
-# ============================================================
+def _assemble(v: int, m: int, r: int, s: int, outer: Solution, kinds) -> Solution:
+    """Blow a verified outer 2-factorization on v/4 parts up by 4.
 
-def _assemble_all_c4(v: int, r: int) -> Solution:
-    parts = v // 4
-    if parts == 1:
-        cyc, pair = k4_minus_matching(_part_quad(0))
-        return _finish(v, 4, r, 0, [[cyc]], [], pair)
-    if parts % 2 == 1:
-        hams, leftover = walecki(parts), None
-    else:
-        hams, leftover = walecki_even(parts)
-    c4_factors = []
-    if hams:
-        block = _block("c4", parts)
-        for ham in hams:
-            buckets, _, _ = _blowup_outer_factor(ham.cycles, block)
-            c4_factors.extend(buckets)
-    if leftover is not None:
-        first, second = _k44_factors(leftover.edges)
-        c4_factors.append(first)
-        c4_factors.append(second)
-    cycles, matching = _parts_factor(parts)
-    c4_factors.append(cycles)
-    return _finish(v, 4, r, 0, c4_factors, [], matching)
-
-
-def _assemble_blowup(v, m, r, s, p: Plan, outer, with_switch: bool) -> Solution:
-    kinds = _kind_sequence(p, with_switch)
+    Outer factor i lays block ``kinds[i]`` on every one of its cycles; the
+    K_4s on the parts give one C4-factor unless a switch block took their
+    edges; the outer's removed matching, if any, gives two C4-factors from
+    the K_{4,4}s over its pairs."""
     if len(kinds) != len(outer.factors):
         raise RuntimeError(
             f"outer factor count {len(outer.factors)} does not match the "
@@ -478,50 +436,42 @@ def _assemble_blowup(v, m, r, s, p: Plan, outer, with_switch: bool) -> Solution:
         )
     c4_factors, cm_factors, matching = [], [], []
     for fac, kind in zip(outer.factors, kinds):
-        buckets, lengths, switch_matching = _blowup_outer_factor(fac.cycles, _block(kind, m))
-        for cycles, length in zip(buckets, lengths):
-            (c4_factors if length == 4 else cm_factors).append(cycles)
-        matching.extend(switch_matching)
-    if not with_switch:
+        block = _block(kind, len(fac.cycles[0]))
+        buckets = [[] for _ in block.factors]
+        for cyc in fac.cycles:  # each outer cycle blows up to one C_k[4]
+            for bucket, f in zip(buckets, block.factors):
+                bucket.extend(_relabel(f.cycles, cyc))
+            if block.one_factor is not None:
+                matching.extend(_relabel(block.one_factor.edges, cyc))
+        for bucket, f in zip(buckets, block.factors):
+            (c4_factors if f.cycle_length == 4 else cm_factors).append(bucket)
+    if "switch" not in kinds:
         cycles, part_matching = _parts_factor(v // 4)
         c4_factors.append(cycles)
         matching.extend(part_matching)
-    if outer.leftover is not None:
-        first, second = _k44_factors(outer.leftover.edges)
-        c4_factors.append(first)
-        c4_factors.append(second)
+    if outer.one_factor is not None:
+        c4_factors.extend(_k44_factors(outer.one_factor.edges))
     return _finish(v, m, r, s, c4_factors, cm_factors, matching)
 
 
-def _assemble_k48(r: int, s: int, p: Plan, imports, cache_dir, time_limit) -> Solution:
-    seed = _imported("hwp12", (), imports)
-    if seed is None:
-        from . import search
-
-        seed = search.hwp12_ingredient(cache_dir=cache_dir, time_limit=time_limit)
-    if seed is None:
+def _outer_and_kinds(v, m, p: Plan, imports, cache_dir, time_limit):
+    """The outer solution a blow-up route assembles over, and its block kinds."""
+    if p.route == "all_c4":
+        outer = hamilton_decomposition(v // 4)
+        return outer, ["c4"] * len(outer.factors)
+    if p.route == "k48_compose":
+        (seed,) = p.ingredients
+        outer = build(*seed.params, cache_dir=cache_dir, time_limit=time_limit)
+        return outer, ["c4"] + _kind_sequence(p, with_switch=True)
+    n = m * p.t
+    outer = outer_cm_factorization(
+        n, m, imports=imports, cache_dir=cache_dir, time_limit=time_limit
+    )
+    if isinstance(outer, Unavailable):
         raise IngredientUnavailable(
-            "the (4,3)-HWP(12; 1, 4) seed search hit the time limit"
+            f"outer ({n}, {m}) factorization: {outer.reason} ({outer.detail})"
         )
-
-    c4_factor = [f for f in seed.factors if set(len(c) for c in f.cycles) == {4}]
-    c3_factors = [f for f in seed.factors if set(len(c) for c in f.cycles) == {3}]
-
-    c4_factors, cm_factors, matching = [], [], []
-    buckets, _, _ = _blowup_outer_factor(c4_factor[0].cycles, _block("c4", 4))
-    c4_factors.extend(buckets)
-
-    kinds = _kind_sequence(p, with_switch=True)
-    for fac, kind in zip(c3_factors, kinds):
-        buckets, lengths, switch_matching = _blowup_outer_factor(fac.cycles, _block(kind, 3))
-        for cycles, length in zip(buckets, lengths):
-            (c4_factors if length == 4 else cm_factors).append(cycles)
-        matching.extend(switch_matching)
-
-    first, second = _k44_factors(seed.one_factor.edges)
-    c4_factors.append(first)
-    c4_factors.append(second)
-    return _finish(48, 3, r, s, c4_factors, cm_factors, matching)
+    return outer, _kind_sequence(p, with_switch=p.route == "even_r_switch")
 
 
 def _assemble_r1(v, m, r, s, imports) -> Solution:
@@ -578,26 +528,15 @@ def build(
     p = plan(v, m, r, s, imports=imports)
     _raise_for_status(p)
 
-    if p.route == "all_c4":
-        sol = _assemble_all_c4(v, r)
-    elif p.route == "k24_table":
+    if p.route == "k24_table":
         sol = k24_solution()
-    elif p.route == "k48_compose":
-        sol = _assemble_k48(r, s, p, imports, cache_dir, time_limit)
     elif p.route == "r1_equipartite":
         sol = _assemble_r1(v, m, r, s, imports)
     elif p.route == "r2_equipartite":
         sol = _assemble_r2(v, m, r, s, p, imports, cache_dir, time_limit)
     else:
-        n = m * p.t
-        outer = outer_cm_factorization(
-            n, m, imports=imports, cache_dir=cache_dir, time_limit=time_limit
-        )
-        if isinstance(outer, Unavailable):
-            raise IngredientUnavailable(
-                f"outer ({n}, {m}) factorization: {outer.reason} ({outer.detail})"
-            )
-        sol = _assemble_blowup(v, m, r, s, p, outer, p.route == "even_r_switch")
+        outer, kinds = _outer_and_kinds(v, m, p, imports, cache_dir, time_limit)
+        sol = _assemble(v, m, r, s, outer, kinds)
 
     report = verify_solution(sol)
     if not report.ok:

@@ -6,12 +6,15 @@ needs from this module:
   walecki(n)         K_n (odd n) split into (n-1)/2 Hamilton cycles
   walecki_even(n)    K_n (even n) split into (n-2)/2 Hamilton cycles plus
                      a leftover perfect matching
+  hamilton_decomposition(n)
+                     either of the two as one Solution, with the leftover
+                     matching of even n as its one-factor
   k44_pair           two C4-factor fragments of one K_{4,4}
   k4_minus_matching  4-cycle + matching partition of one K_4
   outer_cm_factorization(n, m, ...)
-                     Cm-factorization of K_n (odd n) or K_n - I (even n),
-                     resolved through builtin / imported file / bounded
-                     search, or an honest Unavailable
+                     Cm-factorization of K_n (odd n) or K_n - I (even n) as
+                     a Solution, resolved through builtin / imported file /
+                     bounded search, or an honest Unavailable
 
 The Hamilton decompositions use the classical rotating zigzag: fix a hub
 vertex, run the path j, j+1, j-1, j+2, j-2, ... over the remaining ring
@@ -38,8 +41,8 @@ from .verifier import certifies
 # Cm-factorizations of K_n (or K_n - I) that bounded search can supply.
 # Kept deliberately small: an entry here promises the acceptance suite a
 # result within seconds, measured: (9,3) and (10,5) are instant, (15,5)
-# takes under a second, (14,7) about four seconds; (15,3), (18,3) and
-# (21,3) blow past 30 s and stay out.
+# takes under a second, (14,7) about 2.2 s; (15,3), (18,3) and (21,3) blow
+# past 30 s and stay out.
 SEARCHABLE_OUTERS = frozenset({(9, 3), (10, 5), (15, 5), (14, 7)})
 
 # No C3-factorization of K_6 - I or K_12 - I exists; the planner treats
@@ -64,9 +67,9 @@ def _zigzag_offsets(count: int) -> list[int]:
 
 
 def walecki(n: int) -> list[TwoFactor]:
-    """Partition E(K_n), odd n, into (n-1)/2 Hamilton cycles."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("needs odd n >= 3")
+    """Partition E(K_n), odd n, into (n-1)/2 Hamilton cycles (none for n = 1)."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError("needs odd n >= 1")
     ring = n - 1
     hub = n - 1
     offsets = _zigzag_offsets(ring)
@@ -102,6 +105,15 @@ def walecki_even(n: int) -> tuple[list[TwoFactor], OneFactor]:
     return factors, one_factor(leftover)
 
 
+def hamilton_decomposition(n: int) -> Solution:
+    """K_n (odd n) or K_n - I (even n) split into Hamilton cycles, as one
+    Solution whose one-factor is the leftover matching of even n."""
+    if n % 2 == 1:
+        return Solution(v=n, factors=tuple(walecki(n)), m=n)
+    factors, leftover = walecki_even(n)
+    return Solution(v=n, factors=tuple(factors), m=n, one_factor=leftover)
+
+
 # ============================================================
 # four-vertex gadgets
 # ============================================================
@@ -126,14 +138,6 @@ def k4_minus_matching(quad):
 # ============================================================
 
 @dataclass(frozen=True)
-class CmFactorization:
-    n: int
-    m: int
-    factors: tuple[TwoFactor, ...]
-    leftover: OneFactor | None  # present iff n is even
-
-
-@dataclass(frozen=True)
 class Unavailable:
     reason: str  # "nonexistent" | "timeout" | "external" | "infeasible"
     detail: str = ""
@@ -150,7 +154,8 @@ def outer_cm_factorization(
     cache_dir=None,
     time_limit: float | None = None,
 ):
-    """Resolve a Cm-factorization of K_n (odd n) or K_n - I (even n).
+    """Resolve a Cm-factorization of K_n (odd n) or K_n - I (even n), as a
+    Solution whose one-factor is the removed matching I.
 
     Resolution order: builtin (n = m: Hamilton decomposition), then any
     imported document that proves itself against the verifier, then bounded
@@ -161,15 +166,12 @@ def outer_cm_factorization(
         return Unavailable("infeasible", f"no Cm-factorization shape for (n={n}, m={m})")
 
     if n == m:
-        if n % 2 == 1:
-            return CmFactorization(n, m, tuple(walecki(n)), None)
-        factors, leftover = walecki_even(n)
-        return CmFactorization(n, m, tuple(factors), leftover)
+        return hamilton_decomposition(n)
 
     lengths = [m] * expected_outer_factors(n)
     for sol in imports:
         if certifies(sol, complete_graph(n), lengths):
-            return CmFactorization(n, m, sol.factors, sol.one_factor)
+            return Solution(v=n, factors=sol.factors, m=m, one_factor=sol.one_factor)
 
     if (n, m) in NONEXISTENT_OUTERS:
         return Unavailable("nonexistent", f"K_{n} minus a 1-factor has no C{m}-factorization")
@@ -181,7 +183,7 @@ def outer_cm_factorization(
             search.cm_factorization_instance(n, m), cache_dir=cache_dir, time_limit=time_limit
         )
         if outcome.status == "found":
-            return CmFactorization(n, m, outcome.factors, outcome.matching)
+            return Solution(v=n, factors=outcome.factors, m=m, one_factor=outcome.matching)
         if outcome.status == "timeout":
             return Unavailable("timeout", f"search for ({n}, {m}) hit the time limit")
         return Unavailable("nonexistent", f"exhaustive search: no ({n}, {m}) factorization")

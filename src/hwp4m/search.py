@@ -303,16 +303,6 @@ def kts9_instance() -> SearchInstance:
     return cm_factorization_instance(9, 3)
 
 
-def hwp12_instance() -> SearchInstance:
-    """K_12 minus a matching into one C4-factor and four C3-factors."""
-    return SearchInstance(
-        name="hwp12",
-        space=complete_graph(12),
-        factor_specs=((4, 1), (3, 4)),
-        canonical_first=True,
-    )
-
-
 def equipartite_instance(a: int, b: int, length: int) -> SearchInstance:
     """K_{a:b} into C_length-factors.  canonical_first only for triangles:
     every triangle meets three distinct parts, a single automorphism orbit."""
@@ -337,17 +327,6 @@ def c4_cm3_split_instance(m: int) -> SearchInstance:
     )
 
 
-def hwp12_ingredient(cache_dir=None, time_limit: float | None = None) -> Solution | None:
-    """Searched solution with v=12, r=1, s=4: the seed of the v=48 composite
-    route.  None on timeout (caller turns that into an honest failure)."""
-    outcome = solve_cached(hwp12_instance(), cache_dir=cache_dir, time_limit=time_limit)
-    if outcome.status != "found":
-        return None
-    return Solution(
-        v=12, m=3, r=1, s=4, factors=outcome.factors, one_factor=outcome.matching
-    )
-
-
 def equipartite_cm_search(
     a: int, b: int, length: int, cache_dir=None, time_limit: float | None = None
 ) -> SearchOutcome:
@@ -360,7 +339,7 @@ def equipartite_cm_search(
 # caching
 # ============================================================
 
-_MEMO: dict[str, SearchOutcome] = {}
+_MEMO: dict[tuple[str, str], SearchOutcome] = {}  # (instance key, cache directory)
 
 
 def clear_memo() -> None:
@@ -383,14 +362,15 @@ def solve_cached(
 ) -> SearchOutcome:
     """solve() with an in-process memo and an on-disk cache of Found results.
 
-    Cached files are re-verified on load; anything unreadable or invalid is
+    The memo is keyed on the instance and the absolute cache directory, so a
+    second directory is still filled.  Cached files are re-verified on load; anything unreadable or invalid is
     ignored and recomputed.  Unsat/timeout outcomes are never cached (a
     longer time limit could change them).
     """
-    key = instance.key()
+    cache_dir = default_cache_dir() if cache_dir is None else cache_dir
+    key = (instance.key(), os.path.abspath(os.fspath(cache_dir)))
     if key in _MEMO:
         return _MEMO[key]
-    cache_dir = default_cache_dir() if cache_dir is None else cache_dir
     path = _cache_path(instance, cache_dir)
     n = instance.space.vertex_count
     try:

@@ -6,6 +6,7 @@ frozen literals so a regression in any construction is an immediate,
 attributable failure.  Time bounds are generous ceilings, not benchmarks.
 """
 
+import hashlib
 import random
 import time
 from dataclasses import replace
@@ -29,7 +30,7 @@ from hwp4m.model import (
     one_factor,
     two_factor,
 )
-from hwp4m.search import clear_memo, hwp12_ingredient, kts9_instance, solve_cached
+from hwp4m.search import clear_memo, kts9_instance, solve_cached
 from hwp4m.verifier import verify_block, verify_solution
 
 # ============================================================
@@ -156,28 +157,25 @@ def test_07_k24_object_verifies_with_its_frozen_matching():
 
 
 # ============================================================
-# 8. v = 48 composites from the searched 12-point seed
+# 8. v = 48 composites from the built 12-point seed
 # ============================================================
 
 
-def test_08_v48_composites_from_the_searched_seed(tmp_path):
-    clear_memo()
-    start = time.monotonic()
-    seed = hwp12_ingredient(cache_dir=tmp_path)
-    assert seed is not None and verify_solution(seed).ok
-    assert time.monotonic() - start < 120.0
+def test_08_v48_composites_from_the_built_seed(tmp_path):
+    seed = build(12, 3, 1, 4)
+    rep = verify_solution(seed)
+    assert rep.ok and (rep.r_found, rep.s_found) == (1, 4), rep.summary()
 
-    for r in (8, 10, 12, 14, 16, 18, 20):
-        sol = build(48, 3, r, 23 - r, cache_dir=tmp_path)
+    # the seed is built, not searched: with an empty memo, a fresh cache and
+    # no search budget at all, every composite still builds and nothing is
+    # written to the cache
+    clear_memo()
+    for r in range(8, 21, 2):
+        sol = build(48, 3, r, 23 - r, cache_dir=tmp_path, time_limit=0.0)
         rep = verify_solution(sol)
         assert rep.ok, f"(4,3)-HWP(48; {r}, {23 - r}): {rep.summary()}"
-
-    # cached thereafter: with the memo dropped and no search budget at all,
-    # the seed must come back from disk
-    clear_memo()
-    again = hwp12_ingredient(cache_dir=tmp_path, time_limit=0.0)
-    assert again is not None
-    assert encode_solution(again) == encode_solution(seed)
+        assert (rep.r_found, rep.s_found) == (r, 23 - r)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ============================================================
@@ -188,6 +186,7 @@ def test_08_v48_composites_from_the_searched_seed(tmp_path):
 def test_09_truth_table_up_to_v120():
     route_census = {}
     unsupported = set()
+    artifacts = hashlib.sha256()
     for m in range(3, 31, 2):
         for t in range(1, 120 // (4 * m) + 1):
             v = 4 * m * t
@@ -201,6 +200,7 @@ def test_09_truth_table_up_to_v120():
                     sol = build(v, m, r, total - r)
                     rep = verify_solution(sol)
                     assert rep.ok, f"(4,{m})-HWP({v}; {r}, {total - r}): {rep.summary()}"
+                    artifacts.update(encode_solution(sol))
 
     assert unsupported == {
         (24, 3, 2), (24, 3, 6), (40, 5, 2), (48, 3, 6), (56, 7, 2),
@@ -217,6 +217,8 @@ def test_09_truth_table_up_to_v120():
         "unsupported": 9,
     }
     assert plan(12, 3, 4, 1).route == "external"
+    # the bytes of every constructive build above, in table order
+    assert artifacts.hexdigest() == "e526e7363f2cfa5b90232e837ae811a7b1a790b6bad77639dd9ac8dc7844d2ce"
 
 
 # ============================================================
@@ -293,7 +295,7 @@ def _artifact_run(cache_dir) -> dict[str, bytes]:
         arts[name] = encode_solution(doc)
     kts = solve_cached(kts9_instance(), cache_dir=cache_dir)
     arts["kts9"] = encode_solution(Solution(v=9, factors=kts.factors))
-    arts["hwp12"] = encode_solution(hwp12_ingredient(cache_dir=cache_dir))
+    arts["build-12"] = encode_solution(build(12, 3, 1, 4, cache_dir=cache_dir))
     arts["k24"] = encode_solution(k24_solution())
     return arts
 

@@ -192,7 +192,7 @@ def test_ingredient_timeout_exit(tmp_path):
     clear_memo()
     code = main(
         [
-            "ingredient", "--type", "hwp12", "--time-limit", "0",
+            "ingredient", "--type", "kts9", "--time-limit", "0",
             "--cache", str(tmp_path / "c"), "--out", str(tmp_path / "x.json"),
         ]
     )
@@ -218,6 +218,7 @@ def test_ingredient_bad_params_is_an_error(tmp_path, capsys):
 def test_usage_errors_exit_one(capsys):
     assert main(["build", "--v", "12"]) == 1
     assert main(["no-such-command"]) == 1
+    assert main(["ingredient", "--type", "hwp12", "--out", "-"]) == 1
     capsys.readouterr()
 
 

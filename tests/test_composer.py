@@ -13,6 +13,7 @@ from hwp4m.composer import (
     STATUS_ROUTES,
     ExternalRequired,
     Infeasible,
+    Ingredient,
     IngredientUnavailable,
     Plan,
     Unsupported,
@@ -151,9 +152,14 @@ def test_availability_ladder():
     assert _availability("outer_cm", (9, 3), ()) == "searchable"
     assert _availability("outer_cm", (6, 3), ()) == "nonexistent"
     assert _availability("outer_cm", (21, 3), ()) == "unavailable"
-    assert _availability("hwp12", (), ()) == "searchable"
     assert _availability("equipartite_cm", (4, 10, 5), ()) == "unavailable"
     assert _availability("recursive", (12, 3, 2, 3), ()) == "builtin"
+    with pytest.raises(ValueError):
+        _availability("hwp12", (), ())
+    # the v = 48 seed is an inner build, never a search
+    p = plan(48, 3, 10, 13)
+    assert p.route == "k48_compose"
+    assert p.ingredients == (Ingredient("recursive", (12, 3, 1, 4), "builtin"),)
 
 
 def test_describe_plan_is_informative():
@@ -184,9 +190,11 @@ def test_build_switch_route_at_t_one():
 
 
 def test_all_c4_solution_leaves_m_unset():
-    sol = build(12, 3, 5, 0)
-    assert sol.m is None and sol.s == 0
-    assert verify_solution(sol).ok
+    # one and two parts are the outers without cycles: K_1, and K_2 - I
+    for v in (4, 8, 12, 16):
+        sol = build(v, 3, v // 2 - 1, 0)
+        assert sol.m is None and sol.s == 0
+        assert verify_solution(sol).ok
 
 
 def test_build_returns_the_k24_table_object():

@@ -13,16 +13,16 @@ from hwp4m.model import (
 from hwp4m.outer import (
     NONEXISTENT_OUTERS,
     SEARCHABLE_OUTERS,
-    CmFactorization,
     Unavailable,
     expected_outer_factors,
+    hamilton_decomposition,
     k4_minus_matching,
     k44_pair,
     outer_cm_factorization,
     walecki,
     walecki_even,
 )
-from hwp4m.verifier import verify_factors_cover
+from hwp4m.verifier import verify_factors_cover, verify_solution
 
 # ============================================================
 # Hamilton decompositions of K_n
@@ -44,6 +44,16 @@ def test_walecki_even_leaves_a_perfect_matching(n):
     assert len(factors) == (n - 2) // 2
     assert all(f.cycle_length == n for f in factors)
     rep = verify_factors_cover(factors, complete_graph(n), leftover)
+    assert rep.ok, rep.summary()
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_hamilton_decomposition_is_a_verified_outer_solution(n):
+    # n = 1 and n = 2 have no cycles: one part, or two parts and a matching
+    sol = hamilton_decomposition(n)
+    assert (sol.v, sol.m, len(sol.factors)) == (n, n, (n - 1) // 2)
+    assert (sol.one_factor is None) == (n % 2 == 1)
+    rep = verify_solution(sol)
     assert rep.ok, rep.summary()
 
 
@@ -81,24 +91,33 @@ def test_k4_minus_matching_partitions_one_clique():
 
 def test_builtin_when_the_outer_is_a_single_cycle_length():
     out = outer_cm_factorization(7, 7)
-    assert isinstance(out, CmFactorization)
+    assert isinstance(out, Solution)
+    assert (out.v, out.m) == (7, 7)
     assert len(out.factors) == expected_outer_factors(7)
-    assert out.leftover is None
+    assert out.one_factor is None
+    assert verify_solution(out).ok
 
     out = outer_cm_factorization(6, 6)
-    assert isinstance(out, CmFactorization)
-    assert out.leftover is not None
-    rep = verify_factors_cover(out.factors, complete_graph(6), out.leftover)
+    assert isinstance(out, Solution)
+    assert out.one_factor is not None
+    rep = verify_factors_cover(out.factors, complete_graph(6), out.one_factor)
     assert rep.ok
+    assert verify_solution(out).ok
 
 
 def test_search_supplies_the_whitelisted_outers(tmp_path):
     assert (9, 3) in SEARCHABLE_OUTERS
     out = outer_cm_factorization(9, 3, cache_dir=tmp_path)
-    assert isinstance(out, CmFactorization)
+    assert isinstance(out, Solution)
+    assert (out.v, out.m, out.one_factor) == (9, 3, None)
     assert all(f.cycle_length == 3 for f in out.factors)
     rep = verify_factors_cover(out.factors, complete_graph(9))
     assert rep.ok
+
+    out = outer_cm_factorization(10, 5, cache_dir=tmp_path)
+    assert isinstance(out, Solution)
+    assert out.one_factor is not None
+    assert verify_solution(out).ok
 
 
 def test_search_timeout_is_reported_not_swallowed(tmp_path):
@@ -139,8 +158,9 @@ def test_import_is_used_when_it_proves_itself(tmp_path):
     doc = Solution(v=9, factors=found.factors, m=3, r=0, s=4)
     search.clear_memo()
     out = outer_cm_factorization(9, 3, imports=(doc,), time_limit=0.0)
-    assert isinstance(out, CmFactorization)
+    assert isinstance(out, Solution)
     assert out.factors == doc.factors
+    assert out.one_factor is None
 
 
 def test_import_that_does_not_prove_itself_is_ignored(tmp_path):

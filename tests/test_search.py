@@ -21,13 +21,11 @@ from hwp4m.search import (
     cm_factorization_instance,
     equipartite_cm_search,
     equipartite_instance,
-    hwp12_ingredient,
-    hwp12_instance,
     kts9_instance,
     solve,
     solve_cached,
 )
-from hwp4m.verifier import verify_factors_cover, verify_solution
+from hwp4m.verifier import verify_factors_cover
 
 # ============================================================
 # budgets
@@ -36,7 +34,7 @@ from hwp4m.verifier import verify_factors_cover, verify_solution
 
 def test_budget_distinguishes_exact_cover_from_leftover_matching():
     assert check_budget(kts9_instance()) is False
-    assert check_budget(hwp12_instance()) is True
+    assert check_budget(cm_factorization_instance(10, 5)) is True
 
 
 def test_budget_rejects_malformed_instances():
@@ -99,15 +97,6 @@ def test_search_is_deterministic():
 # ============================================================
 
 
-def test_hwp12_ingredient_is_a_verified_solution(tmp_path):
-    sol = hwp12_ingredient(cache_dir=tmp_path)
-    assert sol is not None and sol.v == 12 and (sol.r, sol.s) == (1, 4)
-    lengths = sorted(f.cycle_length for f in sol.factors)
-    assert lengths == [3, 3, 3, 3, 4]
-    rep = verify_solution(sol)
-    assert rep.ok, rep.summary()
-
-
 def test_equipartite_search_solves_three_groups_of_four():
     outcome = equipartite_cm_search(4, 3, 3)
     assert outcome.status == "found"
@@ -140,6 +129,14 @@ def test_disk_cache_round_trips_found_results(tmp_path):
     second = solve_cached(kts9_instance(), cache_dir=tmp_path, time_limit=0.0)
     assert second.status == "found"
     assert second.factors == first.factors
+
+
+def test_memo_hit_still_fills_a_second_cache_directory(tmp_path):
+    clear_memo()
+    first = solve_cached(kts9_instance(), cache_dir=tmp_path / "a")
+    second = solve_cached(kts9_instance(), cache_dir=tmp_path / "b")
+    assert second.factors == first.factors
+    assert len(list((tmp_path / "b").iterdir())) == 1
 
 
 def test_corrupted_cache_is_ignored_and_recomputed(tmp_path):
