@@ -43,7 +43,7 @@ def _read_solution(path: str) -> Solution:
     try:
         return decode_solution(data)
     except DecodeError as exc:
-        raise _CliError(f"{path}: {exc.code}: {exc}") from exc
+        raise _CliError(f"{path}: {exc}") from exc
 
 
 def _write_bytes(data: bytes, out: str):

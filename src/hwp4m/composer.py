@@ -31,31 +31,41 @@ decomposition of K_{v/4} with the all-C4 kind throughout.  v = 24 is
 settled by a hand-built table at r = 4, and v = 48 by blowing up the
 (4,3)-HWP(12; 1, 4) that the odd-r route itself builds: its C4-factor
 takes the all-C4 kind, its four C3-factors the recipe, and its removed
-matching the K_{4,4} pairs.  The remaining shapes either need ingredients
-we can only import (equipartite Cm-factorizations), are genuinely open
-(r = 2 at v = 8m; r = 6 at v = 24, 48), or fall to known results we do
-not reconstruct (route "external").
+matching the K_{4,4} pairs.
 
-Every constructive build is verified in-process before it is returned.
+The second assembler serves r = 1 and r = 2 at even t: a copy of a small
+verified solution on every group, plus the Cm-factors of the complete
+equipartite graph between the groups.  For r = 1 the small solution is
+K_4 - I, the all-C4 build(4, m, 1, 0); for r = 2 it is the inner
+build(4m, m, 2, 2m - 3).  The equipartite Cm-factorizations can only be
+imported.  The remaining shapes are genuinely open (r = 2 at v = 8m;
+r = 6 at v = 24, 48), or fall to known results we do not reconstruct
+(route "external").
+
+The planner reads each ingredient's availability from one static ladder
+(``outer.outer_availability`` for outer factorizations), and an import is
+proven once, against the ingredient's search instance, while planning; the
+plan carries it, and ``build`` resolves every ingredient through
+``_resolve``.  Every constructive build is verified in-process before it
+is returned.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .blocks import c4_block, cm_block, mixed_block, switch_block
 from .k24 import k24_solution
-from .model import Solution, complete_graph, equipartite_graph, one_factor, two_factor
+from .model import Solution, one_factor, two_factor
 from .outer import (
-    NONEXISTENT_OUTERS,
-    SEARCHABLE_OUTERS,
     Unavailable,
-    expected_outer_factors,
     hamilton_decomposition,
     k4_minus_matching,
     k44_pair,
+    outer_availability,
     outer_cm_factorization,
 )
-from .verifier import certifies, verify_solution
+from .search import equipartite_instance, first_proven
+from .verifier import verify_solution
 
 # ============================================================
 # plan model and status exceptions
@@ -84,12 +94,15 @@ class Ingredient:
     Cm-factorization of K_{a:b}; "recursive" with params (v, m, r, s) is an
     inner build, such as the (4,3)-HWP(12; 1, 4) the v = 48 route blows up.
     Availability is static: builtin, searchable, import, nonexistent, or
-    unavailable; no search runs at planning time.
+    unavailable; no search runs at planning time.  An import that proved
+    itself while planning rides along as ``proven``, which takes no part in
+    equality or repr, so build uses it without proving it again.
     """
 
     kind: str
     params: tuple
     availability: str
+    proven: Solution | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -169,43 +182,37 @@ def _solve_recipe(r: int, const: int, budget: int):
 
 
 # ============================================================
-# ingredient availability (static; imports are proven, not trusted)
+# ingredients (availability is static; imports are proven, not trusted)
 # ============================================================
 
-def _imported(kind: str, params: tuple, imports) -> Solution | None:
-    """The first import that proves itself as the ingredient, else None."""
-    if kind == "outer_cm":
-        n, m = params
-        space, lengths = complete_graph(n), [m] * expected_outer_factors(n)
-    else:  # equipartite_cm
-        a, b, m = params
-        space, lengths = equipartite_graph(a, b), [m] * (a * (b - 1) // 2)
-    return next((sol for sol in imports if certifies(sol, space, lengths)), None)
-
-
-def _availability(kind: str, params: tuple, imports) -> str:
-    if kind == "outer_cm":
-        n, m = params
-        if n == m:
-            return "builtin"
-        if _imported(kind, params, imports) is not None:
-            return "import"
-        if (n, m) in NONEXISTENT_OUTERS:
-            return "nonexistent"
-        if (n, m) in SEARCHABLE_OUTERS:
-            return "searchable"
-        return "unavailable"
-    if kind == "equipartite_cm":
-        if _imported(kind, params, imports) is not None:
-            return "import"
-        return "unavailable"
-    if kind == "recursive":
-        return "builtin"
-    raise ValueError(f"unknown ingredient kind {kind!r}")
-
-
 def _ingredient(kind: str, params: tuple, imports) -> Ingredient:
-    return Ingredient(kind, params, _availability(kind, params, imports))
+    if kind == "outer_cm":
+        availability, proven = outer_availability(*params, imports)
+    elif kind == "equipartite_cm":
+        proven = first_proven(equipartite_instance(*params), imports)
+        availability = "unavailable" if proven is None else "import"
+    elif kind == "recursive":
+        availability, proven = "builtin", None
+    else:
+        raise ValueError(f"unknown ingredient kind {kind!r}")
+    return Ingredient(kind, params, availability, proven)
+
+
+def _resolve(ing: Ingredient, cache_dir, time_limit) -> Solution:
+    """The solution a planned ingredient stands for: its proven import, an
+    inner build, or the outer factorization from builtin or search."""
+    if ing.proven is not None:
+        return ing.proven
+    if ing.kind == "recursive":
+        return build(*ing.params, cache_dir=cache_dir, time_limit=time_limit)
+    if ing.kind == "outer_cm":
+        outer = outer_cm_factorization(*ing.params, cache_dir=cache_dir, time_limit=time_limit)
+        if isinstance(outer, Unavailable):
+            raise IngredientUnavailable(
+                f"outer {ing.params} factorization: {outer.reason} ({outer.detail})"
+            )
+        return outer
+    raise IngredientUnavailable(f"no imported {ing.kind}{ing.params} was provided")
 
 
 # ============================================================
@@ -355,7 +362,7 @@ def describe_plan(v: int, m: int, r: int, s: int, p: Plan) -> str:
 
 
 # ============================================================
-# the blow-up assembler
+# the two assemblers: blow-up, and groups
 # ============================================================
 
 BLOCK_BUILDERS = {
@@ -399,13 +406,6 @@ def _k44_factors(part_pairs):
         first_cycles.extend(first)
         second_cycles.extend(second)
     return first_cycles, second_cycles
-
-
-def _kind_sequence(p: Plan, with_switch: bool) -> list[str]:
-    kinds = ["c4"] * p.r1 + ["mixed"] * p.x + ["cm"] * p.s1
-    if with_switch:
-        kinds.append("switch")
-    return kinds
 
 
 def _finish(v, m, r, s, c4_factor_cycles, cm_factor_cycles, matching_edges) -> Solution:
@@ -454,56 +454,21 @@ def _assemble(v: int, m: int, r: int, s: int, outer: Solution, kinds) -> Solutio
     return _finish(v, m, r, s, c4_factors, cm_factors, matching)
 
 
-def _outer_and_kinds(v, m, p: Plan, imports, cache_dir, time_limit):
-    """The outer solution a blow-up route assembles over, and its block kinds."""
-    if p.route == "all_c4":
-        outer = hamilton_decomposition(v // 4)
-        return outer, ["c4"] * len(outer.factors)
-    if p.route == "k48_compose":
-        (seed,) = p.ingredients
-        outer = build(*seed.params, cache_dir=cache_dir, time_limit=time_limit)
-        return outer, ["c4"] + _kind_sequence(p, with_switch=True)
-    n = m * p.t
-    outer = outer_cm_factorization(
-        n, m, imports=imports, cache_dir=cache_dir, time_limit=time_limit
-    )
-    if isinstance(outer, Unavailable):
-        raise IngredientUnavailable(
-            f"outer ({n}, {m}) factorization: {outer.reason} ({outer.detail})"
-        )
-    return outer, _kind_sequence(p, with_switch=p.route == "even_r_switch")
-
-
-def _assemble_r1(v, m, r, s, imports) -> Solution:
-    parts = v // 4
-    eq = _imported("equipartite_cm", (4, parts, m), imports)
-    if eq is None:
-        raise IngredientUnavailable(
-            f"no imported Cm-factorization of K_{{4:{parts}}} was provided"
-        )
-    cycles, matching = _parts_factor(parts)
-    cm_factors = [list(f.cycles) for f in eq.factors]
-    return _finish(v, m, r, s, [cycles], cm_factors, matching)
-
-
-def _assemble_r2(v, m, r, s, p: Plan, imports, cache_dir, time_limit) -> Solution:
-    t = p.t
-    eq = _imported("equipartite_cm", (4 * m, t, m), imports)
-    if eq is None:
-        raise IngredientUnavailable(
-            f"no imported Cm-factorization of K_{{{4 * m}:{t}}} was provided"
-        )
-    inner = build(4 * m, m, 2, 2 * m - 3, cache_dir=cache_dir, time_limit=time_limit)
-    buckets = [[] for _ in inner.factors]
+def _assemble_groups(
+    v: int, m: int, r: int, s: int, small: Solution, between: Solution
+) -> Solution:
+    """A copy of the verified ``small`` solution on every group of small.v
+    vertices, plus the Cm-factors of the complete equipartite graph
+    ``between`` the groups."""
+    buckets = [[] for _ in small.factors]
     matching = []
-    for g in range(t):
-        offset = 4 * m * g
-        for i, f in enumerate(inner.factors):
-            buckets[i].extend(tuple(u + offset for u in cyc) for cyc in f.cycles)
-        matching.extend((u + offset, w + offset) for u, w in inner.one_factor.edges)
-    c4_factors = [b for b, f in zip(buckets, inner.factors) if f.cycle_length == 4]
-    cm_factors = [b for b, f in zip(buckets, inner.factors) if f.cycle_length != 4]
-    cm_factors += [list(f.cycles) for f in eq.factors]
+    for offset in range(0, v, small.v):
+        for bucket, f in zip(buckets, small.factors):
+            bucket.extend(tuple(u + offset for u in cyc) for cyc in f.cycles)
+        matching.extend((u + offset, w + offset) for u, w in small.one_factor.edges)
+    c4_factors = [b for b, f in zip(buckets, small.factors) if f.cycle_length == 4]
+    cm_factors = [b for b, f in zip(buckets, small.factors) if f.cycle_length != 4]
+    cm_factors += [list(f.cycles) for f in between.factors]
     return _finish(v, m, r, s, c4_factors, cm_factors, matching)
 
 
@@ -527,15 +492,25 @@ def build(
     produced.  Never returns an unverified object."""
     p = plan(v, m, r, s, imports=imports)
     _raise_for_status(p)
+    got = [_resolve(i, cache_dir, time_limit) for i in p.ingredients]
 
     if p.route == "k24_table":
         sol = k24_solution()
-    elif p.route == "r1_equipartite":
-        sol = _assemble_r1(v, m, r, s, imports)
+    elif p.route == "r1_equipartite":  # K_4 - I on every part
+        sol = _assemble_groups(v, m, r, s, build(4, m, 1, 0), got[0])
     elif p.route == "r2_equipartite":
-        sol = _assemble_r2(v, m, r, s, p, imports, cache_dir, time_limit)
+        between, small = got
+        sol = _assemble_groups(v, m, r, s, small, between)
+    elif p.route == "all_c4":
+        outer = hamilton_decomposition(v // 4)
+        sol = _assemble(v, m, r, s, outer, ["c4"] * len(outer.factors))
     else:
-        outer, kinds = _outer_and_kinds(v, m, p, imports, cache_dir, time_limit)
+        (outer,) = got
+        kinds = ["c4"] * p.r1 + ["mixed"] * p.x + ["cm"] * p.s1
+        if p.route == "k48_compose":  # the seed's one C4-factor comes first
+            kinds = ["c4"] + kinds + ["switch"]
+        elif p.route == "even_r_switch":
+            kinds.append("switch")
         sol = _assemble(v, m, r, s, outer, kinds)
 
     report = verify_solution(sol)

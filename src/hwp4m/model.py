@@ -304,8 +304,8 @@ def doc_to_solution(doc: dict) -> Solution:
 
     factors = []
     for idx, entry in enumerate(raw_factors):
-        if not isinstance(entry, dict) or "cycles" not in entry:
-            raise DecodeError("MalformedDocument", f"factor {idx} has no cycles")
+        if not isinstance(entry, dict) or not isinstance(entry.get("cycles"), list):
+            raise DecodeError("MalformedDocument", f"factor {idx} has no list of cycles")
         cycles = []
         for cyc in entry["cycles"]:
             if not isinstance(cyc, list) or len(cyc) < 3:

@@ -11,10 +11,16 @@ needs from this module:
                      matching of even n as its one-factor
   k44_pair           two C4-factor fragments of one K_{4,4}
   k4_minus_matching  4-cycle + matching partition of one K_4
+  outer_availability(n, m, imports)
+                     the one static ladder for a Cm-factorization of K_n
+                     (odd n) or K_n - I (even n): builtin when n = m, an
+                     import that proves itself against the search instance,
+                     known nonexistent, searchable, or unavailable; the
+                     planner and outer_cm_factorization both read it
   outer_cm_factorization(n, m, ...)
-                     Cm-factorization of K_n (odd n) or K_n - I (even n) as
-                     a Solution, resolved through builtin / imported file /
-                     bounded search, or an honest Unavailable
+                     that factorization as a Solution, resolved along the
+                     ladder (searching when it says searchable), or an
+                     honest Unavailable
 
 The Hamilton decompositions use the classical rotating zigzag: fix a hub
 vertex, run the path j, j+1, j-1, j+2, j-2, ... over the remaining ring
@@ -27,16 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (
-    OneFactor,
-    Solution,
-    TwoFactor,
-    complete_graph,
-    normalize_edge,
-    one_factor,
-    two_factor,
-)
-from .verifier import certifies
+from . import search
+from .model import OneFactor, Solution, TwoFactor, normalize_edge, one_factor, two_factor
 
 # Cm-factorizations of K_n (or K_n - I) that bounded search can supply.
 # Kept deliberately small: an entry here promises the acceptance suite a
@@ -143,8 +141,25 @@ class Unavailable:
     detail: str = ""
 
 
-def expected_outer_factors(n: int) -> int:
-    return (n - 1) // 2
+def outer_availability(n: int, m: int, imports: tuple[Solution, ...] = ()):
+    """The static ladder for a Cm-factorization of K_n (odd n) or K_n - I
+    (even n), as (availability, proven import or None).
+
+    builtin when n = m (Hamilton decomposition); then import, when one of
+    ``imports`` proves itself against the search instance of (n, m); then
+    nonexistent or searchable by the whitelists; else unavailable.  Runs no
+    search."""
+    if n == m:
+        return "builtin", None
+    if imports:  # planning without imports builds no instance
+        sol = search.first_proven(search.cm_factorization_instance(n, m), imports)
+        if sol is not None:
+            return "import", Solution(v=n, factors=sol.factors, m=m, one_factor=sol.one_factor)
+    if (n, m) in NONEXISTENT_OUTERS:
+        return "nonexistent", None
+    if (n, m) in SEARCHABLE_OUTERS:
+        return "searchable", None
+    return "unavailable", None
 
 
 def outer_cm_factorization(
@@ -157,35 +172,31 @@ def outer_cm_factorization(
     """Resolve a Cm-factorization of K_n (odd n) or K_n - I (even n), as a
     Solution whose one-factor is the removed matching I.
 
-    Resolution order: builtin (n = m: Hamilton decomposition), then any
-    imported document that proves itself against the verifier, then bounded
-    search for whitelisted (n, m).  Everything else is an honest
-    Unavailable; nothing unverified is ever returned.
+    Follows ``outer_availability``: the builtin or proven import is
+    returned, a searchable (n, m) is searched within ``time_limit``, and
+    everything else is an honest Unavailable; nothing unverified is ever
+    returned.
     """
     if m < 3 or n < 3 or n % m != 0:
         return Unavailable("infeasible", f"no Cm-factorization shape for (n={n}, m={m})")
 
-    if n == m:
+    availability, proven = outer_availability(n, m, imports)
+    if availability == "builtin":
         return hamilton_decomposition(n)
-
-    lengths = [m] * expected_outer_factors(n)
-    for sol in imports:
-        if certifies(sol, complete_graph(n), lengths):
-            return Solution(v=n, factors=sol.factors, m=m, one_factor=sol.one_factor)
-
-    if (n, m) in NONEXISTENT_OUTERS:
+    if availability == "import":
+        return proven
+    if availability == "nonexistent":
         return Unavailable("nonexistent", f"K_{n} minus a 1-factor has no C{m}-factorization")
-
-    if (n, m) in SEARCHABLE_OUTERS:
-        from . import search
-
-        outcome = search.solve_cached(
-            search.cm_factorization_instance(n, m), cache_dir=cache_dir, time_limit=time_limit
+    if availability == "unavailable":
+        return Unavailable(
+            "external", f"({n}, {m}) outer factorization is beyond builtin and search"
         )
-        if outcome.status == "found":
-            return Solution(v=n, factors=outcome.factors, m=m, one_factor=outcome.matching)
-        if outcome.status == "timeout":
-            return Unavailable("timeout", f"search for ({n}, {m}) hit the time limit")
-        return Unavailable("nonexistent", f"exhaustive search: no ({n}, {m}) factorization")
 
-    return Unavailable("external", f"({n}, {m}) outer factorization is beyond builtin and search")
+    outcome = search.solve_cached(
+        search.cm_factorization_instance(n, m), cache_dir=cache_dir, time_limit=time_limit
+    )
+    if outcome.status == "found":
+        return Solution(v=n, factors=outcome.factors, m=m, one_factor=outcome.matching)
+    if outcome.status == "timeout":
+        return Unavailable("timeout", f"search for ({n}, {m}) hit the time limit")
+    return Unavailable("nonexistent", f"exhaustive search: no ({n}, {m}) factorization")

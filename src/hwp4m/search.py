@@ -306,6 +306,8 @@ def kts9_instance() -> SearchInstance:
 def equipartite_instance(a: int, b: int, length: int) -> SearchInstance:
     """K_{a:b} into C_length-factors.  canonical_first only for triangles:
     every triangle meets three distinct parts, a single automorphism orbit."""
+    if a < 1 or b < 2:
+        raise ValueError(f"K_{{{a}:{b}}} needs a >= 1 vertices per part and b >= 2 parts")
     if (a * (b - 1)) % 2 != 0:
         raise ValueError(f"K_{{{a}:{b}}} has odd degree, no 2-factorization")
     count = a * (b - 1) // 2
@@ -325,6 +327,12 @@ def c4_cm3_split_instance(m: int) -> SearchInstance:
         factor_specs=((m, 3), (4, 1)),
         canonical_first=True,
     )
+
+
+def first_proven(instance: SearchInstance, docs) -> Solution | None:
+    """The first of ``docs`` that certifies as a solution of ``instance``:
+    the one proof for imported ingredients and cache loads alike."""
+    return next((sol for sol in docs if certifies(sol, instance.space, instance.slots())), None)
 
 
 def equipartite_cm_search(
@@ -375,8 +383,8 @@ def solve_cached(
     n = instance.space.vertex_count
     try:
         with open(path, "rb") as fh:
-            sol = decode_solution(fh.read())
-        if certifies(sol, instance.space, instance.slots()):
+            sol = first_proven(instance, [decode_solution(fh.read())])
+        if sol is not None:
             outcome = SearchOutcome("found", sol.factors, sol.one_factor)
             _MEMO[key] = outcome
             return outcome

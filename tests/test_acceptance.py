@@ -90,7 +90,6 @@ def test_04_triangle_blowup_has_no_three_cm_one_c4_split():
     assert check.witness is None
 
 
-@pytest.mark.slow
 def test_04_pentagon_blowup_has_no_three_cm_one_c4_split():
     check = check_c4_cm3_nonexistence(5, time_limit=900.0)
     assert check.status == "nonexistent"

@@ -142,6 +142,8 @@ def test_verify_missing_or_malformed_file_is_an_error(tmp_path, capsys):
     assert main(["verify", "--in", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    # the decode error's code is printed once
+    assert err.count("MalformedDocument") == 1
 
 
 # ============================================================
@@ -200,14 +202,16 @@ def test_ingredient_timeout_exit(tmp_path):
 
 
 def test_ingredient_bad_params_is_an_error(tmp_path, capsys):
-    code = main(
-        [
-            "ingredient", "--type", "equipartite", "--params", "3", "4", "3",
-            "--cache", str(tmp_path / "c"), "--out", "-",
-        ]
-    )
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    # odd degree, then one part, empty parts and negative part sizes
+    for params in (["3", "4", "3"], ["4", "1", "3"], ["0", "3", "3"], ["-1", "3", "3"]):
+        code = main(
+            [
+                "ingredient", "--type", "equipartite", "--params", *params,
+                "--cache", str(tmp_path / "c"), "--out", "-",
+            ]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 # ============================================================

@@ -6,8 +6,11 @@ the constructive routes from blocks and outer factorizations and verifies
 its own output before returning it.
 """
 
+import sys
+
 import pytest
 
+from hwp4m import verifier
 from hwp4m.composer import (
     CONSTRUCTIVE_ROUTES,
     STATUS_ROUTES,
@@ -15,11 +18,10 @@ from hwp4m.composer import (
     Infeasible,
     Ingredient,
     IngredientUnavailable,
-    Plan,
     Unsupported,
-    _assemble_r1,
-    _assemble_r2,
-    _availability,
+    _assemble_groups,
+    _ingredient,
+    _resolve,
     build,
     describe_plan,
     necessary_violations,
@@ -27,7 +29,8 @@ from hwp4m.composer import (
 )
 from hwp4m.k24 import k24_solution
 from hwp4m.model import Solution, encode_solution
-from hwp4m.search import clear_memo, equipartite_cm_search
+from hwp4m.outer import outer_availability
+from hwp4m.search import clear_memo, equipartite_cm_search, kts9_instance, solve_cached
 from hwp4m.verifier import verify_solution
 
 # ============================================================
@@ -148,14 +151,16 @@ def test_two_c4_factors_at_t_two_is_structurally_unsupported():
 
 
 def test_availability_ladder():
-    assert _availability("outer_cm", (3, 3), ()) == "builtin"
-    assert _availability("outer_cm", (9, 3), ()) == "searchable"
-    assert _availability("outer_cm", (6, 3), ()) == "nonexistent"
-    assert _availability("outer_cm", (21, 3), ()) == "unavailable"
-    assert _availability("equipartite_cm", (4, 10, 5), ()) == "unavailable"
-    assert _availability("recursive", (12, 3, 2, 3), ()) == "builtin"
+    assert outer_availability(3, 3) == ("builtin", None)
+    assert outer_availability(9, 3) == ("searchable", None)
+    assert outer_availability(6, 3) == ("nonexistent", None)
+    assert outer_availability(21, 3) == ("unavailable", None)
+    # the planner reads the same ladder
+    assert _ingredient("outer_cm", (9, 3), ()) == Ingredient("outer_cm", (9, 3), "searchable")
+    assert _ingredient("equipartite_cm", (4, 10, 5), ()).availability == "unavailable"
+    assert _ingredient("recursive", (12, 3, 2, 3), ()).availability == "builtin"
     with pytest.raises(ValueError):
-        _availability("hwp12", (), ())
+        _ingredient("hwp12", (), ())
     # the v = 48 seed is an inner build, never a search
     p = plan(48, 3, 10, 13)
     assert p.route == "k48_compose"
@@ -217,8 +222,40 @@ def test_build_reports_missing_searched_outer_honestly(tmp_path):
 
 
 # ============================================================
-# the two equipartite assemblers, driven directly with searched parts
+# imports and the group assembler, driven directly with searched parts
 # ============================================================
+
+
+def _kts9_doc(cache_dir):
+    outcome = solve_cached(kts9_instance(), cache_dir=cache_dir)
+    return Solution(v=9, factors=outcome.factors, m=3, r=0, s=4)
+
+
+def test_a_proven_import_rides_in_the_plan_outside_equality(tmp_path):
+    doc = _kts9_doc(tmp_path)
+    (ing,) = plan(36, 3, 1, 16, imports=(doc,)).ingredients
+    assert ing == Ingredient("outer_cm", (9, 3), "import")
+    assert "proven" not in repr(ing)
+    assert ing.proven.factors == doc.factors and ing.proven.m == 3
+    assert _resolve(ing, None, 0.0) is ing.proven
+
+
+def test_a_build_proves_each_import_once(tmp_path, monkeypatch):
+    doc = _kts9_doc(tmp_path)
+    certifies, calls = verifier.certifies, []
+
+    def counted(*args):
+        calls.append(args)
+        return certifies(*args)
+
+    # every module that imported the proof by name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hwp4m.") and getattr(module, "certifies", None) is certifies:
+            monkeypatch.setattr(module, "certifies", counted)
+    clear_memo()
+    sol = build(36, 3, 1, 16, imports=(doc,), cache_dir=tmp_path / "empty", time_limit=0.0)
+    assert verify_solution(sol).ok
+    assert len(calls) == 1
 
 
 def _equipartite_doc(a, b, m, cache_dir):
@@ -228,20 +265,25 @@ def _equipartite_doc(a, b, m, cache_dir):
 
 
 def test_single_c4_assembler_with_a_searched_ingredient(tmp_path):
+    # the r1 route: K_4 - I on every part, the inner build(4, m, 1, 0)
     doc = _equipartite_doc(4, 3, 3, tmp_path)
-    sol = _assemble_r1(12, 3, 1, 4, imports=(doc,))
+    sol = _assemble_groups(12, 3, 1, 4, build(4, 3, 1, 0), doc)
     rep = verify_solution(sol)
     assert rep.ok and (rep.r_found, rep.s_found) == (1, 4)
 
 
 def test_single_c4_assembler_requires_the_ingredient():
+    ing = _ingredient("equipartite_cm", (4, 3, 3), ())
+    assert (ing.availability, ing.proven) == ("unavailable", None)
     with pytest.raises(IngredientUnavailable):
-        _assemble_r1(12, 3, 1, 4, imports=())
+        _resolve(ing, None, None)
 
 
 def test_double_c4_assembler_with_a_searched_ingredient(tmp_path):
+    # the r2 route: the inner HWP(4m; 2, 2m - 3) on every group of 4m
     doc = _equipartite_doc(12, 3, 3, tmp_path)
-    p = Plan(route="r2_equipartite", t=3, s1=3)
-    sol = _assemble_r2(36, 3, 2, 15, p, imports=(doc,), cache_dir=tmp_path, time_limit=None)
+    between = _resolve(_ingredient("equipartite_cm", (12, 3, 3), (doc,)), None, None)
+    small = _resolve(_ingredient("recursive", (12, 3, 2, 3), ()), tmp_path, None)
+    sol = _assemble_groups(36, 3, 2, 15, small, between)
     rep = verify_solution(sol)
     assert rep.ok and (rep.r_found, rep.s_found) == (2, 15)

@@ -174,6 +174,9 @@ def test_decode_rejects_malformed_documents():
         {"v": 3, "r": False, "factors": [tri]},
         {"v": 3, "s": True, "factors": [tri]},
         {"v": 3, "m": True, "factors": [tri]},
+        # a factor's cycles must be a list, not a number or a string
+        {"v": 12, "factors": [{"cycles": 5}]},
+        {"v": 12, "factors": [{"cycles": "abc"}]},
     ):
         with pytest.raises(DecodeError) as err:
             decode_solution(json.dumps(bad))
