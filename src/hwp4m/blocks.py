@@ -31,7 +31,6 @@ from itertools import permutations
 
 from .algebra import ONE, X, X2, ZERO, gf4_add, gf4_mul, gf4_pow_x
 from .model import (
-    Cycle,
     Solution,
     canonicalize_cycle,
     cycle_blowup4,
@@ -134,19 +133,6 @@ def cm_block(m: int, adjust: bool = True) -> Solution:
             )
         factors.append(two_factor(cycles, v, cycle_length=m))
     return Solution(v=v, factors=tuple(factors))
-
-
-def cm_block_scaled_factor(m: int) -> list[Cycle]:
-    """The untranslated factor of cm_block as canonical cycles (the orbit of
-    the base cycle under GF(4) scaling).  Exposed for the automorphism test:
-    multiplying every layer by x must fix this cycle set."""
-    base = gf4_base_layers(m)
-    out = []
-    for alpha in (ONE, X, X2, ZERO):
-        out.append(
-            canonicalize_cycle(tuple(4 * i + gf4_mul(alpha, g) for i, g in enumerate(base)))
-        )
-    return sorted(out)
 
 
 # ============================================================

@@ -25,6 +25,13 @@ EXIT_UNSUPPORTED = 3
 EXIT_EXTERNAL = 4
 EXIT_INGREDIENT = 5
 
+# the exit code of each planner status; every other route is constructive
+STATUS_EXITS = {
+    "infeasible": EXIT_INFEASIBLE,
+    "unsupported": EXIT_UNSUPPORTED,
+    "external": EXIT_EXTERNAL,
+}
+
 
 class _CliError(Exception):
     pass
@@ -64,25 +71,18 @@ def _write_bytes(data: bytes, out: str):
 
 def _cmd_build(args) -> int:
     imports = tuple(_read_solution(path) for path in args.ingredient)
+    p = composer.plan(args.v, args.m, args.r, args.s, imports=imports)
+    if p.route in STATUS_EXITS:
+        print(f"{p.route}: {p.note}", file=sys.stderr)
+        return STATUS_EXITS[p.route]
     try:
-        sol = composer.build(
-            args.v, args.m, args.r, args.s,
-            imports=imports, cache_dir=args.cache, time_limit=args.time_limit,
+        sol = composer.build_planned(
+            args.v, args.m, args.r, args.s, p, cache_dir=args.cache, time_limit=args.time_limit,
         )
-    except composer.Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except composer.Unsupported as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except composer.ExternalRequired as exc:
-        print(f"external: {exc}", file=sys.stderr)
-        return EXIT_EXTERNAL
     except composer.IngredientUnavailable as exc:
         print(f"ingredient unavailable: {exc}", file=sys.stderr)
         return EXIT_INGREDIENT
     _write_bytes(encode_solution(sol), args.out)
-    p = composer.plan(args.v, args.m, args.r, args.s, imports=imports)
     print(
         f"built and verified (4,{args.m})-HWP({args.v}; {args.r}, {args.s}) "
         f"via {p.route}",
@@ -118,13 +118,7 @@ def _cmd_verify(args) -> int:
 def _cmd_feasible(args) -> int:
     p = composer.plan(args.v, args.m, args.r, args.s)
     print(composer.describe_plan(args.v, args.m, args.r, args.s, p))
-    if p.route in composer.CONSTRUCTIVE_ROUTES:
-        return EXIT_OK
-    if p.route == "infeasible":
-        return EXIT_INFEASIBLE
-    if p.route == "unsupported":
-        return EXIT_UNSUPPORTED
-    return EXIT_EXTERNAL
+    return STATUS_EXITS.get(p.route, EXIT_OK)
 
 
 def _cmd_block(args) -> int:
@@ -151,9 +145,10 @@ def _cmd_ingredient(args) -> int:
         if len(args.params) != 3:
             raise _CliError("--params A B LENGTH required for type equipartite")
         a, b, length = args.params
-        try:
-            outcome = search.equipartite_cm_search(
-                a, b, length, cache_dir=args.cache, time_limit=args.time_limit
+        try:  # a shape with no C_length-factorization is a usage error
+            outcome = search.solve_cached(
+                search.equipartite_instance(a, b, length),
+                cache_dir=args.cache, time_limit=args.time_limit,
             )
         except ValueError as exc:
             raise _CliError(str(exc)) from exc

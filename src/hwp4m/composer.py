@@ -12,42 +12,49 @@ leftover matching for even mt) turns each outer factor into t vertex
 disjoint copies of the blow-up C_m[4].  Each copy then carries one block
 factorization: all-C4, all-Cm, or the mixed 2+2 split, contributing 4
 global factors, while the switch block trades a perfect matching of C_m[4]
-for the K_4 edges on its parts and contributes 5.  Summing the per-kind
-contributions over a budget of B outer factors gives the route recipes
+for the K_4 edges on its parts and contributes 5.  The K_4s on the parts
+give one C4-factor (each part yields one 4-cycle plus two matching edges)
+unless switch blocks took them, and the K_{4,4}s over the leftover outer
+matching give two.  Summing these contributions gives the recipe
 
-    odd  r, t odd :  r = 4 r1 + 2 x + 1,  B = (mt - 1)/2
-    odd  r, t even:  r = 4 r1 + 2 x + 3,  B = (mt - 2)/2
-    even r, t odd :  r = 4 r1 + 2 x + 2,  B = (mt - 3)/2
-    even r, t even:  r = 4 r1 + 2 x + 4,  B = (mt - 4)/2
+    r = 4 r1 + 2 x + const,   r1 + s1 + x = budget,
 
-with r1 + s1 + x = B: r1 copies of the all-C4 kind, x mixed, s1 all-Cm.
-The odd-r constant counts the K_4 factor (each part yields one 4-cycle plus
-two matching edges); the even-r routes spend one outer factor on switch
-blocks instead; even t adds two C4-factors from the K_{4,4}s sitting over
-the leftover outer matching.  One assembler performs every such blow-up:
-it takes any verified outer 2-factorization on v/4 parts and a block kind
-per outer factor.  The all-C4 route blows up Walecki's Hamilton
-decomposition of K_{v/4} with the all-C4 kind throughout.  v = 24 is
-settled by a hand-built table at r = 4, and v = 48 by blowing up the
-(4,3)-HWP(12; 1, 4) that the odd-r route itself builds: its C4-factor
-takes the all-C4 kind, its four C3-factors the recipe, and its removed
-matching the K_{4,4} pairs.
+r1 copies of the all-C4 kind, x mixed, s1 all-Cm, which ``_recipe``
+derives from what is blown up: an outer solution on n parts whose first c
+factors are C4-factors, each of which takes the all-C4 kind,
 
-The second assembler serves r = 1 and r = 2 at even t: a copy of a small
-verified solution on every group, plus the Cm-factors of the complete
-equipartite graph between the groups.  For r = 1 the small solution is
-K_4 - I, the all-C4 build(4, m, 1, 0); for r = 2 it is the inner
-build(4m, m, 2, 2m - 3).  The equipartite Cm-factorizations can only be
-imported.  The remaining shapes are genuinely open (r = 2 at v = 8m;
+    const  = 4 c + (2 if r is even else 1) + (2 if n is even else 0)
+    budget = (n - 1) // 2 - c - (1 if r is even else 0).
+
+An outer Cm-factorization has c = 0, which gives the four routes odd_r_odd_t
+(const 1), odd_r_even_t (3) and even_r_switch (2 or 4).  The v = 48 route
+blows up the (4,3)-HWP(12; 1, 4) that the odd-r route itself builds, with
+n = 12 and c = 1 (const 8, budget 3).  The all-C4 route blows up Walecki's
+Hamilton decomposition of K_{v/4} with the all-C4 kind throughout, and
+v = 24 is settled by a hand-built table at r = 4.
+
+Every route but the v = 24 table is assembled by one placement core,
+``_assemble``: it places copies of verified pieces on vertex sets and
+merges them, factor i of every copy of a piece joining one global factor
+and every copy's removed matching joining the global matching.  The
+pieces are the blocks, the constants K_4 - I and K_{4,4}
+(``outer.K4_MINUS_I``, ``outer.K44``), a small inner solution, and an
+imported equipartite factorization.  A blow-up places a block on the
+blow-up of every outer cycle, K_4 - I on every part and K_{4,4} over
+every leftover pair.  The routes r1_equipartite and r2_equipartite
+(r = 1 and r = 2 at even t) place a small solution on every group,
+K_4 - I for r = 1 and the inner build(4m, m, 2, 2m - 3) for r = 2, plus
+the imported Cm-factors of the complete equipartite graph between the
+groups.  The remaining shapes are genuinely open (r = 2 at v = 8m;
 r = 6 at v = 24, 48), or fall to known results we do not reconstruct
 (route "external").
 
 The planner reads each ingredient's availability from one static ladder
 (``outer.outer_availability`` for outer factorizations), and an import is
 proven once, against the ingredient's search instance, while planning; the
-plan carries it, and ``build`` resolves every ingredient through
-``_resolve``.  Every constructive build is verified in-process before it
-is returned.
+plan carries it, and ``build_planned`` (which ``build`` and the CLI call
+after planning once) resolves every ingredient through ``_resolve``.
+Every constructive build is verified in-process before it is returned.
 """
 
 from dataclasses import dataclass, field
@@ -57,10 +64,10 @@ from .blocks import c4_block, cm_block, mixed_block, switch_block
 from .k24 import k24_solution
 from .model import Solution, one_factor, two_factor
 from .outer import (
+    K4_MINUS_I,
+    K44,
     Unavailable,
     hamilton_decomposition,
-    k4_minus_matching,
-    k44_pair,
     outer_availability,
     outer_cm_factorization,
 )
@@ -167,6 +174,16 @@ def necessary_violations(v: int, m: int, r: int, s: int) -> list[str]:
     return out
 
 
+def _recipe(r: int, n: int, c: int) -> tuple[int, int]:
+    """(const, budget) of the recipe r = 4 r1 + 2 x + const, r1 + s1 + x =
+    budget, for blowing up by 4 an outer solution on n parts whose first c
+    factors are C4-factors (see the module docstring)."""
+    even = r % 2 == 0
+    const = 4 * c + (2 if even else 1) + (2 if n % 2 == 0 else 0)
+    budget = (n - 1) // 2 - c - (1 if even else 0)
+    return const, budget
+
+
 def _solve_recipe(r: int, const: int, budget: int):
     """Smallest x in 0..3 with r = 4 r1 + 2 x + const, r1, s1 >= 0,
     r1 + s1 + x = budget.  None when no such triple exists."""
@@ -259,9 +276,10 @@ def plan(v: int, m: int, r: int, s: int, imports: tuple[Solution, ...] = ()) -> 
         )
 
     if (v, m) == (48, 3):
-        if r % 2 == 0 and 8 <= r <= 20:
-            sol = _solve_recipe(r, 8, 3)
-            r1, s1, x = sol
+        # blow up the (4,3)-HWP(12; 1, 4): 12 parts, one C4-factor
+        solved = _solve_recipe(r, *_recipe(r, 12, 1)) if r % 2 == 0 else None
+        if solved is not None:
+            r1, s1, x = solved
             return Plan(
                 route="k48_compose", t=4, r1=r1, s1=s1, x=x,
                 ingredients=(_ingredient("recursive", (12, 3, 1, 4), imports),),
@@ -281,37 +299,32 @@ def plan(v: int, m: int, r: int, s: int, imports: tuple[Solution, ...] = ()) -> 
     t = v // (4 * m)
     n = m * t
 
-    if r % 2 == 1:
-        if t % 2 == 1:
-            route, const, budget = "odd_r_odd_t", 1, (n - 1) // 2
-        elif r == 1:
-            ing = _ingredient("equipartite_cm", (4, n, m), imports)
-            return _gate(Plan(
-                route="r1_equipartite", t=t, s1=s, ingredients=(ing,),
-            ))
-        else:
-            route, const, budget = "odd_r_even_t", 3, (n - 2) // 2
-    else:
-        if t % 2 == 1:
-            route, const, budget = "even_r_switch", 2, (n - 3) // 2
-        elif r == 2:
-            if t == 2:
-                return Plan(
-                    route="unsupported", t=t,
-                    note="r = 2 at v = 8m is an open corner: the recipe needs a "
-                    "Cm-factorization of the bipartite K_{4m:4m}, and a "
-                    "bipartite graph has no odd cycles",
-                )
-            ings = (
-                _ingredient("equipartite_cm", (4 * m, t, m), imports),
-                _ingredient("recursive", (4 * m, m, 2, 2 * m - 3), imports),
+    if t % 2 == 0 and r == 1:
+        ing = _ingredient("equipartite_cm", (4, n, m), imports)
+        return _gate(Plan(
+            route="r1_equipartite", t=t, s1=s, ingredients=(ing,),
+        ))
+    if t % 2 == 0 and r == 2:
+        if t == 2:
+            return Plan(
+                route="unsupported", t=t,
+                note="r = 2 at v = 8m is an open corner: the recipe needs a "
+                "Cm-factorization of the bipartite K_{4m:4m}, and a "
+                "bipartite graph has no odd cycles",
             )
-            return _gate(Plan(
-                route="r2_equipartite", t=t, s1=2 * m - 3, ingredients=ings,
-            ))
-        else:
-            route, const, budget = "even_r_switch", 4, (n - 4) // 2
+        ings = (
+            _ingredient("equipartite_cm", (4 * m, t, m), imports),
+            _ingredient("recursive", (4 * m, m, 2, 2 * m - 3), imports),
+        )
+        return _gate(Plan(
+            route="r2_equipartite", t=t, s1=2 * m - 3, ingredients=ings,
+        ))
 
+    if r % 2 == 0:
+        route = "even_r_switch"
+    else:
+        route = "odd_r_odd_t" if t % 2 == 1 else "odd_r_even_t"
+    const, budget = _recipe(r, n, 0)
     solved = _solve_recipe(r, const, budget)
     if solved is None:
         return Plan(
@@ -362,7 +375,7 @@ def describe_plan(v: int, m: int, r: int, s: int, p: Plan) -> str:
 
 
 # ============================================================
-# the two assemblers: blow-up, and groups
+# the one assembler: copies of verified pieces
 # ============================================================
 
 BLOCK_BUILDERS = {
@@ -378,98 +391,56 @@ def _block(kind: str, m: int) -> Solution:
     return BLOCK_BUILDERS[kind](m)
 
 
-def _part_quad(p: int) -> tuple[int, int, int, int]:
-    return (4 * p, 4 * p + 1, 4 * p + 2, 4 * p + 3)
+def _parts(cells) -> tuple[int, ...]:
+    """The vertex map of a piece on the blow-up of outer vertices ``cells``:
+    piece vertex 4 i + layer goes to 4 cells[i] + layer."""
+    return tuple(4 * c + layer for c in cells for layer in range(4))
 
 
-def _relabel(tuples, part_map):
-    """Block cycles or edges moved from parts 0, 1, ... onto the parts
-    ``part_map`` lists in that order."""
-    return [tuple(4 * part_map[u // 4] + u % 4 for u in tup) for tup in tuples]
+def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
+    """Merge copies of verified pieces into one (4, m)-HWP(v; r, s).
 
-
-def _parts_factor(part_count: int):
-    """One global C4-factor plus matching from K_4 - I on every part."""
-    cycles, matching = [], []
-    for p in range(part_count):
-        cyc, pair = k4_minus_matching(_part_quad(p))
-        cycles.append(cyc)
-        matching.extend(pair)
-    return cycles, matching
-
-
-def _k44_factors(part_pairs):
-    """Two global C4-factor fragments over the K_{4,4}s of matched parts."""
-    first_cycles, second_cycles = [], []
-    for p, q in part_pairs:
-        first, second = k44_pair(_part_quad(p), _part_quad(q))
-        first_cycles.extend(first)
-        second_cycles.extend(second)
-    return first_cycles, second_cycles
-
-
-def _finish(v, m, r, s, c4_factor_cycles, cm_factor_cycles, matching_edges) -> Solution:
-    if len(c4_factor_cycles) != r or len(cm_factor_cycles) != s:
+    ``placed`` lists (piece, vertex maps); each map sends piece vertex u to
+    map[u].  Factor i of every copy of a piece joins one global factor,
+    C4-factors first, and every copy's removed matching joins the global
+    matching."""
+    c4_factors, cm_factors, matching = [], [], []
+    for piece, maps in placed:
+        buckets = [[] for _ in piece.factors]
+        for vmap in maps:
+            for bucket, f in zip(buckets, piece.factors):
+                bucket.extend(tuple(vmap[u] for u in cyc) for cyc in f.cycles)
+            if piece.one_factor is not None:
+                matching.extend((vmap[a], vmap[b]) for a, b in piece.one_factor.edges)
+        for bucket, f in zip(buckets, piece.factors):
+            (c4_factors if len(f.cycles[0]) == 4 else cm_factors).append(bucket)
+    if len(c4_factors) != r or len(cm_factors) != s:
         raise RuntimeError(
-            f"assembly mismatch: built {len(c4_factor_cycles)} C4-factors and "
-            f"{len(cm_factor_cycles)} Cm-factors, wanted ({r}, {s})"
+            f"assembly mismatch: built {len(c4_factors)} C4-factors and "
+            f"{len(cm_factors)} Cm-factors, wanted ({r}, {s})"
         )
-    factors = [two_factor(c, v, 4) for c in c4_factor_cycles]
-    factors += [two_factor(c, v, m) for c in cm_factor_cycles]
+    factors = [two_factor(c, v, 4) for c in c4_factors]
+    factors += [two_factor(c, v, m) for c in cm_factors]
     return Solution(
         v=v, factors=tuple(factors), m=m if s > 0 else None, r=r, s=s,
-        one_factor=one_factor(matching_edges),
+        one_factor=one_factor(matching),
     )
 
 
-def _assemble(v: int, m: int, r: int, s: int, outer: Solution, kinds) -> Solution:
-    """Blow a verified outer 2-factorization on v/4 parts up by 4.
-
-    Outer factor i lays block ``kinds[i]`` on every one of its cycles; the
-    K_4s on the parts give one C4-factor unless a switch block took their
-    edges; the outer's removed matching, if any, gives two C4-factors from
-    the K_{4,4}s over its pairs."""
-    if len(kinds) != len(outer.factors):
-        raise RuntimeError(
-            f"outer factor count {len(outer.factors)} does not match the "
-            f"kind sequence of length {len(kinds)}"
-        )
-    c4_factors, cm_factors, matching = [], [], []
-    for fac, kind in zip(outer.factors, kinds):
-        block = _block(kind, len(fac.cycles[0]))
-        buckets = [[] for _ in block.factors]
-        for cyc in fac.cycles:  # each outer cycle blows up to one C_k[4]
-            for bucket, f in zip(buckets, block.factors):
-                bucket.extend(_relabel(f.cycles, cyc))
-            if block.one_factor is not None:
-                matching.extend(_relabel(block.one_factor.edges, cyc))
-        for bucket, f in zip(buckets, block.factors):
-            (c4_factors if f.cycle_length == 4 else cm_factors).append(bucket)
+def _blow_up(outer: Solution, kinds) -> list:
+    """The pieces that blow a verified outer 2-factorization on v/4 parts up
+    by 4: block ``kinds[i]`` on every cycle of outer factor i, K_4 - I on
+    every part unless a switch block took those edges, and K_{4,4} over
+    every pair of the outer's removed matching."""
+    placed = [
+        (_block(kind, len(f.cycles[0])), map(_parts, f.cycles))
+        for f, kind in zip(outer.factors, kinds, strict=True)
+    ]
     if "switch" not in kinds:
-        cycles, part_matching = _parts_factor(v // 4)
-        c4_factors.append(cycles)
-        matching.extend(part_matching)
+        placed.append((K4_MINUS_I, (_parts((p,)) for p in range(outer.v))))
     if outer.one_factor is not None:
-        c4_factors.extend(_k44_factors(outer.one_factor.edges))
-    return _finish(v, m, r, s, c4_factors, cm_factors, matching)
-
-
-def _assemble_groups(
-    v: int, m: int, r: int, s: int, small: Solution, between: Solution
-) -> Solution:
-    """A copy of the verified ``small`` solution on every group of small.v
-    vertices, plus the Cm-factors of the complete equipartite graph
-    ``between`` the groups."""
-    buckets = [[] for _ in small.factors]
-    matching = []
-    for offset in range(0, v, small.v):
-        for bucket, f in zip(buckets, small.factors):
-            bucket.extend(tuple(u + offset for u in cyc) for cyc in f.cycles)
-        matching.extend((u + offset, w + offset) for u, w in small.one_factor.edges)
-    c4_factors = [b for b, f in zip(buckets, small.factors) if f.cycle_length == 4]
-    cm_factors = [b for b, f in zip(buckets, small.factors) if f.cycle_length != 4]
-    cm_factors += [list(f.cycles) for f in between.factors]
-    return _finish(v, m, r, s, c4_factors, cm_factors, matching)
+        placed.append((K44, map(_parts, outer.one_factor.edges)))
+    return placed
 
 
 # ============================================================
@@ -491,27 +462,33 @@ def build(
     plans and IngredientUnavailable when a planned ingredient cannot be
     produced.  Never returns an unverified object."""
     p = plan(v, m, r, s, imports=imports)
+    return build_planned(v, m, r, s, p, cache_dir=cache_dir, time_limit=time_limit)
+
+
+def build_planned(v: int, m: int, r: int, s: int, p: Plan, cache_dir=None,
+                  time_limit: float | None = None) -> Solution:
+    """``build`` for a request already planned as ``p``: resolve its
+    ingredients, place them, and verify the result.  Raises as ``build``."""
     _raise_for_status(p)
     got = [_resolve(i, cache_dir, time_limit) for i in p.ingredients]
 
     if p.route == "k24_table":
         sol = k24_solution()
-    elif p.route == "r1_equipartite":  # K_4 - I on every part
-        sol = _assemble_groups(v, m, r, s, build(4, m, 1, 0), got[0])
-    elif p.route == "r2_equipartite":
-        between, small = got
-        sol = _assemble_groups(v, m, r, s, small, between)
-    elif p.route == "all_c4":
-        outer = hamilton_decomposition(v // 4)
-        sol = _assemble(v, m, r, s, outer, ["c4"] * len(outer.factors))
+    elif p.route in ("r1_equipartite", "r2_equipartite"):
+        # a small solution on every group, the equipartite factors between
+        small = got[1] if p.route == "r2_equipartite" else K4_MINUS_I
+        groups = (range(g, g + small.v) for g in range(0, v, small.v))
+        sol = _assemble(v, m, r, s, [(small, groups), (got[0], [range(v)])])
     else:
-        (outer,) = got
-        kinds = ["c4"] * p.r1 + ["mixed"] * p.x + ["cm"] * p.s1
-        if p.route == "k48_compose":  # the seed's one C4-factor comes first
-            kinds = ["c4"] + kinds + ["switch"]
-        elif p.route == "even_r_switch":
-            kinds.append("switch")
-        sol = _assemble(v, m, r, s, outer, kinds)
+        if p.route == "all_c4":
+            outer = hamilton_decomposition(v // 4)
+            kinds = ["c4"] * len(outer.factors)
+        else:  # the recipe over the outer's own C4-factors, which come first
+            (outer,) = got
+            kinds = ["c4"] * ((outer.r or 0) + p.r1) + ["mixed"] * p.x + ["cm"] * p.s1
+            if r % 2 == 0:
+                kinds.append("switch")
+        sol = _assemble(v, m, r, s, _blow_up(outer, kinds))
 
     report = verify_solution(sol)
     if not report.ok:

@@ -9,8 +9,10 @@ needs from this module:
   hamilton_decomposition(n)
                      either of the two as one Solution, with the leftover
                      matching of even n as its one-factor
-  k44_pair           two C4-factor fragments of one K_{4,4}
-  k4_minus_matching  4-cycle + matching partition of one K_4
+  K4_MINUS_I         K_4 - I as a verified piece: one C4-factor and the
+                     two edges it leaves as the removed matching
+  K44                K_{4,4} between parts {0..3} and {4..7} as a verified
+                     piece: two C4-factors on 8 vertices
   outer_availability(n, m, imports)
                      the one static ladder for a Cm-factorization of K_n
                      (odd n) or K_n - I (even n): builtin when n = m, an
@@ -113,22 +115,19 @@ def hamilton_decomposition(n: int) -> Solution:
 
 
 # ============================================================
-# four-vertex gadgets
+# the two constant pieces of a blow-up by 4
 # ============================================================
 
-def k44_pair(side_a, side_b):
-    """Two C4-factor fragments covering all 16 edges between two 4-sets."""
-    a0, a1, a2, a3 = side_a
-    b0, b1, b2, b3 = side_b
-    first = [(a0, b0, a1, b1), (a2, b2, a3, b3)]
-    second = [(a0, b2, a1, b3), (a2, b0, a3, b1)]
-    return first, second
+# K_4 on one part: the 4-cycle 0-1-3-2 and the matching {03, 12} it leaves
+K4_MINUS_I = Solution(
+    v=4, factors=(two_factor([(0, 1, 3, 2)], 4, 4),), one_factor=one_factor([(0, 3), (1, 2)])
+)
 
-
-def k4_minus_matching(quad):
-    """One 4-cycle plus a 2-edge matching partitioning the six K_4 edges."""
-    x0, x1, x2, x3 = quad
-    return (x0, x1, x3, x2), [(x0, x3), (x1, x2)]
+# the 16 edges between two parts, 0..3 and 4..7, as two C4-factors
+K44 = Solution(v=8, factors=(
+    two_factor([(0, 4, 1, 5), (2, 6, 3, 7)], 8, 4),
+    two_factor([(0, 6, 1, 7), (2, 4, 3, 5)], 8, 4),
+))
 
 
 # ============================================================
@@ -162,29 +161,21 @@ def outer_availability(n: int, m: int, imports: tuple[Solution, ...] = ()):
     return "unavailable", None
 
 
-def outer_cm_factorization(
-    n: int,
-    m: int,
-    imports: tuple[Solution, ...] = (),
-    cache_dir=None,
-    time_limit: float | None = None,
-):
+def outer_cm_factorization(n: int, m: int, cache_dir=None, time_limit: float | None = None):
     """Resolve a Cm-factorization of K_n (odd n) or K_n - I (even n), as a
     Solution whose one-factor is the removed matching I.
 
-    Follows ``outer_availability``: the builtin or proven import is
-    returned, a searchable (n, m) is searched within ``time_limit``, and
-    everything else is an honest Unavailable; nothing unverified is ever
-    returned.
+    Follows ``outer_availability`` without imports (the planner proves
+    those, and its plan carries them): the builtin is returned, a
+    searchable (n, m) is searched within ``time_limit``, and everything
+    else is an honest Unavailable; nothing unverified is ever returned.
     """
     if m < 3 or n < 3 or n % m != 0:
         return Unavailable("infeasible", f"no Cm-factorization shape for (n={n}, m={m})")
 
-    availability, proven = outer_availability(n, m, imports)
+    availability, _ = outer_availability(n, m)
     if availability == "builtin":
         return hamilton_decomposition(n)
-    if availability == "import":
-        return proven
     if availability == "nonexistent":
         return Unavailable("nonexistent", f"K_{n} minus a 1-factor has no C{m}-factorization")
     if availability == "unavailable":

@@ -335,14 +335,6 @@ def first_proven(instance: SearchInstance, docs) -> Solution | None:
     return next((sol for sol in docs if certifies(sol, instance.space, instance.slots())), None)
 
 
-def equipartite_cm_search(
-    a: int, b: int, length: int, cache_dir=None, time_limit: float | None = None
-) -> SearchOutcome:
-    return solve_cached(
-        equipartite_instance(a, b, length), cache_dir=cache_dir, time_limit=time_limit
-    )
-
-
 # ============================================================
 # caching
 # ============================================================

@@ -5,7 +5,11 @@ Builds and CLI runs that pass no cache directory fall back to
 keeps those writes out of the user's cache and out of later runs.
 """
 
+import sys
+
 import pytest
+
+from hwp4m import verifier
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -13,3 +17,19 @@ def _temporary_home(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("HOME", str(tmp_path_factory.mktemp("home")))
         yield
+
+
+@pytest.fixture
+def certify_calls(monkeypatch):
+    """The argument tuples of every ``verifier.certifies`` call the test
+    makes, counted in every module that imported the proof by name."""
+    certifies, calls = verifier.certifies, []
+
+    def counted(*args):
+        calls.append(args)
+        return certifies(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hwp4m.") and getattr(module, "certifies", None) is certifies:
+            monkeypatch.setattr(module, "certifies", counted)
+    return calls

@@ -17,7 +17,6 @@ from hwp4m.blocks import (
     c4_block,
     check_c4_cm3_nonexistence,
     cm_block,
-    cm_block_scaled_factor,
     mixed_block,
     switch_block,
 )
@@ -71,7 +70,7 @@ def test_03_layer_scaling_fixes_the_scaled_factor_setwise():
     from hwp4m.algebra import X, gf4_mul
 
     for m in range(3, 21):
-        cycles = cm_block_scaled_factor(m)
+        cycles = list(cm_block(m).factors[0].cycles)  # the untranslated factor
         image = sorted(
             canonicalize_cycle(tuple(4 * (u // 4) + gf4_mul(X, u % 4) for u in cyc))
             for cyc in cycles

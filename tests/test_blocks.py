@@ -16,7 +16,6 @@ from hwp4m.blocks import (
     c4_block,
     check_c4_cm3_nonexistence,
     cm_block,
-    cm_block_scaled_factor,
     factor_to_block_perms,
     gf4_base_layers,
     johnson_walk,
@@ -133,7 +132,7 @@ def test_verify_block_dispatch_covers_both_ambients():
 def test_scaling_layers_by_x_fixes_the_scaled_factor(m):
     from hwp4m.algebra import X, gf4_mul
 
-    cycles = cm_block_scaled_factor(m)
+    cycles = list(cm_block(m).factors[0].cycles)  # the untranslated factor
     image = sorted(
         canonicalize_cycle(tuple(4 * (u // 4) + gf4_mul(X, u % 4) for u in cyc))
         for cyc in cycles

@@ -9,6 +9,7 @@ unavailable within limits.
 import json
 
 from hwp4m.cli import main
+from hwp4m.composer import plan
 from hwp4m.model import decode_solution
 from hwp4m.search import clear_memo
 from hwp4m.verifier import verify_solution
@@ -48,11 +49,13 @@ def test_build_is_byte_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_build_exit_codes_follow_the_planner(tmp_path):
+def test_build_exit_codes_follow_the_planner(tmp_path, capsys):
     out = str(tmp_path / "x.json")
-    assert main(["build", "--v", "16", "--m", "3", "--r", "1", "--s", "6", "--out", out]) == 2
-    assert main(["build", "--v", "24", "--m", "3", "--r", "2", "--s", "9", "--out", out]) == 3
-    assert main(["build", "--v", "12", "--m", "3", "--r", "4", "--s", "1", "--out", out]) == 4
+    for request, code in (((16, 3, 1, 6), 2), ((24, 3, 2, 9), 3), ((12, 3, 4, 1), 4)):
+        v, m, r, s = (str(n) for n in request)
+        assert main(["build", "--v", v, "--m", m, "--r", r, "--s", s, "--out", out]) == code
+        p = plan(*request)
+        assert capsys.readouterr().err == f"{p.route}: {p.note}\n"
 
 
 def test_build_reports_unavailable_ingredients(tmp_path):
@@ -89,6 +92,23 @@ def test_build_accepts_an_ingredient_file_where_search_cannot_go(tmp_path):
     )
     assert code == 0
     assert verify_solution(decode_solution(out.read_bytes())).ok
+
+
+def test_build_proves_an_ingredient_file_once(tmp_path, certify_calls):
+    kts = tmp_path / "kts9.json"
+    argv = ["ingredient", "--type", "kts9", "--cache", str(tmp_path / "c1"), "--out", str(kts)]
+    assert main(argv) == 0
+    certify_calls.clear()  # count the build's proofs only
+    clear_memo()
+    code = main(
+        [
+            "build", "--v", "36", "--m", "3", "--r", "1", "--s", "16",
+            "--ingredient", str(kts), "--time-limit", "0",
+            "--cache", str(tmp_path / "c2"), "--out", str(tmp_path / "sol.json"),
+        ]
+    )
+    assert code == 0
+    assert len(certify_calls) == 1
 
 
 # ============================================================
@@ -202,8 +222,11 @@ def test_ingredient_timeout_exit(tmp_path):
 
 
 def test_ingredient_bad_params_is_an_error(tmp_path, capsys):
-    # odd degree, then one part, empty parts and negative part sizes
-    for params in (["3", "4", "3"], ["4", "1", "3"], ["0", "3", "3"], ["-1", "3", "3"]):
+    # odd degree, then one part, empty parts, negative part sizes, and a
+    # cycle length that does not divide the vertex count
+    for params in (
+        ["3", "4", "3"], ["4", "1", "3"], ["0", "3", "3"], ["-1", "3", "3"], ["4", "3", "5"]
+    ):
         code = main(
             [
                 "ingredient", "--type", "equipartite", "--params", *params,

@@ -6,11 +6,10 @@ the constructive routes from blocks and outer factorizations and verifies
 its own output before returning it.
 """
 
-import sys
+import hashlib
 
 import pytest
 
-from hwp4m import verifier
 from hwp4m.composer import (
     CONSTRUCTIVE_ROUTES,
     STATUS_ROUTES,
@@ -18,11 +17,12 @@ from hwp4m.composer import (
     Infeasible,
     Ingredient,
     IngredientUnavailable,
+    Plan,
     Unsupported,
-    _assemble_groups,
     _ingredient,
     _resolve,
     build,
+    build_planned,
     describe_plan,
     necessary_violations,
     plan,
@@ -30,7 +30,7 @@ from hwp4m.composer import (
 from hwp4m.k24 import k24_solution
 from hwp4m.model import Solution, encode_solution
 from hwp4m.outer import outer_availability
-from hwp4m.search import clear_memo, equipartite_cm_search, kts9_instance, solve_cached
+from hwp4m.search import clear_memo, equipartite_instance, kts9_instance, solve_cached
 from hwp4m.verifier import verify_solution
 
 # ============================================================
@@ -240,36 +240,33 @@ def test_a_proven_import_rides_in_the_plan_outside_equality(tmp_path):
     assert _resolve(ing, None, 0.0) is ing.proven
 
 
-def test_a_build_proves_each_import_once(tmp_path, monkeypatch):
+def test_a_build_proves_each_import_once(tmp_path, certify_calls):
     doc = _kts9_doc(tmp_path)
-    certifies, calls = verifier.certifies, []
-
-    def counted(*args):
-        calls.append(args)
-        return certifies(*args)
-
-    # every module that imported the proof by name
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hwp4m.") and getattr(module, "certifies", None) is certifies:
-            monkeypatch.setattr(module, "certifies", counted)
+    certify_calls.clear()  # count the build's proofs only
     clear_memo()
     sol = build(36, 3, 1, 16, imports=(doc,), cache_dir=tmp_path / "empty", time_limit=0.0)
     assert verify_solution(sol).ok
-    assert len(calls) == 1
+    assert len(certify_calls) == 1
 
 
 def _equipartite_doc(a, b, m, cache_dir):
-    outcome = equipartite_cm_search(a, b, m, cache_dir=cache_dir)
+    outcome = solve_cached(equipartite_instance(a, b, m), cache_dir=cache_dir)
     assert outcome.status == "found"
     return Solution(v=a * b, factors=outcome.factors, m=m)
 
 
+def _sha256(sol):
+    return hashlib.sha256(encode_solution(sol)).hexdigest()
+
+
 def test_single_c4_assembler_with_a_searched_ingredient(tmp_path):
-    # the r1 route: K_4 - I on every part, the inner build(4, m, 1, 0)
+    # the r1 route's placement: K_4 - I on every part, the K_{4:3} between
     doc = _equipartite_doc(4, 3, 3, tmp_path)
-    sol = _assemble_groups(12, 3, 1, 4, build(4, 3, 1, 0), doc)
+    ing = _ingredient("equipartite_cm", (4, 3, 3), (doc,))
+    sol = build_planned(12, 3, 1, 4, Plan(route="r1_equipartite", ingredients=(ing,)))
     rep = verify_solution(sol)
     assert rep.ok and (rep.r_found, rep.s_found) == (1, 4)
+    assert _sha256(sol) == "f7dff646731a6063eeacaf3d6587c9e1c8d3e3ce3da1880a8cd59acc0b60d7da"
 
 
 def test_single_c4_assembler_requires_the_ingredient():
@@ -280,10 +277,16 @@ def test_single_c4_assembler_requires_the_ingredient():
 
 
 def test_double_c4_assembler_with_a_searched_ingredient(tmp_path):
-    # the r2 route: the inner HWP(4m; 2, 2m - 3) on every group of 4m
+    # the r2 route's placement: the inner HWP(12; 2, 3) on every group of
+    # 12, the K_{12:3} between
     doc = _equipartite_doc(12, 3, 3, tmp_path)
-    between = _resolve(_ingredient("equipartite_cm", (12, 3, 3), (doc,)), None, None)
-    small = _resolve(_ingredient("recursive", (12, 3, 2, 3), ()), tmp_path, None)
-    sol = _assemble_groups(36, 3, 2, 15, small, between)
+    ings = (
+        _ingredient("equipartite_cm", (12, 3, 3), (doc,)),
+        _ingredient("recursive", (12, 3, 2, 3), ()),
+    )
+    sol = build_planned(
+        36, 3, 2, 15, Plan(route="r2_equipartite", ingredients=ings), cache_dir=tmp_path
+    )
     rep = verify_solution(sol)
     assert rep.ok and (rep.r_found, rep.s_found) == (2, 15)
+    assert _sha256(sol) == "a4771aff30723fb9f857de0cc7d8e8da5939d4a2659f36df2e466c93b8ef05ed"

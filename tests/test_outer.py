@@ -1,22 +1,24 @@
-"""Outer factorizations: Hamilton decompositions, K44 fragments, and the
-resolution ladder (builtin, imported document, bounded search, honest miss).
+"""Outer factorizations: Hamilton decompositions, the K_4 - I and K44
+pieces, and the resolution ladder (builtin, imported document, bounded
+search, honest miss).
 """
 
 import pytest
 
+from hwp4m.composer import build, plan
 from hwp4m.model import (
     Solution,
     complete_graph,
     explicit_graph,
-    two_factor,
 )
 from hwp4m.outer import (
+    K4_MINUS_I,
+    K44,
     NONEXISTENT_OUTERS,
     SEARCHABLE_OUTERS,
     Unavailable,
     hamilton_decomposition,
-    k4_minus_matching,
-    k44_pair,
+    outer_availability,
     outer_cm_factorization,
     walecki,
     walecki_even,
@@ -57,30 +59,34 @@ def test_hamilton_decomposition_is_a_verified_outer_solution(n):
 
 
 # ============================================================
-# small gadgets
+# the two constant pieces of a blow-up
 # ============================================================
 
 
 def test_k44_pair_tiles_one_complete_bipartite_block():
-    first, second = k44_pair((0, 1, 2, 3), (4, 5, 6, 7))
+    # the K44 piece: two C4-factors on the 8 vertices of parts 0..3 and 4..7
+    assert K44.v == 8 and K44.one_factor is None
+    assert [f.cycle_length for f in K44.factors] == [4, 4]
     edges = [
         (a, b) for a in (0, 1, 2, 3) for b in (4, 5, 6, 7)
     ]
     space = explicit_graph(8, edges)
-    rep = verify_factors_cover(
-        [two_factor(first, 8, 4), two_factor(second, 8, 4)], space
-    )
+    rep = verify_factors_cover(K44.factors, space)
     assert rep.ok, rep.summary()
 
 
 def test_k4_minus_matching_partitions_one_clique():
-    quad = (8, 9, 10, 11)
-    square, matching = k4_minus_matching(quad)
+    # the K4_MINUS_I piece: one 4-cycle plus its 2-edge removed matching
+    (factor,) = K4_MINUS_I.factors
+    (square,) = factor.cycles
+    matching = K4_MINUS_I.one_factor.edges
     used = {frozenset({square[i], square[(i + 1) % 4]}) for i in range(4)}
     used |= {frozenset(e) for e in matching}
+    quad = range(4)
     want = {frozenset({a, b}) for a in quad for b in quad if a < b}
     assert used == want
     assert len(matching) == 2
+    assert verify_solution(K4_MINUS_I).ok
 
 
 # ============================================================
@@ -150,16 +156,22 @@ def test_shape_mismatch_is_infeasible():
 def test_import_is_used_when_it_proves_itself(tmp_path):
     # a valid C3-factorization of K_9 obtained from search, re-presented as
     # an imported document for an (n, m) that search would otherwise solve;
-    # with time_limit=0 only the import can make this succeed
+    # the planner proves it, and with time_limit=0 only the import can make
+    # the build succeed
     from hwp4m import search
 
     found = outer_cm_factorization(9, 3, cache_dir=tmp_path)
     doc = Solution(v=9, factors=found.factors, m=3, r=0, s=4)
+    availability, proven = outer_availability(9, 3, (doc,))
+    assert availability == "import"
+    assert isinstance(proven, Solution)
+    assert proven.factors == doc.factors
+    assert proven.one_factor is None
+    (ing,) = plan(36, 3, 1, 16, imports=(doc,)).ingredients
+    assert ing.proven == proven
     search.clear_memo()
-    out = outer_cm_factorization(9, 3, imports=(doc,), time_limit=0.0)
-    assert isinstance(out, Solution)
-    assert out.factors == doc.factors
-    assert out.one_factor is None
+    sol = build(36, 3, 1, 16, imports=(doc,), cache_dir=tmp_path / "empty", time_limit=0.0)
+    assert verify_solution(sol).ok
 
 
 def test_import_that_does_not_prove_itself_is_ignored(tmp_path):
@@ -167,9 +179,10 @@ def test_import_that_does_not_prove_itself_is_ignored(tmp_path):
 
     found = outer_cm_factorization(9, 3, cache_dir=tmp_path)
     broken = Solution(v=9, factors=found.factors[1:], m=3, r=0, s=3)
+    assert outer_availability(9, 3, (broken,)) == ("searchable", None)
+    (ing,) = plan(36, 3, 1, 16, imports=(broken,)).ingredients
+    assert (ing.availability, ing.proven) == ("searchable", None)
     search.clear_memo()
-    out = outer_cm_factorization(
-        9, 3, imports=(broken,), cache_dir=tmp_path / "empty", time_limit=0.0
-    )
+    out = outer_cm_factorization(9, 3, cache_dir=tmp_path / "empty", time_limit=0.0)
     assert isinstance(out, Unavailable)
     assert out.reason == "timeout"

@@ -19,7 +19,6 @@ from hwp4m.search import (
     check_budget,
     clear_memo,
     cm_factorization_instance,
-    equipartite_cm_search,
     equipartite_instance,
     kts9_instance,
     solve,
@@ -98,7 +97,7 @@ def test_search_is_deterministic():
 
 
 def test_equipartite_search_solves_three_groups_of_four():
-    outcome = equipartite_cm_search(4, 3, 3)
+    outcome = solve_cached(equipartite_instance(4, 3, 3))
     assert outcome.status == "found"
     from hwp4m.model import equipartite_graph
 
