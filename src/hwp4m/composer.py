@@ -27,9 +27,10 @@ factors are C4-factors, each of which takes the all-C4 kind,
     budget = (n - 1) // 2 - c - (1 if r is even else 0).
 
 An outer Cm-factorization has c = 0, which gives the four routes odd_r_odd_t
-(const 1), odd_r_even_t (3) and even_r_switch (2 or 4).  The v = 48 route
-blows up the (4,3)-HWP(12; 1, 4) that the odd-r route itself builds, with
-n = 12 and c = 1 (const 8, budget 3).  The all-C4 route blows up Walecki's
+(const 1), odd_r_even_t (3) and even_r_switch (2 or 4).  The v -> 4v rule,
+route inner_blowup, takes for n = v/4 a multiple of 4m the smallest c whose
+recipe solves r among the (4, m)-HWP(n; c, s') that ``plan`` itself routes
+constructively without imports.  The all-C4 route blows up Walecki's
 Hamilton decomposition of K_{v/4} with the all-C4 kind throughout, and
 v = 24 is settled by a hand-built table at r = 4.
 
@@ -45,11 +46,14 @@ every leftover pair.  The routes r1_equipartite and r2_equipartite
 (r = 1 and r = 2 at even t) place a small solution on every group,
 K_4 - I for r = 1 and the inner build(4m, m, 2, 2m - 3) for r = 2, plus
 the imported Cm-factors of the complete equipartite graph between the
-groups.  The remaining shapes are genuinely open (r = 2 at v = 8m;
-r = 6 at v = 24, 48), or fall to known results we do not reconstruct
-(route "external").
+groups.  The remaining shapes are genuinely open (r = 2 at v = 8m, and
+``OPEN_CORNERS``), or fall to known results we do not reconstruct (route
+"external").
 
-The planner reads each ingredient's availability from one static ladder
+The planner's precedence: the open corners, the v = 24 table, the r1/r2
+routes, the c = 0 recipe when its outer is available (an import included),
+inner_blowup, and last the external plan of the c = 0 recipe.  The planner
+reads each ingredient's availability from one static ladder
 (``outer.outer_availability`` for outer factorizations), and an import is
 proven once, against the ingredient's search instance, while planning; the
 plan carries it, and ``build_planned`` (which ``build`` and the CLI call
@@ -86,10 +90,13 @@ CONSTRUCTIVE_ROUTES = frozenset({
     "r1_equipartite",
     "r2_equipartite",
     "k24_table",
-    "k48_compose",
+    "inner_blowup",
 })
 
 STATUS_ROUTES = frozenset({"infeasible", "unsupported", "external"})
+
+# (v, m, r) requests no implemented construction reaches
+OPEN_CORNERS = frozenset({(24, 3, 2), (24, 3, 6), (48, 3, 6)})
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,8 @@ class Ingredient:
     kind "outer_cm" with params (n, m) is a Cm-factorization of K_n (or
     K_n - I' for even n); "equipartite_cm" with params (a, b, m) is a
     Cm-factorization of K_{a:b}; "recursive" with params (v, m, r, s) is an
-    inner build, such as the (4,3)-HWP(12; 1, 4) the v = 48 route blows up.
+    inner build: the small solution on every group of r2_equipartite, or the
+    inner solution inner_blowup blows up, such as the (4,3)-HWP(12; 1, 4).
     Availability is static: builtin, searchable, import, nonexistent, or
     unavailable; no search runs at planning time.  An import that proved
     itself while planning rides along as ``proven``, which takes no part in
@@ -261,42 +269,19 @@ def plan(v: int, m: int, r: int, s: int, imports: tuple[Solution, ...] = ()) -> 
             "known in the literature, not constructed here",
         )
 
+    t = v // (4 * m)
+    if (v, m, r) in OPEN_CORNERS:
+        note = f"r = {r} at v = {v} is an open corner not reached by any implemented construction"
+        return Plan(route="unsupported", t=t, note=note)
+
     if (v, m) == (24, 3):
         if r == 4:
             return Plan(route="k24_table", t=2)
-        if r in (2, 6):
-            return Plan(
-                route="unsupported", t=2,
-                note=f"r = {r} at v = 24 is an open corner not reached by any "
-                "implemented construction",
-            )
         return Plan(
             route="external", t=2,
             note="v = 24 outside the hand-built r = 4 table relies on external results",
         )
 
-    if (v, m) == (48, 3):
-        # blow up the (4,3)-HWP(12; 1, 4): 12 parts, one C4-factor
-        solved = _solve_recipe(r, *_recipe(r, 12, 1)) if r % 2 == 0 else None
-        if solved is not None:
-            r1, s1, x = solved
-            return Plan(
-                route="k48_compose", t=4, r1=r1, s1=s1, x=x,
-                ingredients=(_ingredient("recursive", (12, 3, 1, 4), imports),),
-            )
-        if r == 6:
-            return Plan(
-                route="unsupported", t=4,
-                note="r = 6 at v = 48 is an open corner not reached by any "
-                "implemented construction",
-            )
-        return Plan(
-            route="external", t=4,
-            note="v = 48 outside the even 8 <= r <= 20 composite route relies "
-            "on external results",
-        )
-
-    t = v // (4 * m)
     n = m * t
 
     if t % 2 == 0 and r == 1:
@@ -327,17 +312,31 @@ def plan(v: int, m: int, r: int, s: int, imports: tuple[Solution, ...] = ()) -> 
     const, budget = _recipe(r, n, 0)
     solved = _solve_recipe(r, const, budget)
     if solved is None:
-        return Plan(
+        p = Plan(
             route="external", t=t,
             note=f"no nonnegative (r1, s1, x) solves the {route} recipe "
             f"r = 4·r1 + 2·x + {const} within budget {budget}",
             underlying_route=route,
         )
-    r1, s1, x = solved
-    ing = _ingredient("outer_cm", (n, m), imports)
-    return _gate(Plan(
-        route=route, t=t, r1=r1, s1=s1, x=x, ingredients=(ing,),
-    ))
+    else:
+        p = _gate(Plan(route, t, *solved, ingredients=(_ingredient("outer_cm", (n, m), imports),)))
+    if p.route != "external" or n % (4 * m):
+        return p
+    # blow up an inner (4, m)-HWP(n; c, s') this planner builds itself
+    for c in _inner_c4_counts(n, m):
+        inner = _solve_recipe(r, *_recipe(r, n, c))
+        if inner is not None:
+            ing = _ingredient("recursive", (n, m, c, (n - 2) // 2 - c), imports)
+            return Plan("inner_blowup", t, *inner, ingredients=(ing,))
+    return p
+
+
+@lru_cache(maxsize=None)
+def _inner_c4_counts(n: int, m: int) -> tuple[int, ...]:
+    """The C4-factor counts c, ascending, of every (4, m)-HWP(n; c, s') that
+    ``plan`` routes constructively without imports."""
+    half = (n - 2) // 2
+    return tuple(c for c in range(half + 1) if plan(n, m, c, half - c).route in CONSTRUCTIVE_ROUTES)
 
 
 def _gate(p: Plan) -> Plan:
@@ -361,7 +360,7 @@ def _gate(p: Plan) -> Plan:
 def describe_plan(v: int, m: int, r: int, s: int, p: Plan) -> str:
     """One-line human report: route, recipe, and anything blocking it."""
     head = f"(4,{m})-HWP({v}; {r}, {s}): route={p.route}"
-    if p.route in ("odd_r_odd_t", "odd_r_even_t", "even_r_switch", "k48_compose"):
+    if p.route in ("odd_r_odd_t", "odd_r_even_t", "even_r_switch", "inner_blowup"):
         head += f" t={p.t} recipe (r1, s1, x)=({p.r1}, {p.s1}, {p.x})"
     elif p.route in ("r1_equipartite", "r2_equipartite", "k24_table", "all_c4"):
         head += f" t={p.t}"

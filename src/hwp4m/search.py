@@ -119,12 +119,12 @@ def check_budget(instance: SearchInstance) -> bool:
 def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOutcome:
     start = time.monotonic()
     deadline = math.inf if time_limit is None else start + time_limit
+    leftover_expected = check_budget(instance)  # a malformed instance raises under any limit
     # a limit that has already expired means "do not search at all"; the
     # in-loop clock check only fires every 1024 nodes, so tiny instances
     # would otherwise complete under time_limit=0
     if time.monotonic() >= deadline:
         return SearchOutcome("timeout", nodes=0, elapsed=0.0)
-    leftover_expected = check_budget(instance)
 
     n = instance.space.vertex_count
     bit = [1 << u for u in range(n)]

@@ -155,24 +155,43 @@ def test_07_k24_object_verifies_with_its_frozen_matching():
 
 
 # ============================================================
-# 8. v = 48 composites from the built 12-point seed
+# 8. inner blow-ups: the planner blows up inner solutions it builds itself
 # ============================================================
 
 
-def test_08_v48_composites_from_the_built_seed(tmp_path):
-    seed = build(12, 3, 1, 4)
-    rep = verify_solution(seed)
-    assert rep.ok and (rep.r_found, rep.s_found) == (1, 4), rep.summary()
+def _table_v120():
+    """Every (v, m, r, s) with odd m and v = 4mt <= 120, in table order."""
+    for m in range(3, 31, 2):
+        for t in range(1, 120 // (4 * m) + 1):
+            v = 4 * m * t
+            total = (v - 2) // 2
+            for r in range(total + 1):
+                yield v, m, r, total - r
 
-    # the seed is built, not searched: with an empty memo, a fresh cache and
-    # no search budget at all, every composite still builds and nothing is
-    # written to the cache
+
+def test_08_inner_blowups_need_no_search(tmp_path):
+    # every inner solution comes from a builtin outer or the k24 table: with
+    # an empty memo, a fresh cache and no search budget at all, every
+    # inner_blowup request still builds and nothing is written to the cache
     clear_memo()
-    for r in range(8, 21, 2):
-        sol = build(48, 3, r, 23 - r, cache_dir=tmp_path, time_limit=0.0)
+    reached = {}
+    for v, m, r, s in _table_v120():
+        p = plan(v, m, r, s)
+        if p.route != "inner_blowup":
+            continue
+        reached.setdefault((v, m), []).append(r)
+        if (v, m) == (96, 3):
+            assert p.ingredients[0].params == (24, 3, 4, 7)
+        sol = build(v, m, r, s, cache_dir=tmp_path, time_limit=0.0)
         rep = verify_solution(sol)
-        assert rep.ok, f"(4,3)-HWP(48; {r}, {23 - r}): {rep.summary()}"
-        assert (rep.r_found, rep.s_found) == (r, 23 - r)
+        assert rep.ok, f"(4,{m})-HWP({v}; {r}, {s}): {rep.summary()}"
+        assert (rep.r_found, rep.s_found) == (r, s)
+    assert reached == {
+        (48, 3): list(range(7, 22)),
+        (80, 5): list(range(7, 38)),
+        (96, 3): list(range(19, 46)),
+        (112, 7): list(range(7, 54)),
+    }
     assert list(tmp_path.iterdir()) == []
 
 
@@ -185,38 +204,34 @@ def test_09_truth_table_up_to_v120():
     route_census = {}
     unsupported = set()
     artifacts = hashlib.sha256()
-    for m in range(3, 31, 2):
-        for t in range(1, 120 // (4 * m) + 1):
-            v = 4 * m * t
-            total = (v - 2) // 2
-            for r in range(total + 1):
-                p = plan(v, m, r, total - r)
-                route_census[p.route] = route_census.get(p.route, 0) + 1
-                if p.route == "unsupported":
-                    unsupported.add((v, m, r))
-                elif p.route in CONSTRUCTIVE_ROUTES:
-                    sol = build(v, m, r, total - r)
-                    rep = verify_solution(sol)
-                    assert rep.ok, f"(4,{m})-HWP({v}; {r}, {total - r}): {rep.summary()}"
-                    artifacts.update(encode_solution(sol))
+    for v, m, r, s in _table_v120():
+        p = plan(v, m, r, s)
+        route_census[p.route] = route_census.get(p.route, 0) + 1
+        if p.route == "unsupported":
+            unsupported.add((v, m, r))
+        elif p.route in CONSTRUCTIVE_ROUTES:
+            sol = build(v, m, r, s)
+            rep = verify_solution(sol)
+            assert rep.ok, f"(4,{m})-HWP({v}; {r}, {s}): {rep.summary()}"
+            artifacts.update(encode_solution(sol))
 
     assert unsupported == {
         (24, 3, 2), (24, 3, 6), (40, 5, 2), (48, 3, 6), (56, 7, 2),
         (72, 9, 2), (88, 11, 2), (104, 13, 2), (120, 15, 2),
     }
     assert route_census == {
-        "external": 805,
+        "external": 692,
         "odd_r_odd_t": 232,
         "even_r_switch": 234,
         "all_c4": 36,
         "odd_r_even_t": 20,
-        "k48_compose": 7,
+        "inner_blowup": 120,
         "k24_table": 1,
         "unsupported": 9,
     }
     assert plan(12, 3, 4, 1).route == "external"
     # the bytes of every constructive build above, in table order
-    assert artifacts.hexdigest() == "e526e7363f2cfa5b90232e837ae811a7b1a790b6bad77639dd9ac8dc7844d2ce"
+    assert artifacts.hexdigest() == "a2196a70442a2e48bc8fc5ecc9930736c7a775144902e7b4a4763ecf7e00027b"
 
 
 # ============================================================

@@ -180,6 +180,17 @@ def test_feasible_reports_and_exits_by_route(capsys):
     assert main(["feasible", "--v", "12", "--m", "3", "--r", "0", "--s", "5"]) == 4
 
 
+def test_inner_blowup_is_feasible_builds_and_verifies(tmp_path, capsys):
+    request = ["--v", "96", "--m", "3", "--r", "19", "--s", "28"]
+    assert main(["feasible", *request]) == 0
+    assert "route=inner_blowup" in capsys.readouterr().out
+    out = tmp_path / "sol.json"
+    assert main(["build", *request, "--cache", str(tmp_path / "c"), "--out", str(out)]) == 0
+    assert "via inner_blowup" in capsys.readouterr().err
+    assert main(["verify", "--in", str(out)]) == 0
+    assert "ok (r=19, s=28)" in capsys.readouterr().out
+
+
 # ============================================================
 # block and ingredient
 # ============================================================
@@ -223,18 +234,20 @@ def test_ingredient_timeout_exit(tmp_path):
 
 def test_ingredient_bad_params_is_an_error(tmp_path, capsys):
     # odd degree, then one part, empty parts, negative part sizes, and a
-    # cycle length that does not divide the vertex count
+    # cycle length that does not divide the vertex count, with and without
+    # an expired time limit: a malformed shape is an error under any limit
     for params in (
         ["3", "4", "3"], ["4", "1", "3"], ["0", "3", "3"], ["-1", "3", "3"], ["4", "3", "5"]
     ):
-        code = main(
-            [
-                "ingredient", "--type", "equipartite", "--params", *params,
-                "--cache", str(tmp_path / "c"), "--out", "-",
-            ]
-        )
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        for limit in ([], ["--time-limit", "0"]):
+            code = main(
+                [
+                    "ingredient", "--type", "equipartite", "--params", *params,
+                    "--cache", str(tmp_path / "c"), "--out", "-", *limit,
+                ]
+            )
+            assert code == 1
+            assert "error:" in capsys.readouterr().err
 
 
 # ============================================================

@@ -120,14 +120,21 @@ def test_hand_built_k24_corner_routing():
     assert plan(24, 3, 3, 8).route == "external"
 
 
-def test_k48_composite_routing():
+def test_inner_blowup_routing():
     p = plan(48, 3, 8, 15)
-    assert p.route == "k48_compose"
+    assert p.route == "inner_blowup"
     assert (p.r1, p.s1, p.x) == (0, 3, 0)
-    assert plan(48, 3, 20, 3).route == "k48_compose"
+    assert plan(48, 3, 20, 3).route == "inner_blowup"
     assert plan(48, 3, 6, 17).route == "unsupported"
-    assert plan(48, 3, 7, 16).route == "external"
     assert plan(48, 3, 22, 1).route == "external"
+    # odd r at v = 48 blows up the same inner solution
+    p = plan(48, 3, 7, 16)
+    assert p.route == "inner_blowup"
+    assert p.ingredients == (Ingredient("recursive", (12, 3, 1, 4), "builtin"),)
+    # the inner solution may itself come from the k24 table
+    p = plan(96, 3, 19, 28)
+    assert p.route == "inner_blowup"
+    assert p.ingredients == (Ingredient("recursive", (24, 3, 4, 7), "builtin"),)
 
 
 def test_single_c4_factor_at_even_t_needs_an_equipartite_import():
@@ -161,9 +168,9 @@ def test_availability_ladder():
     assert _ingredient("recursive", (12, 3, 2, 3), ()).availability == "builtin"
     with pytest.raises(ValueError):
         _ingredient("hwp12", (), ())
-    # the v = 48 seed is an inner build, never a search
+    # the inner solution of an inner blow-up is an inner build, never a search
     p = plan(48, 3, 10, 13)
-    assert p.route == "k48_compose"
+    assert p.route == "inner_blowup"
     assert p.ingredients == (Ingredient("recursive", (12, 3, 1, 4), "builtin"),)
 
 
@@ -173,6 +180,8 @@ def test_describe_plan_is_informative():
     assert "(4,3)-HWP(12; 3, 2)" in text
     text = describe_plan(40, 5, 1, 18, plan(40, 5, 1, 18))
     assert "intended=r1_equipartite" in text
+    text = describe_plan(96, 3, 19, 28, plan(96, 3, 19, 28))
+    assert "route=inner_blowup t=8 recipe (r1, s1, x)=(0, 7, 0)" in text
 
 
 # ============================================================
