@@ -54,10 +54,11 @@ The planner's precedence: the open corners, the v = 24 table, the r1/r2
 routes, the c = 0 recipe when its outer is available (an import included),
 inner_blowup, and last the external plan of the c = 0 recipe.  The planner
 reads each ingredient's availability from one static ladder
-(``outer.outer_availability`` for outer factorizations), and an import is
-proven once, against the ingredient's search instance, while planning; the
-plan carries it, and ``build_planned`` (which ``build`` and the CLI call
-after planning once) resolves every ingredient through ``_resolve``.
+(``outer.outer_availability`` for outer factorizations, the inner plan's
+least available ingredient for a recursive one), and an import is proven
+once, against the ingredient's search instance, while planning; the plan
+carries it, and ``build_planned`` (which ``build`` and the CLI call after
+planning once) resolves every ingredient through ``_resolve``.
 Every constructive build is verified in-process before it is returned.
 """
 
@@ -95,6 +96,9 @@ CONSTRUCTIVE_ROUTES = frozenset({
 
 STATUS_ROUTES = frozenset({"infeasible", "unsupported", "external"})
 
+# ingredient availabilities, most available first
+AVAILABILITY = ("builtin", "import", "searchable", "nonexistent", "unavailable")
+
 # (v, m, r) requests no implemented construction reaches
 OPEN_CORNERS = frozenset({(24, 3, 2), (24, 3, 6), (48, 3, 6)})
 
@@ -109,9 +113,11 @@ class Ingredient:
     inner build: the small solution on every group of r2_equipartite, or the
     inner solution inner_blowup blows up, such as the (4,3)-HWP(12; 1, 4).
     Availability is static: builtin, searchable, import, nonexistent, or
-    unavailable; no search runs at planning time.  An import that proved
-    itself while planning rides along as ``proven``, which takes no part in
-    equality or repr, so build uses it without proving it again.
+    unavailable, and a recursive ingredient takes the least available one
+    of its inner plan's ingredients; no search runs at planning time.  An
+    import that proved itself while planning rides along as ``proven``,
+    which takes no part in equality or repr, so build uses it without
+    proving it again.
     """
 
     kind: str
@@ -217,7 +223,13 @@ def _ingredient(kind: str, params: tuple, imports) -> Ingredient:
         proven = first_proven(equipartite_instance(*params), imports)
         availability = "unavailable" if proven is None else "import"
     elif kind == "recursive":
-        availability, proven = "builtin", None
+        # an inner build is as available as the least available ingredient
+        # of its own plan, and unavailable when that plan is not constructive
+        inner, proven = plan(*params), None
+        ladder = [i.availability for i in inner.ingredients]
+        if inner.route not in CONSTRUCTIVE_ROUTES:
+            ladder.append("unavailable")
+        availability = max(ladder, key=AVAILABILITY.index, default="builtin")
     else:
         raise ValueError(f"unknown ingredient kind {kind!r}")
     return Ingredient(kind, params, availability, proven)

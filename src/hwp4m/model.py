@@ -27,8 +27,10 @@ Encoding is deterministic: same object, same bytes.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain
 
 Edge = tuple[int, int]
 Cycle = tuple[int, ...]
@@ -126,7 +128,10 @@ class Solution:
 
 @dataclass(frozen=True)
 class EdgeSpace:
-    """Ambient edge set of a named graph family, with closed-form counts.
+    """Ambient edge set of a named graph family, defined once: a kind's
+    membership test (``multiplicity``), edge count and sorted edge walk
+    (``edges``) all live here, and the verifier reads them from here.
+    Only explicit spaces list their edges; the others are closed forms.
 
     kinds:
       complete(v)        K_v
@@ -143,15 +148,13 @@ class EdgeSpace:
 
     @property
     def vertex_count(self) -> int:
-        if self.kind == "complete":
+        if self.kind in ("complete", "explicit"):
             return self.params[0]
         if self.kind in ("blowup4", "switch"):
             return 4 * self.params[0]
         if self.kind == "equipartite":
             a, b = self.params
             return a * b
-        if self.kind == "explicit":
-            return self.params[0]
         raise ValueError(f"unknown edge space kind {self.kind!r}")
 
     def edge_count(self) -> int:
@@ -169,31 +172,70 @@ class EdgeSpace:
             return len(self._edges)
         raise ValueError(f"unknown edge space kind {self.kind!r}")
 
-    def edges(self) -> list[Edge]:
-        if self.kind == "complete":
-            return [tuple(e) for e in combinations(range(self.params[0]), 2)]
-        if self.kind == "blowup4":
-            return _blowup_edges(self.params[0])
-        if self.kind == "switch":
+    def multiplicity(self):
+        """The membership test of this space: a function from a pair (u, w)
+        to the number of times the space holds that edge.  Complete,
+        equipartite, blow-up and switch spaces answer from closed forms;
+        an explicit space counts its literal edge multiset.  Answers are
+        ints, not bools: the verifier's per-edge compares stay fast."""
+        n = self.vertex_count
+        if self.kind in ("complete", "equipartite"):
+            a = self.params[0] if self.kind == "equipartite" else 1
+
+            def multiplicity(edge) -> int:
+                u, w = edge
+                return 1 if 0 <= u < w < n and u // a != w // a else 0
+
+            return multiplicity
+        if self.kind in ("blowup4", "switch"):
             m = self.params[0]
-            removed = set(switch_matching_edges(m))
-            out = [e for e in _blowup_edges(m) if e not in removed]
-            for p in range(m):
-                out.extend(
-                    normalize_edge(4 * p + a, 4 * p + b)
-                    for a, b in combinations(range(4), 2)
-                )
-            return out
-        if self.kind == "equipartite":
-            a, b = self.params
-            return [
-                (u, v)
-                for u, v in combinations(range(a * b), 2)
-                if u // a != v // a
-            ]
+            # parts around a cycle; for m = 3 the three part pairs are still distinct
+            if m < 3:
+                raise ValueError("blow-up needs at least 3 parts")
+            switch = 1 if self.kind == "switch" else 0
+
+            def multiplicity(edge) -> int:
+                u, w = edge
+                if not 0 <= u < w < n:
+                    return 0
+                p, q = u // 4, w // 4
+                if p == q:
+                    return switch
+                if (q - p) % m == 1:
+                    return 0 if switch and (u % 4, w % 4) in SWITCH_REMOVED_LAYERS else 1
+                if (p - q) % m == 1:
+                    return 0 if switch and (w % 4, u % 4) in SWITCH_REMOVED_LAYERS else 1
+                return 0
+
+            return multiplicity
         if self.kind == "explicit":
-            return list(self._edges)
+            return Counter(self._edges).__getitem__
         raise ValueError(f"unknown edge space kind {self.kind!r}")
+
+    def edges(self) -> Iterator[Edge]:
+        """The edges in sorted order, generated lazily over only the pairs
+        that can be edges; an explicit space repeats a doubled edge."""
+        n = self.vertex_count
+        if self.kind in ("complete", "equipartite"):
+            a = self.params[0] if self.kind == "equipartite" else 1
+            # the vertices above u outside its part form one contiguous range
+            return ((u, w) for u in range(n) for w in range((u // a + 1) * a, n))
+        if self.kind == "explicit":
+            return iter(self._edges)
+        member = self.multiplicity()
+        m = self.params[0]
+
+        def walk():
+            # the candidates above u: the rest of its part, then the
+            # neighbouring parts above it, in order
+            for u in range(n):
+                p = u // 4
+                later = sorted(q for q in {(p + 1) % m, (p - 1) % m} if q > p)
+                for w in chain(range(u + 1, 4 * p + 4), *(range(4 * q, 4 * q + 4) for q in later)):
+                    if member((u, w)):
+                        yield u, w
+
+        return walk()
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
@@ -201,19 +243,6 @@ class EdgeSpace:
             adj[u].add(v)
             adj[v].add(u)
         return adj
-
-
-def _blowup_edges(m: int) -> list[Edge]:
-    # Parts around a cycle; for m = 3 the three part pairs are still distinct.
-    if m < 3:
-        raise ValueError("blow-up needs at least 3 parts")
-    out = []
-    for i in range(m):
-        j = (i + 1) % m
-        for a in range(4):
-            for b in range(4):
-                out.append(normalize_edge(4 * i + a, 4 * j + b))
-    return out
 
 
 # (layer in part i, layer in part i + 1) of the switch's removed edges

@@ -363,9 +363,9 @@ def solve_cached(
     """solve() with an in-process memo and an on-disk cache of Found results.
 
     The memo is keyed on the instance and the absolute cache directory, so a
-    second directory is still filled.  Cached files are re-verified on load; anything unreadable or invalid is
-    ignored and recomputed.  Unsat/timeout outcomes are never cached (a
-    longer time limit could change them).
+    second directory is still filled.  Cached files are re-verified on load;
+    anything unreadable or invalid is ignored and recomputed.  Unsat/timeout
+    outcomes are never cached (a longer time limit could change them).
     """
     cache_dir = default_cache_dir() if cache_dir is None else cache_dir
     key = (instance.key(), os.path.abspath(os.fspath(cache_dir)))

@@ -14,11 +14,11 @@ rules, and ``certifies`` is the one proof an imported or cached ingredient
 must pass.
 
 The work is bounded by the size of the document: O(listed vertices + listed
-edges + v).  Membership in complete, equipartite, blow-up and switch
-ambients and their edge counts come from closed forms; their edges are
-enumerated lazily, in sorted order, only to quote missing-edge examples, and
-the walk stops after ``_EXAMPLE_CAP`` misses.  Missing vertices are found by
-a gap walk over the covered ones.
+edges + v).  The ambient's membership test, edge count and sorted edge walk
+all come from ``model.EdgeSpace``, which answers from closed forms for every
+kind but explicit; the verifier keeps no copy of them.  The walk runs only
+to quote missing-edge examples and stops after ``_EXAMPLE_CAP`` misses.
+Missing vertices are found by a gap walk over the covered ones.
 
 A report carries a list of violations, each tagged with a stable code:
 
@@ -36,10 +36,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import groupby, islice
 
 from .model import (
-    SWITCH_REMOVED_LAYERS,
     EdgeSpace,
     OneFactor,
     Solution,
@@ -131,59 +130,11 @@ def _matching_faults(matching: OneFactor, n: int) -> list[Violation]:
     return _vertex_faults(verts, n, "MatchingInvalid", "MatchingInvalid", "vertices covered twice")
 
 
-def _ambient(space: EdgeSpace):
-    """(edge multiplicity, number of distinct edges, sorted edge iterator).
-
-    Complete, equipartite, blow-up and switch spaces answer from closed
-    forms and enumerate lazily; explicit spaces are literal, so their edges
-    are listed."""
-    n = space.vertex_count
-    if space.kind in ("complete", "equipartite"):
-        a = space.params[0] if space.kind == "equipartite" else 1
-
-        def multiplicity(edge) -> int:
-            u, w = edge
-            return 0 <= u < w < n and u // a != w // a
-
-        # the vertices above u outside its part form one contiguous range
-        walk = ((u, w) for u in range(n) for w in range((u // a + 1) * a, n))
-        return multiplicity, space.edge_count(), walk
-    if space.kind in ("blowup4", "switch") and space.params[0] >= 3:
-        m = space.params[0]
-        switch = space.kind == "switch"
-
-        def multiplicity(edge) -> int:
-            u, w = edge
-            if not 0 <= u < w < n:
-                return False
-            p, q = u // 4, w // 4
-            if p == q:
-                return switch
-            if (q - p) % m == 1:
-                return not (switch and (u % 4, w % 4) in SWITCH_REMOVED_LAYERS)
-            if (p - q) % m == 1:
-                return not (switch and (w % 4, u % 4) in SWITCH_REMOVED_LAYERS)
-            return False
-
-        def walk():
-            # the candidates above u: the rest of its part, then the
-            # neighbouring parts above it, in order
-            for u in range(n):
-                p = u // 4
-                later = sorted(q for q in {(p + 1) % m, (p - 1) % m} if q > p)
-                for w in chain(range(u + 1, 4 * p + 4), *(range(4 * q, 4 * q + 4) for q in later)):
-                    if multiplicity((u, w)):
-                        yield u, w
-
-        return multiplicity, space.edge_count(), walk()
-    table = Counter(space.edges())
-    return table.__getitem__, len(table), iter(sorted(table))
-
-
 def _edge_faults(listed: list, space: EdgeSpace) -> list[Violation]:
     """The listed edges must equal the ambient edge multiset."""
     actual = Counter(listed)
-    multiplicity, distinct, walk = _ambient(space)
+    multiplicity = space.multiplicity()
+    total = space.edge_count()
     hit = 0
     duplicated, foreign = [], []
     for edge, k in actual.items():
@@ -192,14 +143,16 @@ def _edge_faults(listed: list, space: EdgeSpace) -> list[Violation]:
             foreign.append(edge)
             continue
         if k >= want:
-            hit += 1
+            hit += want
         if k > want:
             duplicated.append(edge)
 
     out: list[Violation] = []
-    if hit < distinct:
-        missing = islice((e for e in walk if actual[e] < multiplicity(e)), _EXAMPLE_CAP)
-        out.append(Violation("EdgeMissing", _fmt_edges(list(missing), distinct - hit)))
+    if hit < total:
+        # an explicit space repeats a doubled edge in its walk
+        missing = (e for e in space.edges() if actual[e] < multiplicity(e))
+        quoted = islice((e for e, _ in groupby(missing)), _EXAMPLE_CAP)
+        out.append(Violation("EdgeMissing", _fmt_edges(list(quoted), total - hit)))
     if duplicated:
         out.append(Violation("EdgeDuplicated", _fmt_edges(sorted(duplicated), len(duplicated))))
     if foreign:
@@ -262,7 +215,9 @@ def certifies(sol: Solution, space: EdgeSpace, lengths) -> bool:
 
 def verify_solution(sol: Solution) -> Report:
     """Check a claimed uniform-cycle-length 2-factorization of K_v (minus a
-    1-factor when v is even), including the r/s split when declared."""
+    1-factor when v is even), including the r/s split when declared: r
+    C4-factors and s Cm-factors, or, when m is not declared, s factors of
+    any other uniform length."""
     v = sol.v
     out: list[Violation] = []
 
@@ -283,16 +238,18 @@ def verify_solution(sol: Solution) -> Report:
     found, by_length = _certify(sol.factors, sol.one_factor, complete_graph(v))
     out.extend(found)
 
-    if sol.r is not None and sol.s is not None and sol.m is not None:
-        want: Counter[int] = Counter()
-        want[4] += sol.r
+    if sol.r is not None and sol.s is not None:
+        want = Counter({4: sol.r})
         want[sol.m] += sol.s
-        if by_length != want:
+        counted = by_length
+        if sol.m is None:  # every factor of another uniform length counts toward s
+            counted = Counter({4: by_length[4], None: by_length.total() - by_length[4]})
+        if counted != want:
+            declared = f"declared r={sol.r} s={sol.s}" + ("" if sol.m is None else f" m={sol.m}")
             out.append(
                 Violation(
                     "CountMismatch",
-                    f"declared r={sol.r} s={sol.s} m={sol.m}, "
-                    f"found lengths {dict(sorted(by_length.items()))}",
+                    f"{declared}, found lengths {dict(sorted(by_length.items()))}",
                 )
             )
     return _report(out, by_length, sol.m)

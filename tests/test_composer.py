@@ -135,6 +135,10 @@ def test_inner_blowup_routing():
     p = plan(96, 3, 19, 28)
     assert p.route == "inner_blowup"
     assert p.ingredients == (Ingredient("recursive", (24, 3, 4, 7), "builtin"),)
+    # an inner build is no more available than what its own plan needs
+    p = plan(224, 7, 20, 91)
+    assert p.route == "inner_blowup"
+    assert p.ingredients == (Ingredient("recursive", (56, 7, 3, 24), "searchable"),)
 
 
 def test_single_c4_factor_at_even_t_needs_an_equipartite_import():

@@ -7,8 +7,10 @@ makes every serialized artifact byte-stable.
 """
 
 import json
+from collections import Counter
 
 import pytest
+from reference_verifier import listed_edges
 
 from hwp4m.model import (
     DecodeError,
@@ -75,14 +77,14 @@ def test_complete_graph_counts():
     g = complete_graph(9)
     assert g.vertex_count == 9
     assert g.edge_count() == 36
-    assert len(g.edges()) == 36
+    assert len(list(g.edges())) == 36
 
 
 def test_blowup4_is_m_k44_bundles():
     g = cycle_blowup4(5)
     assert g.vertex_count == 20
     assert g.edge_count() == 80
-    edges = g.edges()
+    edges = list(g.edges())
     assert len(edges) == len(set(edges)) == 80
     # all edges join cyclically adjacent parts
     for u, v in edges:
@@ -114,8 +116,31 @@ def test_equipartite_graph_excludes_within_part_pairs():
 def test_explicit_graph_keeps_given_edges():
     g = explicit_graph(4, [(3, 1), (0, 2)])
     assert g.vertex_count == 4
-    assert g.edges() == [(0, 2), (1, 3)]
+    assert list(g.edges()) == [(0, 2), (1, 3)]
     assert len(g.adjacency()[2]) == 1
+
+
+def _listable_spaces():
+    yield from (complete_graph(n) for n in range(1, 11))
+    yield from (equipartite_graph(a, b) for a in range(1, 5) for b in range(2, 6))
+    for m in range(3, 10):
+        yield cycle_blowup4(m)
+        yield switch_graph(m)
+    yield explicit_graph(5, [(0, 1), (3, 4), (1, 2), (1, 0), (2, 4)])
+
+
+def test_closed_forms_agree_with_the_listed_edges():
+    # the reference oracle's per-kind listing is independent of EdgeSpace
+    for space in _listable_spaces():
+        listed = listed_edges(space)
+        assert list(space.edges()) == sorted(listed), space
+        counts = Counter(listed)
+        multiplicity = space.multiplicity()
+        n = space.vertex_count
+        for u in range(n):
+            for w in range(u + 1, n):
+                assert multiplicity((u, w)) == counts[u, w], (space, u, w)
+        assert space.edge_count() == len(listed), space
 
 
 # ============================================================

@@ -8,11 +8,13 @@ foreignness are reported separately.
 """
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
-
+import hwp4m.model
 import hwp4m.verifier
 from hwp4m.blocks import switch_block
+from hwp4m.composer import build
 from hwp4m.k24 import k24_solution
 from hwp4m.model import (
     EdgeSpace,
@@ -148,6 +150,19 @@ def test_wrong_declared_split_is_a_count_mismatch():
     assert "CountMismatch" in rep.codes()
 
 
+def test_declared_split_without_m_must_match_the_factors():
+    # all-C4 documents are written without m; without m, r counts the
+    # C4-factors and s every factor of another uniform length
+    all_c4 = build(12, 3, 5, 0)
+    mixed = replace(build(12, 3, 1, 4), m=None)
+    assert all_c4.m is None
+    assert verify_solution(all_c4).ok and verify_solution(mixed).ok
+    for wrong in (replace(all_c4, r=0, s=5), replace(mixed, r=4, s=1)):
+        rep = verify_solution(wrong)
+        assert rep.codes() == {"CountMismatch"}
+        assert f"declared r={wrong.r} s={wrong.s}, found lengths" in rep.summary()
+
+
 def test_even_order_requires_a_removed_matching():
     sol = k24_solution()
     bare = Solution(v=24, factors=sol.factors, m=3, r=4, s=7, one_factor=None)
@@ -236,8 +251,8 @@ def test_certifies_checks_space_and_cycle_length_multiset():
 
 def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatch):
     """Small documents with a huge v, routed as ``hwp4m verify`` routes them:
-    rejecting them must not list the ambient edges or the switch matching,
-    nor walk the vertex range once per factor."""
+    rejecting them must not draw more than 10^6 ambient edges from the walk,
+    list the switch matching, nor walk the vertex range once per factor."""
     v = 200001
     hostile = [
         # ~1.5 MB: a full solution with (v - 1)/2 empty factors names 2*10^10 edges
@@ -260,12 +275,13 @@ def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatc
         ),
     ]
 
-    listed = EdgeSpace.edges
+    walk = EdgeSpace.edges
 
     def guarded_edges(space):
-        if space.edge_count() > 10**6:
-            raise AssertionError(f"enumerated {space.edge_count()} ambient edges")
-        return listed(space)
+        for drawn, edge in enumerate(walk(space), 1):
+            if drawn > 10**6:
+                raise AssertionError("drew more than 10^6 ambient edges")
+            yield edge
 
     def guarded_matching(m):
         raise AssertionError(f"listed the switch matching on {m} parts")
@@ -282,6 +298,7 @@ def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatc
     monkeypatch.setattr(EdgeSpace, "edges", guarded_edges)
     monkeypatch.setattr(hwp4m.verifier, "switch_matching_edges", guarded_matching)
     monkeypatch.setattr(hwp4m.verifier, "range", guarded_range, raising=False)
+    monkeypatch.setattr(hwp4m.model, "range", guarded_range, raising=False)
     for data, codes, quoted in hostile:
         sol = decode_solution(data)
         budget[0] = 10**6

@@ -112,6 +112,13 @@ def test_k24_edits_agree_with_the_oracle():
         _agree_solution(edit)
 
 
+def test_declared_split_without_m_agrees_with_the_oracle():
+    all_c4 = build(12, 3, 5, 0)
+    mixed = replace(build(12, 3, 1, 4), m=None)
+    for sol in (all_c4, mixed, replace(all_c4, r=0, s=5), replace(mixed, r=4, s=1)):
+        _agree_solution(sol)
+
+
 # ============================================================
 # blocks
 # ============================================================
