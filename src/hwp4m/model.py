@@ -30,7 +30,7 @@ import json
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 Edge = tuple[int, int]
 Cycle = tuple[int, ...]
@@ -129,9 +129,12 @@ class Solution:
 @dataclass(frozen=True)
 class EdgeSpace:
     """Ambient edge set of a named graph family, defined once: a kind's
-    membership test (``multiplicity``), edge count and sorted edge walk
-    (``edges``) all live here, and the verifier reads them from here.
-    Only explicit spaces list their edges; the others are closed forms.
+    membership test (``multiplicity``), edge count and sorted edge walks
+    (``edges`` as pairs, ``edge_codes`` as the integers u * n + w) all
+    live here, and the verifier reads them from here.  Only explicit
+    spaces list their edges; the others are closed forms.  The verifier
+    accepts a tiling by comparing its sorted codes with ``edge_codes``
+    and tests membership only to explain a rejection.
 
     kinds:
       complete(v)        K_v
@@ -172,6 +175,13 @@ class EdgeSpace:
             return len(self._edges)
         raise ValueError(f"unknown edge space kind {self.kind!r}")
 
+    def defect(self) -> str | None:
+        """Why these parameters name no graph, or None when they do."""
+        # parts around a cycle; for m = 3 the three part pairs are still distinct
+        if self.kind in ("blowup4", "switch") and self.params[0] < 3:
+            return f"{self.kind} needs at least 3 parts, got {self.params[0]}"
+        return None
+
     def multiplicity(self):
         """The membership test of this space: a function from a pair (u, w)
         to the number of times the space holds that edge.  Complete,
@@ -189,9 +199,8 @@ class EdgeSpace:
             return multiplicity
         if self.kind in ("blowup4", "switch"):
             m = self.params[0]
-            # parts around a cycle; for m = 3 the three part pairs are still distinct
-            if m < 3:
-                raise ValueError("blow-up needs at least 3 parts")
+            if defect := self.defect():
+                raise ValueError(defect)
             switch = 1 if self.kind == "switch" else 0
 
             def multiplicity(edge) -> int:
@@ -212,14 +221,22 @@ class EdgeSpace:
             return Counter(self._edges).__getitem__
         raise ValueError(f"unknown edge space kind {self.kind!r}")
 
+    def edge_codes(self) -> Iterator[int]:
+        """The edges (u, w) as codes u * n + w, n the vertex count, in sorted
+        order and lazily; an explicit space repeats a doubled edge."""
+        n = self.vertex_count
+        if self.kind in ("complete", "equipartite"):
+            a = self.params[0] if self.kind == "equipartite" else 1
+            # the vertices above u outside its part form one contiguous range
+            return chain.from_iterable(range(u * n + (u // a + 1) * a, u * n + n) for u in range(n))
+        return (u * n + w for u, w in self.edges())
+
     def edges(self) -> Iterator[Edge]:
         """The edges in sorted order, generated lazily over only the pairs
         that can be edges; an explicit space repeats a doubled edge."""
         n = self.vertex_count
         if self.kind in ("complete", "equipartite"):
-            a = self.params[0] if self.kind == "equipartite" else 1
-            # the vertices above u outside its part form one contiguous range
-            return ((u, w) for u in range(n) for w in range((u // a + 1) * a, n))
+            return map(divmod, self.edge_codes(), repeat(n))
         if self.kind == "explicit":
             return iter(self._edges)
         member = self.multiplicity()
@@ -272,6 +289,9 @@ def equipartite_graph(a: int, b: int) -> EdgeSpace:
 
 def explicit_graph(n: int, edges) -> EdgeSpace:
     norm = tuple(sorted(normalize_edge(u, v) for u, v in edges))
+    # an edge code u * n + w names a real edge only for 0 <= u < w < n
+    if norm and (norm[0][0] < 0 or max(w for _, w in norm) >= n):
+        raise ValueError(f"explicit edge outside 0..{n - 1}")
     return EdgeSpace("explicit", (n,), _edges=norm)
 
 

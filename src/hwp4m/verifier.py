@@ -13,12 +13,18 @@ the ambient edge space.  ``verify_solution``, ``verify_block`` and
 rules, and ``certifies`` is the one proof an imported or cached ingredient
 must pass.
 
-The work is bounded by the size of the document: O(listed vertices + listed
-edges + v).  The ambient's membership test, edge count and sorted edge walk
-all come from ``model.EdgeSpace``, which answers from closed forms for every
-kind but explicit; the verifier keeps no copy of them.  The walk runs only
-to quote missing-edge examples and stops after ``_EXAMPLE_CAP`` misses.
-Missing vertices are found by a gap walk over the covered ones.
+The work is bounded by the size of the document: O(E log E + v) for E listed
+vertices and edges.  Each listed edge (u, w) becomes the integer code
+u * n + w; the codes are sorted, and the tiling is accepted by one
+element-wise compare with the ambient's sorted code walk, entered only when
+the listed count equals the ambient's edge count.  An edge with an end
+outside 0..n-1 stays a pair, because its code would alias a real edge, and
+is foreign.  The ambient's edge count, code walk and membership test all
+come from ``model.EdgeSpace``, which answers from closed forms for every
+kind but explicit; the verifier keeps no copy of them.  Membership runs
+only to explain a rejection, once per distinct listed code, and the walk
+for missing-edge examples stops after ``_EXAMPLE_CAP`` misses.  Missing
+vertices are found by a gap walk over the covered ones.
 
 A report carries a list of violations, each tagged with a stable code:
 
@@ -36,7 +42,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import filterfalse, islice
+from operator import eq
 
 from .model import (
     EdgeSpace,
@@ -108,55 +115,75 @@ def _uncovered(covered: list[int], n: int) -> list[int]:
 
 
 def _vertex_faults(verts: list, n: int, code: str, repeat_code: str, repeat_text: str):
-    """Each of 0..n-1 must occur exactly once in ``verts``."""
+    """Each of 0..n-1 must occur exactly once in ``verts``.  Also returns
+    whether some vertex lies outside 0..n-1."""
     out: list[Violation] = []
     seen = set(verts)
     if len(seen) < len(verts):
         repeated = sorted(u for u, k in Counter(verts).items() if k > 1)
         out.append(Violation(repeat_code, f"{repeat_text}: {repeated[:_EXAMPLE_CAP]}"))
-    inside = seen
-    if seen and (min(seen) < 0 or max(seen) >= n):
-        inside = {u for u in seen if 0 <= u < n}
+    stray = bool(seen) and (min(seen) < 0 or max(seen) >= n)
+    inside = {u for u in seen if 0 <= u < n} if stray else seen
     if len(inside) < n:
         out.append(Violation(code, f"vertices uncovered: {_uncovered(sorted(inside), n)}"))
-    if len(inside) < len(seen):
-        stray = sorted(seen - inside)
-        out.append(Violation(code, f"vertices out of range: {stray[:_EXAMPLE_CAP]}"))
-    return out
+    if stray:
+        out.append(Violation(code, f"vertices out of range: {sorted(seen - inside)[:_EXAMPLE_CAP]}"))
+    return out, stray
 
 
-def _matching_faults(matching: OneFactor, n: int) -> list[Violation]:
+def _matching_faults(matching: OneFactor, n: int):
     verts = [u for edge in matching.edges for u in edge]
     return _vertex_faults(verts, n, "MatchingInvalid", "MatchingInvalid", "vertices covered twice")
 
 
-def _edge_faults(listed: list, space: EdgeSpace) -> list[Violation]:
-    """The listed edges must equal the ambient edge multiset."""
-    actual = Counter(listed)
-    multiplicity = space.multiplicity()
+def _encode(edges, n: int, codes: list[int], strays: list) -> None:
+    """Edges with both ends in 0..n-1 join ``codes`` as u * n + w; the others
+    stay pairs in ``strays``, since their codes would alias real edges."""
+    for u, w in edges:
+        if 0 <= u < n and 0 <= w < n:
+            codes.append(u * n + w)
+        else:
+            strays.append((u, w))
+
+
+def _edge_faults(codes: list[int], strays: list, space: EdgeSpace) -> list[Violation]:
+    """The listed edges, ``codes`` plus the out-of-range ``strays``, must
+    equal the ambient edge multiset.  One sorted compare accepts them; the
+    rest runs only to explain a rejection."""
+    codes.sort()
     total = space.edge_count()
+    if not strays and len(codes) == total and all(map(eq, codes, space.edge_codes())):
+        return []
+
+    n = space.vertex_count
+    actual = Counter(codes)
+    multiplicity = space.multiplicity()
     hit = 0
-    duplicated, foreign = [], []
-    for edge, k in actual.items():
-        want = multiplicity(edge)
+    duplicated, foreign_codes = [], []
+    for code, k in actual.items():
+        want = multiplicity(divmod(code, n))
         if not want:
-            foreign.append(edge)
+            foreign_codes.append(code)
             continue
         if k >= want:
             hit += want
         if k > want:
-            duplicated.append(edge)
+            duplicated.append(code)
 
     out: list[Violation] = []
     if hit < total:
-        # an explicit space repeats a doubled edge in its walk
-        missing = (e for e in space.edges() if actual[e] < multiplicity(e))
-        quoted = islice((e for e, _ in groupby(missing)), _EXAMPLE_CAP)
-        out.append(Violation("EdgeMissing", _fmt_edges(list(quoted), total - hit)))
+        if space.kind == "explicit":  # a doubled edge covered once is missing
+            missing = Counter(space.edge_codes()) - actual
+        else:
+            missing = filterfalse(actual.__contains__, space.edge_codes())
+        quoted = [divmod(code, n) for code in islice(missing, _EXAMPLE_CAP)]
+        out.append(Violation("EdgeMissing", _fmt_edges(quoted, total - hit)))
     if duplicated:
-        out.append(Violation("EdgeDuplicated", _fmt_edges(sorted(duplicated), len(duplicated))))
+        quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
+        out.append(Violation("EdgeDuplicated", _fmt_edges(quoted, len(duplicated))))
+    foreign = sorted(set(strays).union(divmod(code, n) for code in foreign_codes))
     if foreign:
-        out.append(Violation("EdgeForeign", _fmt_edges(sorted(foreign), len(foreign))))
+        out.append(Violation("EdgeForeign", _fmt_edges(foreign, len(foreign))))
     return out
 
 
@@ -167,11 +194,13 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
     n = space.vertex_count
     out: list[Violation] = []
     by_length: Counter[int] = Counter()
-    listed: list = []
+    codes: list[int] = []
+    strays: list = []
     for idx, factor in enumerate(factors):
         cycles = factor.cycles
         verts = [u for cyc in cycles for u in cyc]
-        for viol in _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles"):
+        faults, stray = _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles")
+        for viol in faults:
             out.append(Violation(viol.code, f"factor {idx}: {viol.detail}"))
 
         lengths = {len(cyc) for cyc in cycles}
@@ -190,12 +219,26 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
         else:
             out.append(Violation("NotSpanning", f"factor {idx}: factor has no cycles"))
 
-        listed += [(a, b) if a < b else (b, a) for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+        if stray:
+            pairs = ((a, b) if a < b else (b, a) for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+            _encode(pairs, n, codes, strays)
+        else:
+            codes += [
+                a * n + b if a < b else b * n + a for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])
+            ]
 
     if matching is not None:
-        out.extend(_matching_faults(matching, n))
-        listed.extend(matching.edges)
-    out.extend(_edge_faults(listed, space))
+        faults, stray = _matching_faults(matching, n)
+        out.extend(faults)
+        # matching edges stay raw: a reversed pair is foreign
+        if stray:
+            _encode(matching.edges, n, codes, strays)
+        else:
+            codes += [u * n + w for u, w in matching.edges]
+    if space.defect():
+        out.append(Violation("CountMismatch", f"no ambient graph: {space.defect()}"))
+    else:
+        out.extend(_edge_faults(codes, strays, space))
     return out, by_length
 
 
@@ -266,13 +309,13 @@ def verify_block(sol: Solution, space: EdgeSpace | None = None) -> Report:
     """
     v = sol.v
     out: list[Violation] = []
-    if space is None:
-        if v % 4 != 0 or v < 12:
-            shapes = ({len(c) for c in f.cycles} for f in sol.factors)
-            by_length = Counter(lengths.pop() for lengths in shapes if len(lengths) == 1)
-            return _report([Violation("CountMismatch", f"no ambient graph for v={v}")], by_length, None)
-        m = v // 4
-        space = switch_graph(m) if sol.one_factor is not None else cycle_blowup4(m)
+    if space is None and v % 4 == 0 and v >= 12:
+        space = switch_graph(v // 4) if sol.one_factor is not None else cycle_blowup4(v // 4)
+    if space is None or space.defect():
+        shapes = ({len(c) for c in f.cycles} for f in sol.factors)
+        by_length = Counter(lengths.pop() for lengths in shapes if len(lengths) == 1)
+        detail = f"no ambient graph for v={v}" if space is None else f"no ambient graph: {space.defect()}"
+        return _report([Violation("CountMismatch", detail)], by_length, None)
     block_m = space.params[0] if space.kind in ("blowup4", "switch") else None
 
     n = space.vertex_count
@@ -296,7 +339,7 @@ def verify_block(sol: Solution, space: EdgeSpace | None = None) -> Report:
 
     # the removed 1-factor lies outside the ambient, so it joins no cover
     if sol.one_factor is not None:
-        out.extend(_matching_faults(sol.one_factor, n))
+        out.extend(_matching_faults(sol.one_factor, n)[0])
         declared = sol.one_factor.edges
         if space.kind == "switch" and (
             len(declared) != 2 * block_m or sorted(declared) != switch_matching_edges(block_m)

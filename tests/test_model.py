@@ -118,6 +118,10 @@ def test_explicit_graph_keeps_given_edges():
     assert g.vertex_count == 4
     assert list(g.edges()) == [(0, 2), (1, 3)]
     assert len(g.adjacency()[2]) == 1
+    # at n = 3 the code of (0, 5) would be that of (1, 2)
+    for bad in ([(0, 5)], [(-1, 2)]):
+        with pytest.raises(ValueError, match="outside"):
+            explicit_graph(3, bad)
 
 
 def _listable_spaces():
@@ -134,9 +138,10 @@ def test_closed_forms_agree_with_the_listed_edges():
     for space in _listable_spaces():
         listed = listed_edges(space)
         assert list(space.edges()) == sorted(listed), space
+        n = space.vertex_count
+        assert list(space.edge_codes()) == sorted(u * n + w for u, w in listed), space
         counts = Counter(listed)
         multiplicity = space.multiplicity()
-        n = space.vertex_count
         for u in range(n):
             for w in range(u + 1, n):
                 assert multiplicity((u, w)) == counts[u, w], (space, u, w)

@@ -24,6 +24,7 @@ from hwp4m.model import (
     decode_solution,
     explicit_graph,
     one_factor,
+    switch_graph,
     switch_matching_edges,
     two_factor,
 )
@@ -244,15 +245,42 @@ def test_certifies_checks_space_and_cycle_length_multiset():
     assert not certifies(Solution(v=5, factors=sol.factors[:1]), complete_graph(5), [5])
 
 
+def test_blowup_of_fewer_than_three_parts_is_reported_not_raised():
+    # around a cycle of 2 parts the two part pairs coincide: no ambient graph
+    empty = Solution(v=8, factors=())
+    for space in (cycle_blowup4(2), switch_graph(2)):
+        for rep in (verify_block(empty, space), verify_factors_cover([], space)):
+            assert not rep.ok
+            assert rep.codes() == {"CountMismatch"}
+            assert "no ambient graph" in rep.summary()
+        assert not certifies(empty, space, [])
+    matched = Solution(v=8, factors=(), one_factor=one_factor([(0, 4), (1, 5), (2, 6), (3, 7)]))
+    assert verify_block(matched, switch_graph(2)).codes() == {"CountMismatch"}
+
+
 # ============================================================
 # bounded work
 # ============================================================
 
 
+def test_accepting_a_valid_solution_tests_no_membership(monkeypatch):
+    """A valid tiling is accepted by one sorted compare against the ambient's
+    edge codes; the membership test only explains rejections."""
+    sol = build(404, 101, 3, 198)
+
+    def guarded_multiplicity(space):
+        raise AssertionError(f"membership test of {space.kind} on a valid solution")
+
+    monkeypatch.setattr(EdgeSpace, "multiplicity", guarded_multiplicity)
+    rep = verify_solution(sol)
+    assert rep.ok and (rep.r_found, rep.s_found) == (3, 198)
+
+
 def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatch):
     """Small documents with a huge v, routed as ``hwp4m verify`` routes them:
-    rejecting them must not draw more than 10^6 ambient edges from the walk,
-    list the switch matching, nor walk the vertex range once per factor."""
+    rejecting them must not draw more than 10^6 ambient edges or edge codes
+    from the walks, list the switch matching, nor walk the vertex range once
+    per factor."""
     v = 200001
     hostile = [
         # ~1.5 MB: a full solution with (v - 1)/2 empty factors names 2*10^10 edges
@@ -275,13 +303,19 @@ def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatc
         ),
     ]
 
-    walk = EdgeSpace.edges
+    walk, code_walk = EdgeSpace.edges, EdgeSpace.edge_codes
 
     def guarded_edges(space):
         for drawn, edge in enumerate(walk(space), 1):
             if drawn > 10**6:
                 raise AssertionError("drew more than 10^6 ambient edges")
             yield edge
+
+    def guarded_codes(space):
+        for drawn, code in enumerate(code_walk(space), 1):
+            if drawn > 10**6:
+                raise AssertionError("drew more than 10^6 ambient edge codes")
+            yield code
 
     def guarded_matching(m):
         raise AssertionError(f"listed the switch matching on {m} parts")
@@ -296,6 +330,7 @@ def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatc
             yield x
 
     monkeypatch.setattr(EdgeSpace, "edges", guarded_edges)
+    monkeypatch.setattr(EdgeSpace, "edge_codes", guarded_codes)
     monkeypatch.setattr(hwp4m.verifier, "switch_matching_edges", guarded_matching)
     monkeypatch.setattr(hwp4m.verifier, "range", guarded_range, raising=False)
     monkeypatch.setattr(hwp4m.model, "range", guarded_range, raising=False)

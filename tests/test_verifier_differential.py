@@ -7,7 +7,10 @@ pairs in any order.  The one exception is a block's wrong switch matching,
 where only the oracle adds an "edges outside allowed set" detail.
 The inputs are the single-edit mutants of acceptance test 10, mutants of
 v = 404 documents, the block sweep of acceptance test 01, edits of the
-k24 table, and small hostile documents.
+k24 table, inputs aimed at the verifier's integer edge codes (a stray
+whose code aliases a missing edge, reversed matching pairs, an equal-count
+edit of every ambient kind, seeded single edits of Walecki covers), and
+small hostile documents.
 """
 
 import random
@@ -174,6 +177,98 @@ def test_factor_covers_agree_with_the_oracle():
     _agree_cover([square], explicit_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 1)]))
     _agree_cover([square, square], explicit_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
     _agree_cover([square], explicit_graph(5, [(0, 1), (1, 2), (2, 4)]))
+
+
+# ============================================================
+# the integer edge codes
+# ============================================================
+
+
+def test_a_stray_whose_code_aliases_a_missing_edge_agrees_with_the_oracle():
+    # at n = 7 the pair (0, 9) would code as 9, the code of the missing (1, 2)
+    edges = [(u, w) for u in range(7) for w in range(u + 1, 7) if (u, w) != (1, 2)]
+    _agree_cover([], complete_graph(7), OneFactor(tuple(edges) + ((0, 9),)))
+    _agree_cover([], complete_graph(7), OneFactor(((0, 9),) + tuple(edges)))
+
+
+def test_reversed_matching_pairs_agree_with_the_oracle():
+    # matching edges are taken raw: (w, u) with u < w is foreign, as "w-u"
+    factors, leftover = walecki_even(10)
+    reversed_ = OneFactor(tuple((w, u) for u, w in leftover.edges))
+    _agree_cover(factors, complete_graph(10), reversed_)
+    _agree_cover(factors, complete_graph(10), OneFactor(leftover.edges[1:] + ((9, 8),)))
+
+
+def _swapped(factor):
+    """``factor`` with two vertices exchanged, the first of its first cycle
+    and the second of its last: the edge count stays, the edges change."""
+    a, b = factor.cycles[0][0], factor.cycles[-1][1]
+    swap = {a: b, b: a}
+    return two_factor([[swap.get(u, u) for u in cyc] for cyc in factor.cycles], factor.n, factor.cycle_length)
+
+
+def _latin_triangles():
+    """Three triangle factors of K_{3:3}, parts {0,1,2}, {3,4,5}, {6,7,8}."""
+    return [two_factor([(i, 3 + (i + d) % 3, 6 + (i + 2 * d) % 3) for i in range(3)], 9, 3) for d in range(3)]
+
+
+def test_equal_count_edits_of_every_kind_agree_with_the_oracle():
+    square = two_factor([(0, 1, 2, 3)], 4, 4)
+    doubled = explicit_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)] * 2)
+    covers = [
+        (list(walecki(9)), complete_graph(9)),
+        (_latin_triangles(), equipartite_graph(3, 3)),
+        (list(c4_block(5).factors), cycle_blowup4(5)),
+        (list(switch_block(5).factors), switch_graph(5)),
+        ([square, square], doubled),
+    ]
+    for factors, space in covers:
+        _agree_cover(factors, space)
+        assert verify_factors_cover(factors, space).ok, space
+        edited = [_swapped(factors[0]), *factors[1:]]
+        _agree_cover(edited, space)
+        assert not verify_factors_cover(edited, space).ok, space
+
+
+def _single_edits(factors, matching, seed: int, count: int = 200):
+    """``count`` seeded single edits of a cover: swap two vertices in a
+    cycle, drop a cycle, copy a factor edge into the matching, or drop a
+    matching edge when there is one."""
+    rng = random.Random(seed)
+    kept = list(matching.edges) if matching is not None else []
+    for _ in range(count):
+        op = rng.randrange(4 if kept else 3)
+        fi = rng.randrange(len(factors))
+        f = factors[fi]
+        cycles = list(f.cycles)
+        ci = rng.randrange(len(cycles))
+        edited, edges = list(factors), kept
+        if op == 0:
+            cyc = list(cycles[ci])
+            i, j = rng.sample(range(len(cyc)), 2)
+            cyc[i], cyc[j] = cyc[j], cyc[i]
+            cycles[ci] = cyc
+        elif op == 1:
+            cycles.pop(ci)
+        elif op == 2:
+            cyc = cycles[ci]
+            i = rng.randrange(len(cyc))
+            edges = kept + [(cyc[i], cyc[(i + 1) % len(cyc)])]
+        else:
+            edges = kept[:]
+            edges.pop(rng.randrange(len(edges)))
+        edited[fi] = two_factor(cycles, f.n, f.cycle_length)
+        yield edited, (one_factor(edges) if edges or matching is not None else None)
+
+
+@pytest.mark.parametrize(
+    "space", [complete_graph(9), complete_graph(10), equipartite_graph(3, 3)], ids=["K9", "K10", "K3x3"]
+)
+def test_seeded_single_edits_of_walecki_covers_agree_with_the_oracle(space):
+    factors, leftover = walecki_even(10)
+    for seed, (base, matching) in enumerate([(walecki(9), None), (factors, leftover)]):
+        for edited, edit_matching in _single_edits(list(base), matching, seed):
+            _agree_cover(edited, space, edit_matching)
 
 
 def test_hostile_documents_agree_with_the_oracle():
