@@ -64,6 +64,8 @@ Every constructive build is verified in-process before it is returned.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .blocks import c4_block, cm_block, mixed_block, switch_block
 from .k24 import k24_solution
@@ -405,7 +407,7 @@ def _block(kind: str, m: int) -> Solution:
 def _parts(cells) -> tuple[int, ...]:
     """The vertex map of a piece on the blow-up of outer vertices ``cells``:
     piece vertex 4 i + layer goes to 4 cells[i] + layer."""
-    return tuple(4 * c + layer for c in cells for layer in range(4))
+    return tuple(chain.from_iterable(range(4 * c, 4 * c + 4) for c in cells))
 
 
 def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
@@ -414,15 +416,18 @@ def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
     ``placed`` lists (piece, vertex maps); each map sends piece vertex u to
     map[u].  Factor i of every copy of a piece joins one global factor,
     C4-factors first, and every copy's removed matching joins the global
-    matching."""
+    matching.  Each piece cycle and matching edge becomes one itemgetter,
+    built once per piece, that reads a copy's image off its vertex map."""
     c4_factors, cm_factors, matching = [], [], []
     for piece, maps in placed:
+        getters = [[itemgetter(*cyc) for cyc in f.cycles] for f in piece.factors]
+        matched = piece.one_factor.edges if piece.one_factor is not None else ()
+        edge_getters = [itemgetter(*e) for e in matched]
         buckets = [[] for _ in piece.factors]
         for vmap in maps:
-            for bucket, f in zip(buckets, piece.factors):
-                bucket.extend(tuple(vmap[u] for u in cyc) for cyc in f.cycles)
-            if piece.one_factor is not None:
-                matching.extend((vmap[a], vmap[b]) for a, b in piece.one_factor.edges)
+            for bucket, cycle_getters in zip(buckets, getters):
+                bucket += [g(vmap) for g in cycle_getters]
+            matching += [g(vmap) for g in edge_getters]
         for bucket, f in zip(buckets, piece.factors):
             (c4_factors if len(f.cycles[0]) == 4 else cm_factors).append(bucket)
     if len(c4_factors) != r or len(cm_factors) != s:

@@ -48,16 +48,14 @@ def normalize_edge(u: int, v: int) -> Edge:
 
 def canonicalize_cycle(vertices) -> Cycle:
     """Rotate so the minimum vertex is first, orient so second < last."""
-    seq = list(vertices)
+    seq = tuple(vertices)  # a tuple is taken as it is, not copied
     if len(seq) < 3:
         raise ValueError("cycle needs at least 3 vertices")
     if len(set(seq)) != len(seq):
-        raise ValueError(f"duplicate vertex in cycle {seq}")
+        raise ValueError(f"duplicate vertex in cycle {list(seq)}")
     k = seq.index(min(seq))
-    rot = seq[k:] + seq[:k]
-    if rot[1] > rot[-1]:
-        rot = [rot[0]] + rot[:0:-1]
-    return tuple(rot)
+    rot = seq[k:] + seq[:k] if k else seq
+    return rot[:1] + rot[:0:-1] if rot[1] > rot[-1] else rot
 
 
 def cycle_edges(cycle) -> list[Edge]:
@@ -90,7 +88,7 @@ class TwoFactor:
 
 
 def two_factor(cycles, n: int, cycle_length: int | None = None) -> TwoFactor:
-    canon = tuple(sorted(canonicalize_cycle(c) for c in cycles))
+    canon = tuple(sorted(map(canonicalize_cycle, cycles)))
     return TwoFactor(cycles=canon, n=n, cycle_length=cycle_length)
 
 
@@ -317,25 +315,39 @@ def solution_to_doc(sol: Solution) -> dict:
             if len(lengths) != 1:
                 raise ValueError("cannot annotate a non-uniform factor")
             length = lengths.pop()
-        factors.append(
-            {
-                "cycle_length": length,
-                "cycles": [list(c) for c in sorted(f.cycles)],
-            }
-        )
+        # json writes tuples as arrays, so the cycles and edges go in as they are
+        factors.append({"cycle_length": length, "cycles": sorted(f.cycles)})
     doc: dict = {"v": sol.v, "factors": factors}
     for key in ("m", "r", "s"):
         val = getattr(sol, key)
         if val is not None:
             doc[key] = val
     if sol.one_factor is not None:
-        doc["one_factor"] = [list(e) for e in sol.one_factor.edges]
+        doc["one_factor"] = sol.one_factor.edges
     return doc
 
 
 def _is_int(x) -> bool:
     # JSON true/false decode to bool, a subclass of int; they are not numbers here
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _canonical_cycles(cycles: list, v: int):
+    """The sorted canonical cycles of a well-formed factor, or None when
+    some cycle is faulty, checked by C-level passes over the whole factor:
+    every cycle is a list, every vertex an int (bools excluded) in 0..v-1,
+    and canonicalize_cycle raises on a short cycle or a repeated vertex.
+    These accept exactly the cycles the ordered scan in ``doc_to_solution``
+    accepts, but for subclasses of list and int."""
+    if not set(map(type, cycles)) <= {list}:
+        return None
+    verts = list(chain.from_iterable(cycles))
+    if verts and (set(map(type, verts)) != {int} or min(verts) < 0 or max(verts) >= v):
+        return None
+    try:
+        return sorted(map(canonicalize_cycle, cycles))
+    except ValueError:
+        return None
 
 
 def doc_to_solution(doc: dict) -> Solution:
@@ -355,19 +367,21 @@ def doc_to_solution(doc: dict) -> Solution:
     for idx, entry in enumerate(raw_factors):
         if not isinstance(entry, dict) or not isinstance(entry.get("cycles"), list):
             raise DecodeError("MalformedDocument", f"factor {idx} has no list of cycles")
-        cycles = []
-        for cyc in entry["cycles"]:
-            if not isinstance(cyc, list) or len(cyc) < 3:
-                raise DecodeError("CycleTooShort", f"factor {idx}: {cyc!r}")
-            if any(not _is_int(u) or u < 0 or u >= v for u in cyc):
-                raise DecodeError("VertexOutOfRange", f"factor {idx}: {cyc!r}")
-            if len(set(cyc)) != len(cyc):
-                raise DecodeError("DuplicateVertex", f"factor {idx}: {cyc!r}")
-            cycles.append(canonicalize_cycle(cyc))
+        cycles = _canonical_cycles(entry["cycles"], v)
+        if cycles is None:  # the ordered scan names the first faulty cycle
+            for cyc in entry["cycles"]:
+                if not isinstance(cyc, list) or len(cyc) < 3:
+                    raise DecodeError("CycleTooShort", f"factor {idx}: {cyc!r}")
+                if any(not _is_int(u) or u < 0 or u >= v for u in cyc):
+                    raise DecodeError("VertexOutOfRange", f"factor {idx}: {cyc!r}")
+                if len(set(cyc)) != len(cyc):
+                    raise DecodeError("DuplicateVertex", f"factor {idx}: {cyc!r}")
+            # a subclass of list or int passes the scan but not the bulk type checks
+            cycles = sorted(map(canonicalize_cycle, entry["cycles"]))
         length = entry.get("cycle_length")
         if length is not None and not _is_int(length):
             raise DecodeError("MalformedDocument", f"factor {idx}: bad cycle_length")
-        factors.append(TwoFactor(cycles=tuple(sorted(cycles)), n=v, cycle_length=length))
+        factors.append(TwoFactor(cycles=tuple(cycles), n=v, cycle_length=length))
 
     r, s, m = doc.get("r"), doc.get("s"), doc.get("m")
     for name, val in (("r", r), ("s", s), ("m", m)):

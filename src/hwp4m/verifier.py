@@ -14,7 +14,9 @@ rules, and ``certifies`` is the one proof an imported or cached ingredient
 must pass.
 
 The work is bounded by the size of the document: O(E log E + v) for E listed
-vertices and edges.  Each listed edge (u, w) becomes the integer code
+vertices and edges.  A factor is read as two flat lists, its vertices and
+each one's successor on its cycle, and the spanning check and the edges
+both come from that pair.  Each listed edge (u, w) becomes the integer code
 u * n + w; the codes are sorted, and the tiling is accepted by one
 element-wise compare with the ambient's sorted code walk, entered only when
 the listed count equals the ambient's edge count.  An edge with an end
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import filterfalse, islice
+from itertools import chain, filterfalse, islice
 from operator import eq
 
 from .model import (
@@ -132,7 +134,7 @@ def _vertex_faults(verts: list, n: int, code: str, repeat_code: str, repeat_text
 
 
 def _matching_faults(matching: OneFactor, n: int):
-    verts = [u for edge in matching.edges for u in edge]
+    verts = list(chain.from_iterable(matching.edges))
     return _vertex_faults(verts, n, "MatchingInvalid", "MatchingInvalid", "vertices covered twice")
 
 
@@ -198,12 +200,12 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
     strays: list = []
     for idx, factor in enumerate(factors):
         cycles = factor.cycles
-        verts = [u for cyc in cycles for u in cyc]
+        verts = list(chain.from_iterable(cycles))
         faults, stray = _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles")
         for viol in faults:
             out.append(Violation(viol.code, f"factor {idx}: {viol.detail}"))
 
-        lengths = {len(cyc) for cyc in cycles}
+        lengths = set(map(len, cycles))
         if len(lengths) > 1:
             out.append(Violation("NonUniformCycleLength", f"factor {idx}: cycle lengths {sorted(lengths)}"))
         elif lengths:
@@ -219,13 +221,16 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
         else:
             out.append(Violation("NotSpanning", f"factor {idx}: factor has no cycles"))
 
-        if stray:
-            pairs = ((a, b) if a < b else (b, a) for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1]))
-            _encode(pairs, n, codes, strays)
+        # each vertex's successor on its cycle, the cycle's first after its last
+        if len(lengths) == 1 and verts:
+            succ = verts[1:] + verts[:1]
+            succ[length - 1::length] = verts[::length]
         else:
-            codes += [
-                a * n + b if a < b else b * n + a for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])
-            ]
+            succ = list(chain.from_iterable(cyc[1:] + cyc[:1] for cyc in cycles))
+        if stray:
+            _encode(((a, b) if a < b else (b, a) for a, b in zip(verts, succ)), n, codes, strays)
+        else:
+            codes += [a * n + b if a < b else b * n + a for a, b in zip(verts, succ)]
 
     if matching is not None:
         faults, stray = _matching_faults(matching, n)
@@ -258,9 +263,10 @@ def certifies(sol: Solution, space: EdgeSpace, lengths) -> bool:
 
 def verify_solution(sol: Solution) -> Report:
     """Check a claimed uniform-cycle-length 2-factorization of K_v (minus a
-    1-factor when v is even), including the r/s split when declared: r
-    C4-factors and s Cm-factors, or, when m is not declared, s factors of
-    any other uniform length."""
+    1-factor when v is even), including each declared count on its own: r
+    C4-factors, and s Cm-factors or, when m is not declared, s factors of
+    any other uniform length.  With r, s and m all declared, every factor
+    must be a C4- or a Cm-factor."""
     v = sol.v
     out: list[Violation] = []
 
@@ -281,18 +287,21 @@ def verify_solution(sol: Solution) -> Report:
     found, by_length = _certify(sol.factors, sol.one_factor, complete_graph(v))
     out.extend(found)
 
-    if sol.r is not None and sol.s is not None:
-        want = Counter({4: sol.r})
-        want[sol.m] += sol.s
+    if sol.r is not None or sol.s is not None:
+        want = Counter({4: sol.r or 0})
+        want[sol.m] += sol.s or 0
         counted = by_length
         if sol.m is None:  # every factor of another uniform length counts toward s
             counted = Counter({4: by_length[4], None: by_length.total() - by_length[4]})
+        if sol.r is None or sol.s is None:  # audit the one declared count
+            key = 4 if sol.s is None else sol.m
+            counted, want = counted[key], want[key]
         if counted != want:
-            declared = f"declared r={sol.r} s={sol.s}" + ("" if sol.m is None else f" m={sol.m}")
+            declared = " ".join(f"{k}={val}" for k in "rsm" if (val := getattr(sol, k)) is not None)
             out.append(
                 Violation(
                     "CountMismatch",
-                    f"{declared}, found lengths {dict(sorted(by_length.items()))}",
+                    f"declared {declared}, found lengths {dict(sorted(by_length.items()))}",
                 )
             )
     return _report(out, by_length, sol.m)

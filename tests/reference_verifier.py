@@ -189,7 +189,7 @@ def check_edge_cover(edge_lists, space: EdgeSpace) -> list[Violation]:
 
 def verify_solution(sol: Solution) -> Report:
     """Check a claimed uniform-cycle-length 2-factorization of K_v (minus a
-    1-factor when v is even), including the r/s split when declared."""
+    1-factor when v is even), including each declared count of r and s."""
     v = sol.v
     out: list[Violation] = []
 
@@ -214,19 +214,23 @@ def verify_solution(sol: Solution) -> Report:
     if sol.one_factor is not None:
         out.extend(check_matching(sol.one_factor, v))
 
-    if sol.r is not None and sol.s is not None:
+    if sol.r is not None or sol.s is not None:
         by_length: Counter[int] = Counter()
         for factor in sol.factors:
             lengths = {len(c) for c in factor.cycles}
             if len(lengths) == 1:
                 by_length[lengths.pop()] += 1
+        declared = "declared " + " ".join(
+            f"{name}={val}" for name, val in (("r", sol.r), ("s", sol.s), ("m", sol.m)) if val is not None
+        )
         if sol.m is None:
             # without m, every uniform factor of another length counts toward s
-            declared = f"declared r={sol.r} s={sol.s}"
             others = sum(k for length, k in by_length.items() if length != 4)
-            fits = sol.r == by_length[4] and sol.s == others
+            fits = sol.r in (None, by_length[4]) and sol.s in (None, others)
+        elif sol.r is None or sol.s is None:
+            # each declared count is audited on its own
+            fits = sol.r in (None, by_length[4]) and sol.s in (None, by_length[sol.m])
         else:
-            declared = f"declared r={sol.r} s={sol.s} m={sol.m}"
             want: Counter[int] = Counter()
             want[4] += sol.r
             want[sol.m] += sol.s

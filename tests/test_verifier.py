@@ -164,6 +164,27 @@ def test_declared_split_without_m_must_match_the_factors():
         assert f"declared r={wrong.r} s={wrong.s}, found lengths" in rep.summary()
 
 
+def test_each_declared_count_is_audited_on_its_own():
+    # two C5-factors of K_5: a document declaring r alone or s alone is
+    # held to that count, with or without m
+    pentagons = Solution(v=5, factors=(two_factor([(0, 1, 2, 3, 4)], 5), two_factor([(0, 2, 4, 1, 3)], 5)))
+    for ok in (replace(pentagons, r=0), replace(pentagons, s=2), replace(pentagons, m=5, s=2)):
+        assert verify_solution(ok).ok
+    for wrong, declared in (
+        (replace(pentagons, r=1), "declared r=1"),
+        (replace(pentagons, s=1), "declared s=1"),
+        (replace(pentagons, m=3, s=2), "declared s=2 m=3"),
+        (replace(pentagons, m=5, r=2), "declared r=2 m=5"),
+    ):
+        rep = verify_solution(wrong)
+        assert rep.codes() == {"CountMismatch"}
+        assert rep.summary() == f"CountMismatch: {declared}, found lengths {{5: 2}}"
+    # the document that verified with r_found 0 before single counts were audited
+    doc = b'{"v":5,"r":1,"factors":[{"cycles":[[0,1,2,3,4]]},{"cycles":[[0,2,4,1,3]]}]}'
+    rep = verify_solution(decode_solution(doc))
+    assert (rep.ok, rep.r_found, rep.codes()) == (False, 0, {"CountMismatch"})
+
+
 def test_even_order_requires_a_removed_matching():
     sol = k24_solution()
     bare = Solution(v=24, factors=sol.factors, m=3, r=4, s=7, one_factor=None)

@@ -122,6 +122,13 @@ def test_declared_split_without_m_agrees_with_the_oracle():
         _agree_solution(sol)
 
 
+def test_single_declared_counts_agree_with_the_oracle():
+    mixed = build(12, 3, 1, 4)
+    for m in (None, 3, 4, 5):
+        for r, s in ((1, None), (2, None), (0, None), (None, 4), (None, 3), (None, 5)):
+            _agree_solution(replace(mixed, m=m, r=r, s=s))
+
+
 # ============================================================
 # blocks
 # ============================================================
