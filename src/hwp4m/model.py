@@ -31,6 +31,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import eq, itemgetter, lt
 
 Edge = tuple[int, int]
 Cycle = tuple[int, ...]
@@ -130,9 +131,12 @@ class EdgeSpace:
     membership test (``multiplicity``), edge count and sorted edge walks
     (``edges`` as pairs, ``edge_codes`` as the integers u * n + w) all
     live here, and the verifier reads them from here.  Only explicit
-    spaces list their edges; the others are closed forms.  The verifier
-    accepts a tiling by comparing its sorted codes with ``edge_codes``
-    and tests membership only to explain a rejection.
+    spaces list their edges; the others are closed forms.  A complete or
+    equipartite space also gives its n * n membership ``bitmap``, built
+    row by row, against which the verifier accepts a tiling with one byte
+    compare.  The verifier accepts a tiling of any other space by
+    comparing its sorted codes with ``edge_codes``, and tests membership
+    only to explain a rejection.
 
     kinds:
       complete(v)        K_v
@@ -228,6 +232,17 @@ class EdgeSpace:
             # the vertices above u outside its part form one contiguous range
             return chain.from_iterable(range(u * n + (u // a + 1) * a, u * n + n) for u in range(n))
         return (u * n + w for u, w in self.edges())
+
+    def bitmap(self) -> bytes:
+        """The n * n membership bytes of a complete or equipartite space:
+        byte u * n + w is 1 exactly when (u, w) is an edge with u < w.  Row
+        u is zeros up to the end of u's part and ones after, so the rows of
+        one part are equal."""
+        if self.kind not in ("complete", "equipartite"):
+            raise ValueError(f"no bitmap for edge space kind {self.kind!r}")
+        n = self.vertex_count
+        a = self.params[0] if self.kind == "equipartite" else 1
+        return b"".join((b"\0" * end + b"\1" * (n - end)) * a for end in range(a, n + 1, a))
 
     def edges(self) -> Iterator[Edge]:
         """The edges in sorted order, generated lazily over only the pairs
@@ -338,12 +353,23 @@ def _canonical_cycles(cycles: list, v: int):
     every cycle is a list, every vertex an int (bools excluded) in 0..v-1,
     and canonicalize_cycle raises on a short cycle or a repeated vertex.
     These accept exactly the cycles the ordered scan in ``doc_to_solution``
-    accepts, but for subclasses of list and int."""
+    accepts, but for subclasses of list and int.  A factor already in
+    canonical form, as every document hwp4m writes is, is proven so in bulk
+    and skips canonicalize_cycle: no cycle is short, no vertex repeats, and
+    each cycle starts at its minimum with its second below its last."""
     if not set(map(type, cycles)) <= {list}:
         return None
     verts = list(chain.from_iterable(cycles))
     if verts and (set(map(type, verts)) != {int} or min(verts) < 0 or max(verts) >= v):
         return None
+    if (
+        verts
+        and min(map(len, cycles)) >= 3
+        and len(set(verts)) == len(verts)
+        and all(map(eq, map(itemgetter(0), cycles), map(min, cycles)))
+        and all(map(lt, map(itemgetter(1), cycles), map(itemgetter(-1), cycles)))
+    ):
+        return sorted(map(tuple, cycles))
     try:
         return sorted(map(canonicalize_cycle, cycles))
     except ValueError:

@@ -14,19 +14,29 @@ rules, and ``certifies`` is the one proof an imported or cached ingredient
 must pass.
 
 The work is bounded by the size of the document: O(E log E + v) for E listed
-vertices and edges.  A factor is read as two flat lists, its vertices and
-each one's successor on its cycle, and the spanning check and the edges
-both come from that pair.  Each listed edge (u, w) becomes the integer code
-u * n + w; the codes are sorted, and the tiling is accepted by one
-element-wise compare with the ambient's sorted code walk, entered only when
-the listed count equals the ambient's edge count.  An edge with an end
-outside 0..n-1 stays a pair, because its code would alias a real edge, and
-is foreign.  The ambient's edge count, code walk and membership test all
-come from ``model.EdgeSpace``, which answers from closed forms for every
-kind but explicit; the verifier keeps no copy of them.  Membership runs
-only to explain a rejection, once per distinct listed code, and the walk
-for missing-edge examples stops after ``_EXAMPLE_CAP`` misses.  Missing
-vertices are found by a gap walk over the covered ones.
+vertices and edges, O(E + v) to accept a dense tiling.  A factor is read as
+two flat lists, its vertices and each one's successor on its cycle, and the
+spanning check and the edges both come from that pair.  Each listed edge
+(u, w) becomes the integer code u * n + w; an edge with an end outside
+0..n-1 stays a pair, because its code would alias a real edge, and is
+foreign.
+
+A complete or equipartite ambient is dense: its n * n membership bytes are
+at most four per edge.  When the document lists exactly its edge count, the
+codes are written into one n * n bitmap a batch at a time, and the tiling
+is accepted when that bitmap equals the ambient's: equal bytes from that
+many in-range codes leave no edge missing, foreign or duplicated.  Every
+other case (a sparse block ambient, an explicit one, a stray, a count
+mismatch, a failed byte compare) derives the codes again if the bitmap took
+some, sorts them, and accepts by one element-wise compare with the
+ambient's sorted code walk.  The ambient's edge count, bitmap, code walk
+and membership test all come from ``model.EdgeSpace``; the verifier keeps
+no copy of them.  A rejection is explained from the sorted codes: for a
+dense ambient by C-level passes (equal neighbours are duplicates, a code
+whose column part is not above its row part is foreign), for the other
+kinds by one membership test per distinct code.  The walk for missing-edge
+examples stops after ``_EXAMPLE_CAP`` misses, and missing vertices are
+found by a gap walk over the covered ones.
 
 A report carries a list of violations, each tagged with a stable code:
 
@@ -42,10 +52,10 @@ A report carries a list of violations, each tagged with a stable code:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, filterfalse, islice
-from operator import eq
+from itertools import chain, compress, filterfalse, islice, repeat
+from operator import eq, floordiv, le, mod, not_
 
 from .model import (
     EdgeSpace,
@@ -58,6 +68,7 @@ from .model import (
 )
 
 _EXAMPLE_CAP = 6  # edges quoted per violation before truncating
+_BATCH = 1 << 15  # edge codes scattered into a bitmap at a time
 
 
 @dataclass(frozen=True)
@@ -148,36 +159,74 @@ def _encode(edges, n: int, codes: list[int], strays: list) -> None:
             strays.append((u, w))
 
 
+def _dense_bitmap(factors, matching: OneFactor | None, space: EdgeSpace) -> bytearray | None:
+    """A zeroed n * n bytearray when the bitmap accept applies, else None:
+    the space is complete or equipartite, has edges, takes at most four
+    bitmap bytes per edge, and the document lists exactly that many edges,
+    so the bitmap is bounded by the document."""
+    if space.kind not in ("complete", "equipartite"):
+        return None
+    n, total = space.vertex_count, space.edge_count()
+    if total <= 0 or n * n > 4 * total:
+        return None
+    listed = sum(map(len, chain.from_iterable(f.cycles for f in factors)))
+    if matching is not None:
+        listed += len(matching.edges)
+    return bytearray(n * n) if listed == total else None
+
+
+def _scatter(bitmap: bytearray, codes: list[int]) -> None:
+    """Set the byte of every code, in one C-level pass."""
+    deque(map(bitmap.__setitem__, codes, repeat(1)), maxlen=0)
+
+
+def _outside(codes: list[int], n: int, a: int):
+    """For each code u * n + w with u and w in 0..n-1, whether (u, w) is no
+    edge of the complete (a = 1) or equipartite space with parts of size a:
+    it is one exactly when w's part lies above u's."""
+    return map(le, map(floordiv, map(mod, codes, repeat(n)), repeat(a)), map(floordiv, codes, repeat(n * a)))
+
+
 def _edge_faults(codes: list[int], strays: list, space: EdgeSpace) -> list[Violation]:
     """The listed edges, ``codes`` plus the out-of-range ``strays``, must
     equal the ambient edge multiset.  One sorted compare accepts them; the
-    rest runs only to explain a rejection."""
+    rest explains a rejection."""
     codes.sort()
     total = space.edge_count()
     if not strays and len(codes) == total and all(map(eq, codes, space.edge_codes())):
         return []
 
     n = space.vertex_count
-    actual = Counter(codes)
-    multiplicity = space.multiplicity()
-    hit = 0
-    duplicated, foreign_codes = [], []
-    for code, k in actual.items():
-        want = multiplicity(divmod(code, n))
-        if not want:
-            foreign_codes.append(code)
-            continue
-        if k >= want:
-            hit += want
-        if k > want:
-            duplicated.append(code)
+    if space.kind in ("complete", "equipartite"):
+        # each edge once: a code equal to its sorted successor is a surplus copy
+        a = space.params[0] if space.kind == "equipartite" else 1
+        surplus = list(compress(codes, map(eq, codes, islice(codes, 1, None))))
+        again = list(dict.fromkeys(surplus))
+        duplicated = list(compress(again, map(not_, _outside(again, n, a))))
+        foreign_codes = list(dict.fromkeys(compress(codes, _outside(codes, n, a))))
+        hit = len(codes) - len(surplus) - len(foreign_codes)
+        listed = set(codes) if hit < total else None
+    else:
+        listed = Counter(codes)
+        multiplicity = space.multiplicity()
+        hit = 0
+        duplicated, foreign_codes = [], []
+        for code, k in listed.items():
+            want = multiplicity(divmod(code, n))
+            if not want:
+                foreign_codes.append(code)
+                continue
+            if k >= want:
+                hit += want
+            if k > want:
+                duplicated.append(code)
 
     out: list[Violation] = []
     if hit < total:
         if space.kind == "explicit":  # a doubled edge covered once is missing
-            missing = Counter(space.edge_codes()) - actual
+            missing = Counter(space.edge_codes()) - listed
         else:
-            missing = filterfalse(actual.__contains__, space.edge_codes())
+            missing = filterfalse(listed.__contains__, space.edge_codes())
         quoted = [divmod(code, n) for code in islice(missing, _EXAMPLE_CAP)]
         out.append(Violation("EdgeMissing", _fmt_edges(quoted, total - hit)))
     if duplicated:
@@ -189,15 +238,18 @@ def _edge_faults(codes: list[int], strays: list, space: EdgeSpace) -> list[Viola
     return out
 
 
-def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
+def _certify(factors, matching: OneFactor | None, space: EdgeSpace, dense: bool = True):
     """One pass over the factors and the optional matching, whose edges join
     the cover.  Returns the violations and the factor counts by uniform
-    cycle length."""
+    cycle length.  ``dense`` allows the bitmap accept; a pass whose bitmap
+    is not the ambient's has given away codes, so the sorted compare
+    explains the rejection in a second pass."""
     n = space.vertex_count
     out: list[Violation] = []
     by_length: Counter[int] = Counter()
     codes: list[int] = []
     strays: list = []
+    bitmap = _dense_bitmap(factors, matching, space) if dense else None
     for idx, factor in enumerate(factors):
         cycles = factor.cycles
         verts = list(chain.from_iterable(cycles))
@@ -231,6 +283,9 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
             _encode(((a, b) if a < b else (b, a) for a, b in zip(verts, succ)), n, codes, strays)
         else:
             codes += [a * n + b if a < b else b * n + a for a, b in zip(verts, succ)]
+        if bitmap is not None and len(codes) >= _BATCH:
+            _scatter(bitmap, codes)
+            codes = []
 
     if matching is not None:
         faults, stray = _matching_faults(matching, n)
@@ -240,7 +295,13 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
             _encode(matching.edges, n, codes, strays)
         else:
             codes += [u * n + w for u, w in matching.edges]
-    if space.defect():
+    if bitmap is not None:
+        # equal bytes from exactly edge_count() in-range codes: no edge is
+        # missing, foreign or duplicated
+        _scatter(bitmap, codes)
+        if strays or bitmap != space.bitmap():
+            return _certify(factors, matching, space, dense=False)
+    elif space.defect():
         out.append(Violation("CountMismatch", f"no ambient graph: {space.defect()}"))
     else:
         out.extend(_edge_faults(codes, strays, space))

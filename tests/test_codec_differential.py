@@ -5,8 +5,10 @@ document here both must return the same ``Solution``, or raise a
 ``DecodeError`` with the same code and text.  The documents are valid
 solutions and blocks, seeded single edits of their cycles (a bool, float,
 nested-list, negative or out-of-range vertex, a short or non-list cycle, a
-duplicate vertex, an empty factor), and pairs of edits whose first faulty
-cycle differs in kind from a later one, in one factor or in two.
+duplicate vertex, an empty factor), pairs of edits whose first faulty
+cycle differs in kind from a later one, in one factor or in two, and
+rotated or reversed cycles, which take the decoder off its bulk proof that
+a factor is already canonical.
 """
 
 import copy
@@ -139,6 +141,38 @@ def test_first_faulty_cycle_names_the_error_when_a_later_one_differs(same_factor
         if isinstance(outcome, tuple):
             named.add(outcome[1])
     assert named == {"CycleTooShort", "VertexOutOfRange", "DuplicateVertex"}
+
+
+# valid ways to write a cycle other than its canonical form
+REWRITES = {
+    "rotated_left": lambda cyc: cyc[1:] + cyc[:1],
+    "rotated_right": lambda cyc: cyc[-1:] + cyc[:-1],
+    "reversed": lambda cyc: cyc[:1] + cyc[:0:-1],
+    "rotated_reversed": lambda cyc: cyc[::-1],
+}
+
+
+@pytest.mark.parametrize("kind", REWRITES)
+def test_rotated_and_reversed_cycles_decode_to_the_canonical_solution(kind):
+    rng = random.Random(f"rewrite-{kind}")
+    for doc in BASES:
+        canonical = _agree(doc)
+        for every in (False, True):
+            edited = copy.deepcopy(doc)
+            for factor in edited["factors"]:
+                cycles = factor["cycles"]
+                for ci in range(len(cycles)) if every else [rng.randrange(len(cycles))]:
+                    cycles[ci] = REWRITES[kind](cycles[ci])
+            assert _agree(edited) == canonical
+
+
+def test_canonical_cycles_in_any_order_decode_to_the_canonical_solution():
+    rng = random.Random("shuffle")
+    for doc in BASES:
+        edited = copy.deepcopy(doc)
+        for factor in edited["factors"]:
+            rng.shuffle(factor["cycles"])
+        assert _agree(edited) == _agree(doc)
 
 
 def test_canonicalize_cycle_takes_lists_tuples_and_generators():

@@ -148,6 +148,19 @@ def test_closed_forms_agree_with_the_listed_edges():
         assert space.edge_count() == len(listed), space
 
 
+def test_bitmap_marks_exactly_the_listed_edges():
+    for space in [*_listable_spaces(), equipartite_graph(3, 1)]:
+        if space.kind not in ("complete", "equipartite"):
+            with pytest.raises(ValueError, match="no bitmap"):
+                space.bitmap()
+            continue
+        n = space.vertex_count
+        want = bytearray(n * n)
+        for u, w in listed_edges(space):
+            want[u * n + w] = 1
+        assert space.bitmap() == want, space
+
+
 # ============================================================
 # JSON codec
 # ============================================================

@@ -8,12 +8,13 @@ foreignness are reported separately.
 """
 
 import ast
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import hwp4m.model
 import hwp4m.verifier
-from hwp4m.blocks import switch_block
+from hwp4m.blocks import c4_block, switch_block
 from hwp4m.composer import build
 from hwp4m.k24 import k24_solution
 from hwp4m.model import (
@@ -22,6 +23,7 @@ from hwp4m.model import (
     complete_graph,
     cycle_blowup4,
     decode_solution,
+    equipartite_graph,
     explicit_graph,
     one_factor,
     switch_graph,
@@ -285,8 +287,8 @@ def test_blowup_of_fewer_than_three_parts_is_reported_not_raised():
 
 
 def test_accepting_a_valid_solution_tests_no_membership(monkeypatch):
-    """A valid tiling is accepted by one sorted compare against the ambient's
-    edge codes; the membership test only explains rejections."""
+    """A valid tiling is accepted without the membership test, which only
+    explains rejections."""
     sol = build(404, 101, 3, 198)
 
     def guarded_multiplicity(space):
@@ -363,6 +365,59 @@ def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatc
         assert not rep.ok
         assert codes <= rep.codes()
         assert quoted in rep.summary()
+
+
+def _traced_peak(check):
+    """The result of ``check()`` and the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        result = check()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_accepting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
+    """A valid tiling of K_v or K_v - I is accepted by one byte compare of
+    two v^2 bitmaps: neither sorted walk of the ambient is drawn."""
+    sol = build(404, 101, 3, 198)
+
+    def guarded_walk(space):
+        raise AssertionError(f"walked the edges of {space.kind} on a valid solution")
+
+    monkeypatch.setattr(EdgeSpace, "edges", guarded_walk)
+    monkeypatch.setattr(EdgeSpace, "edge_codes", guarded_walk)
+    rep = verify_solution(sol)
+    assert rep.ok and (rep.r_found, rep.s_found) == (3, 198)
+
+
+def test_verifying_a_v804_solution_allocates_under_6_mb():
+    """The accept path holds two v^2 bitmaps (646 KB each here) and one
+    batch of edge codes, never a list of all 322806 codes (over 11 MB)."""
+    sol = build(804, 201, 5, 396)
+    rep, peak = _traced_peak(lambda: verify_solution(sol))
+    assert rep.ok
+    assert peak < 6_000_000
+
+
+def test_spaces_without_dense_edges_never_allocate_a_bitmap(monkeypatch):
+    """An edgeless equipartite(a, 1) space and the sparse block ambients
+    are certified without a v^2 bitmap, even for large v."""
+
+    def guarded_bitmap(space):
+        raise AssertionError(f"drew the bitmap of {space.kind}")
+
+    monkeypatch.setattr(EdgeSpace, "bitmap", guarded_bitmap)
+    edgeless = equipartite_graph(3000, 1)  # v^2 = 9 MB
+    c4, switch = c4_block(2001), switch_block(1001)  # v^2 = 64 MB and 16 MB
+    for check in (
+        lambda: certifies(Solution(v=3000, factors=()), edgeless, []),
+        lambda: verify_factors_cover([two_factor([(0, 1, 2)], 3000, 3)], edgeless).ok is False,
+        lambda: verify_block(c4).ok,
+        lambda: verify_block(switch).ok,
+    ):
+        ok, peak = _traced_peak(check)
+        assert ok and peak < 4_000_000
 
 
 # ============================================================

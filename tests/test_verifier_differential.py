@@ -9,11 +9,14 @@ The inputs are the single-edit mutants of acceptance test 10, mutants of
 v = 404 documents, the block sweep of acceptance test 01, edits of the
 k24 table, inputs aimed at the verifier's integer edge codes (a stray
 whose code aliases a missing edge, reversed matching pairs, an equal-count
-edit of every ambient kind, seeded single edits of Walecki covers), and
-small hostile documents.
+edit of every ambient kind, seeded single edits of Walecki covers), inputs
+aimed at the bitmap accept of complete and equipartite spaces (valid
+solutions of odd and even order, ``certifies`` on equipartite instances,
+and edits that keep the listed edge count), and small hostile documents.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -37,7 +40,8 @@ from hwp4m.model import (
     two_factor,
 )
 from hwp4m.outer import walecki, walecki_even
-from hwp4m.verifier import verify_block, verify_factors_cover, verify_solution
+from hwp4m.search import equipartite_instance, solve
+from hwp4m.verifier import certifies, verify_block, verify_factors_cover, verify_solution
 
 
 def _pairs(report):
@@ -276,6 +280,113 @@ def test_seeded_single_edits_of_walecki_covers_agree_with_the_oracle(space):
     for seed, (base, matching) in enumerate([(walecki(9), None), (factors, leftover)]):
         for edited, edit_matching in _single_edits(list(base), matching, seed):
             _agree_cover(edited, space, edit_matching)
+
+
+# ============================================================
+# the bitmap accept
+# ============================================================
+
+
+def _odd(v):
+    """Walecki's Hamilton cycles of K_v, odd v, as a solution."""
+    factors = walecki(v)
+    return Solution(v=v, factors=tuple(factors), m=v, r=0, s=len(factors))
+
+
+def _even(v):
+    """Walecki's Hamilton cycles of K_v - I, even v, with the matching I."""
+    factors, leftover = walecki_even(v)
+    return Solution(v=v, factors=tuple(factors), m=v, r=0, s=len(factors), one_factor=leftover)
+
+
+# K_301 and K_300 - I list more codes than one bitmap batch, so a failed
+# byte compare there re-derives codes the bitmap has already taken
+DENSE = {
+    "K5": lambda: _odd(5),
+    "K9": lambda: _odd(9),
+    "K301": lambda: _odd(301),
+    "K10-I": lambda: _even(10),
+    "K300-I": lambda: _even(300),
+    "hwp12": lambda: build(12, 3, 1, 4),
+    "hwp28": lambda: build(28, 7, 5, 8),
+}
+
+
+def _equal_count_edits(sol, rng):
+    """Edits that keep the listed edge count: two neighbours swapped in a
+    cycle of four or more (in a triangle factor, two vertices of two
+    cycles), one factor replaced by a copy of another, and with a matching,
+    one matching pair reversed and one matching edge replaced by a copy of
+    a factor edge, which duplicates that edge and drops the other."""
+    factors = list(sol.factors)
+    fi = rng.randrange(len(factors))
+    f = factors[fi]
+    cycles = [list(cyc) for cyc in f.cycles]
+    long = [cyc for cyc in cycles if len(cyc) >= 4]
+    if long:
+        cyc = rng.choice(long)
+        i = rng.randrange(len(cyc) - 1)
+        cyc[i], cyc[i + 1] = cyc[i + 1], cyc[i]
+        factors[fi] = two_factor(cycles, f.n, f.cycle_length)
+    else:
+        factors[fi] = _swapped(f)
+    yield replace(sol, factors=tuple(factors))
+    factors = list(sol.factors)
+    yield replace(sol, factors=tuple(factors[:-1] + factors[:1]))
+    if sol.one_factor is not None:
+        edges = list(sol.one_factor.edges)
+        k = rng.randrange(len(edges))
+        u, w = edges[k]
+        yield replace(sol, one_factor=OneFactor(tuple(edges[:k] + [(w, u)] + edges[k + 1:])))
+        a, b = f.cycles[0][:2]
+        yield replace(sol, one_factor=OneFactor(tuple(edges[:k] + [(min(a, b), max(a, b))] + edges[k + 1:])))
+
+
+@pytest.mark.parametrize("name", DENSE)
+def test_valid_dense_solutions_and_their_equal_count_edits_agree_with_the_oracle(name):
+    sol = DENSE[name]()
+    assert verify_solution(sol).ok
+    _agree_solution(sol)
+    rng = random.Random(name)
+    for edited in _equal_count_edits(sol, rng):
+        assert not verify_solution(edited).ok
+        _agree_solution(edited)
+
+
+def _latin_triangles_of(a):
+    """Triangle factors of K_{a:3}, odd a: factor d holds (i, i + d, i + 2d)
+    with one vertex in each part."""
+    return [two_factor([(i, a + (i + d) % a, 2 * a + (i + 2 * d) % a) for i in range(a)], 3 * a, 3) for d in range(a)]
+
+
+def _oracle_certifies(sol, space, lengths):
+    shapes = ({len(c) for c in f.cycles} for f in sol.factors)
+    found = Counter(s.pop() for s in shapes if len(s) == 1)
+    return (
+        sol.v == space.vertex_count
+        and len(sol.factors) == len(lengths)
+        and oracle.verify_factors_cover(sol.factors, space, sol.one_factor).ok
+        and found == Counter(lengths)
+    )
+
+
+def test_certifies_on_equipartite_instances_agrees_with_the_oracle():
+    proofs = []
+    for params in ((4, 3, 3), (2, 4, 4), (4, 3, 4), (2, 5, 5), (4, 4, 4), (2, 6, 4)):
+        instance = equipartite_instance(*params)
+        outcome = solve(instance)
+        assert outcome.status == "found", params
+        proofs.append((instance.space, outcome.factors, instance.slots()))
+    for a in (3, 5, 7):
+        proofs.append((equipartite_graph(a, 3), _latin_triangles_of(a), [3] * a))
+    rng = random.Random(11)
+    for space, factors, lengths in proofs:
+        sol = Solution(v=space.vertex_count, factors=tuple(factors))
+        assert certifies(sol, space, lengths)
+        edits = [*_equal_count_edits(sol, rng), replace(sol, factors=sol.factors[1:])]
+        for candidate, want in [(sol, lengths), (sol, [lengths[0] + 1, *lengths[1:]])] + [(e, lengths) for e in edits]:
+            assert certifies(candidate, space, want) == _oracle_certifies(candidate, space, want)
+        assert not any(certifies(e, space, lengths) for e in edits)
 
 
 def test_hostile_documents_agree_with_the_oracle():
