@@ -134,9 +134,9 @@ class EdgeSpace:
     spaces list their edges; the others are closed forms.  A complete or
     equipartite space also gives its n * n membership ``bitmap``, built
     row by row, against which the verifier accepts a tiling with one byte
-    compare.  The verifier accepts a tiling of any other space by
-    comparing its sorted codes with ``edge_codes``, and tests membership
-    only to explain a rejection.
+    compare and explains a rejection.  The verifier accepts a tiling of
+    any other space by comparing its sorted codes with ``edge_codes``, and
+    tests membership only to explain a rejection.
 
     kinds:
       complete(v)        K_v

@@ -5,7 +5,7 @@ counts and edge coverage are audited, never trusted.  The only import from the
 rest of the package is the data layer, so a bug in a construction cannot leak
 into its own certificate.
 
-One core, ``_certify``, makes a single pass over the cycles and the matching:
+One core, ``_certify``, makes one pass over the cycles and the matching:
 spanning and 2-regularity of each factor, uniform and declared cycle lengths,
 the perfect matching, and the missing, duplicated and foreign edges against
 the ambient edge space.  ``verify_solution``, ``verify_block`` and
@@ -13,30 +13,35 @@ the ambient edge space.  ``verify_solution``, ``verify_block`` and
 rules, and ``certifies`` is the one proof an imported or cached ingredient
 must pass.
 
-The work is bounded by the size of the document: O(E log E + v) for E listed
-vertices and edges, O(E + v) to accept a dense tiling.  A factor is read as
-two flat lists, its vertices and each one's successor on its cycle, and the
-spanning check and the edges both come from that pair.  Each listed edge
-(u, w) becomes the integer code u * n + w; an edge with an end outside
-0..n-1 stays a pair, because its code would alias a real edge, and is
-foreign.
+The work is bounded by the size of the document: for E listed vertices and
+edges, O(E + v) against a dense ambient, apart from sorting the repeated and
+stray edges a rejection quotes, and O(E log E + v) against the others.  A
+factor is read as two flat lists, its vertices and each one's successor on
+its cycle, and the spanning check and the edges both come from that pair.
+Each listed edge (u, w) becomes the integer code u * n + w; an edge with an
+end outside 0..n-1 stays a pair, because its code would alias a real edge,
+and is foreign.
 
 A complete or equipartite ambient is dense: its n * n membership bytes are
-at most four per edge.  When the document lists exactly its edge count, the
-codes are written into one n * n bitmap a batch at a time, and the tiling
-is accepted when that bitmap equals the ambient's: equal bytes from that
-many in-range codes leave no edge missing, foreign or duplicated.  Every
-other case (a sparse block ambient, an explicit one, a stray, a count
-mismatch, a failed byte compare) derives the codes again if the bitmap took
-some, sorts them, and accepts by one element-wise compare with the
-ambient's sorted code walk.  The ambient's edge count, bitmap, code walk
-and membership test all come from ``model.EdgeSpace``; the verifier keeps
-no copy of them.  A rejection is explained from the sorted codes: for a
-dense ambient by C-level passes (equal neighbours are duplicates, a code
-whose column part is not above its row part is foreign), for the other
-kinds by one membership test per distinct code.  The walk for missing-edge
-examples stops after ``_EXAMPLE_CAP`` misses, and missing vertices are
-found by a gap walk over the covered ones.
+at most four per edge.  When they are also at most four per listed edge,
+the codes are written into one n * n bitmap a factor at a time.  The tiling
+is accepted when the document lists exactly the edge count, all in range,
+and the bitmap equals the ambient's: equal bytes from that many in-range
+codes leave no edge missing, foreign or duplicated.  A rejection is
+explained from the same bytes, read as integers: an ambient byte left unset
+is a missing edge, a set byte outside the ambient a foreign one, and more
+in-range codes than set bytes means that some code repeats.  The repeats
+are collected as the codes are written when the document lists more edges
+than the ambient holds, otherwise by deriving the codes once more into a
+fresh bitmap; those inside the ambient are duplicated edges.  Every other
+case (a sparse block ambient, an explicit one, a dense document too small
+for its bitmap) sorts the codes, accepts by one element-wise compare with
+the ambient's sorted code walk, and explains a rejection by one membership
+test per distinct code.  The ambient's edge count, bitmap, code walk and
+membership test all come from ``model.EdgeSpace``; the verifier keeps no
+copy of them.  The walk for missing-edge examples stops after
+``_EXAMPLE_CAP`` misses, and missing vertices are found by a gap walk over
+the covered ones.
 
 A report carries a list of violations, each tagged with a stable code:
 
@@ -55,7 +60,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, compress, filterfalse, islice, repeat
-from operator import eq, floordiv, le, mod, not_
+from operator import eq
+from re import finditer
 
 from .model import (
     EdgeSpace,
@@ -68,7 +74,6 @@ from .model import (
 )
 
 _EXAMPLE_CAP = 6  # edges quoted per violation before truncating
-_BATCH = 1 << 15  # edge codes scattered into a bitmap at a time
 
 
 @dataclass(frozen=True)
@@ -149,107 +154,24 @@ def _matching_faults(matching: OneFactor, n: int):
     return _vertex_faults(verts, n, "MatchingInvalid", "MatchingInvalid", "vertices covered twice")
 
 
-def _encode(edges, n: int, codes: list[int], strays: list) -> None:
-    """Edges with both ends in 0..n-1 join ``codes`` as u * n + w; the others
-    stay pairs in ``strays``, since their codes would alias real edges."""
+def _encode(edges, n: int, strays: list) -> list[int]:
+    """The codes u * n + w of the edges with both ends in 0..n-1; the others
+    join ``strays`` as pairs, since their codes would alias real edges."""
+    codes: list[int] = []
     for u, w in edges:
         if 0 <= u < n and 0 <= w < n:
             codes.append(u * n + w)
         else:
             strays.append((u, w))
+    return codes
 
 
-def _dense_bitmap(factors, matching: OneFactor | None, space: EdgeSpace) -> bytearray | None:
-    """A zeroed n * n bytearray when the bitmap accept applies, else None:
-    the space is complete or equipartite, has edges, takes at most four
-    bitmap bytes per edge, and the document lists exactly that many edges,
-    so the bitmap is bounded by the document."""
-    if space.kind not in ("complete", "equipartite"):
-        return None
-    n, total = space.vertex_count, space.edge_count()
-    if total <= 0 or n * n > 4 * total:
-        return None
-    listed = sum(map(len, chain.from_iterable(f.cycles for f in factors)))
-    if matching is not None:
-        listed += len(matching.edges)
-    return bytearray(n * n) if listed == total else None
-
-
-def _scatter(bitmap: bytearray, codes: list[int]) -> None:
-    """Set the byte of every code, in one C-level pass."""
-    deque(map(bitmap.__setitem__, codes, repeat(1)), maxlen=0)
-
-
-def _outside(codes: list[int], n: int, a: int):
-    """For each code u * n + w with u and w in 0..n-1, whether (u, w) is no
-    edge of the complete (a = 1) or equipartite space with parts of size a:
-    it is one exactly when w's part lies above u's."""
-    return map(le, map(floordiv, map(mod, codes, repeat(n)), repeat(a)), map(floordiv, codes, repeat(n * a)))
-
-
-def _edge_faults(codes: list[int], strays: list, space: EdgeSpace) -> list[Violation]:
-    """The listed edges, ``codes`` plus the out-of-range ``strays``, must
-    equal the ambient edge multiset.  One sorted compare accepts them; the
-    rest explains a rejection."""
-    codes.sort()
-    total = space.edge_count()
-    if not strays and len(codes) == total and all(map(eq, codes, space.edge_codes())):
-        return []
-
-    n = space.vertex_count
-    if space.kind in ("complete", "equipartite"):
-        # each edge once: a code equal to its sorted successor is a surplus copy
-        a = space.params[0] if space.kind == "equipartite" else 1
-        surplus = list(compress(codes, map(eq, codes, islice(codes, 1, None))))
-        again = list(dict.fromkeys(surplus))
-        duplicated = list(compress(again, map(not_, _outside(again, n, a))))
-        foreign_codes = list(dict.fromkeys(compress(codes, _outside(codes, n, a))))
-        hit = len(codes) - len(surplus) - len(foreign_codes)
-        listed = set(codes) if hit < total else None
-    else:
-        listed = Counter(codes)
-        multiplicity = space.multiplicity()
-        hit = 0
-        duplicated, foreign_codes = [], []
-        for code, k in listed.items():
-            want = multiplicity(divmod(code, n))
-            if not want:
-                foreign_codes.append(code)
-                continue
-            if k >= want:
-                hit += want
-            if k > want:
-                duplicated.append(code)
-
-    out: list[Violation] = []
-    if hit < total:
-        if space.kind == "explicit":  # a doubled edge covered once is missing
-            missing = Counter(space.edge_codes()) - listed
-        else:
-            missing = filterfalse(listed.__contains__, space.edge_codes())
-        quoted = [divmod(code, n) for code in islice(missing, _EXAMPLE_CAP)]
-        out.append(Violation("EdgeMissing", _fmt_edges(quoted, total - hit)))
-    if duplicated:
-        quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
-        out.append(Violation("EdgeDuplicated", _fmt_edges(quoted, len(duplicated))))
-    foreign = sorted(set(strays).union(divmod(code, n) for code in foreign_codes))
-    if foreign:
-        out.append(Violation("EdgeForeign", _fmt_edges(foreign, len(foreign))))
-    return out
-
-
-def _certify(factors, matching: OneFactor | None, space: EdgeSpace, dense: bool = True):
-    """One pass over the factors and the optional matching, whose edges join
-    the cover.  Returns the violations and the factor counts by uniform
-    cycle length.  ``dense`` allows the bitmap accept; a pass whose bitmap
-    is not the ambient's has given away codes, so the sorted compare
-    explains the rejection in a second pass."""
-    n = space.vertex_count
-    out: list[Violation] = []
-    by_length: Counter[int] = Counter()
-    codes: list[int] = []
-    strays: list = []
-    bitmap = _dense_bitmap(factors, matching, space) if dense else None
+def _listed(factors, matching: OneFactor | None, n: int, out: list, by_length: Counter, strays: list):
+    """The listed edges as code lists, one per factor and one for the
+    optional matching, whose edges join the cover.  On the way the vertex
+    and cycle-length faults join ``out``, the factor counts by uniform cycle
+    length join ``by_length``, and the edges with an end outside 0..n-1
+    join ``strays``."""
     for idx, factor in enumerate(factors):
         cycles = factor.cycles
         verts = list(chain.from_iterable(cycles))
@@ -280,31 +202,154 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace, dense: bool 
         else:
             succ = list(chain.from_iterable(cyc[1:] + cyc[:1] for cyc in cycles))
         if stray:
-            _encode(((a, b) if a < b else (b, a) for a, b in zip(verts, succ)), n, codes, strays)
+            yield _encode(((a, b) if a < b else (b, a) for a, b in zip(verts, succ)), n, strays)
         else:
-            codes += [a * n + b if a < b else b * n + a for a, b in zip(verts, succ)]
-        if bitmap is not None and len(codes) >= _BATCH:
-            _scatter(bitmap, codes)
-            codes = []
+            yield [a * n + b if a < b else b * n + a for a, b in zip(verts, succ)]
 
     if matching is not None:
         faults, stray = _matching_faults(matching, n)
         out.extend(faults)
         # matching edges stay raw: a reversed pair is foreign
-        if stray:
-            _encode(matching.edges, n, codes, strays)
+        yield _encode(matching.edges, n, strays) if stray else [u * n + w for u, w in matching.edges]
+
+
+def _dense_listed(factors, matching: OneFactor | None, space: EdgeSpace) -> int:
+    """The number of listed edges when the bitmap applies, else 0: the space
+    is complete or equipartite and has edges, and its n * n bytes are at
+    most four per ambient edge and four per listed edge, so the bitmap is
+    bounded by the document."""
+    if space.kind not in ("complete", "equipartite"):
+        return 0
+    n, total = space.vertex_count, space.edge_count()
+    listed = sum(map(len, chain.from_iterable(f.cycles for f in factors)))
+    if matching is not None:
+        listed += len(matching.edges)
+    return listed if total > 0 and n * n <= 4 * min(total, listed) else 0
+
+
+def _fill(bitmap: bytearray, parts, repeats: set | None = None) -> int:
+    """Set the byte of every code in the code lists ``parts``, one C-level
+    pass per list, and return how many codes there were.  Given a set,
+    ``repeats`` gains each code listed more than once: one whose byte is
+    already set when its list comes, or one listed twice in its list."""
+    filled = 0
+    for part in parts:
+        if repeats is not None:
+            repeats.update(compress(part, map(bitmap.__getitem__, part)))
+            if len(set(part)) < len(part):
+                part = sorted(part)
+                repeats.update(compress(part, map(eq, part, islice(part, 1, None))))
+        deque(map(bitmap.__setitem__, part, repeat(1)), maxlen=0)
+        filled += len(part)
+    return filled
+
+
+def _quoted(mask: int, n: int) -> list:
+    """The first _EXAMPLE_CAP edges (u, w) whose byte u * n + w is set in
+    ``mask`` written as n * n big-endian bytes."""
+    data = mask.to_bytes(n * n, "big")
+    return [divmod(found.start(), n) for found in islice(finditer(b"\1", data), _EXAMPLE_CAP)]
+
+
+def _bitmap_faults(parts, listed: int, strays: list, factors, matching, space: EdgeSpace):
+    """The ``listed`` edges, the code lists ``parts`` plus the out-of-range
+    ``strays``, must tile the complete or equipartite ``space``.  Their
+    codes are scattered into one n * n bitmap, and equal bytes from exactly
+    edge_count() in-range codes accept them: no edge is missing, foreign or
+    duplicated.  A rejection is explained from the bytes.  Repeats are
+    found as the codes are scattered when more edges are listed than the
+    space holds, else only when there are more codes than set bytes, by
+    deriving the codes of ``factors`` and ``matching`` again."""
+    n, total = space.vertex_count, space.edge_count()
+    bitmap = bytearray(n * n)
+    repeats: set[int] | None = set() if listed > total else None
+    filled = _fill(bitmap, parts, repeats)
+    ambient = space.bitmap()
+    if not strays and filled == total and bitmap == ambient:
+        return []
+    want, have = int.from_bytes(ambient, "big"), int.from_bytes(bitmap, "big")
+    foreign = have & ~want
+    distinct, outside = have.bit_count(), foreign.bit_count()
+    hit = distinct - outside
+
+    out: list[Violation] = []
+    if hit < total:
+        out.append(Violation("EdgeMissing", _fmt_edges(_quoted(want & ~have, n), total - hit)))
+    if filled > distinct:
+        if repeats is None:
+            repeats = set()
+            _fill(bytearray(n * n), _listed(factors, matching, n, [], Counter(), []), repeats)
+        duplicated = sorted(code for code in repeats if ambient[code])
+        if duplicated:
+            quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
+            out.append(Violation("EdgeDuplicated", _fmt_edges(quoted, len(duplicated))))
+    strays = sorted(set(strays))
+    if outside or strays:
+        quoted = sorted(strays[:_EXAMPLE_CAP] + _quoted(foreign, n))
+        out.append(Violation("EdgeForeign", _fmt_edges(quoted, outside + len(strays))))
+    return out
+
+
+def _edge_faults(codes: list[int], strays: list, space: EdgeSpace) -> list[Violation]:
+    """The listed edges, ``codes`` plus the out-of-range ``strays``, must
+    equal the ambient edge multiset.  One sorted compare accepts them; one
+    membership test per distinct code explains a rejection."""
+    codes.sort()
+    total = space.edge_count()
+    if not strays and len(codes) == total and all(map(eq, codes, space.edge_codes())):
+        return []
+
+    n = space.vertex_count
+    listed = Counter(codes)
+    multiplicity = space.multiplicity()
+    hit = 0
+    duplicated, foreign_codes = [], []
+    for code, k in listed.items():
+        want = multiplicity(divmod(code, n))
+        if not want:
+            foreign_codes.append(code)
+            continue
+        if k >= want:
+            hit += want
+        if k > want:
+            duplicated.append(code)
+
+    out: list[Violation] = []
+    if hit < total:
+        if space.kind == "explicit":  # a doubled edge covered once is missing
+            missing = Counter(space.edge_codes()) - listed
         else:
-            codes += [u * n + w for u, w in matching.edges]
-    if bitmap is not None:
-        # equal bytes from exactly edge_count() in-range codes: no edge is
-        # missing, foreign or duplicated
-        _scatter(bitmap, codes)
-        if strays or bitmap != space.bitmap():
-            return _certify(factors, matching, space, dense=False)
-    elif space.defect():
-        out.append(Violation("CountMismatch", f"no ambient graph: {space.defect()}"))
+            missing = filterfalse(listed.__contains__, space.edge_codes())
+        quoted = [divmod(code, n) for code in islice(missing, _EXAMPLE_CAP)]
+        out.append(Violation("EdgeMissing", _fmt_edges(quoted, total - hit)))
+    if duplicated:
+        quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
+        out.append(Violation("EdgeDuplicated", _fmt_edges(quoted, len(duplicated))))
+    foreign = sorted(set(strays).union(divmod(code, n) for code in foreign_codes))
+    if foreign:
+        out.append(Violation("EdgeForeign", _fmt_edges(foreign, len(foreign))))
+    return out
+
+
+def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
+    """One pass over the factors and the optional matching, whose edges join
+    the cover.  Returns the violations and the factor counts by uniform
+    cycle length."""
+    n = space.vertex_count
+    out: list[Violation] = []
+    by_length: Counter[int] = Counter()
+    strays: list = []
+    parts = _listed(factors, matching, n, out, by_length, strays)
+    listed = _dense_listed(factors, matching, space)
+    if listed:
+        faults = _bitmap_faults(parts, listed, strays, factors, matching, space)
     else:
-        out.extend(_edge_faults(codes, strays, space))
+        codes = list(chain.from_iterable(parts))
+        if defect := space.defect():
+            faults = [Violation("CountMismatch", f"no ambient graph: {defect}")]
+        else:
+            faults = _edge_faults(codes, strays, space)
+    out.extend(faults)  # after the vertex faults, added as the code lists were drawn
     return out, by_length
 
 

@@ -239,8 +239,10 @@ def test_09_truth_table_up_to_v120():
 # ============================================================
 
 
-def _mutate(sol: Solution, rng: random.Random) -> Solution:
-    op = rng.randrange(4)
+def _mutate(sol: Solution, rng: random.Random, op: int | None = None) -> Solution:
+    """One single edit of ``sol``: edit ``op``, or a random one of the four."""
+    if op is None:
+        op = rng.randrange(4)
     if op == 0:  # delete a matching edge
         edges = list(sol.one_factor.edges)
         edges.pop(rng.randrange(len(edges)))

@@ -8,12 +8,15 @@ foreignness are reported separately.
 """
 
 import ast
+import random
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import hwp4m.model
 import hwp4m.verifier
+from test_acceptance import _mutate
+
 from hwp4m.blocks import c4_block, switch_block
 from hwp4m.composer import build
 from hwp4m.k24 import k24_solution
@@ -393,11 +396,52 @@ def test_accepting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
 
 def test_verifying_a_v804_solution_allocates_under_6_mb():
     """The accept path holds two v^2 bitmaps (646 KB each here) and one
-    batch of edge codes, never a list of all 322806 codes (over 11 MB)."""
+    factor's edge codes, never a list of all 322806 codes (over 11 MB)."""
     sol = build(804, 201, 5, 396)
     rep, peak = _traced_peak(lambda: verify_solution(sol))
     assert rep.ok
     assert peak < 6_000_000
+
+
+def test_rejecting_single_edits_of_a_v804_solution_allocates_under_8_mb():
+    """A rejection is explained from the accept path's bitmaps and a few
+    v^2 integers, never from a sorted list of every edge code."""
+    sol = build(804, 201, 5, 396)
+    for op in range(4):
+        rep, peak = _traced_peak(lambda: verify_solution(_mutate(sol, random.Random(op), op)))
+        assert not rep.ok
+        assert peak < 8_000_000, (op, peak)
+
+
+def test_rejecting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
+    """Each single edit of a K_v - I tiling is explained from the v^2
+    bitmaps: neither sorted walk of the ambient is drawn."""
+    sol = build(404, 101, 3, 198)
+
+    def guarded_walk(space):
+        raise AssertionError(f"walked the edges of {space.kind} to reject a dense tiling")
+
+    monkeypatch.setattr(EdgeSpace, "edges", guarded_walk)
+    monkeypatch.setattr(EdgeSpace, "edge_codes", guarded_walk)
+    for op in range(4):
+        rep = verify_solution(_mutate(sol, random.Random(op), op))
+        assert not rep.ok and rep.codes() & {"EdgeMissing", "EdgeDuplicated", "EdgeForeign"}
+
+
+def test_a_document_listing_few_dense_edges_never_allocates_a_bitmap(monkeypatch):
+    """A complete ambient takes a bitmap only when its v^2 bytes are at
+    most four per listed edge; a shorter document is explained by the
+    sorted compare."""
+
+    def guarded_bitmap(space):
+        raise AssertionError(f"drew the bitmap of {space.kind}")
+
+    monkeypatch.setattr(EdgeSpace, "bitmap", guarded_bitmap)
+    v = 101
+    factors = tuple(walecki(v))
+    for kept in (factors[:12], factors[:25]):  # 4 * 101 * 25 < 101^2
+        rep = verify_solution(Solution(v=v, factors=kept))
+        assert rep.codes() == {"CountMismatch", "EdgeMissing"}
 
 
 def test_spaces_without_dense_edges_never_allocate_a_bitmap(monkeypatch):

@@ -27,6 +27,7 @@ from hwp4m.blocks import c4_block, cm_block, mixed_block, switch_block
 from hwp4m.composer import build
 from hwp4m.k24 import k24_solution
 from hwp4m.model import (
+    EdgeSpace,
     OneFactor,
     Solution,
     TwoFactor,
@@ -387,6 +388,173 @@ def test_certifies_on_equipartite_instances_agrees_with_the_oracle():
         for candidate, want in [(sol, lengths), (sol, [lengths[0] + 1, *lengths[1:]])] + [(e, lengths) for e in edits]:
             assert certifies(candidate, space, want) == _oracle_certifies(candidate, space, want)
         assert not any(certifies(e, space, lengths) for e in edits)
+
+
+# ============================================================
+# the bitmap explanation of a changed edge count
+# ============================================================
+
+
+def _listed_edges(sol):
+    matched = len(sol.one_factor.edges) if sol.one_factor is not None else 0
+    return sum(len(c) for f in sol.factors for c in f.cycles) + matched
+
+
+def _takes_bitmap(sol, space):
+    """Whether ``sol`` is certified against the v^2 bitmap of ``space``:
+    the bitmap has at most four bytes per ambient and per listed edge."""
+    total = space.edge_count()
+    return total > 0 and space.vertex_count**2 <= 4 * min(total, _listed_edges(sol))
+
+
+def _count_changing_edits(sol, rng):
+    """Edits of a dense solution that change its listed edge count: a
+    dropped cycle, a factor edge added to the matching, the same edge
+    listed three times, a foreign (reversed) edge listed twice, and
+    out-of-range strays next to a repeated edge, a dropped matching edge
+    and a stray factor vertex.  With a matching, also a dropped matching edge
+    and a reversed matching pair whose neighbour is dropped."""
+    factors = list(sol.factors)
+    fi = rng.randrange(len(factors))
+    f = factors[fi]
+    cycles = list(f.cycles)
+    cycles.pop(rng.randrange(len(cycles)))
+    dropped = [*factors[:fi], TwoFactor(tuple(cycles), f.n, f.cycle_length), *factors[fi + 1:]]
+    yield replace(sol, factors=tuple(dropped))
+
+    edges = list(sol.one_factor.edges) if sol.one_factor is not None else []
+    a, b = rng.choice(f.cycles)[:2]
+    edge, back = (min(a, b), max(a, b)), (max(a, b), min(a, b))
+    yield replace(sol, one_factor=OneFactor((*edges, edge)))
+    yield replace(sol, one_factor=OneFactor((*edges, edge, edge)))
+    yield replace(sol, one_factor=OneFactor((*edges, back, back)))
+    if edges:
+        k = rng.randrange(len(edges) - 1)
+        yield replace(sol, one_factor=OneFactor((*edges[:k], *edges[k + 1:])))
+        yield replace(sol, one_factor=OneFactor((*edges[:k], edges[k][::-1], *edges[k + 2:])))
+
+    v = sol.v
+    stray = (tuple(v + 2 if u == f.cycles[0][0] else u for u in f.cycles[0]), *f.cycles[1:])
+    factors[fi] = TwoFactor(stray, f.n, f.cycle_length)
+    strays = ((-1, 0), (v, 1), (2, v + 3), (2, v + 3))
+    yield replace(sol, factors=tuple(factors), one_factor=OneFactor((*edges[1:], edge, *strays)))
+
+
+@pytest.mark.parametrize("name", DENSE)
+def test_dense_edits_that_change_the_listed_count_agree_with_the_oracle(name, monkeypatch):
+    sol = DENSE[name]()
+    space = complete_graph(sol.v)
+    drawn = []
+    bitmap = EdgeSpace.bitmap
+    monkeypatch.setattr(EdgeSpace, "bitmap", lambda space: drawn.append(space.kind) or bitmap(space))
+    edits = list(_count_changing_edits(sol, random.Random(name)))
+    for edited in edits:
+        assert _listed_edges(edited) != space.edge_count()
+        _agree_solution(edited)
+    assert len(drawn) == sum(_takes_bitmap(edited, space) for edited in edits) > 0
+
+
+def test_equipartite_edits_that_change_the_listed_count_agree_with_the_oracle():
+    for a in (3, 5, 7):
+        space = equipartite_graph(a, 3)
+        factors = _latin_triangles_of(a)
+        f = factors[0]
+        rewired = [two_factor([(0, 1, 2 * a), *f.cycles[1:]], 3 * a, 3), *factors[1:]]  # 0-1 lies in a part
+        dropped = [TwoFactor(f.cycles[1:], 3 * a, 3), *factors[1:]]
+        edge = f.cycles[0][:2]
+        matchings = [
+            None,
+            one_factor([(0, 1)]),
+            OneFactor(((0, 1), (0, 1))),
+            OneFactor((edge,)),
+            OneFactor((edge, edge[::-1])),
+        ]
+        for candidate in (factors, rewired, dropped, factors[1:]):
+            for matching in matchings:
+                sol = Solution(v=3 * a, factors=tuple(candidate), one_factor=matching)
+                _agree_cover(candidate, space, matching)
+                for lengths in ([3] * a, [3] * len(candidate)):
+                    assert certifies(sol, space, lengths) == _oracle_certifies(sol, space, lengths)
+
+
+# ============================================================
+# seeded random documents
+# ============================================================
+
+
+def _random_split(rng, v):
+    """The vertices 0..v-1 in random order, cut into cycles of three or more."""
+    rest, cycles = rng.sample(range(v), v), []
+    while rest:
+        k = rng.randint(3, len(rest))
+        k = len(rest) if len(rest) - k < 3 else k
+        cycles.append(rest[:k])
+        rest = rest[k:]
+    return cycles
+
+
+def _random_document(rng):
+    """A document for K_v, 5 <= v <= 13: Walecki's factors or random cycle
+    splits, maybe one factor too many or too few, vertices replaced by
+    out-of-range ones or by vertices of other cycles, and a matching with
+    pairs reversed, added or dropped.  No edit makes a loop."""
+    v = rng.randint(5, 13)
+    matching = []
+    if rng.random() < 0.5:
+        if v % 2:
+            factors = walecki(v)
+        else:
+            factors, leftover = walecki_even(v)
+            matching = list(leftover.edges)
+        factors = [[list(cyc) for cyc in f.cycles] for f in factors]
+    else:
+        factors = [_random_split(rng, v) for _ in range((v - 1) // 2)]
+        if v % 2 == 0:
+            perm = rng.sample(range(v), v)
+            matching = list(zip(perm[::2], perm[1::2]))
+    roll = rng.random()
+    if roll < 0.1:
+        factors.pop(rng.randrange(len(factors)))
+    elif roll < 0.2:
+        factors.append(_random_split(rng, v))
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        if factors:
+            cyc = rng.choice(rng.choice(factors))
+            i = rng.randrange(len(cyc))
+            u = rng.choice((-2, -1, v, v + 3, *range(v)))
+            if u not in (cyc[i - 1], cyc[(i + 1) % len(cyc)]):
+                cyc[i] = u
+    if matching or rng.random() < 0.1:
+        for _ in range(rng.choice((0, 1, 2))):
+            op = rng.randrange(3)
+            if op == 0 and matching:
+                k = rng.randrange(len(matching))
+                matching[k] = matching[k][::-1]
+            elif op == 1:
+                u, w = rng.sample((-1, v, *range(v)), 2)
+                matching.append((u, w))
+            elif matching:
+                matching.pop(rng.randrange(len(matching)))
+        one = OneFactor(tuple(matching))
+    else:
+        one = None
+    lengths = [rng.choice((None, len(cycles[0]))) for cycles in factors]
+    m = rng.choice((None, 3, 5, v))
+    r, s = rng.choice(((None, None), (0, len(factors)), (1, None), (None, len(factors) - 1)))
+    return Solution(
+        v=v,
+        factors=tuple(TwoFactor(tuple(map(tuple, cycles)), v, k) for cycles, k in zip(factors, lengths)),
+        m=m,
+        r=r,
+        s=s,
+        one_factor=one,
+    )
+
+
+def test_seeded_random_documents_agree_with_the_oracle():
+    rng = random.Random(1312)
+    for _ in range(3000):
+        _agree_solution(_random_document(rng))
 
 
 def test_hostile_documents_agree_with_the_oracle():
