@@ -231,7 +231,7 @@ def test_09_truth_table_up_to_v120():
     }
     assert plan(12, 3, 4, 1).route == "external"
     # the bytes of every constructive build above, in table order
-    assert artifacts.hexdigest() == "a2196a70442a2e48bc8fc5ecc9930736c7a775144902e7b4a4763ecf7e00027b"
+    assert artifacts.hexdigest() == "9c9587d72a4b36c95a461a943682adcfb8af65e4f4244a6af5698adb0b3fbbb9"
 
 
 # ============================================================

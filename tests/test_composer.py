@@ -135,10 +135,14 @@ def test_inner_blowup_routing():
     p = plan(96, 3, 19, 28)
     assert p.route == "inner_blowup"
     assert p.ingredients == (Ingredient("recursive", (24, 3, 4, 7), "builtin"),)
-    # an inner build is no more available than what its own plan needs
+    # an inner build is no more available than what its own plan needs:
+    # builtin over the (14, 7) starter, searchable over the searched (10, 5)
     p = plan(224, 7, 20, 91)
     assert p.route == "inner_blowup"
-    assert p.ingredients == (Ingredient("recursive", (56, 7, 3, 24), "searchable"),)
+    assert p.ingredients == (Ingredient("recursive", (56, 7, 3, 24), "builtin"),)
+    p = plan(160, 5, 15, 64)
+    assert p.route == "inner_blowup"
+    assert p.ingredients == (Ingredient("recursive", (40, 5, 3, 16), "searchable"),)
 
 
 def test_single_c4_factor_at_even_t_needs_an_equipartite_import():
@@ -164,6 +168,8 @@ def test_two_c4_factors_at_t_two_is_structurally_unsupported():
 def test_availability_ladder():
     assert outer_availability(3, 3) == ("builtin", None)
     assert outer_availability(9, 3) == ("searchable", None)
+    assert outer_availability(15, 5) == ("builtin", None)
+    assert outer_availability(14, 7) == ("builtin", None)
     assert outer_availability(6, 3) == ("nonexistent", None)
     assert outer_availability(21, 3) == ("unavailable", None)
     # the planner reads the same ladder

@@ -1,10 +1,13 @@
-"""Outer factorizations: Hamilton decompositions, the K_4 - I and K44
-pieces, and the resolution ladder (builtin, imported document, bounded
+"""Outer factorizations: Hamilton decompositions, starters, the K_4 - I and
+K44 pieces, and the resolution ladder (builtin, imported document, bounded
 search, honest miss).
 """
 
 import pytest
+import reference_verifier as oracle
+from reference_starters import find_starter
 
+from hwp4m import search
 from hwp4m.composer import build, plan
 from hwp4m.model import (
     Solution,
@@ -16,7 +19,9 @@ from hwp4m.outer import (
     K44,
     NONEXISTENT_OUTERS,
     SEARCHABLE_OUTERS,
+    STARTERS,
     Unavailable,
+    develop,
     hamilton_decomposition,
     outer_availability,
     outer_cm_factorization,
@@ -56,6 +61,67 @@ def test_hamilton_decomposition_is_a_verified_outer_solution(n):
     assert (sol.one_factor is None) == (n % 2 == 1)
     rep = verify_solution(sol)
     assert rep.ok, rep.summary()
+
+
+# ============================================================
+# starters
+# ============================================================
+
+
+@pytest.mark.parametrize("n, m", sorted(STARTERS))
+def test_every_starter_is_rederived_and_develops_into_a_factorization(n, m):
+    # the starter search meets each literal first, and its development
+    # passes the reference verifier
+    assert find_starter(n, m) == STARTERS[n, m]
+    sol = develop(STARTERS[n, m], n, m)
+    assert len(sol.factors) == (n - 1) // 2
+    assert all(f.cycle_length == m for f in sol.factors)
+    rep = oracle.verify_solution(sol)
+    assert rep.ok, rep.summary()
+
+
+def test_the_searched_10_5_has_no_2_pyramidal_starter():
+    assert find_starter(10, 5) is None
+
+
+def test_14_7_starter_removes_difference_3_and_the_infinities():
+    matching = develop(STARTERS[14, 7], 14, 7).one_factor
+    assert matching.edges == ((0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11), (12, 13))
+
+
+@pytest.mark.parametrize("n, m", sorted(STARTERS))
+def test_a_starter_is_proven_on_every_use(n, m, certify_calls):
+    for _ in range(2):
+        out = outer_cm_factorization(n, m)
+        assert isinstance(out, Solution)
+        assert out == develop(STARTERS[n, m], n, m)
+    space = search.cm_factorization_instance(n, m).space
+    assert [call[1] for call in certify_calls] == [space, space]
+
+
+@pytest.mark.parametrize("request_", [(56, 7, 3, 24), (60, 5, 5, 24)])
+def test_cold_builds_over_starters_run_no_search(request_, tmp_path, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    search.clear_memo()
+    monkeypatch.setattr(search, "solve", no_search)
+    sol = build(*request_, cache_dir=tmp_path, time_limit=0.0)
+    rep = verify_solution(sol)
+    assert rep.ok, rep.summary()
+    assert (rep.r_found, rep.s_found) == request_[2:]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n, m", sorted(STARTERS))
+def test_a_broken_starter_raises_and_writes_nothing(n, m, tmp_path, monkeypatch):
+    # one vertex of the first cycle changed to another of the same factor
+    first, *rest = STARTERS[n, m]
+    broken = (first[:-1] + (rest[0][0],), *rest)
+    monkeypatch.setitem(STARTERS, (n, m), broken)
+    with pytest.raises(RuntimeError, match="does not develop"):
+        outer_cm_factorization(n, m, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ============================================================
