@@ -135,7 +135,7 @@ def _cmd_ingredient(args) -> int:
         if args.params:
             raise _CliError("--params takes no values for type kts9")
         outcome = search.solve_cached(
-            search.kts9_instance(), cache_dir=args.cache, time_limit=args.time_limit
+            search.cm_factorization_instance(9, 3), cache_dir=args.cache, time_limit=args.time_limit
         )
         if outcome.status != "found":
             print(f"ingredient unavailable: kts9 search: {outcome.status}", file=sys.stderr)

@@ -27,9 +27,8 @@ Encoding is deterministic: same object, same bytes.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import eq, itemgetter, lt
 
@@ -130,13 +129,13 @@ class EdgeSpace:
     """Ambient edge set of a named graph family, defined once: a kind's
     membership test (``multiplicity``), edge count and sorted edge walks
     (``edges`` as pairs, ``edge_codes`` as the integers u * n + w) all
-    live here, and the verifier reads them from here.  Only explicit
-    spaces list their edges; the others are closed forms.  A complete or
-    equipartite space also gives its n * n membership ``bitmap``, built
-    row by row, against which the verifier accepts a tiling with one byte
-    compare and explains a rejection.  The verifier accepts a tiling of
-    any other space by comparing its sorted codes with ``edge_codes``, and
-    tests membership only to explain a rejection.
+    live here, and the verifier reads them from here.  Every kind is a
+    simple graph given by a closed form, and none lists its edges.  A
+    complete or equipartite space also gives its n * n membership
+    ``bitmap``, built row by row, against which the verifier accepts a
+    tiling with one byte compare and explains a rejection.  The verifier
+    accepts a tiling of any other space by comparing its sorted codes with
+    ``edge_codes``, and tests membership only to explain a rejection.
 
     kinds:
       complete(v)        K_v
@@ -144,16 +143,14 @@ class EdgeSpace:
       switch(m)          (C_m[4] - I) + m*K_4 with the standard removed
                          matching I = {(0,i)(2,i+1)} u {(3,i)(1,i+1)}
       equipartite(a, b)  complete equipartite K_{a:b}, b parts of size a
-      explicit(n, edges) literal edge list (used for imports and tests)
     """
 
     kind: str
     params: tuple = ()
-    _edges: tuple[Edge, ...] = field(default=(), repr=False)
 
     @property
     def vertex_count(self) -> int:
-        if self.kind in ("complete", "explicit"):
+        if self.kind == "complete":
             return self.params[0]
         if self.kind in ("blowup4", "switch"):
             return 4 * self.params[0]
@@ -173,8 +170,6 @@ class EdgeSpace:
         if self.kind == "equipartite":
             a, b = self.params
             return a * a * b * (b - 1) // 2
-        if self.kind == "explicit":
-            return len(self._edges)
         raise ValueError(f"unknown edge space kind {self.kind!r}")
 
     def defect(self) -> str | None:
@@ -186,10 +181,8 @@ class EdgeSpace:
 
     def multiplicity(self):
         """The membership test of this space: a function from a pair (u, w)
-        to the number of times the space holds that edge.  Complete,
-        equipartite, blow-up and switch spaces answer from closed forms;
-        an explicit space counts its literal edge multiset.  Answers are
-        ints, not bools: the verifier's per-edge compares stay fast."""
+        to the number of times the space holds that edge, answered from its
+        closed form: 0 or 1, since every space is a simple graph."""
         n = self.vertex_count
         if self.kind in ("complete", "equipartite"):
             a = self.params[0] if self.kind == "equipartite" else 1
@@ -219,13 +212,11 @@ class EdgeSpace:
                 return 0
 
             return multiplicity
-        if self.kind == "explicit":
-            return Counter(self._edges).__getitem__
         raise ValueError(f"unknown edge space kind {self.kind!r}")
 
     def edge_codes(self) -> Iterator[int]:
         """The edges (u, w) as codes u * n + w, n the vertex count, in sorted
-        order and lazily; an explicit space repeats a doubled edge."""
+        order and lazily."""
         n = self.vertex_count
         if self.kind in ("complete", "equipartite"):
             a = self.params[0] if self.kind == "equipartite" else 1
@@ -246,12 +237,10 @@ class EdgeSpace:
 
     def edges(self) -> Iterator[Edge]:
         """The edges in sorted order, generated lazily over only the pairs
-        that can be edges; an explicit space repeats a doubled edge."""
+        that can be edges."""
         n = self.vertex_count
         if self.kind in ("complete", "equipartite"):
             return map(divmod, self.edge_codes(), repeat(n))
-        if self.kind == "explicit":
-            return iter(self._edges)
         member = self.multiplicity()
         m = self.params[0]
 
@@ -299,13 +288,6 @@ def switch_graph(m: int) -> EdgeSpace:
 
 def equipartite_graph(a: int, b: int) -> EdgeSpace:
     return EdgeSpace("equipartite", (a, b))
-
-def explicit_graph(n: int, edges) -> EdgeSpace:
-    norm = tuple(sorted(normalize_edge(u, v) for u, v in edges))
-    # an edge code u * n + w names a real edge only for 0 <= u < w < n
-    if norm and (norm[0][0] < 0 or max(w for _, w in norm) >= n):
-        raise ValueError(f"explicit edge outside 0..{n - 1}")
-    return EdgeSpace("explicit", (n,), _edges=norm)
 
 
 # ============================================================

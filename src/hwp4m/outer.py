@@ -63,17 +63,19 @@ STARTERS = {
     (14, 7): ((0, 1, 3, 6, 2, 7, 8), (4, 10, 12, 5, 13, 9, 11)),
 }
 
+# The outers without a builtin that the ladder knows.  Searchable: the
 # Cm-factorizations of K_n (or K_n - I) that bounded search can supply.
 # Kept deliberately small: an entry here promises the acceptance suite a
 # result within seconds, measured: (9,3) takes 45 nodes and (10,5) 556;
 # (15,3), (18,3) and (21,3) blow past 30 s and stay out.  (10,5) has no
 # 2-pyramidal starter, and (9,3) stays searched for the import, cache and
-# CLI tests that rest on it.
-SEARCHABLE_OUTERS = frozenset({(9, 3), (10, 5)})
-
-# No C3-factorization of K_6 - I or K_12 - I exists; the planner treats
-# recipes needing one as dead ends rather than searching forever.
-NONEXISTENT_OUTERS = frozenset({(6, 3), (12, 3)})
+# CLI tests that rest on it.  Nonexistent: no C3-factorization of K_6 - I
+# or K_12 - I exists; the planner treats recipes needing one as dead ends
+# rather than searching forever.
+OUTER_LADDER = {
+    (9, 3): "searchable", (10, 5): "searchable",
+    (6, 3): "nonexistent", (12, 3): "nonexistent",
+}
 
 
 # ============================================================
@@ -208,7 +210,7 @@ def outer_availability(n: int, m: int, imports: tuple[Solution, ...] = ()):
 
     builtin when n = m (Hamilton decomposition) or (n, m) has a starter;
     then import, when one of ``imports`` proves itself against the search
-    instance of (n, m); then nonexistent or searchable by the whitelists;
+    instance of (n, m); then nonexistent or searchable by OUTER_LADDER;
     else unavailable.  Runs no search."""
     if n == m or (n, m) in STARTERS:
         return "builtin", None
@@ -216,11 +218,7 @@ def outer_availability(n: int, m: int, imports: tuple[Solution, ...] = ()):
         sol = search.first_proven(search.cm_factorization_instance(n, m), imports)
         if sol is not None:
             return "import", Solution(v=n, factors=sol.factors, m=m, one_factor=sol.one_factor)
-    if (n, m) in NONEXISTENT_OUTERS:
-        return "nonexistent", None
-    if (n, m) in SEARCHABLE_OUTERS:
-        return "searchable", None
-    return "unavailable", None
+    return OUTER_LADDER.get((n, m), "unavailable"), None
 
 
 def outer_cm_factorization(n: int, m: int, cache_dir=None, time_limit: float | None = None):

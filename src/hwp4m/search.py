@@ -81,9 +81,6 @@ class SearchInstance:
             "specs": [list(sp) for sp in self.factor_specs],
             "canonical_first": self.canonical_first,
         }
-        if self.space.kind == "explicit":
-            edge_blob = json.dumps(sorted(self.space.edges())).encode()
-            doc["edges_sha"] = hashlib.sha256(edge_blob).hexdigest()
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -297,10 +294,6 @@ def cm_factorization_instance(n: int, m: int) -> SearchInstance:
         factor_specs=((m, count),),
         canonical_first=True,
     )
-
-
-def kts9_instance() -> SearchInstance:
-    return cm_factorization_instance(9, 3)
 
 
 def equipartite_instance(a: int, b: int, length: int) -> SearchInstance:

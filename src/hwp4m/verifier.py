@@ -34,14 +34,14 @@ in-range codes than set bytes means that some code repeats.  The repeats
 are collected as the codes are written when the document lists more edges
 than the ambient holds, otherwise by deriving the codes once more into a
 fresh bitmap; those inside the ambient are duplicated edges.  Every other
-case (a sparse block ambient, an explicit one, a dense document too small
-for its bitmap) sorts the codes, accepts by one element-wise compare with
-the ambient's sorted code walk, and explains a rejection by one membership
-test per distinct code.  The ambient's edge count, bitmap, code walk and
-membership test all come from ``model.EdgeSpace``; the verifier keeps no
-copy of them.  The walk for missing-edge examples stops after
-``_EXAMPLE_CAP`` misses, and missing vertices are found by a gap walk over
-the covered ones.
+case (a sparse block ambient, a dense document too small for its bitmap)
+sorts the codes, accepts by one element-wise compare with the ambient's
+sorted code walk, and explains a rejection by one membership test per
+distinct code: every ambient is a simple graph, so a code is foreign or
+hits one edge.  The ambient's edge count, bitmap, code walk and membership
+test all come from ``model.EdgeSpace``; the verifier keeps no copy of them.
+The walk for missing-edge examples stops after ``_EXAMPLE_CAP`` misses, and
+missing vertices are found by a gap walk over the covered ones.
 
 A report carries a list of violations, each tagged with a stable code:
 
@@ -292,7 +292,7 @@ def _bitmap_faults(parts, listed: int, strays: list, factors, matching, space: E
 
 def _edge_faults(codes: list[int], strays: list, space: EdgeSpace) -> list[Violation]:
     """The listed edges, ``codes`` plus the out-of-range ``strays``, must
-    equal the ambient edge multiset.  One sorted compare accepts them; one
+    equal the ambient edge set.  One sorted compare accepts them; one
     membership test per distinct code explains a rejection."""
     codes.sort()
     total = space.edge_count()
@@ -302,26 +302,18 @@ def _edge_faults(codes: list[int], strays: list, space: EdgeSpace) -> list[Viola
     n = space.vertex_count
     listed = Counter(codes)
     multiplicity = space.multiplicity()
-    hit = 0
     duplicated, foreign_codes = [], []
     for code, k in listed.items():
-        want = multiplicity(divmod(code, n))
-        if not want:
+        if not multiplicity(divmod(code, n)):
             foreign_codes.append(code)
-            continue
-        if k >= want:
-            hit += want
-        if k > want:
+        elif k > 1:
             duplicated.append(code)
 
     out: list[Violation] = []
-    if hit < total:
-        if space.kind == "explicit":  # a doubled edge covered once is missing
-            missing = Counter(space.edge_codes()) - listed
-        else:
-            missing = filterfalse(listed.__contains__, space.edge_codes())
+    if missed := total - len(listed) + len(foreign_codes):  # each non-foreign code hits one edge
+        missing = filterfalse(listed.__contains__, space.edge_codes())
         quoted = [divmod(code, n) for code in islice(missing, _EXAMPLE_CAP)]
-        out.append(Violation("EdgeMissing", _fmt_edges(quoted, total - hit)))
+        out.append(Violation("EdgeMissing", _fmt_edges(quoted, missed)))
     if duplicated:
         quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
         out.append(Violation("EdgeDuplicated", _fmt_edges(quoted, len(duplicated))))
@@ -416,7 +408,7 @@ def verify_solution(sol: Solution) -> Report:
 def verify_block(sol: Solution, space: EdgeSpace | None = None) -> Report:
     """Check a factor list against its ambient graph.
 
-    Without an explicit ``space`` the ambient is inferred from the document:
+    Without a given ``space`` the ambient is inferred from the document:
     a removed 1-factor means the switch graph on v/4 parts, otherwise the
     4-fold blow-up C_{v/4}[4].  The removed 1-factor of a switch block must be
     the standard one, a perfect matching inside the blow-up (that is what the

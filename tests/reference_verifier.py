@@ -84,8 +84,6 @@ def listed_edges(space: EdgeSpace) -> list[Edge]:
             for u, v in combinations(range(a * b), 2)
             if u // a != v // a
         ]
-    if space.kind == "explicit":
-        return list(space._edges)
     raise ValueError(f"unknown edge space kind {space.kind!r}")
 
 

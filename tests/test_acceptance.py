@@ -29,7 +29,7 @@ from hwp4m.model import (
     one_factor,
     two_factor,
 )
-from hwp4m.search import clear_memo, kts9_instance, solve_cached
+from hwp4m.search import clear_memo, cm_factorization_instance, solve_cached
 from hwp4m.verifier import verify_block, verify_solution
 
 # ============================================================
@@ -308,7 +308,7 @@ def _artifact_run(cache_dir) -> dict[str, bytes]:
         ("block-switch", switch_block(5)),
     ):
         arts[name] = encode_solution(doc)
-    kts = solve_cached(kts9_instance(), cache_dir=cache_dir)
+    kts = solve_cached(cm_factorization_instance(9, 3), cache_dir=cache_dir)
     arts["kts9"] = encode_solution(Solution(v=9, factors=kts.factors))
     arts["build-12"] = encode_solution(build(12, 3, 1, 4, cache_dir=cache_dir))
     arts["k24"] = encode_solution(k24_solution())

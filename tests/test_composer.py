@@ -30,7 +30,7 @@ from hwp4m.composer import (
 from hwp4m.k24 import k24_solution
 from hwp4m.model import Solution, encode_solution
 from hwp4m.outer import outer_availability
-from hwp4m.search import clear_memo, equipartite_instance, kts9_instance, solve_cached
+from hwp4m.search import clear_memo, cm_factorization_instance, equipartite_instance, solve_cached
 from hwp4m.verifier import verify_solution
 
 # ============================================================
@@ -246,7 +246,7 @@ def test_build_reports_missing_searched_outer_honestly(tmp_path):
 
 
 def _kts9_doc(cache_dir):
-    outcome = solve_cached(kts9_instance(), cache_dir=cache_dir)
+    outcome = solve_cached(cm_factorization_instance(9, 3), cache_dir=cache_dir)
     return Solution(v=9, factors=outcome.factors, m=3, r=0, s=4)
 
 

@@ -14,6 +14,7 @@ from reference_verifier import listed_edges
 
 from hwp4m.model import (
     DecodeError,
+    EdgeSpace,
     Solution,
     canonicalize_cycle,
     complete_graph,
@@ -22,7 +23,6 @@ from hwp4m.model import (
     decode_solution,
     encode_solution,
     equipartite_graph,
-    explicit_graph,
     normalize_edge,
     one_factor,
     solution_to_doc,
@@ -113,15 +113,12 @@ def test_equipartite_graph_excludes_within_part_pairs():
     assert equipartite_graph(4, 2).edge_count() == 16
 
 
-def test_explicit_graph_keeps_given_edges():
-    g = explicit_graph(4, [(3, 1), (0, 2)])
-    assert g.vertex_count == 4
-    assert list(g.edges()) == [(0, 2), (1, 3)]
-    assert len(g.adjacency()[2]) == 1
-    # at n = 3 the code of (0, 5) would be that of (1, 2)
-    for bad in ([(0, 5)], [(-1, 2)]):
-        with pytest.raises(ValueError, match="outside"):
-            explicit_graph(3, bad)
+def test_only_the_named_kinds_are_spaces():
+    # every space is a closed-form simple graph; a literal edge list is none
+    space = EdgeSpace("explicit", (4,))
+    for ask in (lambda: space.vertex_count, space.edge_count, space.multiplicity):
+        with pytest.raises(ValueError, match="unknown edge space kind"):
+            ask()
 
 
 def _listable_spaces():
@@ -130,7 +127,6 @@ def _listable_spaces():
     for m in range(3, 10):
         yield cycle_blowup4(m)
         yield switch_graph(m)
-    yield explicit_graph(5, [(0, 1), (3, 4), (1, 2), (1, 0), (2, 4)])
 
 
 def test_closed_forms_agree_with_the_listed_edges():

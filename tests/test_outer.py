@@ -12,13 +12,12 @@ from hwp4m.composer import build, plan
 from hwp4m.model import (
     Solution,
     complete_graph,
-    explicit_graph,
+    equipartite_graph,
 )
 from hwp4m.outer import (
     K4_MINUS_I,
     K44,
-    NONEXISTENT_OUTERS,
-    SEARCHABLE_OUTERS,
+    OUTER_LADDER,
     STARTERS,
     Unavailable,
     develop,
@@ -133,11 +132,7 @@ def test_k44_pair_tiles_one_complete_bipartite_block():
     # the K44 piece: two C4-factors on the 8 vertices of parts 0..3 and 4..7
     assert K44.v == 8 and K44.one_factor is None
     assert [f.cycle_length for f in K44.factors] == [4, 4]
-    edges = [
-        (a, b) for a in (0, 1, 2, 3) for b in (4, 5, 6, 7)
-    ]
-    space = explicit_graph(8, edges)
-    rep = verify_factors_cover(K44.factors, space)
+    rep = verify_factors_cover(K44.factors, equipartite_graph(4, 2))
     assert rep.ok, rep.summary()
 
 
@@ -177,7 +172,7 @@ def test_builtin_when_the_outer_is_a_single_cycle_length():
 
 
 def test_search_supplies_the_whitelisted_outers(tmp_path):
-    assert (9, 3) in SEARCHABLE_OUTERS
+    assert OUTER_LADDER[9, 3] == OUTER_LADDER[10, 5] == "searchable"
     out = outer_cm_factorization(9, 3, cache_dir=tmp_path)
     assert isinstance(out, Solution)
     assert (out.v, out.m, out.one_factor) == (9, 3, None)
@@ -201,7 +196,7 @@ def test_search_timeout_is_reported_not_swallowed(tmp_path):
 
 
 def test_known_nonexistent_outers_short_circuit():
-    assert (6, 3) in NONEXISTENT_OUTERS and (12, 3) in NONEXISTENT_OUTERS
+    assert OUTER_LADDER[6, 3] == OUTER_LADDER[12, 3] == "nonexistent"
     out = outer_cm_factorization(6, 3)
     assert isinstance(out, Unavailable)
     assert out.reason == "nonexistent"

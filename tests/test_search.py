@@ -1,7 +1,7 @@
 """Bounded backtracking over factor slots: budgets, outcomes, and caching.
 
-The engine fills cycle slots one factor at a time over an explicit ambient
-edge set, re-verifies anything it claims to have found, and caches only
+The engine fills cycle slots one factor at a time over a named ambient
+edge space, re-verifies anything it claims to have found, and caches only
 Found results (a longer time limit could upgrade unsat-reported-as-timeout,
 so negative outcomes are never persisted).
 """
@@ -20,7 +20,6 @@ from hwp4m.search import (
     clear_memo,
     cm_factorization_instance,
     equipartite_instance,
-    kts9_instance,
     solve,
     solve_cached,
 )
@@ -32,7 +31,7 @@ from hwp4m.verifier import verify_factors_cover
 
 
 def test_budget_distinguishes_exact_cover_from_leftover_matching():
-    assert check_budget(kts9_instance()) is False
+    assert check_budget(cm_factorization_instance(9, 3)) is False
     assert check_budget(cm_factorization_instance(10, 5)) is True
 
 
@@ -51,7 +50,7 @@ def test_budget_rejects_malformed_instances():
 
 
 def test_triangle_system_on_nine_points_is_found():
-    outcome = solve(kts9_instance())
+    outcome = solve(cm_factorization_instance(9, 3))
     assert outcome.status == "found"
     assert outcome.matching is None
     rep = verify_factors_cover(outcome.factors, complete_graph(9))
@@ -79,14 +78,14 @@ def test_blowup_split_search_agrees_with_the_exhaustive_check():
 
 
 def test_expired_limit_means_no_search_at_all():
-    outcome = solve(kts9_instance(), time_limit=0.0)
+    outcome = solve(cm_factorization_instance(9, 3), time_limit=0.0)
     assert outcome.status == "timeout"
     assert outcome.nodes == 0
 
 
 def test_search_is_deterministic():
-    a = solve(kts9_instance())
-    b = solve(kts9_instance())
+    a = solve(cm_factorization_instance(9, 3))
+    b = solve(cm_factorization_instance(9, 3))
     assert a.factors == b.factors
     assert a.nodes == b.nodes
 
@@ -117,7 +116,7 @@ def test_equipartite_instance_rejects_odd_degree():
 
 def test_disk_cache_round_trips_found_results(tmp_path):
     clear_memo()
-    first = solve_cached(kts9_instance(), cache_dir=tmp_path)
+    first = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path)
     assert first.status == "found"
     cached_files = list(tmp_path.iterdir())
     assert len(cached_files) == 1
@@ -125,26 +124,26 @@ def test_disk_cache_round_trips_found_results(tmp_path):
     # a fresh process would have an empty memo; the expired limit proves the
     # result now comes from disk, not from a rerun of the search
     clear_memo()
-    second = solve_cached(kts9_instance(), cache_dir=tmp_path, time_limit=0.0)
+    second = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path, time_limit=0.0)
     assert second.status == "found"
     assert second.factors == first.factors
 
 
 def test_memo_hit_still_fills_a_second_cache_directory(tmp_path):
     clear_memo()
-    first = solve_cached(kts9_instance(), cache_dir=tmp_path / "a")
-    second = solve_cached(kts9_instance(), cache_dir=tmp_path / "b")
+    first = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path / "a")
+    second = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path / "b")
     assert second.factors == first.factors
     assert len(list((tmp_path / "b").iterdir())) == 1
 
 
 def test_corrupted_cache_is_ignored_and_recomputed(tmp_path):
     clear_memo()
-    first = solve_cached(kts9_instance(), cache_dir=tmp_path)
+    first = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path)
     path = next(tmp_path.iterdir())
     path.write_bytes(b"{ not json")
     clear_memo()
-    again = solve_cached(kts9_instance(), cache_dir=tmp_path)
+    again = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path)
     assert again.status == "found"
     assert again.factors == first.factors
 
@@ -153,12 +152,26 @@ def test_cache_write_does_not_collide_with_a_leftover_temporary(tmp_path):
     # whatever sits at path + ".tmp" (here a directory, which cannot be
     # opened for writing) belongs to another writer and must not block this one
     clear_memo()
-    path = _cache_path(kts9_instance(), str(tmp_path))
+    path = _cache_path(cm_factorization_instance(9, 3), str(tmp_path))
     os.mkdir(path + ".tmp")
-    assert solve_cached(kts9_instance(), cache_dir=tmp_path).status == "found"
+    assert solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path).status == "found"
     assert sorted(os.listdir(tmp_path)) == sorted([os.path.basename(path), os.path.basename(path) + ".tmp"])
     clear_memo()
-    assert solve_cached(kts9_instance(), cache_dir=tmp_path, time_limit=0.0).status == "found"
+    again = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path, time_limit=0.0)
+    assert again.status == "found"
+
+
+def test_cache_files_keep_their_names():
+    # a cache directory filled by an earlier release is still found: each
+    # name carries a hash of the instance key, which must not drift
+    names = {
+        cm_factorization_instance(9, 3): "cmfact-n9-m3-311b409c5defcfbe.json",
+        cm_factorization_instance(10, 5): "cmfact-n10-m5-f69fda34e6214300.json",
+        equipartite_instance(4, 3, 3): "equi-a4-b3-c3-02c87665f8ad978a.json",
+        c4_cm3_split_instance(3): "blowup-split-m3-c139a7042da9d601.json",
+    }
+    for instance, name in names.items():
+        assert _cache_path(instance, "D") == os.path.join("D", name)
 
 
 def test_timeouts_are_never_cached(tmp_path):

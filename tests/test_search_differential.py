@@ -17,7 +17,6 @@ from hwp4m.search import (
     c4_cm3_split_instance,
     cm_factorization_instance,
     equipartite_instance,
-    kts9_instance,
     solve,
 )
 
@@ -37,7 +36,7 @@ def _agree(instance):
 @pytest.mark.parametrize(
     "instance, status",
     [
-        (kts9_instance(), "found"),
+        (cm_factorization_instance(9, 3), "found"),
         (cm_factorization_instance(10, 5), "found"),
         (MIXED_SPECS, "found"),
         (c4_cm3_split_instance(3), "unsat"),
@@ -51,7 +50,7 @@ def test_engine_matches_the_oracle(instance, status):
 
 
 def test_engine_matches_the_oracle_without_the_symmetry_cut():
-    inst = kts9_instance()
+    inst = cm_factorization_instance(9, 3)
     _agree(SearchInstance("kts9-uncut", inst.space, inst.factor_specs))
 
 
