@@ -108,7 +108,7 @@ def gf4_base_layers(m: int) -> list[int]:
     return layers
 
 
-def cm_block(m: int, adjust: bool = True) -> Solution:
+def cm_block(m: int) -> Solution:
     """Four Cm-factors of C_m[4].
 
     One factor is the base cycle scaled by each of 1, x, x2, 0 (scaling by 0
@@ -116,13 +116,10 @@ def cm_block(m: int, adjust: bool = True) -> Solution:
     every part).  The four factors are its additive translates by 0, 1, x,
     x2.  Distinct consecutive layers in the base cycle make the sixteen
     edges between adjacent parts split exactly across scale and translate.
-
-    ``adjust=False`` skips the wrap-around bend; for m = 1 (mod 3) the
-    result is deliberately broken (tests pin that the bend is needed).
     """
     if m < 3:
         raise ValueError("block needs m >= 3")
-    base = gf4_base_layers(m) if adjust else [gf4_pow_x(i) for i in range(m)]
+    base = gf4_base_layers(m)
     v = 4 * m
     factors = []
     for beta in (ZERO, ONE, X, X2):

@@ -55,10 +55,13 @@ routes, the c = 0 recipe when its outer is available (an import included),
 inner_blowup, and last the external plan of the c = 0 recipe.  The planner
 reads each ingredient's availability from one static ladder
 (``outer.outer_availability`` for outer factorizations, the inner plan's
-least available ingredient for a recursive one), and an import is proven
-once, against the ingredient's search instance, while planning; the plan
-carries it, and ``build_planned`` (which ``build`` and the CLI call after
-planning once) resolves every ingredient through ``_resolve``.
+least available ingredient for a recursive one).  ``_ingredient`` is the
+one place an import is proven: an outer or equipartite import, once,
+against the kind's search instance, while planning.  The plan carries the
+proven document as given, and ``build_planned`` (which ``build`` and the
+CLI call after planning once) resolves every ingredient through
+``_resolve`` and counts an outer's C4-factors from its cycles, never from
+its declared r.
 Every constructive build is verified in-process before it is returned.
 """
 
@@ -73,12 +76,12 @@ from .model import Solution, one_factor, two_factor
 from .outer import (
     K4_MINUS_I,
     K44,
-    Unavailable,
+    IngredientUnavailable,
     hamilton_decomposition,
     outer_availability,
     outer_cm_factorization,
 )
-from .search import equipartite_instance, first_proven
+from .search import cm_factorization_instance, equipartite_instance, first_proven
 from .verifier import verify_solution
 
 # ============================================================
@@ -152,10 +155,6 @@ class ExternalRequired(Exception):
     """A solution is known or possible, but not built by these recipes."""
 
 
-class IngredientUnavailable(Exception):
-    """A planned ingredient could not be produced (search timeout, no import)."""
-
-
 def _raise_for_status(p: Plan):
     if p.route == "infeasible":
         raise Infeasible(p.note)
@@ -219,22 +218,26 @@ def _solve_recipe(r: int, const: int, budget: int):
 # ============================================================
 
 def _ingredient(kind: str, params: tuple, imports) -> Ingredient:
-    if kind == "outer_cm":
-        availability, proven = outer_availability(*params, imports)
-    elif kind == "equipartite_cm":
-        proven = first_proven(equipartite_instance(*params), imports)
-        availability = "unavailable" if proven is None else "import"
-    elif kind == "recursive":
+    if kind == "recursive":
         # an inner build is as available as the least available ingredient
         # of its own plan, and unavailable when that plan is not constructive
-        inner, proven = plan(*params), None
+        inner = plan(*params)
         ladder = [i.availability for i in inner.ingredients]
         if inner.route not in CONSTRUCTIVE_ROUTES:
             ladder.append("unavailable")
-        availability = max(ladder, key=AVAILABILITY.index, default="builtin")
+        return Ingredient(kind, params, max(ladder, key=AVAILABILITY.index, default="builtin"))
+    if kind == "outer_cm":
+        availability, instance = outer_availability(*params), cm_factorization_instance
+    elif kind == "equipartite_cm":
+        availability, instance = "unavailable", equipartite_instance
     else:
         raise ValueError(f"unknown ingredient kind {kind!r}")
-    return Ingredient(kind, params, availability, proven)
+    # the one proof of an import: against the kind's search instance
+    if imports and availability != "builtin":
+        proven = first_proven(instance(*params), imports)
+        if proven is not None:
+            return Ingredient(kind, params, "import", proven)
+    return Ingredient(kind, params, availability)
 
 
 def _resolve(ing: Ingredient, cache_dir, time_limit) -> Solution:
@@ -245,12 +248,7 @@ def _resolve(ing: Ingredient, cache_dir, time_limit) -> Solution:
     if ing.kind == "recursive":
         return build(*ing.params, cache_dir=cache_dir, time_limit=time_limit)
     if ing.kind == "outer_cm":
-        outer = outer_cm_factorization(*ing.params, cache_dir=cache_dir, time_limit=time_limit)
-        if isinstance(outer, Unavailable):
-            raise IngredientUnavailable(
-                f"outer {ing.params} factorization: {outer.reason} ({outer.detail})"
-            )
-        return outer
+        return outer_cm_factorization(*ing.params, cache_dir=cache_dir, time_limit=time_limit)
     raise IngredientUnavailable(f"no imported {ing.kind}{ing.params} was provided")
 
 
@@ -501,7 +499,8 @@ def build_planned(v: int, m: int, r: int, s: int, p: Plan, cache_dir=None,
             kinds = ["c4"] * len(outer.factors)
         else:  # the recipe over the outer's own C4-factors, which come first
             (outer,) = got
-            kinds = ["c4"] * ((outer.r or 0) + p.r1) + ["mixed"] * p.x + ["cm"] * p.s1
+            c = sum(len(f.cycles[0]) == 4 for f in outer.factors)
+            kinds = ["c4"] * (c + p.r1) + ["mixed"] * p.x + ["cm"] * p.s1
             if r % 2 == 0:
                 kinds.append("switch")
         sol = _assemble(v, m, r, s, _blow_up(outer, kinds))

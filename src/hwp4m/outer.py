@@ -9,33 +9,29 @@ needs from this module:
   hamilton_decomposition(n)
                      either of the two as one Solution, with the leftover
                      matching of even n as its one-factor
-  STARTERS, develop(base, n, m), starter_factorization(n, m)
+  STARTERS, develop(base, n, m, fixed), starter_factorization(n, m)
                      one base Cm-factor per outer, developed under a cyclic
                      group into a Cm-factorization and proven on every use
   K4_MINUS_I         K_4 - I as a verified piece: one C4-factor and the
                      two edges it leaves as the removed matching
   K44                K_{4,4} between parts {0..3} and {4..7} as a verified
                      piece: two C4-factors on 8 vertices
-  outer_availability(n, m, imports)
+  outer_availability(n, m)
                      the one static ladder for a Cm-factorization of K_n
                      (odd n) or K_n - I (even n): builtin when n = m or a
-                     starter exists, an import that proves itself against
-                     the search instance, known nonexistent, searchable, or
+                     starter exists, known nonexistent, searchable, or
                      unavailable; the planner and outer_cm_factorization
-                     both read it
+                     both read it, and the planner proves imported ones
   outer_cm_factorization(n, m, ...)
                      that factorization as a Solution, resolved along the
-                     ladder (searching when it says searchable), or an
-                     honest Unavailable
+                     ladder (searching when it says searchable); raises
+                     IngredientUnavailable when it cannot be produced
 
-The Hamilton decompositions use the classical rotating zigzag: fix a hub
-vertex, run the path j, j+1, j-1, j+2, j-2, ... over the remaining ring
-Z_{n-1}, and close through the hub; rotating j sweeps each ring difference
-exactly once.  For even n the same zigzag leaves a perfect matching, which
-is computed by edge accounting and checked, not assumed.
+This module only builds; ``composer._ingredient`` proves imported outers.
 
-A starter is one Cm-factor whose translates tile the graph.  For odd n it
-is 1-rotational (Buratti and Rinaldi, J. Combin. Des. 16, 2008): the ring
+A starter is one Cm-factor whose translates tile the graph, and
+``develop`` is the one place that translates.  For odd n it is
+1-rotational (Buratti and Rinaldi, J. Combin. Des. 16, 2008): the ring
 Z_{n-1} plus a fixed infinity, the factor invariant under +(n-1)/2, and the
 translates by g < (n-1)/2 are the factors.  For even n it is 2-pyramidal
 (Buratti and Traetta, J. Combin. Des. 20, 2012): two copies of Z_h,
@@ -43,15 +39,22 @@ h = (n-2)/2, plus two fixed points, and the h translates are the factors;
 the edges none of them uses are the removed matching.  A literal that does
 not develop into a factorization raises; nothing unproven is returned.
 tests/reference_starters.py re-derives every literal by a starter search.
+
+The Hamilton decompositions are the classical rotating zigzag, itself a
+1-rotational starter of one cycle for either parity: the hub n - 1, then
+0, +1, -1, +2, -2, ... over the ring Z_{n-1}; rotating it sweeps each ring
+difference exactly once.  For even n the (n-2)/2 rotations leave a perfect
+matching, which is computed by edge accounting and checked, not assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 
 from . import search
-from .model import Edge, OneFactor, Solution, TwoFactor, one_factor, two_factor
+from .model import OneFactor, Solution, TwoFactor, one_factor, two_factor
+from .verifier import certifies
 
 # Base factors of the starter outers (see the module docstring).  (15, 5):
 # ring Z_14 and infinity 14, developed by x -> x + g mod 14 for g < 7.
@@ -79,33 +82,66 @@ OUTER_LADDER = {
 
 
 # ============================================================
+# starters: base factors developed under a cyclic group
+# ============================================================
+
+def develop(base, n: int, m: int, fixed: int) -> Solution:
+    """The translates of the base Cm-factor ``base`` as one Solution on n
+    vertices, unproven.  The group translates within blocks of h vertices
+    and fixes the ``fixed`` vertices above them: one block Z_{n-1} and one
+    fixed point (1-rotational starters, Walecki's zigzag), or two blocks
+    Z_h, h = (n-2)/2, and two fixed points (2-pyramidal starters).  The
+    (n-1)//2 translates g = 0, 1, ... are the factors; for even n the edges
+    none of them uses are the one-factor, checked to be a perfect matching."""
+    ring = n - fixed
+    h = ring // fixed
+    getters = [itemgetter(*c) for c in base]
+    factors = []
+    for g in range((n - 1) // 2):
+        image = []
+        for b in range(0, ring, h):
+            image += chain(range(b + g, b + h), range(b, b + g))
+        image += range(ring, n)
+        factors.append(two_factor([get(image) for get in getters], n, m))
+    if n % 2:
+        return Solution(v=n, factors=tuple(factors), m=m)
+    used = {
+        (u, w) if u < w else (w, u)
+        for f in factors for c in f.cycles for u, w in zip(c, c[1:] + c[:1])
+    }
+    leftover = [e for e in combinations(range(n), 2) if e not in used]
+    if len(leftover) != n // 2 or len({x for e in leftover for x in e}) != n:
+        raise RuntimeError(f"the base {base} does not develop: its leftover on {n} vertices "
+                           "is not a perfect matching")
+    return Solution(v=n, factors=tuple(factors), m=m, one_factor=one_factor(leftover))
+
+
+def starter_factorization(n: int, m: int) -> Solution:
+    """``STARTERS[(n, m)]`` developed and certified against the search
+    instance of (n, m), as imported documents and cache loads are; raises
+    when the literal does not develop into a Cm-factorization."""
+    developed = develop(STARTERS[n, m], n, m, 2 - n % 2)
+    instance = search.cm_factorization_instance(n, m)
+    if not certifies(developed, instance.space, instance.slots()):
+        raise RuntimeError(f"the ({n}, {m}) starter does not develop into a C{m}-factorization")
+    return developed
+
+
+# ============================================================
 # Hamilton decompositions of complete graphs
 # ============================================================
 
-def _zigzag_offsets(count: int) -> list[int]:
-    # 0, +1, -1, +2, -2, ... until ``count`` offsets exist
-    out = [0]
-    d = 1
-    while len(out) < count:
-        out.append(d)
-        if len(out) < count:
-            out.append(-d)
-        d += 1
-    return out
+def _zigzag(n: int) -> tuple[int, ...]:
+    # Walecki's base cycle: the hub n - 1, then 0, +1, -1, +2, -2, ... mod n - 1
+    ring = n - 1
+    return (ring, *(((k + 1) // 2 if k % 2 else -k // 2) % ring for k in range(ring)))
 
 
 def walecki(n: int) -> list[TwoFactor]:
     """Partition E(K_n), odd n, into (n-1)/2 Hamilton cycles (none for n = 1)."""
     if n < 1 or n % 2 == 0:
         raise ValueError("needs odd n >= 1")
-    ring = n - 1
-    hub = n - 1
-    offsets = _zigzag_offsets(ring)
-    factors = []
-    for j in range((n - 1) // 2):
-        path = [(j + off) % ring for off in offsets]
-        factors.append(two_factor([tuple([hub] + path)], n, cycle_length=n))
-    return factors
+    return list(develop([_zigzag(n)], n, n, 1).factors)
 
 
 def walecki_even(n: int) -> tuple[list[TwoFactor], OneFactor]:
@@ -113,28 +149,8 @@ def walecki_even(n: int) -> tuple[list[TwoFactor], OneFactor]:
     perfect matching (the edges the rotated zigzags never touch)."""
     if n < 2 or n % 2 == 1:
         raise ValueError("needs even n >= 2")
-    if n == 2:
-        return [], one_factor([(0, 1)])
-    ring = n - 1
-    hub = n - 1
-    offsets = _zigzag_offsets(ring)
-    factors = []
-    for j in range((n - 2) // 2):
-        path = [(j + off) % ring for off in offsets]
-        factors.append(two_factor([tuple([hub] + path)], n, cycle_length=n))
-    leftover = _unused_edges(n, factors)
-    if len(leftover) != n // 2 or len({x for e in leftover for x in e}) != n:
-        raise RuntimeError(f"zigzag leftover for n={n} is not a perfect matching")
-    return factors, one_factor(leftover)
-
-
-def _unused_edges(n: int, factors) -> list[Edge]:
-    """The edges of K_n that no cycle of ``factors`` walks, in order."""
-    used = {
-        (u, w) if u < w else (w, u)
-        for f in factors for c in f.cycles for u, w in zip(c, c[1:] + c[:1])
-    }
-    return [e for e in combinations(range(n), 2) if e not in used]
+    sol = develop([_zigzag(n)], n, n, 1)
+    return list(sol.factors), sol.one_factor
 
 
 def hamilton_decomposition(n: int) -> Solution:
@@ -144,38 +160,6 @@ def hamilton_decomposition(n: int) -> Solution:
         return Solution(v=n, factors=tuple(walecki(n)), m=n)
     factors, leftover = walecki_even(n)
     return Solution(v=n, factors=tuple(factors), m=n, one_factor=leftover)
-
-
-# ============================================================
-# starters: one base factor developed under a cyclic group
-# ============================================================
-
-def develop(base, n: int, m: int) -> Solution:
-    """The translates of the base Cm-factor ``base`` as one Solution on n
-    vertices, unproven.  Both group actions translate within blocks of h
-    vertices and fix the vertices above them: one block Z_{n-1} and one
-    fixed point for odd n, two blocks Z_h, h = (n-2)/2, and two fixed
-    points for even n.  The (n-1)//2 translates g = 0, 1, ... are the
-    factors; for even n the edges none of them uses are the one-factor."""
-    fixed = 2 - n % 2
-    ring = n - fixed
-    h = ring // fixed
-    factors = []
-    for g in range((n - 1) // 2):
-        image = [x - x % h + (x + g) % h for x in range(ring)] + list(range(ring, n))
-        factors.append(two_factor([tuple(image[x] for x in c) for c in base], n, m))
-    matching = None if n % 2 else one_factor(_unused_edges(n, factors))
-    return Solution(v=n, factors=tuple(factors), m=m, one_factor=matching)
-
-
-def starter_factorization(n: int, m: int) -> Solution:
-    """``STARTERS[(n, m)]`` developed and proven against the search
-    instance of (n, m), the proof imports and cache loads take; raises when
-    the literal does not develop into a Cm-factorization."""
-    developed = develop(STARTERS[n, m], n, m)
-    if search.first_proven(search.cm_factorization_instance(n, m), [developed]) is None:
-        raise RuntimeError(f"the ({n}, {m}) starter does not develop into a C{m}-factorization")
-    return developed
 
 
 # ============================================================
@@ -198,50 +182,46 @@ K44 = Solution(v=8, factors=(
 # Cm-factorizations of K_n via builtin / import / search
 # ============================================================
 
-@dataclass(frozen=True)
-class Unavailable:
-    reason: str  # "nonexistent" | "timeout" | "external" | "infeasible"
-    detail: str = ""
+class IngredientUnavailable(Exception):
+    """A planned ingredient could not be produced (search timeout, no import)."""
 
 
-def outer_availability(n: int, m: int, imports: tuple[Solution, ...] = ()):
+def _unavailable(n: int, m: int, reason: str, detail: str) -> IngredientUnavailable:
+    return IngredientUnavailable(f"outer {(n, m)} factorization: {reason} ({detail})")
+
+
+def outer_availability(n: int, m: int) -> str:
     """The static ladder for a Cm-factorization of K_n (odd n) or K_n - I
-    (even n), as (availability, proven import or None).
-
-    builtin when n = m (Hamilton decomposition) or (n, m) has a starter;
-    then import, when one of ``imports`` proves itself against the search
-    instance of (n, m); then nonexistent or searchable by OUTER_LADDER;
-    else unavailable.  Runs no search."""
+    (even n): builtin when n = m (Hamilton decomposition) or (n, m) has a
+    starter, else nonexistent or searchable by OUTER_LADDER, else
+    unavailable.  Runs no search; the planner upgrades it to import when an
+    imported document proves itself."""
     if n == m or (n, m) in STARTERS:
-        return "builtin", None
-    if imports:  # planning without imports builds no instance
-        sol = search.first_proven(search.cm_factorization_instance(n, m), imports)
-        if sol is not None:
-            return "import", Solution(v=n, factors=sol.factors, m=m, one_factor=sol.one_factor)
-    return OUTER_LADDER.get((n, m), "unavailable"), None
+        return "builtin"
+    return OUTER_LADDER.get((n, m), "unavailable")
 
 
 def outer_cm_factorization(n: int, m: int, cache_dir=None, time_limit: float | None = None):
     """Resolve a Cm-factorization of K_n (odd n) or K_n - I (even n), as a
     Solution whose one-factor is the removed matching I.
 
-    Follows ``outer_availability`` without imports (the planner proves
-    those, and its plan carries them): the builtin is returned, a starter
-    developed and proven on every call; a searchable (n, m) is searched
-    within ``time_limit``; everything else is an honest Unavailable.
-    Nothing unverified is ever returned.
+    Follows ``outer_availability`` (the planner proves imported documents,
+    and its plan carries them): the builtin is returned, a starter developed and
+    proven on every call; a searchable (n, m) is searched within
+    ``time_limit``; everything else raises IngredientUnavailable.  Nothing
+    unverified is ever returned.
     """
     if m < 3 or n < 3 or n % m != 0:
-        return Unavailable("infeasible", f"no Cm-factorization shape for (n={n}, m={m})")
+        raise _unavailable(n, m, "infeasible", f"no Cm-factorization shape for (n={n}, m={m})")
 
-    availability, _ = outer_availability(n, m)
+    availability = outer_availability(n, m)
     if availability == "builtin":
         return hamilton_decomposition(n) if n == m else starter_factorization(n, m)
     if availability == "nonexistent":
-        return Unavailable("nonexistent", f"K_{n} minus a 1-factor has no C{m}-factorization")
+        raise _unavailable(n, m, "nonexistent", f"K_{n} minus a 1-factor has no C{m}-factorization")
     if availability == "unavailable":
-        return Unavailable(
-            "external", f"({n}, {m}) outer factorization is beyond builtin and search"
+        raise _unavailable(
+            n, m, "external", f"({n}, {m}) outer factorization is beyond builtin and search"
         )
 
     outcome = search.solve_cached(
@@ -250,5 +230,5 @@ def outer_cm_factorization(n: int, m: int, cache_dir=None, time_limit: float | N
     if outcome.status == "found":
         return Solution(v=n, factors=outcome.factors, m=m, one_factor=outcome.matching)
     if outcome.status == "timeout":
-        return Unavailable("timeout", f"search for ({n}, {m}) hit the time limit")
-    return Unavailable("nonexistent", f"exhaustive search: no ({n}, {m}) factorization")
+        raise _unavailable(n, m, "timeout", f"search for ({n}, {m}) hit the time limit")
+    raise _unavailable(n, m, "nonexistent", f"exhaustive search: no ({n}, {m}) factorization")

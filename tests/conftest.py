@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from hwp4m import verifier
+from hwp4m import blocks, verifier
+from hwp4m.algebra import gf4_pow_x
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -33,3 +34,16 @@ def certify_calls(monkeypatch):
         if name.startswith("hwp4m.") and getattr(module, "certifies", None) is certifies:
             monkeypatch.setattr(module, "certifies", counted)
     return calls
+
+
+@pytest.fixture
+def unbent_cm_block():
+    """``cm_block`` built without the wrap-around bend, from base layers
+    x^i at every part: broken for m = 1 (mod 3), the block the bend fixes."""
+
+    def build(m):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(blocks, "gf4_base_layers", lambda m: [gf4_pow_x(i) for i in range(m)])
+            return blocks.cm_block(m)
+
+    return build

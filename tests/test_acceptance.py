@@ -54,11 +54,11 @@ def test_01_blocks_verify_for_all_small_m():
 # ============================================================
 
 
-def test_02_bend_is_required_exactly_when_m_is_one_mod_three():
+def test_02_bend_is_required_exactly_when_m_is_one_mod_three(unbent_cm_block):
     for m in (4, 7, 10, 13):
         rep = verify_block(cm_block(m))
         assert rep.ok, f"adjusted cm_block({m}): {rep.summary()}"
-    assert not verify_block(cm_block(7, adjust=False)).ok
+    assert not verify_block(unbent_cm_block(7)).ok
 
 
 # ============================================================

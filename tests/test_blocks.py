@@ -81,18 +81,18 @@ def test_cm_block_factorizes_the_blowup(m):
 
 
 @pytest.mark.parametrize("m", [4, 7, 10])
-def test_cm_block_needs_the_bend_when_m_is_one_mod_three(m):
+def test_cm_block_needs_the_bend_when_m_is_one_mod_three(m, unbent_cm_block):
     layers = gf4_base_layers(m)
     assert layers[m - 1] != layers[0]
-    sol = cm_block(m, adjust=False)
+    sol = unbent_cm_block(m)
     rep = verify_factors_cover(sol.factors, cycle_blowup4(m))
     assert not rep.ok
 
 
 @pytest.mark.parametrize("m", [3, 5, 6, 9])
-def test_cm_block_bend_is_a_no_op_off_one_mod_three(m):
+def test_cm_block_bend_is_a_no_op_off_one_mod_three(m, unbent_cm_block):
     adjusted = cm_block(m)
-    plain = cm_block(m, adjust=False)
+    plain = unbent_cm_block(m)
     assert adjusted.factors == plain.factors
 
 

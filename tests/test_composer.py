@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from hwp4m import outer
 from hwp4m.composer import (
     CONSTRUCTIVE_ROUTES,
     STATUS_ROUTES,
@@ -166,12 +167,12 @@ def test_two_c4_factors_at_t_two_is_structurally_unsupported():
 
 
 def test_availability_ladder():
-    assert outer_availability(3, 3) == ("builtin", None)
-    assert outer_availability(9, 3) == ("searchable", None)
-    assert outer_availability(15, 5) == ("builtin", None)
-    assert outer_availability(14, 7) == ("builtin", None)
-    assert outer_availability(6, 3) == ("nonexistent", None)
-    assert outer_availability(21, 3) == ("unavailable", None)
+    assert outer_availability(3, 3) == "builtin"
+    assert outer_availability(9, 3) == "searchable"
+    assert outer_availability(15, 5) == "builtin"
+    assert outer_availability(14, 7) == "builtin"
+    assert outer_availability(6, 3) == "nonexistent"
+    assert outer_availability(21, 3) == "unavailable"
     # the planner reads the same ladder
     assert _ingredient("outer_cm", (9, 3), ()) == Ingredient("outer_cm", (9, 3), "searchable")
     assert _ingredient("equipartite_cm", (4, 10, 5), ()).availability == "unavailable"
@@ -235,8 +236,10 @@ def test_build_raises_by_plan_status():
 
 
 def test_build_reports_missing_searched_outer_honestly(tmp_path):
+    # the outer module raises it, and the composer re-exports the same class
+    assert IngredientUnavailable is outer.IngredientUnavailable
     clear_memo()
-    with pytest.raises(IngredientUnavailable):
+    with pytest.raises(IngredientUnavailable, match=r"^outer \(9, 3\) factorization: timeout \("):
         build(36, 3, 1, 16, cache_dir=tmp_path, time_limit=0.0)
 
 

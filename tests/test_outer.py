@@ -3,15 +3,18 @@ K44 pieces, and the resolution ladder (builtin, imported document, bounded
 search, honest miss).
 """
 
+import hashlib
+
 import pytest
 import reference_verifier as oracle
 from reference_starters import find_starter
 
 from hwp4m import search
-from hwp4m.composer import build, plan
+from hwp4m.composer import _ingredient, build, plan
 from hwp4m.model import (
     Solution,
     complete_graph,
+    encode_solution,
     equipartite_graph,
 )
 from hwp4m.outer import (
@@ -19,10 +22,9 @@ from hwp4m.outer import (
     K44,
     OUTER_LADDER,
     STARTERS,
-    Unavailable,
+    IngredientUnavailable,
     develop,
     hamilton_decomposition,
-    outer_availability,
     outer_cm_factorization,
     walecki,
     walecki_even,
@@ -62,6 +64,16 @@ def test_hamilton_decomposition_is_a_verified_outer_solution(n):
     assert rep.ok, rep.summary()
 
 
+@pytest.mark.parametrize("n, digest", [
+    (300, "cec88660ce08c65143332cf806db5f5f2224ab30bd67315853357c7b7451a98a"),
+    (401, "c50d5c207b1444ca04c73e7c69fdd511f1adfb0dc1d9a8719e77e54d08b208a1"),
+])
+def test_large_hamilton_decompositions_are_pinned(n, digest):
+    # the two outers of the benchmark's large builds, beyond the v <= 120 sweep
+    encoded = encode_solution(hamilton_decomposition(n))
+    assert hashlib.sha256(encoded).hexdigest() == digest
+
+
 # ============================================================
 # starters
 # ============================================================
@@ -72,7 +84,7 @@ def test_every_starter_is_rederived_and_develops_into_a_factorization(n, m):
     # the starter search meets each literal first, and its development
     # passes the reference verifier
     assert find_starter(n, m) == STARTERS[n, m]
-    sol = develop(STARTERS[n, m], n, m)
+    sol = develop(STARTERS[n, m], n, m, 2 - n % 2)
     assert len(sol.factors) == (n - 1) // 2
     assert all(f.cycle_length == m for f in sol.factors)
     rep = oracle.verify_solution(sol)
@@ -84,7 +96,7 @@ def test_the_searched_10_5_has_no_2_pyramidal_starter():
 
 
 def test_14_7_starter_removes_difference_3_and_the_infinities():
-    matching = develop(STARTERS[14, 7], 14, 7).one_factor
+    matching = develop(STARTERS[14, 7], 14, 7, 2).one_factor
     assert matching.edges == ((0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11), (12, 13))
 
 
@@ -93,7 +105,7 @@ def test_a_starter_is_proven_on_every_use(n, m, certify_calls):
     for _ in range(2):
         out = outer_cm_factorization(n, m)
         assert isinstance(out, Solution)
-        assert out == develop(STARTERS[n, m], n, m)
+        assert out == develop(STARTERS[n, m], n, m, 2 - n % 2)
     space = search.cm_factorization_instance(n, m).space
     assert [call[1] for call in certify_calls] == [space, space]
 
@@ -190,28 +202,24 @@ def test_search_timeout_is_reported_not_swallowed(tmp_path):
     from hwp4m import search
 
     search.clear_memo()  # other tests may have solved this instance already
-    out = outer_cm_factorization(10, 5, cache_dir=tmp_path, time_limit=0.0)
-    assert isinstance(out, Unavailable)
-    assert out.reason == "timeout"
+    with pytest.raises(IngredientUnavailable, match="timeout"):
+        outer_cm_factorization(10, 5, cache_dir=tmp_path, time_limit=0.0)
 
 
 def test_known_nonexistent_outers_short_circuit():
     assert OUTER_LADDER[6, 3] == OUTER_LADDER[12, 3] == "nonexistent"
-    out = outer_cm_factorization(6, 3)
-    assert isinstance(out, Unavailable)
-    assert out.reason == "nonexistent"
+    with pytest.raises(IngredientUnavailable, match="nonexistent"):
+        outer_cm_factorization(6, 3)
 
 
 def test_unlisted_outers_are_external():
-    out = outer_cm_factorization(21, 3)
-    assert isinstance(out, Unavailable)
-    assert out.reason == "external"
+    with pytest.raises(IngredientUnavailable, match="external"):
+        outer_cm_factorization(21, 3)
 
 
 def test_shape_mismatch_is_infeasible():
-    out = outer_cm_factorization(10, 3)
-    assert isinstance(out, Unavailable)
-    assert out.reason == "infeasible"
+    with pytest.raises(IngredientUnavailable, match="infeasible"):
+        outer_cm_factorization(10, 3)
 
 
 def test_import_is_used_when_it_proves_itself(tmp_path):
@@ -223,16 +231,33 @@ def test_import_is_used_when_it_proves_itself(tmp_path):
 
     found = outer_cm_factorization(9, 3, cache_dir=tmp_path)
     doc = Solution(v=9, factors=found.factors, m=3, r=0, s=4)
-    availability, proven = outer_availability(9, 3, (doc,))
-    assert availability == "import"
-    assert isinstance(proven, Solution)
-    assert proven.factors == doc.factors
-    assert proven.one_factor is None
-    (ing,) = plan(36, 3, 1, 16, imports=(doc,)).ingredients
-    assert ing.proven == proven
+    ing = _ingredient("outer_cm", (9, 3), (doc,))
+    assert ing.availability == "import"
+    assert ing.proven is doc
+    assert plan(36, 3, 1, 16, imports=(doc,)).ingredients == (ing,)
     search.clear_memo()
     sol = build(36, 3, 1, 16, imports=(doc,), cache_dir=tmp_path / "empty", time_limit=0.0)
     assert verify_solution(sol).ok
+
+
+def test_import_with_wrong_declared_counts_builds_as_the_right_one(tmp_path):
+    # every factor of the document is a C3-factor, though it declares r = 4,
+    # s = 0; the proof reads its cycles, and so does the build, which counts
+    # the outer's C4-factors from them, never from the declared r
+    from hwp4m import search
+
+    found = outer_cm_factorization(9, 3, cache_dir=tmp_path)
+    right = Solution(v=9, factors=found.factors, m=3, r=0, s=4)
+    wrong = Solution(v=9, factors=found.factors, m=3, r=4, s=0)
+    (ing,) = plan(36, 3, 1, 16, imports=(wrong,)).ingredients
+    assert ing.availability == "import" and ing.proven is wrong
+    search.clear_memo()
+    built = [
+        encode_solution(build(36, 3, 1, 16, imports=(doc,), cache_dir=tmp_path / "empty",
+                              time_limit=0.0))
+        for doc in (wrong, right)
+    ]
+    assert built[0] == built[1]
 
 
 def test_import_that_does_not_prove_itself_is_ignored(tmp_path):
@@ -240,10 +265,9 @@ def test_import_that_does_not_prove_itself_is_ignored(tmp_path):
 
     found = outer_cm_factorization(9, 3, cache_dir=tmp_path)
     broken = Solution(v=9, factors=found.factors[1:], m=3, r=0, s=3)
-    assert outer_availability(9, 3, (broken,)) == ("searchable", None)
-    (ing,) = plan(36, 3, 1, 16, imports=(broken,)).ingredients
+    ing = _ingredient("outer_cm", (9, 3), (broken,))
     assert (ing.availability, ing.proven) == ("searchable", None)
+    assert plan(36, 3, 1, 16, imports=(broken,)).ingredients == (ing,)
     search.clear_memo()
-    out = outer_cm_factorization(9, 3, cache_dir=tmp_path / "empty", time_limit=0.0)
-    assert isinstance(out, Unavailable)
-    assert out.reason == "timeout"
+    with pytest.raises(IngredientUnavailable, match="timeout"):
+        outer_cm_factorization(9, 3, cache_dir=tmp_path / "empty", time_limit=0.0)

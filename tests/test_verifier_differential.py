@@ -138,13 +138,13 @@ def test_single_declared_counts_agree_with_the_oracle():
 # ============================================================
 
 
-def test_acceptance_01_block_sweep_agrees_with_the_oracle():
+def test_acceptance_01_block_sweep_agrees_with_the_oracle(unbent_cm_block):
     for m in range(3, 31):
         for builder in (c4_block, cm_block, mixed_block):
             _agree_block(builder(m))
     for m in range(3, 30, 2):
         _agree_block(switch_block(m))
-    _agree_block(cm_block(7, adjust=False))
+    _agree_block(unbent_cm_block(7))
 
 
 def test_block_edits_agree_with_the_oracle():
