@@ -18,21 +18,20 @@ switch_block work over Z4: translate base cycles through the layers, plus
 4-cycle gadgets swept around the parts.  Every construction is certified
 by the independent verifier in tests; nothing here is trusted blindly.
 
-The last section proves, by exhaustive search, that C_m[4] (odd m) has no
-factorization into three Cm-factors and one C4-factor, the boundary case
-the constructive routes must avoid.
+The last section shows that C_m[4] (odd m) has no factorization into three
+Cm-factors and one C4-factor, the boundary case the constructive routes
+must avoid: a brute-force audit of every m-cycle confirms that each one
+meets all m parts once, and a winding argument finishes the proof.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import permutations
 
 from .algebra import ONE, X, X2, ZERO, gf4_add, gf4_mul, gf4_pow_x
 from .model import (
     Solution,
-    canonicalize_cycle,
     cycle_blowup4,
     one_factor,
     switch_matching_edges,
@@ -229,63 +228,9 @@ def switch_block(m: int) -> Solution:
 # nonexistence of a {three Cm, one C4} factorization of C_m[4]
 # ============================================================
 #
-# For odd m every m-cycle of C_m[4] uses each part exactly once (a closed
-# m-step walk on an odd cycle of parts cannot backtrack), so a Cm-factor is
-# the same thing as a sequence of per-block layer bijections whose
-# composition around the cycle is the identity; audit_m_cycles establishes
-# the premise by brute force.  Relabelling the layers part by part (a graph
-# automorphism) turns any one Cm-factor into the four horizontal cycles;
-# trivializing_layer_perms computes the relabelling, so the search may fix
-# the first factor and enumerate only the second and third.  Whatever edges
-# remain form per-block bijections again, and the final check asks whether
-# they ever fall apart into 4-cycles.  For odd m they never do, which is
-# the point.
-
-_S4 = sorted(permutations(range(4)))
-_S4_INDEX = {p: i for i, p in enumerate(_S4)}
-_IDENTITY = _S4_INDEX[(0, 1, 2, 3)]
-_COMPOSE = [[_S4_INDEX[tuple(p[q[g]] for g in range(4))] for q in _S4] for p in _S4]
-_INVERSE = [0] * 24
-for _i, _p in enumerate(_S4):
-    _inv = [0] * 4
-    for _g in range(4):
-        _inv[_p[_g]] = _g
-    _INVERSE[_i] = _S4_INDEX[tuple(_inv)]
-
-# fixed-point-free permutations: matchings edge-disjoint from the identity
-_FPF = [i for i, p in enumerate(_S4) if all(p[g] != g for g in range(4))]
-_FPF_SET = frozenset(_FPF)
-
-def _discordant(i: int, j: int) -> bool:
-    p, q = _S4[i], _S4[j]
-    return all(p[g] != q[g] for g in range(4))
-
-# third-factor options: fixed-point-free and discordant with the given one
-_THIRD = {b: [c for c in _FPF if _discordant(b, c)] for b in _FPF}
-_THIRD_SET = {b: frozenset(cs) for b, cs in _THIRD.items()}
-
-# leftover bijection once identity, b and c are removed from a block
-_LEFTOVER = {}
-for _b in _FPF:
-    for _c in _THIRD[_b]:
-        _tau = tuple(6 - g - _S4[_b][g] - _S4[_c][g] for g in range(4))
-        _LEFTOVER[(_b, _c)] = _S4_INDEX[_tau]
-
-
-def _perm_cycle_lengths(idx: int) -> list[int]:
-    p = _S4[idx]
-    seen = [False] * 4
-    out = []
-    for g in range(4):
-        if not seen[g]:
-            length, h = 0, g
-            while not seen[h]:
-                seen[h] = True
-                h = p[h]
-                length += 1
-            out.append(length)
-    return sorted(out)
-
+# For odd m every m-cycle of C_m[4] meets all m parts once, so three Cm-factors
+# leave each vertex one edge to each neighbouring part: the fourth factor's
+# cycles wind round all m parts, so m divides their lengths and none is a C4.
 
 def audit_m_cycles(m: int) -> int:
     """Enumerate every m-cycle of C_m[4] by DFS and confirm each one visits
@@ -314,155 +259,23 @@ def audit_m_cycles(m: int) -> int:
     return count
 
 
-def factor_to_block_perms(factor_cycles, m: int) -> list[int]:
-    """Encode a Cm-factor of C_m[4] as per-block permutation indices: entry i
-    maps the layer at part i to the layer at part i+1 along the cycles."""
-    maps: list[dict[int, int]] = [dict() for _ in range(m)]
-    for cyc in factor_cycles:
-        k = len(cyc)
-        for a in range(k):
-            u, w = cyc[a], cyc[(a + 1) % k]
-            iu, iw = u // 4, w // 4
-            if (iu + 1) % m == iw:
-                maps[iu][u % 4] = w % 4
-            elif (iw + 1) % m == iu:
-                maps[iw][w % 4] = u % 4
-            else:
-                raise ValueError("cycle edge not between consecutive parts")
-    out = []
-    for i, mp in enumerate(maps):
-        if len(mp) != 4:
-            raise ValueError(f"block {i} not fully matched")
-        out.append(_S4_INDEX[tuple(mp[g] for g in range(4))])
-    return out
-
-
-def block_perms_to_factor(perms: list[int], m: int):
-    """Inverse of factor_to_block_perms: rebuild the cycle set.  Cycles wind
-    around the parts once per orbit step of the composed permutation."""
-    cycles = []
-    seen = set()
-    for g0 in range(4):
-        if g0 in seen:
-            continue
-        path, g = [], g0
-        while True:
-            seen.add(g)
-            for i in range(m):
-                path.append(4 * i + g)
-                g = _S4[perms[i]][g]
-            if g == g0:
-                break
-        cycles.append(canonicalize_cycle(path))
-    return sorted(cycles)
-
-
-def trivializing_layer_perms(perms: list[int]) -> list[int]:
-    """Per-part relabellings that turn the given Cm-factor into the four
-    horizontal cycles.  pi_0 = id and pi_{i+1} = pi_i o sigma_i^{-1}; the
-    identity product condition makes the wrap-around work out."""
-    m = len(perms)
-    pis = [_IDENTITY]
-    for i in range(m - 1):
-        pis.append(_COMPOSE[pis[i]][_INVERSE[perms[i]]])
-    return pis
-
-
-def apply_layer_perms(perms: list[int], pis: list[int]) -> list[int]:
-    """Conjugate a block-permutation sequence by per-part relabellings:
-    sigma_i -> pi_{i+1} o sigma_i o pi_i^{-1} (wrapping at the end)."""
-    m = len(perms)
-    return [
-        _COMPOSE[_COMPOSE[pis[(i + 1) % m]][perms[i]]][_INVERSE[pis[i]]]
-        for i in range(m)
-    ]
-
-
 @dataclass
 class NonexistenceCheck:
     m: int
-    status: str  # "nonexistent" | "counterexample" | "timeout"
+    status: str  # always "nonexistent": a failed premise raises instead
     m_cycles: int
-    pairs_checked: int
-    triples_checked: int
     elapsed: float
-    witness: tuple | None = None
 
 
-def check_c4_cm3_nonexistence(m: int, time_limit: float | None = None) -> NonexistenceCheck:
-    """Exhaustively confirm that C_m[4] (odd m >= 3) has no factorization
-    into three Cm-factors plus one C4-factor.
+def check_c4_cm3_nonexistence(m: int) -> NonexistenceCheck:
+    """Confirm that C_m[4] (odd m >= 3) has no factorization into three
+    Cm-factors plus one C4-factor.
 
-    After the audit and the first-factor normalization (see the section
-    comment), the search runs over all second factors (fixed-point-free
-    permutation per block, identity product) and all compatible third
-    factors, computing for each triple the leftover bijections and the
-    cycle lengths of their composition.  A leftover C4-factor would need
-    every composition cycle length k to satisfy k*m = 4.
+    audit_m_cycles checks the premise of the section comment by brute force
+    over every m-cycle; the winding argument does the rest.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError("check defined for odd m >= 3")
     start_time = time.monotonic()
-    deadline = None if time_limit is None else start_time + time_limit
-
     m_cycles = audit_m_cycles(m)
-
-    pairs = 0
-    triples = 0
-    witness = None
-
-    # DFS over the second factor's blocks 0..m-2; the last block is forced
-    # by the identity-product condition.
-    stack = [([], _IDENTITY)]
-    while stack:
-        if deadline is not None and time.monotonic() > deadline:
-            return NonexistenceCheck(
-                m, "timeout", m_cycles, pairs, triples, time.monotonic() - start_time
-            )
-        chosen, prod = stack.pop()
-        if len(chosen) < m - 1:
-            for b in _FPF:
-                stack.append((chosen + [b], _COMPOSE[b][prod]))
-            continue
-        last = _INVERSE[prod]
-        if last not in _FPF_SET:
-            continue
-        second = chosen + [last]
-        pairs += 1
-        found = _third_factor_scan(second, m)
-        triples += found[0]
-        if found[1] is not None:
-            witness = found[1]
-            break
-
-    elapsed = time.monotonic() - start_time
-    status = "counterexample" if witness is not None else "nonexistent"
-    return NonexistenceCheck(m, status, m_cycles, pairs, triples, elapsed, witness)
-
-
-def _third_factor_scan(second: list[int], m: int):
-    """All third factors compatible with the horizontal factor and ``second``;
-    returns (count, witness-or-None).  Third factors are enumerated with the
-    block-0 choice above second[0] (swapping second and third gives the same
-    unordered triple)."""
-    count = 0
-    options = [_THIRD[b] for b in second]
-    stack = [([c], c) for c in options[0] if c > second[0]]
-    while stack:
-        chosen, prod = stack.pop()
-        depth = len(chosen)
-        if depth < m - 1:
-            for c in options[depth]:
-                stack.append((chosen + [c], _COMPOSE[c][prod]))
-            continue
-        last = _INVERSE[prod]
-        if last not in _THIRD_SET[second[m - 1]]:
-            continue
-        third = chosen + [last]
-        count += 1
-        leftover_prod = _IDENTITY
-        for i in range(m):
-            leftover_prod = _COMPOSE[_LEFTOVER[(second[i], third[i])]][leftover_prod]
-        if all(k * m == 4 for k in _perm_cycle_lengths(leftover_prod)):
-            return count, (list(second), third)
-    return count, None
+    return NonexistenceCheck(m, "nonexistent", m_cycles, time.monotonic() - start_time)

@@ -79,20 +79,24 @@ def test_03_layer_scaling_fixes_the_scaled_factor_setwise():
 
 
 # ============================================================
-# 4. exhaustive nonexistence of the {three Cm, one C4} split
+# 4. nonexistence of the {three Cm, one C4} split: every m-cycle audited
 # ============================================================
 
 
 def test_04_triangle_blowup_has_no_three_cm_one_c4_split():
-    check = check_c4_cm3_nonexistence(3, time_limit=60.0)
+    check = check_c4_cm3_nonexistence(3)
     assert check.status == "nonexistent"
-    assert check.witness is None
 
 
 def test_04_pentagon_blowup_has_no_three_cm_one_c4_split():
-    check = check_c4_cm3_nonexistence(5, time_limit=900.0)
+    check = check_c4_cm3_nonexistence(5)
     assert check.status == "nonexistent"
-    assert check.witness is None
+
+
+def test_04_heptagon_blowup_has_no_three_cm_one_c4_split():
+    check = check_c4_cm3_nonexistence(7)
+    assert check.status == "nonexistent"
+    assert check.m_cycles == 4 ** 7
 
 
 # ============================================================

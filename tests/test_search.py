@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from hwp4m.blocks import check_c4_cm3_nonexistence
 from hwp4m.model import complete_graph
 from hwp4m.search import (
     _MEMO,
@@ -72,9 +73,11 @@ def test_k6_minus_matching_has_no_triangle_factorization():
 
 
 def test_blowup_split_search_agrees_with_the_exhaustive_check():
-    # independent confirmation that C_3[4] has no {three C3, one C4} split
+    # the engine does not assume that m-cycles are transversals, so its
+    # unsat verdict confirms the audited check independently at m = 3
     outcome = solve(c4_cm3_split_instance(3))
     assert outcome.status == "unsat"
+    assert check_c4_cm3_nonexistence(3).status == "nonexistent"
 
 
 def test_expired_limit_means_no_search_at_all():
