@@ -40,7 +40,12 @@ merges them, factor i of every copy of a piece joining one global factor
 and every copy's removed matching joining the global matching.  The
 pieces are the blocks, the constants K_4 - I and K_{4,4}
 (``outer.K4_MINUS_I``, ``outer.K44``), a small inner solution, and an
-imported equipartite factorization.  A blow-up places a block on the
+imported equipartite factorization.  Each copy is canonical as made: every
+vertex map keeps the layer order inside each part of 4 and sends part 0
+below the others, and under that contract one comparison decides whether
+a piece cycle's image is canonical as read or takes a reordering fixed
+once per piece cycle.  Only a cycle on three or more parts that avoids
+part 0, which today only an import has, is canonicalized.  A blow-up places a block on the
 blow-up of every outer cycle, K_4 - I on every part and K_{4,4} over
 every leftover pair.  The routes r1_equipartite and r2_equipartite
 (r = 1 and r = 2 at even t) place a small solution on every group,
@@ -72,7 +77,7 @@ from operator import itemgetter
 
 from .blocks import c4_block, cm_block, mixed_block, switch_block
 from .k24 import k24_solution
-from .model import Solution, one_factor, two_factor
+from .model import Solution, TwoFactor, canonicalize_cycle, one_factor
 from .outer import (
     K4_MINUS_I,
     K44,
@@ -397,9 +402,47 @@ BLOCK_BUILDERS = {
 }
 
 
+def _copier(cyc):
+    """(a, b, f, g) for one canonical piece cycle: under the contract of
+    ``_assemble`` its canonical copy through a vertex map is f(vmap) if
+    vmap[a] < vmap[b], else g(f(vmap)).  g reorders the image: a position
+    getter that copiers share, or canonicalize_cycle where none applies."""
+    f = itemgetter(*cyc)
+    first = cyc[0] // 4  # cyc[0] is the minimum, so its part is the lowest
+    others = [u for u in cyc if u // 4 != first]
+    if not others:  # one part: the map is monotone on the cycle, g unused
+        return cyc[0], cyc[1], f, canonicalize_cycle
+    if len({u // 4 for u in others}) == 1:
+        # two parts: the image is ordered as the cycle, or as this probe
+        # with the two parts swapped
+        probe = [u % 4 + (4 if u // 4 == first else 0) for u in cyc]
+        return cyc[0], min(others), f, _reorder(tuple(map(probe.index, canonicalize_cycle(probe))))
+    if first == 0:  # part 0 stays lowest, so only the orientation can turn
+        return cyc[1], cyc[-1], f, _reorder((0, *range(len(cyc) - 1, 0, -1)))
+    return cyc[0], cyc[0], f, canonicalize_cycle
+
+
 @lru_cache(maxsize=None)
-def _block(kind: str, m: int) -> Solution:
-    return BLOCK_BUILDERS[kind](m)
+def _reorder(positions: tuple) -> itemgetter:
+    return itemgetter(*positions)
+
+
+def _copiers(piece: Solution):
+    """What ``_assemble`` reads of a piece: per factor, its cycle length and
+    the copiers of its cycles, and one itemgetter per matching edge."""
+    matched = piece.one_factor.edges if piece.one_factor is not None else ()
+    return (
+        [(len(f.cycles[0]), [_copier(c) for c in f.cycles]) for f in piece.factors],
+        [itemgetter(*e) for e in matched],
+    )
+
+
+@lru_cache(maxsize=None)
+def _block(kind: str, m: int):
+    return _copiers(BLOCK_BUILDERS[kind](m))
+
+
+_K4_MINUS_I, _K44 = _copiers(K4_MINUS_I), _copiers(K44)
 
 
 def _parts(cells) -> tuple[int, ...]:
@@ -411,30 +454,30 @@ def _parts(cells) -> tuple[int, ...]:
 def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
     """Merge copies of verified pieces into one (4, m)-HWP(v; r, s).
 
-    ``placed`` lists (piece, vertex maps); each map sends piece vertex u to
-    map[u].  Factor i of every copy of a piece joins one global factor,
-    C4-factors first, and every copy's removed matching joins the global
-    matching.  Each piece cycle and matching edge becomes one itemgetter,
-    built once per piece, that reads a copy's image off its vertex map."""
+    ``placed`` lists (piece copiers, vertex maps); each map sends piece
+    vertex u to map[u].  Factor i of every copy of a piece joins one global
+    factor, C4-factors first, and every copy's removed matching joins the
+    global matching.  The map contract: a map sends each part of 4 piece
+    vertices onto 4 vertices in the same layer order, and part 0 below the
+    others.  ``_parts`` of a canonical outer cycle or of a normalized
+    matching edge and the increasing group ranges all keep it, and under it
+    each copier gives a canonical copy, so the factors are only sorted."""
     c4_factors, cm_factors, matching = [], [], []
-    for piece, maps in placed:
-        getters = [[itemgetter(*cyc) for cyc in f.cycles] for f in piece.factors]
-        matched = piece.one_factor.edges if piece.one_factor is not None else ()
-        edge_getters = [itemgetter(*e) for e in matched]
-        buckets = [[] for _ in piece.factors]
+    for (factors, edge_getters), maps in placed:
+        buckets = [[] for _ in factors]
         for vmap in maps:
-            for bucket, cycle_getters in zip(buckets, getters):
-                bucket += [g(vmap) for g in cycle_getters]
+            for bucket, (_, copiers) in zip(buckets, factors):
+                bucket += [f(vmap) if vmap[a] < vmap[b] else g(f(vmap)) for a, b, f, g in copiers]
             matching += [g(vmap) for g in edge_getters]
-        for bucket, f in zip(buckets, piece.factors):
-            (c4_factors if len(f.cycles[0]) == 4 else cm_factors).append(bucket)
+        for bucket, (length, _) in zip(buckets, factors):
+            (c4_factors if length == 4 else cm_factors).append(bucket)
     if len(c4_factors) != r or len(cm_factors) != s:
         raise RuntimeError(
             f"assembly mismatch: built {len(c4_factors)} C4-factors and "
             f"{len(cm_factors)} Cm-factors, wanted ({r}, {s})"
         )
-    factors = [two_factor(c, v, 4) for c in c4_factors]
-    factors += [two_factor(c, v, m) for c in cm_factors]
+    factors = [TwoFactor(tuple(sorted(c)), v, 4) for c in c4_factors]
+    factors += [TwoFactor(tuple(sorted(c)), v, m) for c in cm_factors]
     return Solution(
         v=v, factors=tuple(factors), m=m if s > 0 else None, r=r, s=s,
         one_factor=one_factor(matching),
@@ -442,18 +485,19 @@ def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
 
 
 def _blow_up(outer: Solution, kinds) -> list:
-    """The pieces that blow a verified outer 2-factorization on v/4 parts up
-    by 4: block ``kinds[i]`` on every cycle of outer factor i, K_4 - I on
-    every part unless a switch block took those edges, and K_{4,4} over
-    every pair of the outer's removed matching."""
+    """The (piece copiers, vertex maps) that blow a verified outer
+    2-factorization on v/4 parts up by 4: block ``kinds[i]`` on every cycle
+    of outer factor i, K_4 - I on every part unless a switch block took
+    those edges, and K_{4,4} over every pair of the outer's removed
+    matching."""
     placed = [
         (_block(kind, len(f.cycles[0])), map(_parts, f.cycles))
         for f, kind in zip(outer.factors, kinds, strict=True)
     ]
     if "switch" not in kinds:
-        placed.append((K4_MINUS_I, (_parts((p,)) for p in range(outer.v))))
+        placed.append((_K4_MINUS_I, (_parts((p,)) for p in range(outer.v))))
     if outer.one_factor is not None:
-        placed.append((K44, map(_parts, outer.one_factor.edges)))
+        placed.append((_K44, map(_parts, outer.one_factor.edges)))
     return placed
 
 
@@ -492,7 +536,7 @@ def build_planned(v: int, m: int, r: int, s: int, p: Plan, cache_dir=None,
         # a small solution on every group, the equipartite factors between
         small = got[1] if p.route == "r2_equipartite" else K4_MINUS_I
         groups = (range(g, g + small.v) for g in range(0, v, small.v))
-        sol = _assemble(v, m, r, s, [(small, groups), (got[0], [range(v)])])
+        sol = _assemble(v, m, r, s, [(_copiers(small), groups), (_copiers(got[0]), [range(v)])])
     else:
         if p.route == "all_c4":
             outer = hamilton_decomposition(v // 4)

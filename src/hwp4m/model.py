@@ -12,7 +12,10 @@ Canonical cycle form
 --------------------
 A cycle is stored as a tuple rotated so its minimum vertex comes first and
 oriented so the second entry is smaller than the last.  This makes cycle
-equality, sorting and byte-identical serialization trivial.
+equality, sorting and byte-identical serialization trivial.  Blocks, outers
+and searched factors pass through ``two_factor``, which canonicalizes; the
+assembler's copies of them are canonical by construction (see
+``composer._assemble``) and skip it.
 
 Solution interchange format
 ---------------------------
@@ -423,7 +426,10 @@ def doc_to_solution(doc: dict) -> Solution:
 
 def encode_solution(sol: Solution) -> bytes:
     doc = solution_to_doc(sol)
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+    # the document holds only dicts, lists, tuples and ints, so it cannot
+    # contain itself and json need not track the containers it has entered
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    return text.encode("ascii")
 
 
 def decode_solution(data: bytes | str) -> Solution:

@@ -7,11 +7,15 @@ its own output before returning it.
 """
 
 import hashlib
+import random
 
 import pytest
+import reference_codec as oracle
 
 from hwp4m import outer
+from hwp4m.blocks import c4_block
 from hwp4m.composer import (
+    BLOCK_BUILDERS,
     CONSTRUCTIVE_ROUTES,
     STATUS_ROUTES,
     ExternalRequired,
@@ -20,7 +24,9 @@ from hwp4m.composer import (
     IngredientUnavailable,
     Plan,
     Unsupported,
+    _copiers,
     _ingredient,
+    _parts,
     _resolve,
     build,
     build_planned,
@@ -29,7 +35,7 @@ from hwp4m.composer import (
     plan,
 )
 from hwp4m.k24 import k24_solution
-from hwp4m.model import Solution, encode_solution
+from hwp4m.model import Solution, canonicalize_cycle, encode_solution, two_factor
 from hwp4m.outer import outer_availability
 from hwp4m.search import clear_memo, cm_factorization_instance, equipartite_instance, solve_cached
 from hwp4m.verifier import verify_solution
@@ -281,6 +287,12 @@ def _sha256(sol):
     return hashlib.sha256(encode_solution(sol)).hexdigest()
 
 
+def _assert_canonical(sol):
+    # the assembler sorts its copies and never canonicalizes them
+    for f in sol.factors:
+        assert f == two_factor(f.cycles, f.n, f.cycle_length)
+
+
 def test_single_c4_assembler_with_a_searched_ingredient(tmp_path):
     # the r1 route's placement: K_4 - I on every part, the K_{4:3} between
     doc = _equipartite_doc(4, 3, 3, tmp_path)
@@ -288,6 +300,7 @@ def test_single_c4_assembler_with_a_searched_ingredient(tmp_path):
     sol = build_planned(12, 3, 1, 4, Plan(route="r1_equipartite", ingredients=(ing,)))
     rep = verify_solution(sol)
     assert rep.ok and (rep.r_found, rep.s_found) == (1, 4)
+    _assert_canonical(sol)
     assert _sha256(sol) == "f7dff646731a6063eeacaf3d6587c9e1c8d3e3ce3da1880a8cd59acc0b60d7da"
 
 
@@ -311,4 +324,73 @@ def test_double_c4_assembler_with_a_searched_ingredient(tmp_path):
     )
     rep = verify_solution(sol)
     assert rep.ok and (rep.r_found, rep.s_found) == (2, 15)
+    _assert_canonical(sol)
     assert _sha256(sol) == "a4771aff30723fb9f857de0cc7d8e8da5939d4a2659f36df2e466c93b8ef05ed"
+
+
+# ============================================================
+# the largest builds keep their bytes
+# ============================================================
+
+
+@pytest.mark.parametrize("request_, digest", [
+    ((1604, 401, 5, 796), "4d6bf7c953206fae898e61317c52ec63098ff1fa0a86e3e711ea4af1fd85d98d"),
+    ((1604, 401, 6, 795), "7192ac0448ef3aa1e0c803e3285a6c1fb6fc17f159075e5b51828e16191a8d12"),
+    ((1200, 3, 599, 0), "d1e37c3426f73c549fa173ca3aa96625dae2968b61761a230bca68c224e2636a"),
+], ids=["odd_r_odd_t", "even_r_switch", "all_c4"])
+def test_large_builds_keep_their_pinned_bytes(request_, digest):
+    # odd_r_odd_t (Cm blocks), even_r_switch (switch blocks at m = 401,
+    # where two-part 4-cycles of every shape occur) and all_c4 over
+    # walecki_even(300): larger than anything test 09 hashes
+    assert _sha256(build(*request_)) == digest
+
+
+# ============================================================
+# canonical copies: the copier rule against the reference
+# ============================================================
+
+
+def _contract_maps(parts, rng, count=12):
+    """The identity and seeded maps under the contract of ``_assemble``:
+    distinct cells, cells[0] the smallest, each part kept in layer order."""
+    yield _parts(range(parts))
+    for _ in range(count):
+        cells = rng.sample(range(3 * parts + 2), parts)
+        low = cells.index(min(cells))
+        cells[0], cells[low] = cells[low], cells[0]
+        yield _parts(cells)
+
+
+def _copier_shape(cyc, copier):
+    a, b, _, g = copier
+    if a == b:
+        return "fallback"
+    if g is canonicalize_cycle:
+        return "one part"
+    return "reversed" if a == cyc[1] else "two parts"
+
+
+def test_copies_match_the_reference_canonical_form():
+    rng = random.Random(17)
+    pieces = [BLOCK_BUILDERS[kind](m) for kind in sorted(BLOCK_BUILDERS) for m in range(3, 15, 2)]
+    # the constants, an even-m block, and a blow-up of the (15, 5) outer,
+    # some of whose 5-cycles avoid part 0
+    pieces += [c4_block(4), outer.K4_MINUS_I, outer.K44, build(60, 5, 5, 24)]
+    shapes = set()
+    for piece in pieces:
+        factors, _ = _copiers(piece)
+        for vmap in _contract_maps(piece.v // 4, rng):
+            for f, (length, copiers) in zip(piece.factors, factors):
+                assert length == len(f.cycles[0])
+                for cyc, (a, b, get, alt) in zip(f.cycles, copiers):
+                    got = get(vmap) if vmap[a] < vmap[b] else alt(get(vmap))
+                    assert got == oracle.canonicalize_cycle(vmap[u] for u in cyc)
+        shapes.update(_copier_shape(c, k) for f, (_, ks) in zip(piece.factors, factors)
+                      for c, k in zip(f.cycles, ks))
+    assert shapes == {"one part", "two parts", "reversed", "fallback"}
+
+
+@pytest.mark.parametrize("request_", [(48, 3, 10, 13), (60, 5, 6, 23)],
+                         ids=["inner_blowup", "even_r_switch"])
+def test_blow_up_builds_are_canonical(request_):
+    _assert_canonical(build(*request_))

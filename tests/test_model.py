@@ -186,6 +186,12 @@ def test_encoding_is_canonical_ascii_line():
     # key order is sorted, whitespace-free
     assert text.index('"factors"') < text.index('"m"') < text.index('"v"')
     assert ": " not in text
+    # written without json's circularity check, the bytes of a default dump
+    matched = Solution(v=4, factors=(two_factor([(0, 1, 2, 3)], 4, 4),), r=1, s=0,
+                       one_factor=one_factor([(0, 3), (1, 2)]))
+    for sol in (_tiny_solution(), matched):
+        default = json.dumps(solution_to_doc(sol), sort_keys=True, separators=(",", ":"))
+        assert encode_solution(sol) == (default + "\n").encode("ascii")
 
 
 def test_matching_survives_round_trip():
