@@ -18,26 +18,31 @@ edges, O(E + v) against a dense ambient, apart from sorting the repeated and
 stray edges a rejection quotes, and O(E log E + v) against the others.  A
 factor is read as two flat lists, its vertices and each one's successor on
 its cycle, and the spanning check and the edges both come from that pair.
-Each listed edge (u, w) becomes the integer code u * n + w; an edge with an
-end outside 0..n-1 stays a pair, because its code would alias a real edge,
-and is foreign.
+A factor whose sorted vertices equal 0..n-1 spans with no repeat and no
+stray vertex, which one sorted compare shows; only a factor that fails it
+is checked vertex by vertex, for the fault texts.  Each listed edge (u, w)
+becomes the integer code u * n + w; an edge with an end outside 0..n-1
+stays a pair, because its code would alias a real edge, and is foreign.
 
 A complete or equipartite ambient is dense: its n * n membership bytes are
-at most four per edge.  When they are also at most four per listed edge,
-the codes are written into one n * n bitmap a factor at a time.  The tiling
-is accepted when the document lists exactly the edge count, all in range,
-and the bitmap equals the ambient's: equal bytes from that many in-range
-codes leave no edge missing, foreign or duplicated.  A rejection is
-explained from the same bytes, read as integers: an ambient byte left unset
-is a missing edge, a set byte outside the ambient a foreign one, and more
-in-range codes than set bytes means that some code repeats.  The repeats
-are collected as the codes are written when the document lists more edges
-than the ambient holds, otherwise by deriving the codes once more into a
-fresh bitmap; those inside the ambient are duplicated edges.  Every other
-case (a sparse block ambient, a dense document too small for its bitmap)
-sorts the codes, accepts by one element-wise compare with the ambient's
-sorted code walk, and explains a rejection by one membership test per
-distinct code: every ambient is a simple graph, so a code is foreign or
+at most four per edge.  When they are also at most four per listed edge, the
+codes are written into one n * n bitmap a factor at a time, by a plain loop.
+When the document lists no more edges than the ambient holds, a factor with
+no stray vertex writes each code as it derives it and builds no code list;
+the stray test comes first, since a vertex -1 would write from the end of
+the bitmap.  The tiling is accepted when the document lists exactly the edge
+count, all in range, and the bitmap equals the ambient's: equal bytes from
+that many in-range codes leave no edge missing, foreign or duplicated.  A
+rejection is explained from the same bytes, read as integers: an ambient
+byte left unset is a missing edge, a set byte outside the ambient a foreign
+one, and more in-range codes than set bytes means that some code repeats.
+The repeats are collected as the codes are written when the document lists
+more edges than the ambient holds, otherwise by deriving the codes once more
+into a fresh bitmap; those inside the ambient are duplicated edges.  Every
+other case (a sparse block ambient, a dense document too small for its
+bitmap) sorts the codes, accepts by one element-wise compare with the
+ambient's sorted code walk, and explains a rejection by one membership test
+per distinct code: every ambient is a simple graph, so a code is foreign or
 hits one edge.  The ambient's edge count, bitmap, code walk and membership
 test all come from ``model.EdgeSpace``; the verifier keeps no copy of them.
 The walk for missing-edge examples stops after ``_EXAMPLE_CAP`` misses, and
@@ -57,9 +62,9 @@ A report carries a list of violations, each tagged with a stable code:
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse, islice, repeat
+from itertools import chain, compress, filterfalse, islice
 from operator import eq
 from re import finditer
 
@@ -166,18 +171,27 @@ def _encode(edges, n: int, strays: list) -> list[int]:
     return codes
 
 
-def _listed(factors, matching: OneFactor | None, n: int, out: list, by_length: Counter, strays: list):
+def _listed(
+    factors, matching: OneFactor | None, n: int, out: list, by_length: Counter, strays: list,
+    bitmap: bytearray | None = None,
+):
     """The listed edges as code lists, one per factor and one for the
     optional matching, whose edges join the cover.  On the way the vertex
     and cycle-length faults join ``out``, the factor counts by uniform cycle
     length join ``by_length``, and the edges with an end outside 0..n-1
-    join ``strays``."""
+    join ``strays``.  Given a ``bitmap``, a factor with no stray vertex
+    writes its codes straight into it and yields no list.  A factor whose
+    sorted vertices are 0..n-1 needs no vertex check; any other runs
+    ``_vertex_faults``, which also tells whether it has a stray vertex."""
+    span = list(range(n)) if factors else []
     for idx, factor in enumerate(factors):
         cycles = factor.cycles
         verts = list(chain.from_iterable(cycles))
-        faults, stray = _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles")
-        for viol in faults:
-            out.append(Violation(viol.code, f"factor {idx}: {viol.detail}"))
+        stray = False
+        if sorted(verts) != span:
+            faults, stray = _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles")
+            for viol in faults:
+                out.append(Violation(viol.code, f"factor {idx}: {viol.detail}"))
 
         lengths = set(map(len, cycles))
         if len(lengths) > 1:
@@ -203,6 +217,9 @@ def _listed(factors, matching: OneFactor | None, n: int, out: list, by_length: C
             succ = list(chain.from_iterable(cyc[1:] + cyc[:1] for cyc in cycles))
         if stray:
             yield _encode(((a, b) if a < b else (b, a) for a, b in zip(verts, succ)), n, strays)
+        elif bitmap is not None:
+            for a, b in zip(verts, succ):
+                bitmap[a * n + b if a < b else b * n + a] = 1
         else:
             yield [a * n + b if a < b else b * n + a for a, b in zip(verts, succ)]
 
@@ -227,21 +244,19 @@ def _dense_listed(factors, matching: OneFactor | None, space: EdgeSpace) -> int:
     return listed if total > 0 and n * n <= 4 * min(total, listed) else 0
 
 
-def _fill(bitmap: bytearray, parts, repeats: set | None = None) -> int:
-    """Set the byte of every code in the code lists ``parts``, one C-level
-    pass per list, and return how many codes there were.  Given a set,
+def _fill(bitmap: bytearray, parts, repeats: set | None = None) -> None:
+    """Set the byte of every code in the code lists ``parts``.  Given a set,
     ``repeats`` gains each code listed more than once: one whose byte is
     already set when its list comes, or one listed twice in its list."""
-    filled = 0
     for part in parts:
         if repeats is not None:
             repeats.update(compress(part, map(bitmap.__getitem__, part)))
             if len(set(part)) < len(part):
                 part = sorted(part)
                 repeats.update(compress(part, map(eq, part, islice(part, 1, None))))
-        deque(map(bitmap.__setitem__, part, repeat(1)), maxlen=0)
-        filled += len(part)
-    return filled
+        # a plain loop: on CPython 3.11, map over bitmap.__setitem__ is slower
+        for code in part:
+            bitmap[code] = 1
 
 
 def _quoted(mask: int, n: int) -> list:
@@ -251,19 +266,20 @@ def _quoted(mask: int, n: int) -> list:
     return [divmod(found.start(), n) for found in islice(finditer(b"\1", data), _EXAMPLE_CAP)]
 
 
-def _bitmap_faults(parts, listed: int, strays: list, factors, matching, space: EdgeSpace):
-    """The ``listed`` edges, the code lists ``parts`` plus the out-of-range
-    ``strays``, must tile the complete or equipartite ``space``.  Their
-    codes are scattered into one n * n bitmap, and equal bytes from exactly
-    edge_count() in-range codes accept them: no edge is missing, foreign or
-    duplicated.  A rejection is explained from the bytes.  Repeats are
-    found as the codes are scattered when more edges are listed than the
-    space holds, else only when there are more codes than set bytes, by
-    deriving the codes of ``factors`` and ``matching`` again."""
+def _bitmap_faults(bitmap: bytearray, parts, listed: int, strays: list, factors, matching, space: EdgeSpace):
+    """The ``listed`` edges must tile the complete or equipartite ``space``:
+    the codes already in the n * n ``bitmap``, the code lists ``parts`` and
+    the out-of-range ``strays``, which ``parts`` completes as it is drawn.
+    Equal bytes from exactly edge_count() in-range codes accept them: no
+    edge is missing, foreign or duplicated.  A rejection is explained from
+    the bytes.  Repeats are found as the codes are scattered when more
+    edges are listed than the space holds, else only when there are more
+    codes than set bytes, by deriving the codes of ``factors`` and
+    ``matching`` again."""
     n, total = space.vertex_count, space.edge_count()
-    bitmap = bytearray(n * n)
     repeats: set[int] | None = set() if listed > total else None
-    filled = _fill(bitmap, parts, repeats)
+    _fill(bitmap, parts, repeats)
+    filled = listed - len(strays)  # each listed edge is an in-range code or a stray
     ambient = space.bitmap()
     if not strays and filled == total and bitmap == ambient:
         return []
@@ -331,12 +347,16 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
     out: list[Violation] = []
     by_length: Counter[int] = Counter()
     strays: list = []
-    parts = _listed(factors, matching, n, out, by_length, strays)
     listed = _dense_listed(factors, matching, space)
     if listed:
-        faults = _bitmap_faults(parts, listed, strays, factors, matching, space)
+        bitmap = bytearray(n * n)
+        # repeats are collected as codes are written only when more edges are
+        # listed than the space holds; otherwise factors write straight in
+        fused = bitmap if listed <= space.edge_count() else None
+        parts = _listed(factors, matching, n, out, by_length, strays, fused)
+        faults = _bitmap_faults(bitmap, parts, listed, strays, factors, matching, space)
     else:
-        codes = list(chain.from_iterable(parts))
+        codes = list(chain.from_iterable(_listed(factors, matching, n, out, by_length, strays)))
         if defect := space.defect():
             faults = [Violation("CountMismatch", f"no ambient graph: {defect}")]
         else:

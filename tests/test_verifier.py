@@ -23,6 +23,7 @@ from hwp4m.k24 import k24_solution
 from hwp4m.model import (
     EdgeSpace,
     Solution,
+    TwoFactor,
     complete_graph,
     cycle_blowup4,
     decode_solution,
@@ -217,6 +218,18 @@ def test_odd_order_complete_graph_solution():
     rep = verify_solution(Solution(v=5, factors=(f1, f2), m=5, r=0, s=2))
     assert rep.ok
     assert (rep.r_found, rep.s_found) == (0, 2)
+
+
+def test_a_spanning_factor_of_1_and_2_cycles_is_explained_on_the_dense_path():
+    """Factor 0 spans 0..4, so it passes the sorted spanning compare, and its
+    codes go straight into the bitmap: the loop 4-4 is foreign and each
+    2-cycle writes its edge twice.  The reference oracle refuses a loop, so
+    the report is pinned as the byte-explained one."""
+    sol = Solution(5, (TwoFactor(((0, 1), (2, 3), (4,)), 5), TwoFactor(((0, 2, 4, 1, 3),), 5, 5)))
+    assert verify_solution(sol).summary() == (
+        "NonUniformCycleLength: factor 0: cycle lengths [1, 2]; "
+        "EdgeMissing: 0-4, 1-2, 3-4; EdgeDuplicated: 0-1, 2-3; EdgeForeign: 4-4"
+    )
 
 
 # ============================================================

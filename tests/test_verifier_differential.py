@@ -350,6 +350,27 @@ def test_valid_dense_solutions_and_their_equal_count_edits_agree_with_the_oracle
         _agree_solution(edited)
 
 
+def _round_robin(v):
+    """The v - 1 perfect matchings of K_v, even v: matching d pairs the hub
+    v - 1 with d and d + i with d - i modulo v - 1."""
+    k = v - 1
+    return [[(d, k)] + [tuple(sorted(((d + i) % k, (d - i) % k))) for i in range(1, v // 2)] for d in range(k)]
+
+
+@pytest.mark.parametrize("v", [8, 12])
+def test_factors_of_2_cycles_agree_with_the_oracle(v):
+    """Each factor is a perfect matching read as 2-cycles.  It spans, so it
+    passes the sorted spanning compare, and the document lists exactly
+    edge_count() edges, so each factor writes its codes straight into the
+    bitmap: every edge twice."""
+    matchings = _round_robin(v)
+    factors = tuple(TwoFactor(tuple(sorted(matching)), v, 2) for matching in matchings[: (v - 1) // 2])
+    sol = Solution(v=v, factors=factors, one_factor=one_factor(matchings[-1]))
+    assert _listed_edges(sol) == complete_graph(v).edge_count()
+    _agree_solution(sol)
+    _agree_solution(replace(sol, m=2, r=0, s=len(factors)))
+
+
 def _latin_triangles_of(a):
     """Triangle factors of K_{a:3}, odd a: factor d holds (i, i + d, i + 2d)
     with one vertex in each part."""
