@@ -291,13 +291,8 @@ def plan(v: int, m: int, r: int, s: int, imports: tuple[Solution, ...] = ()) -> 
         note = f"r = {r} at v = {v} is an open corner not reached by any implemented construction"
         return Plan(route="unsupported", t=t, note=note)
 
-    if (v, m) == (24, 3):
-        if r == 4:
-            return Plan(route="k24_table", t=2)
-        return Plan(
-            route="external", t=2,
-            note="v = 24 outside the hand-built r = 4 table relies on external results",
-        )
+    if (v, m, r) == (24, 3, 4):
+        return Plan(route="k24_table", t=2)
 
     n = m * t
 

@@ -13,14 +13,15 @@ the ambient edge space.  ``verify_solution``, ``verify_block`` and
 rules, and ``certifies`` is the one proof an imported or cached ingredient
 must pass.
 
-The work is bounded by the size of the document: for E listed vertices and
-edges, O(E + v) against a dense ambient, apart from sorting the repeated and
-stray edges a rejection quotes, and O(E log E + v) against the others.  A
-factor is read as two flat lists, its vertices and each one's successor on
-its cycle, and the spanning check and the edges both come from that pair.
-A factor whose sorted vertices equal 0..n-1 spans with no repeat and no
-stray vertex, which one sorted compare shows; only a factor that fails it
-is checked vertex by vertex, for the fault texts.  Each listed edge (u, w)
+The work is bounded by the size of the document, whatever its v: for E
+listed vertices and edges, O(E) against a dense ambient, apart from the
+sorts behind the examples a rejection quotes, and O(E log E) against the
+others.  A factor is read as two flat lists, its vertices and each one's
+successor on its cycle, and the spanning check and the edges both come
+from that pair.  A factor that lists exactly n vertices, sorted to
+0..n-1, spans with no repeat and no stray vertex, which one sorted compare
+shows (the range 0..n-1 is built only then); any other factor is checked
+vertex by vertex, for the fault texts.  Each listed edge (u, w)
 becomes the integer code u * n + w; an edge with an end outside 0..n-1
 stays a pair, because its code would alias a real edge, and is foreign.
 
@@ -183,12 +184,14 @@ def _listed(
     writes its codes straight into it and yields no list.  A factor whose
     sorted vertices are 0..n-1 needs no vertex check; any other runs
     ``_vertex_faults``, which also tells whether it has a stray vertex."""
-    span = list(range(n)) if factors else []
+    span = None  # 0..n-1, built once a factor lists n vertices
     for idx, factor in enumerate(factors):
         cycles = factor.cycles
         verts = list(chain.from_iterable(cycles))
         stray = False
-        if sorted(verts) != span:
+        if len(verts) == n and span is None:
+            span = list(range(n))
+        if len(verts) != n or sorted(verts) != span:
             faults, stray = _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles")
             for viol in faults:
                 out.append(Violation(viol.code, f"factor {idx}: {viol.detail}"))

@@ -10,7 +10,6 @@ import sys
 import pytest
 
 from hwp4m import blocks, verifier
-from hwp4m.algebra import gf4_pow_x
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -43,7 +42,7 @@ def unbent_cm_block():
 
     def build(m):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(blocks, "gf4_base_layers", lambda m: [gf4_pow_x(i) for i in range(m)])
+            patch.setattr(blocks, "gf4_base_layers", lambda m: [1 + i % 3 for i in range(m)])
             return blocks.cm_block(m)
 
     return build

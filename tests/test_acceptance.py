@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from hwp4m.blocks import (
+    GF4_MUL,
     c4_block,
     check_c4_cm3_nonexistence,
     cm_block,
@@ -67,12 +68,10 @@ def test_02_bend_is_required_exactly_when_m_is_one_mod_three(unbent_cm_block):
 
 
 def test_03_layer_scaling_fixes_the_scaled_factor_setwise():
-    from hwp4m.algebra import X, gf4_mul
-
     for m in range(3, 21):
         cycles = list(cm_block(m).factors[0].cycles)  # the untranslated factor
         image = sorted(
-            canonicalize_cycle(tuple(4 * (u // 4) + gf4_mul(X, u % 4) for u in cyc))
+            canonicalize_cycle(tuple(4 * (u // 4) + GF4_MUL[2][u % 4] for u in cyc))
             for cyc in cycles
         )
         assert image == cycles, f"m={m}: scaling by x moved the factor"

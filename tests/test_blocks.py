@@ -1,11 +1,14 @@
 """Block ingredients on the blown-up cycle C_m[4] and their algebra.
 
-Covers the walk-driven C4 block, the GF(4) Cm block (including the
-wrap-around bend it needs when m = 1 mod 3 and the scaling automorphism it
-gains from the field structure), the Z4 mixed block, the switch block that
-trades a matching for the part K4s, and the brute-force audit of every
-m-cycle behind the {3 Cm + 1 C4} nonexistence check.
+Covers the walk-driven C4 block, the GF(4) product table and the Cm
+block built over it (including the wrap-around bend it needs when
+m = 1 mod 3 and the scaling automorphism it gains from the field
+structure), the Z4 mixed block, the switch block that trades a matching
+for the part K4s, the pinned bytes of all four kinds, and the brute-force
+audit of every m-cycle behind the {3 Cm + 1 C4} nonexistence check.
 """
+
+import hashlib
 
 import pytest
 
@@ -13,18 +16,18 @@ from hwp4m.blocks import (
     audit_m_cycles,
     c4_block,
     check_c4_cm3_nonexistence,
+    GF4_MUL,
     cm_block,
     gf4_base_layers,
     johnson_walk,
     mixed_block,
-    one_factorization_cm2,
     switch_block,
 )
-from hwp4m.model import canonicalize_cycle, cycle_blowup4, switch_graph
+from hwp4m.model import canonicalize_cycle, cycle_blowup4, encode_solution, switch_graph
 from hwp4m.verifier import verify_block, verify_factors_cover
 
 # ============================================================
-# the walk and the C_m[2] one-factorization
+# the walk behind the C4 block
 # ============================================================
 
 
@@ -40,17 +43,22 @@ def test_johnson_walk_changes_one_element_per_step(m):
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 9])
 def test_cm2_one_factorization_partitions_the_edges(m):
-    factors = one_factorization_cm2(m)
+    # each C4-block cycle is the doubling of one C_m[2] edge: C_m[2] vertex
+    # (layer a, part i) stands for C_m[4] vertices 4i + 2a and 4i + 2a + 1
+    factors = c4_block(m).factors
     assert len(factors) == 4
     seen = set()
-    for matching in factors:
-        assert len(matching) == m
+    for factor in factors:
+        assert len(factor.cycles) == m
         covered = set()
-        for u, w in matching:
-            assert (u[1] + 1) % m == w[1] % m or (w[1] + 1) % m == u[1] % m
-            covered.add(u)
-            covered.add(w)
-            seen.add(frozenset({u, w}))
+        for cyc in factor.cycles:
+            ends = {((u % 4) // 2, u // 4) for u in cyc}
+            assert len(ends) == 2
+            assert sorted(cyc) == sorted(4 * i + 2 * a + d for a, i in ends for d in (0, 1))
+            (_, i), (_, j) = ends
+            assert (i + 1) % m == j or (j + 1) % m == i
+            covered |= ends
+            seen.add(frozenset(ends))
         assert len(covered) == 2 * m
     assert len(seen) == 4 * m
 
@@ -119,18 +127,65 @@ def test_verify_block_dispatch_covers_both_ambients():
     assert verify_block(switch_block(5)).ok
 
 
+def test_block_bytes_are_pinned():
+    # every kind at small, bent (m = 1 mod 3), even and large m; the digest
+    # is the one `hwp4m block --out -` gives for the same sequence
+    digest = hashlib.sha256()
+    for kind in (c4_block, cm_block, mixed_block, switch_block):
+        for m in (3, 4, 5, 7, 9, 10, 13, 31, 101):
+            if kind is switch_block and m % 2 == 0:
+                continue
+            digest.update(encode_solution(kind(m)))
+    assert digest.hexdigest() == "d13abb4ec11427d278b4e27029566a7bafbbcf367170ce0b98400ee2a9a934ed"
+
+
 # ============================================================
-# the GF(4) scaling automorphism
+# GF(4) and the scaling automorphism
 # ============================================================
+
+GF4 = range(4)
+
+
+def test_gf4_sum_is_xor():
+    # x^2 = x + 1 under XOR, and every element is its own negative
+    assert GF4_MUL[2][2] == 2 ^ 1
+    for a in GF4:
+        assert a ^ 0 == a and a ^ a == 0
+
+
+def test_gf4_one_is_the_identity_and_zero_absorbs():
+    for a in GF4:
+        assert GF4_MUL[1][a] == GF4_MUL[a][1] == a
+        assert GF4_MUL[0][a] == GF4_MUL[a][0] == 0
+
+
+def test_gf4_powers_of_x():
+    x, x2 = 2, 3
+    assert GF4_MUL[x][x] == x2
+    assert GF4_MUL[x][x2] == 1
+    assert gf4_base_layers(6) == [1, x, x2, 1, x, x2]
+
+
+def test_gf4_field_axioms_exhaustive():
+    for a in GF4:
+        for b in GF4:
+            assert GF4_MUL[a][b] == GF4_MUL[b][a]
+            for c in GF4:
+                assert GF4_MUL[a][GF4_MUL[b][c]] == GF4_MUL[GF4_MUL[a][b]][c]
+                assert GF4_MUL[a][b ^ c] == GF4_MUL[a][b] ^ GF4_MUL[a][c]
+
+
+def test_gf4_nonzero_products_are_nonzero():
+    for a in range(1, 4):
+        for b in range(1, 4):
+            assert GF4_MUL[a][b] != 0
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8])
 def test_scaling_layers_by_x_fixes_the_scaled_factor(m):
-    from hwp4m.algebra import X, gf4_mul
-
     cycles = list(cm_block(m).factors[0].cycles)  # the untranslated factor
     image = sorted(
-        canonicalize_cycle(tuple(4 * (u // 4) + gf4_mul(X, u % 4) for u in cyc))
+        canonicalize_cycle(tuple(4 * (u // 4) + GF4_MUL[2][u % 4] for u in cyc))
         for cyc in cycles
     )
     assert image == cycles

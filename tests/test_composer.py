@@ -125,6 +125,10 @@ def test_hand_built_k24_corner_routing():
     assert plan(24, 3, 2, 9).route == "unsupported"
     assert plan(24, 3, 6, 5).route == "unsupported"
     assert plan(24, 3, 3, 8).route == "external"
+    # outside the table, v = 24 falls through to the general planner, which
+    # names what each route lacks
+    assert plan(24, 3, 3, 8).underlying_route == "odd_r_even_t"
+    assert plan(24, 3, 1, 10).underlying_route == "r1_equipartite"
 
 
 def test_inner_blowup_routing():

@@ -471,6 +471,27 @@ def test_spaces_without_dense_edges_never_allocate_a_bitmap(monkeypatch):
         assert ok and peak < 4_000_000
 
 
+def test_a_tiny_document_with_a_huge_v_allocates_under_1_mb():
+    """A 46-byte document costs what it lists, not what its v names: no
+    vertex range 0..v-1 is built for a factor that lists three vertices."""
+    data = b'{"factors":[{"cycles":[[0,1,2]]}],"v":2000000}'
+    summaries = {
+        verify_solution: "CountMismatch: v=2000000 needs 999999 two-factors, got 1; "
+        "MatchingInvalid: even order but no removed 1-factor; "
+        "NotSpanning: factor 0: vertices uncovered: [3, 4, 5, 6, 7, 8]; "
+        "EdgeMissing: 0-3, 0-4, 0-5, 0-6, 0-7, 0-8, ... (1999998999997 total)",
+        verify_block: "CountMismatch: ambient blowup4 needs 4 two-factors, got 1; "
+        "NotSpanning: factor 0: vertices uncovered: [3, 4, 5, 6, 7, 8]; "
+        "EdgeMissing: 0-4, 0-5, 0-6, 0-7, 0-1999996, 0-1999997, ... (8000000 total); "
+        "EdgeForeign: 0-1, 0-2, 1-2",
+    }
+    for entry, summary in summaries.items():
+        sol = decode_solution(data)
+        rep, peak = _traced_peak(lambda: entry(sol))
+        assert rep.summary() == summary
+        assert peak < 1_000_000, (entry.__name__, peak)
+
+
 # ============================================================
 # independence
 # ============================================================
