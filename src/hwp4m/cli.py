@@ -1,10 +1,11 @@
 """Command-line entry point: build, verify, plan, and ingredient plumbing.
 
 Exit codes mirror the planner's statuses so that shell scripts can branch on
-them: 0 success, 1 I/O, parse, or usage error, 2 infeasible (the counting
-conditions fail), 3 unsupported (a genuinely open corner), 4 external (a
-solution is known or possible but not built by these recipes), 5 ingredient
-unavailable (search timed out or a required import was missing).
+them: 0 success, 1 I/O, parse, or usage error or a failed verification, 2
+infeasible (the counting conditions fail), 3 unsupported (a genuinely open
+corner), 4 external (a solution is known or possible but not built by these
+recipes), 5 ingredient unavailable (search timed out or a required import
+was missing), 6 out of memory, so that a crash is not read as a rejection.
 
 All artifacts use the canonical Solution JSON encoding, so a command run
 twice writes byte-identical files; ``--out -`` streams to standard output.
@@ -24,6 +25,7 @@ EXIT_INFEASIBLE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_EXTERNAL = 4
 EXIT_INGREDIENT = 5
+EXIT_MEMORY = 6
 
 # the exit code of each planner status; every other route is constructive
 STATUS_EXITS = {
@@ -227,6 +229,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

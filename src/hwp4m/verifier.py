@@ -21,33 +21,36 @@ successor on its cycle, and the spanning check and the edges both come
 from that pair.  A factor that lists exactly n vertices, sorted to
 0..n-1, spans with no repeat and no stray vertex, which one sorted compare
 shows (the range 0..n-1 is built only then); any other factor is checked
-vertex by vertex, for the fault texts.  Each listed edge (u, w)
-becomes the integer code u * n + w; an edge with an end outside 0..n-1
-stays a pair, because its code would alias a real edge, and is foreign.
+vertex by vertex, for the fault texts.  Each listed edge (u, w) has the
+integer code u * n + w; an edge with an end outside 0..n-1 stays a pair,
+because its code would alias a real edge, and is foreign.
 
 A complete or equipartite ambient is dense: its n * n membership bytes are
-at most four per edge.  When they are also at most four per listed edge, the
-codes are written into one n * n bitmap a factor at a time, by a plain loop.
-When the document lists no more edges than the ambient holds, a factor with
-no stray vertex writes each code as it derives it and builds no code list;
-the stray test comes first, since a vertex -1 would write from the end of
-the bitmap.  The tiling is accepted when the document lists exactly the edge
-count, all in range, and the bitmap equals the ambient's: equal bytes from
-that many in-range codes leave no edge missing, foreign or duplicated.  A
-rejection is explained from the same bytes, read as integers: an ambient
-byte left unset is a missing edge, a set byte outside the ambient a foreign
-one, and more in-range codes than set bytes means that some code repeats.
-The repeats are collected as the codes are written when the document lists
-more edges than the ambient holds, otherwise by deriving the codes once more
-into a fresh bitmap; those inside the ambient are duplicated edges.  Every
-other case (a sparse block ambient, a dense document too small for its
-bitmap) sorts the codes, accepts by one element-wise compare with the
-ambient's sorted code walk, and explains a rejection by one membership test
-per distinct code: every ambient is a simple graph, so a code is foreign or
-hits one edge.  The ambient's edge count, bitmap, code walk and membership
-test all come from ``model.EdgeSpace``; the verifier keeps no copy of them.
-The walk for missing-edge examples stops after ``_EXAMPLE_CAP`` misses, and
-missing vertices are found by a gap walk over the covered ones.
+at most four per edge.  When they are also at most four per listed edge,
+each factor's edges are written into one n * n bitmap as they are derived,
+by a plain loop through per-row views of it: edge (a, b), a < b, is byte b
+of row a, so no code is computed and no code list is built.  The stray
+test comes first: a factor with a vertex outside 0..n-1 is encoded as a
+code list instead, since a vertex -1 would silently write the last row;
+so is the matching, whose at most n / 2 edges cost little.  The tiling is
+accepted when the document lists exactly the edge count, all in range, and
+the bitmap equals the ambient's: equal bytes from that many in-range codes
+leave no edge missing, foreign or duplicated.  A rejection is explained
+from the same bytes, read as integers: an ambient byte left unset is a
+missing edge, a set byte outside the ambient a foreign one, and more
+in-range codes than set bytes means that some code repeats.  The repeats
+are read in the write loop, as the edges whose byte is already set: in
+the first pass when the document lists more edges than the ambient holds,
+otherwise by deriving the edges once more into a fresh bitmap.  Those
+inside the ambient are duplicated edges.  Every other case (a sparse block
+ambient, a dense document too small for its bitmap) sorts the codes,
+accepts by one element-wise compare with the ambient's sorted code walk,
+and explains a rejection by one membership test per distinct code: every
+ambient is a simple graph, so a code is foreign or hits one edge.  The
+ambient's edge count, bitmap, code walk and membership test all come from
+``model.EdgeSpace``; the verifier keeps no copy of them.  The walk for
+missing-edge examples stops after ``_EXAMPLE_CAP`` misses, and missing
+vertices are found by a gap walk over the covered ones.
 
 A report carries a list of violations, each tagged with a stable code:
 
@@ -65,7 +68,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse, islice
+from itertools import chain, filterfalse, islice
 from operator import eq
 from re import finditer
 
@@ -174,16 +177,27 @@ def _encode(edges, n: int, strays: list) -> list[int]:
 
 def _listed(
     factors, matching: OneFactor | None, n: int, out: list, by_length: Counter, strays: list,
-    bitmap: bytearray | None = None,
+    bitmap: bytearray | None = None, repeats: set | None = None,
 ):
     """The listed edges as code lists, one per factor and one for the
     optional matching, whose edges join the cover.  On the way the vertex
     and cycle-length faults join ``out``, the factor counts by uniform cycle
     length join ``by_length``, and the edges with an end outside 0..n-1
-    join ``strays``.  Given a ``bitmap``, a factor with no stray vertex
-    writes its codes straight into it and yields no list.  A factor whose
-    sorted vertices are 0..n-1 needs no vertex check; any other runs
-    ``_vertex_faults``, which also tells whether it has a stray vertex."""
+    join ``strays``.  A factor whose sorted vertices are 0..n-1 needs no
+    vertex check; any other runs ``_vertex_faults``, which also tells
+    whether it has a stray vertex.
+
+    Given a ``bitmap``, a factor with no stray vertex writes its edges
+    straight into it and yields no list: edge (a, b), a < b, is byte b of
+    row a, a view of the bitmap's n bytes from a * n, so no code is
+    computed.  Given also a set ``repeats``, the same loop adds the code of
+    each edge whose byte is already set instead.  A factor with a stray
+    vertex still yields its ``_encode`` code list, since ``rows[-1]`` would
+    silently write the last row, and so does the matching, whose at most
+    n / 2 edges cost little."""
+    if bitmap is not None:
+        view = memoryview(bitmap)
+        rows = [view[i:i + n] for i in range(0, n * n, n)]
     span = None  # 0..n-1, built once a factor lists n vertices
     for idx, factor in enumerate(factors):
         cycles = factor.cycles
@@ -220,11 +234,23 @@ def _listed(
             succ = list(chain.from_iterable(cyc[1:] + cyc[:1] for cyc in cycles))
         if stray:
             yield _encode(((a, b) if a < b else (b, a) for a, b in zip(verts, succ)), n, strays)
-        elif bitmap is not None:
-            for a, b in zip(verts, succ):
-                bitmap[a * n + b if a < b else b * n + a] = 1
-        else:
+        elif bitmap is None:
             yield [a * n + b if a < b else b * n + a for a, b in zip(verts, succ)]
+        elif repeats is None:
+            for a, b in zip(verts, succ):
+                if a < b:
+                    rows[a][b] = 1
+                else:
+                    rows[b][a] = 1
+        else:
+            for a, b in zip(verts, succ):
+                if a > b:
+                    a, b = b, a
+                row = rows[a]
+                if row[b]:
+                    repeats.add(a * n + b)
+                else:
+                    row[b] = 1
 
     if matching is not None:
         faults, stray = _matching_faults(matching, n)
@@ -247,19 +273,18 @@ def _dense_listed(factors, matching: OneFactor | None, space: EdgeSpace) -> int:
     return listed if total > 0 and n * n <= 4 * min(total, listed) else 0
 
 
-def _fill(bitmap: bytearray, parts, repeats: set | None = None) -> None:
-    """Set the byte of every code in the code lists ``parts``.  Given a set,
-    ``repeats`` gains each code listed more than once: one whose byte is
-    already set when its list comes, or one listed twice in its list."""
+def _fill(bitmap: bytearray, parts, repeats: set | None) -> None:
+    """Set the byte of every code in the code lists ``parts``: the ones
+    ``_listed`` yields for the matching and for a factor with a stray
+    vertex, drawn as it writes every other factor itself.  Given a set,
+    ``repeats`` gains each code whose byte is already set when it comes
+    instead, as in ``_listed``'s own loop."""
     for part in parts:
-        if repeats is not None:
-            repeats.update(compress(part, map(bitmap.__getitem__, part)))
-            if len(set(part)) < len(part):
-                part = sorted(part)
-                repeats.update(compress(part, map(eq, part, islice(part, 1, None))))
-        # a plain loop: on CPython 3.11, map over bitmap.__setitem__ is slower
         for code in part:
-            bitmap[code] = 1
+            if repeats is not None and bitmap[code]:
+                repeats.add(code)
+            else:
+                bitmap[code] = 1
 
 
 def _quoted(mask: int, n: int) -> list:
@@ -269,19 +294,20 @@ def _quoted(mask: int, n: int) -> list:
     return [divmod(found.start(), n) for found in islice(finditer(b"\1", data), _EXAMPLE_CAP)]
 
 
-def _bitmap_faults(bitmap: bytearray, parts, listed: int, strays: list, factors, matching, space: EdgeSpace):
+def _bitmap_faults(
+    bitmap: bytearray, repeats: set | None, listed: int, strays: list, factors, matching, space: EdgeSpace,
+):
     """The ``listed`` edges must tile the complete or equipartite ``space``:
-    the codes already in the n * n ``bitmap``, the code lists ``parts`` and
-    the out-of-range ``strays``, which ``parts`` completes as it is drawn.
-    Equal bytes from exactly edge_count() in-range codes accept them: no
-    edge is missing, foreign or duplicated.  A rejection is explained from
-    the bytes.  Repeats are found as the codes are scattered when more
-    edges are listed than the space holds, else only when there are more
-    codes than set bytes, by deriving the codes of ``factors`` and
-    ``matching`` again."""
+    the in-range ones are written into the n * n ``bitmap``, and the
+    out-of-range ones are the ``strays``.  Equal bytes from exactly
+    edge_count() in-range codes accept them: no edge is missing, foreign or
+    duplicated.  A rejection is explained from the bytes.  ``repeats``
+    holds the repeated codes when they were collected as the bitmap was
+    written (more edges listed than the space holds); else it is None, and
+    only when there are more codes than set bytes are the codes of
+    ``factors`` and ``matching`` derived again, into a fresh bitmap, to
+    find them."""
     n, total = space.vertex_count, space.edge_count()
-    repeats: set[int] | None = set() if listed > total else None
-    _fill(bitmap, parts, repeats)
     filled = listed - len(strays)  # each listed edge is an in-range code or a stray
     ambient = space.bitmap()
     if not strays and filled == total and bitmap == ambient:
@@ -296,8 +322,8 @@ def _bitmap_faults(bitmap: bytearray, parts, listed: int, strays: list, factors,
         out.append(Violation("EdgeMissing", _fmt_edges(_quoted(want & ~have, n), total - hit)))
     if filled > distinct:
         if repeats is None:
-            repeats = set()
-            _fill(bytearray(n * n), _listed(factors, matching, n, [], Counter(), []), repeats)
+            repeats, fresh = set(), bytearray(n * n)
+            _fill(fresh, _listed(factors, matching, n, [], Counter(), [], fresh, repeats), repeats)
         duplicated = sorted(code for code in repeats if ambient[code])
         if duplicated:
             quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
@@ -353,11 +379,12 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
     listed = _dense_listed(factors, matching, space)
     if listed:
         bitmap = bytearray(n * n)
-        # repeats are collected as codes are written only when more edges are
-        # listed than the space holds; otherwise factors write straight in
-        fused = bitmap if listed <= space.edge_count() else None
-        parts = _listed(factors, matching, n, out, by_length, strays, fused)
-        faults = _bitmap_faults(bitmap, parts, listed, strays, factors, matching, space)
+        # with more edges listed than the space holds, repeats are likely, so
+        # they are collected as the edges are written; otherwise they are
+        # derived again only when a rejection shows that some code repeats
+        repeats = set() if listed > space.edge_count() else None
+        _fill(bitmap, _listed(factors, matching, n, out, by_length, strays, bitmap, repeats), repeats)
+        faults = _bitmap_faults(bitmap, repeats, listed, strays, factors, matching, space)
     else:
         codes = list(chain.from_iterable(_listed(factors, matching, n, out, by_length, strays)))
         if defect := space.defect():

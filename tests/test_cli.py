@@ -3,11 +3,12 @@
 main() is driven in-process with argv lists.  Exit codes carry the planner
 status outward: 0 ok, 1 error (I/O, parse, usage, failed verification),
 2 infeasible, 3 unsupported, 4 external result required, 5 ingredient
-unavailable within limits.
+unavailable within limits, 6 out of memory.
 """
 
 import json
 
+from hwp4m import cli
 from hwp4m.cli import main
 from hwp4m.composer import plan
 from hwp4m.model import decode_solution
@@ -164,6 +165,24 @@ def test_verify_missing_or_malformed_file_is_an_error(tmp_path, capsys):
     assert "error:" in err
     # the decode error's code is printed once
     assert err.count("MalformedDocument") == 1
+
+
+def test_verify_out_of_memory_exits_six_without_a_traceback(tmp_path, capsys, monkeypatch):
+    """A crash must not read as a rejection: a rejection exits 1, running
+    out of memory exits 6 with one error line and no report."""
+    out = tmp_path / "sol.json"
+    main(["build", "--v", "12", "--m", "3", "--r", "3", "--s", "2", "--out", str(out)])
+    capsys.readouterr()
+
+    def exhausted(sol):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_solution", exhausted)
+    assert main(["verify", "--in", str(out), "--report", "json"]) == cli.EXIT_MEMORY == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 # ============================================================

@@ -12,7 +12,10 @@ whose code aliases a missing edge, reversed matching pairs, an equal-count
 edit of every ambient kind, seeded single edits of Walecki covers), inputs
 aimed at the bitmap accept of complete and equipartite spaces (valid
 solutions of odd and even order, ``certifies`` on equipartite instances,
-and edits that keep the listed edge count), and small hostile documents.
+and edits that keep the listed edge count), inputs aimed at the bitmap's
+row views and its one-loop repeat finder (stray vertices -1 and v, codes
+repeated inside a factor and across a factor and the matching), and small
+hostile documents.
 """
 
 import random
@@ -492,6 +495,76 @@ def test_equipartite_edits_that_change_the_listed_count_agree_with_the_oracle():
                 _agree_cover(candidate, space, matching)
                 for lengths in ([3] * a, [3] * len(candidate)):
                     assert certifies(sol, space, lengths) == _oracle_certifies(sol, space, lengths)
+
+
+# ============================================================
+# the row views and the one-loop repeat finder
+# ============================================================
+
+
+def _with_factor(sol, fi, cycles):
+    f = sol.factors[fi]
+    factor = TwoFactor(tuple(map(tuple, cycles)), f.n, f.cycle_length)
+    return replace(sol, factors=(*sol.factors[:fi], factor, *sol.factors[fi + 1:]))
+
+
+@pytest.mark.parametrize("stray", [-1, 60])
+def test_a_stray_vertex_on_the_dense_path_agrees_with_the_oracle(stray):
+    """Edge (a, b), a < b, is written as byte b of the row view of a.  A
+    vertex -1 would silently write into the last row and a vertex v would
+    index past a row's end, so a factor with a stray vertex must be read as
+    a code list, as the matching always is, and its out-of-range edges
+    quoted as foreign."""
+    sol = build(60, 5, 5, 24)
+    space = complete_graph(60)
+    cycles = [list(cyc) for cyc in sol.factors[3].cycles]
+    cycles[0][1] = stray
+    edges = list(sol.one_factor.edges)
+    edges[0] = (edges[0][0], stray)
+    edited = [_with_factor(sol, 3, cycles), replace(sol, one_factor=OneFactor(tuple(edges)))]
+    for doc in edited:
+        assert _listed_edges(doc) == space.edge_count() and _takes_bitmap(doc, space)
+        report = verify_solution(doc)
+        _agree(report, oracle.verify_solution(doc), details=True)
+        foreign = [viol.detail for viol in report.violations if viol.code == "EdgeForeign"]
+        assert len(foreign) == 1 and str(stray) in foreign[0]
+
+
+def _duplicated(report):
+    return [viol.detail for viol in report.violations if viol.code == "EdgeDuplicated"]
+
+
+def test_the_repeat_finder_quotes_the_oracles_duplicated_edges():
+    """With more edges listed than K_v - I holds, the repeats are collected
+    in the loop that writes the bitmap: a code listed twice inside one
+    factor (a 2-cycle on an edge of that factor), a code listed in a factor
+    and in the matching, and every edge of two 4-cycles listed again in
+    their factor, past the quoting cap.  With exactly edge_count() edges
+    listed (two neighbours swapped in a 4-cycle, which then lists its
+    diagonals), a second derivation into a fresh bitmap finds them."""
+    sol = build(60, 5, 5, 24)
+    space = complete_graph(60)
+    f0, f1 = sol.factors[0], sol.factors[1]
+    a, b = f0.cycles[0][:2]
+    c, d = f1.cycles[0][:2]
+    twice = _with_factor(sol, 0, [*f0.cycles, (a, b)])
+    twice = replace(twice, one_factor=OneFactor((*sol.one_factor.edges, (min(c, d), max(c, d)))))
+    doubled = _with_factor(sol, 0, [*f0.cycles, *f0.cycles[:2]])
+    swapped = [list(cyc) for cyc in f0.cycles]
+    swapped[0][1], swapped[0][2] = swapped[0][2], swapped[0][1]
+    swapped = _with_factor(sol, 0, swapped)
+    assert _listed_edges(twice) > space.edge_count() and _listed_edges(doubled) > space.edge_count()
+    assert _listed_edges(swapped) == space.edge_count()
+    assert len(f0.cycles[0]) == 4
+    for doc, total in ((twice, 2), (doubled, 8), (swapped, 2)):
+        assert _takes_bitmap(doc, space)
+        report, old = verify_solution(doc), oracle.verify_solution(doc)
+        _agree(report, old, details=True)
+        assert _duplicated(report) == _duplicated(old) != []
+        (detail,) = _duplicated(report)
+        assert detail.count("-") == min(total, 6) and detail.endswith(f"({total} total)") == (total > 6)
+    ab, cd = f"{min(a, b)}-{max(a, b)}", f"{min(c, d)}-{max(c, d)}"
+    assert sorted(_duplicated(verify_solution(twice))[0].split(", ")) == sorted([ab, cd])
 
 
 # ============================================================
