@@ -14,6 +14,7 @@ twice writes byte-identical files; ``--out -`` streams to standard output.
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import composer, search
 from .model import DecodeError, decode_solution, encode_solution, Solution
@@ -136,33 +137,22 @@ def _cmd_ingredient(args) -> int:
     if args.type == "kts9":
         if args.params:
             raise _CliError("--params takes no values for type kts9")
-        outcome = search.solve_cached(
-            search.cm_factorization_instance(9, 3), cache_dir=args.cache, time_limit=args.time_limit
-        )
-        if outcome.status != "found":
-            print(f"ingredient unavailable: kts9 search: {outcome.status}", file=sys.stderr)
-            return EXIT_INGREDIENT
-        sol = Solution(v=9, factors=outcome.factors, m=3, r=0, s=4)
+        instance = partial(search.cm_factorization_instance, 9, 3)
+        label, fields = "kts9", {"v": 9, "m": 3, "r": 0, "s": 4}
     else:
         if len(args.params) != 3:
             raise _CliError("--params A B LENGTH required for type equipartite")
         a, b, length = args.params
-        try:  # a shape with no C_length-factorization is a usage error
-            outcome = search.solve_cached(
-                search.equipartite_instance(a, b, length),
-                cache_dir=args.cache, time_limit=args.time_limit,
-            )
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
-        if outcome.status != "found":
-            print(
-                f"ingredient unavailable: equipartite ({a}, {b}, {length}) "
-                f"search: {outcome.status}",
-                file=sys.stderr,
-            )
-            return EXIT_INGREDIENT
-        sol = Solution(v=a * b, factors=outcome.factors, m=length)
-    _write_bytes(encode_solution(sol), args.out)
+        instance = partial(search.equipartite_instance, a, b, length)
+        label, fields = f"equipartite ({a}, {b}, {length})", {"v": a * b, "m": length}
+    try:  # a shape with no C_length-factorization is a usage error
+        outcome = search.solve_cached(instance(), cache_dir=args.cache, time_limit=args.time_limit)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+    if outcome.status != "found":
+        print(f"ingredient unavailable: {label} search: {outcome.status}", file=sys.stderr)
+        return EXIT_INGREDIENT
+    _write_bytes(encode_solution(Solution(factors=outcome.factors, **fields)), args.out)
     return EXIT_OK
 
 

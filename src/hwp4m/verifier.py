@@ -20,32 +20,34 @@ others.  A factor is read as two flat lists, its vertices and each one's
 successor on its cycle, and the spanning check and the edges both come
 from that pair.  A factor that lists exactly n vertices, sorted to
 0..n-1, spans with no repeat and no stray vertex, which one sorted compare
-shows (the range 0..n-1 is built only then); any other factor is checked
-vertex by vertex, for the fault texts.  Each listed edge (u, w) has the
-integer code u * n + w; an edge with an end outside 0..n-1 stays a pair,
-because its code would alias a real edge, and is foreign.
+shows (the range 0..n-1 is built only then), and its edges are taken as
+they come.  Any other factor is checked vertex by vertex, for the fault
+texts, and its edges, smaller end first, and the matching's pairs, taken
+as given, pass one filter: a pair (a, b) is kept only when
+0 <= a <= b < n.  Every other pair is a stray and foreign, since its code
+a * n + b would alias a real edge; so a reversed matching pair is foreign
+by that rule, not by where its code falls.  A loop (a, a) is kept, as a
+spanning factor's one-vertex cycle is: its code is foreign, and counted
+once however many factors list it.
 
 A complete or equipartite ambient is dense: its n * n membership bytes are
 at most four per edge.  When they are also at most four per listed edge,
-each factor's edges are written into one n * n bitmap as they are derived,
-by a plain loop through per-row views of it: edge (a, b), a < b, is byte b
-of row a, so no code is computed and no code list is built.  The stray
-test comes first: a factor with a vertex outside 0..n-1 is encoded as a
-code list instead, since a vertex -1 would silently write the last row;
-so is the matching, whose at most n / 2 edges cost little.  The tiling is
-accepted when the document lists exactly the edge count, all in range, and
-the bitmap equals the ambient's: equal bytes from that many in-range codes
-leave no edge missing, foreign or duplicated.  A rejection is explained
-from the same bytes, read as integers: an ambient byte left unset is a
-missing edge, a set byte outside the ambient a foreign one, and more
-in-range codes than set bytes means that some code repeats.  The repeats
-are read in the write loop, as the edges whose byte is already set: in
-the first pass when the document lists more edges than the ambient holds,
-otherwise by deriving the edges once more into a fresh bitmap.  Those
-inside the ambient are duplicated edges.  Every other case (a sparse block
-ambient, a dense document too small for its bitmap) sorts the codes,
-accepts by one element-wise compare with the ambient's sorted code walk,
-and explains a rejection by one membership test per distinct code: every
+the kept edges are written into one n * n bitmap by a plain loop through
+per-row views of it: edge (a, b), a < b, is byte b of row a, so no code is
+computed and no code list is built.  The tiling is accepted when the
+document lists exactly the edge count, with no stray, and the bitmap
+equals the ambient's: equal bytes from that many codes leave no edge
+missing, foreign or duplicated.  A rejection is explained from the same
+bytes, read as integers: an ambient byte left unset is a missing edge, a
+set byte outside the ambient a foreign one, and more kept edges than set
+bytes means that some code repeats.  The repeats are read in the write
+loop, as the edges whose byte is already set: in the first pass when the
+document lists more edges than the ambient holds, otherwise by writing
+the edges once more into a fresh bitmap.  Those inside the ambient are
+duplicated edges.  Every other case (a sparse block ambient, a dense
+document too small for its bitmap) sorts the kept edges' codes, accepts
+by one element-wise compare with the ambient's sorted code walk, and
+explains a rejection by one membership test per distinct code: every
 ambient is a simple graph, so a code is foreign or hits one edge.  The
 ambient's edge count, bitmap, code walk and membership test all come from
 ``model.EdgeSpace``; the verifier keeps no copy of them.  The walk for
@@ -141,9 +143,8 @@ def _uncovered(covered: list[int], n: int) -> list[int]:
     return out
 
 
-def _vertex_faults(verts: list, n: int, code: str, repeat_code: str, repeat_text: str):
-    """Each of 0..n-1 must occur exactly once in ``verts``.  Also returns
-    whether some vertex lies outside 0..n-1."""
+def _vertex_faults(verts: list, n: int, code: str, repeat_code: str, repeat_text: str) -> list[Violation]:
+    """Each of 0..n-1 must occur exactly once in ``verts``."""
     out: list[Violation] = []
     seen = set(verts)
     if len(seen) < len(verts):
@@ -155,59 +156,42 @@ def _vertex_faults(verts: list, n: int, code: str, repeat_code: str, repeat_text
         out.append(Violation(code, f"vertices uncovered: {_uncovered(sorted(inside), n)}"))
     if stray:
         out.append(Violation(code, f"vertices out of range: {sorted(seen - inside)[:_EXAMPLE_CAP]}"))
-    return out, stray
+    return out
 
 
-def _matching_faults(matching: OneFactor, n: int):
+def _matching_faults(matching: OneFactor, n: int) -> list[Violation]:
     verts = list(chain.from_iterable(matching.edges))
     return _vertex_faults(verts, n, "MatchingInvalid", "MatchingInvalid", "vertices covered twice")
 
 
-def _encode(edges, n: int, strays: list) -> list[int]:
-    """The codes u * n + w of the edges with both ends in 0..n-1; the others
-    join ``strays`` as pairs, since their codes would alias real edges."""
-    codes: list[int] = []
-    for u, w in edges:
-        if 0 <= u < n and 0 <= w < n:
-            codes.append(u * n + w)
+def _in_range(pairs, n: int, strays: list):
+    """The pairs (a, b) with 0 <= a <= b < n; every other pair joins
+    ``strays``, since its code a * n + b would alias a real edge."""
+    for a, b in pairs:
+        if 0 <= a <= b < n:
+            yield a, b
         else:
-            strays.append((u, w))
-    return codes
+            strays.append((a, b))
 
 
-def _listed(
-    factors, matching: OneFactor | None, n: int, out: list, by_length: Counter, strays: list,
-    bitmap: bytearray | None = None, repeats: set | None = None,
-):
-    """The listed edges as code lists, one per factor and one for the
+def _listed(factors, matching: OneFactor | None, n: int, out: list, by_length: Counter, strays: list):
+    """The listed edges as pairs, one iterable per factor and one for the
     optional matching, whose edges join the cover.  On the way the vertex
-    and cycle-length faults join ``out``, the factor counts by uniform cycle
-    length join ``by_length``, and the edges with an end outside 0..n-1
+    and cycle-length faults join ``out``, the factor counts by uniform
+    cycle length join ``by_length``, and the pairs ``_in_range`` rejects
     join ``strays``.  A factor whose sorted vertices are 0..n-1 needs no
-    vertex check; any other runs ``_vertex_faults``, which also tells
-    whether it has a stray vertex.
-
-    Given a ``bitmap``, a factor with no stray vertex writes its edges
-    straight into it and yields no list: edge (a, b), a < b, is byte b of
-    row a, a view of the bitmap's n bytes from a * n, so no code is
-    computed.  Given also a set ``repeats``, the same loop adds the code of
-    each edge whose byte is already set instead.  A factor with a stray
-    vertex still yields its ``_encode`` code list, since ``rows[-1]`` would
-    silently write the last row, and so does the matching, whose at most
-    n / 2 edges cost little."""
-    if bitmap is not None:
-        view = memoryview(bitmap)
-        rows = [view[i:i + n] for i in range(0, n * n, n)]
+    vertex check, and its pairs (vertex, successor) are yielded as they
+    come; any other factor runs ``_vertex_faults``, and its pairs, smaller
+    end first, pass ``_in_range``, as the matching's pairs do as given."""
     span = None  # 0..n-1, built once a factor lists n vertices
     for idx, factor in enumerate(factors):
         cycles = factor.cycles
         verts = list(chain.from_iterable(cycles))
-        stray = False
         if len(verts) == n and span is None:
             span = list(range(n))
-        if len(verts) != n or sorted(verts) != span:
-            faults, stray = _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles")
-            for viol in faults:
+        spans = len(verts) == n and sorted(verts) == span
+        if not spans:
+            for viol in _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles"):
                 out.append(Violation(viol.code, f"factor {idx}: {viol.detail}"))
 
         lengths = set(map(len, cycles))
@@ -232,31 +216,12 @@ def _listed(
             succ[length - 1::length] = verts[::length]
         else:
             succ = list(chain.from_iterable(cyc[1:] + cyc[:1] for cyc in cycles))
-        if stray:
-            yield _encode(((a, b) if a < b else (b, a) for a, b in zip(verts, succ)), n, strays)
-        elif bitmap is None:
-            yield [a * n + b if a < b else b * n + a for a, b in zip(verts, succ)]
-        elif repeats is None:
-            for a, b in zip(verts, succ):
-                if a < b:
-                    rows[a][b] = 1
-                else:
-                    rows[b][a] = 1
-        else:
-            for a, b in zip(verts, succ):
-                if a > b:
-                    a, b = b, a
-                row = rows[a]
-                if row[b]:
-                    repeats.add(a * n + b)
-                else:
-                    row[b] = 1
+        pairs = zip(verts, succ)
+        yield pairs if spans else _in_range(((a, b) if a < b else (b, a) for a, b in pairs), n, strays)
 
     if matching is not None:
-        faults, stray = _matching_faults(matching, n)
-        out.extend(faults)
-        # matching edges stay raw: a reversed pair is foreign
-        yield _encode(matching.edges, n, strays) if stray else [u * n + w for u, w in matching.edges]
+        out.extend(_matching_faults(matching, n))
+        yield _in_range(matching.edges, n, strays)
 
 
 def _dense_listed(factors, matching: OneFactor | None, space: EdgeSpace) -> int:
@@ -273,18 +238,30 @@ def _dense_listed(factors, matching: OneFactor | None, space: EdgeSpace) -> int:
     return listed if total > 0 and n * n <= 4 * min(total, listed) else 0
 
 
-def _fill(bitmap: bytearray, parts, repeats: set | None) -> None:
-    """Set the byte of every code in the code lists ``parts``: the ones
-    ``_listed`` yields for the matching and for a factor with a stray
-    vertex, drawn as it writes every other factor itself.  Given a set,
-    ``repeats`` gains each code whose byte is already set when it comes
-    instead, as in ``_listed``'s own loop."""
-    for part in parts:
-        for code in part:
-            if repeats is not None and bitmap[code]:
-                repeats.add(code)
-            else:
-                bitmap[code] = 1
+def _write(bitmap: bytearray, parts, n: int, repeats: set | None) -> None:
+    """Set the n * n ``bitmap``'s byte of every pair (a, b) in ``parts``,
+    the in-range pairs ``_listed`` yields: edge (a, b), a < b, is byte b of
+    row a, a view of the bitmap's n bytes from a * n, so no code is
+    computed.  Given a set, ``repeats`` gains the code a * n + b of each
+    edge whose byte is already set instead."""
+    view = memoryview(bitmap)
+    rows = [view[i:i + n] for i in range(0, n * n, n)]
+    for pairs in parts:
+        if repeats is None:
+            for a, b in pairs:
+                if a < b:
+                    rows[a][b] = 1
+                else:
+                    rows[b][a] = 1
+        else:
+            for a, b in pairs:
+                if a > b:
+                    a, b = b, a
+                row = rows[a]
+                if row[b]:
+                    repeats.add(a * n + b)
+                else:
+                    row[b] = 1
 
 
 def _quoted(mask: int, n: int) -> list:
@@ -298,17 +275,16 @@ def _bitmap_faults(
     bitmap: bytearray, repeats: set | None, listed: int, strays: list, factors, matching, space: EdgeSpace,
 ):
     """The ``listed`` edges must tile the complete or equipartite ``space``:
-    the in-range ones are written into the n * n ``bitmap``, and the
-    out-of-range ones are the ``strays``.  Equal bytes from exactly
-    edge_count() in-range codes accept them: no edge is missing, foreign or
-    duplicated.  A rejection is explained from the bytes.  ``repeats``
-    holds the repeated codes when they were collected as the bitmap was
-    written (more edges listed than the space holds); else it is None, and
-    only when there are more codes than set bytes are the codes of
-    ``factors`` and ``matching`` derived again, into a fresh bitmap, to
-    find them."""
+    the kept ones are written into the n * n ``bitmap``, and the others are
+    the ``strays``.  Equal bytes from exactly edge_count() kept edges accept
+    them: no edge is missing, foreign or duplicated.  A rejection is
+    explained from the bytes.  ``repeats`` holds the repeated codes when
+    they were collected as the bitmap was written (more edges listed than
+    the space holds); else it is None, and only when there are more kept
+    edges than set bytes are the edges of ``factors`` and ``matching``
+    written again, into a fresh bitmap, to find them."""
     n, total = space.vertex_count, space.edge_count()
-    filled = listed - len(strays)  # each listed edge is an in-range code or a stray
+    filled = listed - len(strays)  # each listed edge is kept or a stray
     ambient = space.bitmap()
     if not strays and filled == total and bitmap == ambient:
         return []
@@ -322,8 +298,8 @@ def _bitmap_faults(
         out.append(Violation("EdgeMissing", _fmt_edges(_quoted(want & ~have, n), total - hit)))
     if filled > distinct:
         if repeats is None:
-            repeats, fresh = set(), bytearray(n * n)
-            _fill(fresh, _listed(factors, matching, n, [], Counter(), [], fresh, repeats), repeats)
+            repeats = set()
+            _write(bytearray(n * n), _listed(factors, matching, n, [], Counter(), []), n, repeats)
         duplicated = sorted(code for code in repeats if ambient[code])
         if duplicated:
             quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
@@ -336,8 +312,8 @@ def _bitmap_faults(
 
 
 def _edge_faults(codes: list[int], strays: list, space: EdgeSpace) -> list[Violation]:
-    """The listed edges, ``codes`` plus the out-of-range ``strays``, must
-    equal the ambient edge set.  One sorted compare accepts them; one
+    """The listed edges, ``codes`` plus the foreign ``strays``, must equal
+    the ambient edge set.  One sorted compare accepts them; one
     membership test per distinct code explains a rejection."""
     codes.sort()
     total = space.edge_count()
@@ -376,6 +352,7 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
     out: list[Violation] = []
     by_length: Counter[int] = Counter()
     strays: list = []
+    parts = _listed(factors, matching, n, out, by_length, strays)
     listed = _dense_listed(factors, matching, space)
     if listed:
         bitmap = bytearray(n * n)
@@ -383,15 +360,15 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
         # they are collected as the edges are written; otherwise they are
         # derived again only when a rejection shows that some code repeats
         repeats = set() if listed > space.edge_count() else None
-        _fill(bitmap, _listed(factors, matching, n, out, by_length, strays, bitmap, repeats), repeats)
+        _write(bitmap, parts, n, repeats)
         faults = _bitmap_faults(bitmap, repeats, listed, strays, factors, matching, space)
     else:
-        codes = list(chain.from_iterable(_listed(factors, matching, n, out, by_length, strays)))
+        codes = [a * n + b if a < b else b * n + a for pairs in parts for a, b in pairs]
         if defect := space.defect():
             faults = [Violation("CountMismatch", f"no ambient graph: {defect}")]
         else:
             faults = _edge_faults(codes, strays, space)
-    out.extend(faults)  # after the vertex faults, added as the code lists were drawn
+    out.extend(faults)  # after the vertex faults, added as the pairs were drawn
     return out, by_length
 
 
@@ -496,7 +473,7 @@ def verify_block(sol: Solution, space: EdgeSpace | None = None) -> Report:
 
     # the removed 1-factor lies outside the ambient, so it joins no cover
     if sol.one_factor is not None:
-        out.extend(_matching_faults(sol.one_factor, n)[0])
+        out.extend(_matching_faults(sol.one_factor, n))
         declared = sol.one_factor.edges
         if space.kind == "switch" and (
             len(declared) != 2 * block_m or sorted(declared) != switch_matching_edges(block_m)

@@ -22,6 +22,7 @@ from hwp4m.composer import build
 from hwp4m.k24 import k24_solution
 from hwp4m.model import (
     EdgeSpace,
+    OneFactor,
     Solution,
     TwoFactor,
     complete_graph,
@@ -222,13 +223,31 @@ def test_odd_order_complete_graph_solution():
 
 def test_a_spanning_factor_of_1_and_2_cycles_is_explained_on_the_dense_path():
     """Factor 0 spans 0..4, so it passes the sorted spanning compare, and its
-    codes go straight into the bitmap: the loop 4-4 is foreign and each
-    2-cycle writes its edge twice.  The reference oracle refuses a loop, so
-    the report is pinned as the byte-explained one."""
+    pairs go straight into the bitmap: the loop 4-4 is foreign and each
+    2-cycle writes its edge twice.  A factor that does not span, and the
+    matching, pass the filter that keeps a pair (a, b) only when
+    0 <= a <= b < n; a loop passes it too, so a loop listed on both sides
+    sets one diagonal byte and is quoted once, while a reversed matching
+    pair is a stray.  The reference oracle refuses a loop, so the reports
+    are pinned as the byte-explained ones."""
     sol = Solution(5, (TwoFactor(((0, 1), (2, 3), (4,)), 5), TwoFactor(((0, 2, 4, 1, 3),), 5, 5)))
     assert verify_solution(sol).summary() == (
         "NonUniformCycleLength: factor 0: cycle lengths [1, 2]; "
         "EdgeMissing: 0-4, 1-2, 3-4; EdgeDuplicated: 0-1, 2-3; EdgeForeign: 4-4"
+    )
+    loops = TwoFactor(tuple((u,) for u in range(5)), 5)
+    fewer = TwoFactor(tuple((u,) for u in range(4)), 5)
+    assert verify_factors_cover([loops, fewer], complete_graph(5)).summary() == (
+        "NotSpanning: factor 1: vertices uncovered: [4]; "
+        "EdgeMissing: 0-1, 0-2, 0-3, 0-4, 1-2, 1-3, ... (10 total); "
+        "EdgeForeign: 0-0, 1-1, 2-2, 3-3, 4-4"
+    )
+    loops = TwoFactor(tuple((u,) for u in range(6)), 6)
+    matching = OneFactor(((0, 0), (1, 1), (5, 2), (3, 4)))
+    assert verify_factors_cover([loops], complete_graph(6), matching).summary() == (
+        "MatchingInvalid: vertices covered twice: [0, 1]; "
+        "EdgeMissing: 0-1, 0-2, 0-3, 0-4, 0-5, 1-2, ... (14 total); "
+        "EdgeForeign: 0-0, 1-1, 2-2, 3-3, 4-4, 5-2, ... (7 total)"
     )
 
 

@@ -211,6 +211,17 @@ def test_reversed_matching_pairs_agree_with_the_oracle():
     reversed_ = OneFactor(tuple((w, u) for u, w in leftover.edges))
     _agree_cover(factors, complete_graph(10), reversed_)
     _agree_cover(factors, complete_graph(10), OneFactor(leftover.edges[1:] + ((9, 8),)))
+    # off the bitmap, where codes are sorted: a sparse block ambient, and one
+    # factor of K_9, too few edges for its bitmap; a reversed pair must not
+    # be read as the real edge it reverses, repeated or next to a stray
+    sparse = [
+        (c4_block(5).factors, cycle_blowup4(5), ((4, 0), (1, 5), (1, 5))),
+        (switch_block(5).factors, switch_graph(5), ((1, 0), (0, 1), (25, 3))),
+        (list(walecki(9))[:1], complete_graph(9), ((3, 1), (1, 3), (3, 1), (-1, 2))),
+    ]
+    for factors, space, edges in sparse:
+        assert space.kind != "complete" or not _takes_bitmap(Solution(9, tuple(factors), OneFactor(edges)), space)
+        _agree_cover(list(factors), space, OneFactor(edges))
 
 
 def _swapped(factor):
@@ -512,9 +523,9 @@ def _with_factor(sol, fi, cycles):
 def test_a_stray_vertex_on_the_dense_path_agrees_with_the_oracle(stray):
     """Edge (a, b), a < b, is written as byte b of the row view of a.  A
     vertex -1 would silently write into the last row and a vertex v would
-    index past a row's end, so a factor with a stray vertex must be read as
-    a code list, as the matching always is, and its out-of-range edges
-    quoted as foreign."""
+    index past a row's end, so the pairs of a factor that does not span
+    0..n-1 pass the same range filter as the matching's, and its
+    out-of-range edges are quoted as foreign."""
     sol = build(60, 5, 5, 24)
     space = complete_graph(60)
     cycles = [list(cyc) for cyc in sol.factors[3].cycles]
