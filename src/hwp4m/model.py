@@ -23,8 +23,23 @@ A solution document is a JSON object with keys ``v``, ``m``, ``r``, ``s``,
 ``one_factor`` (sorted list of [u, v] pairs with u < v) and ``factors``
 (list of objects {"cycle_length": L, "cycles": [[...], ...]} with cycles
 canonicalized and sorted).  ``one_factor`` is omitted for odd-order
-factorizations and for block documents without a removed matching.
-Encoding is deterministic: same object, same bytes.
+factorizations and for block documents without a removed matching, and
+``m``, ``r`` and ``s`` when they are None.  Encoding is deterministic:
+same object, same bytes.
+
+``encode_solution`` writes the text itself, byte for byte what
+``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"`` writes
+for the ``doc`` of the reference encoder in ``tests/reference_codec.py``.
+A document lists each vertex once per factor but has at most v distinct
+vertices, so the decimal text of each int in it is made once, on its
+first occurrence, and kept in a table of the ints that document lists
+(no term in v).  Contract: every int of the document, a vertex in range
+or not or one of ``v``, ``m``, ``r``, ``s`` and ``cycle_length``, is
+written as json writes it.  A vertex or field that is not an int (a
+bool, float, str, ...) raises ``ValueError`` when the table first meets
+it, or ``TypeError`` when it cannot be hashed.  A non-int equal to an int
+already named (True after 1, 2.0 after 2) is outside the contract: it
+takes that int's text.  The decoder rejects every such document.
 """
 
 from __future__ import annotations
@@ -305,28 +320,6 @@ class DecodeError(ValueError):
         super().__init__(f"{code}: {detail}" if detail else code)
 
 
-def solution_to_doc(sol: Solution) -> dict:
-    factors = []
-    for f in sol.factors:
-        if f.cycle_length is not None:
-            length = f.cycle_length
-        else:
-            lengths = {len(c) for c in f.cycles}
-            if len(lengths) != 1:
-                raise ValueError("cannot annotate a non-uniform factor")
-            length = lengths.pop()
-        # json writes tuples as arrays, so the cycles and edges go in as they are
-        factors.append({"cycle_length": length, "cycles": sorted(f.cycles)})
-    doc: dict = {"v": sol.v, "factors": factors}
-    for key in ("m", "r", "s"):
-        val = getattr(sol, key)
-        if val is not None:
-            doc[key] = val
-    if sol.one_factor is not None:
-        doc["one_factor"] = sol.one_factor.edges
-    return doc
-
-
 def _is_int(x) -> bool:
     # JSON true/false decode to bool, a subclass of int; they are not numbers here
     return isinstance(x, int) and not isinstance(x, bool)
@@ -424,12 +417,51 @@ def doc_to_solution(doc: dict) -> Solution:
     return Solution(v=v, factors=tuple(factors), m=m, r=r, s=s, one_factor=matching)
 
 
+class _IntNames(dict):
+    """The decimal text of each int of one document, vertices and fields
+    alike, made on its first lookup and kept for the rest of the document."""
+
+    def __missing__(self, u) -> str:
+        if not isinstance(u, int) or isinstance(u, bool):
+            raise ValueError(f"{u!r} is not an int")
+        self[u] = name = int.__repr__(u)  # json's text of an int, subclasses too
+        return name
+
+
+def _rows_text(rows, names: _IntNames, lengths: set) -> str:
+    """json's text of a list of rows of vertices; ``lengths`` is the set of
+    row lengths.  Rows of one nonzero length k are cut from one stream of
+    names, k at a time; any other list is written row by row."""
+    if len(lengths) == 1 and (k := next(iter(lengths))):
+        stream = map(names.__getitem__, chain.from_iterable(rows))
+        return "[[" + "],[".join(map(",".join, zip(*[stream] * k))) + "]]"
+    return "[" + ",".join(["[" + ",".join(map(names.__getitem__, row)) + "]" for row in rows]) + "]"
+
+
 def encode_solution(sol: Solution) -> bytes:
-    doc = solution_to_doc(sol)
-    # the document holds only dicts, lists, tuples and ints, so it cannot
-    # contain itself and json need not track the containers it has entered
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
-    return text.encode("ascii")
+    """The document's bytes (see "Solution interchange format" above)."""
+    names = _IntNames()
+    # each factor becomes bytes as it is written, so the document is never
+    # held as str and bytes at once
+    pieces, sep = [b'{"factors":['], ""
+    for f in sol.factors:
+        cycles = sorted(f.cycles)
+        lengths = set(map(len, cycles))
+        length = f.cycle_length
+        if length is None:
+            if len(lengths) != 1:
+                raise ValueError("cannot annotate a non-uniform factor")
+            length = next(iter(lengths))
+        text = f'{sep}{{"cycle_length":{names[length]},"cycles":{_rows_text(cycles, names, lengths)}}}'
+        pieces.append(text.encode("ascii"))
+        sep = ","
+    fields = {key: names[val] for key in ("m", "r", "s") if (val := getattr(sol, key)) is not None}
+    if sol.one_factor is not None:
+        edges = sol.one_factor.edges
+        fields["one_factor"] = _rows_text(edges, names, set(map(len, edges)))
+    fields["v"] = names[sol.v]
+    pieces.append(("]," + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}\n").encode("ascii"))
+    return b"".join(pieces)
 
 
 def decode_solution(data: bytes | str) -> Solution:

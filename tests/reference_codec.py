@@ -1,14 +1,19 @@
-"""Reference oracle for the decoder: the per-vertex ``doc_to_solution`` and
-the list-based ``canonicalize_cycle``, kept verbatim for differential
-tests.
+"""Reference oracles for the codec, kept verbatim for differential tests.
 
-It checks every cycle in document order, one vertex at a time, so the
-first fault it meets names the ``DecodeError``.  The package's decoder
-checks each factor in bulk and falls back to the same ordered scan only
-when a bulk check fails.
+The decoder's oracle is the per-vertex ``doc_to_solution`` with the
+list-based ``canonicalize_cycle``.  It checks every cycle in document
+order, one vertex at a time, so the first fault it meets names the
+``DecodeError``.  The package's decoder checks each factor in bulk and
+falls back to the same ordered scan only when a bulk check fails.
+
+The encoder's oracle is ``solution_to_doc`` plus json's compact sorted
+dump.  The package's encoder writes the same bytes itself, naming each
+vertex once per document.
 """
 
 from __future__ import annotations
+
+import json
 
 from hwp4m.model import Cycle, DecodeError, Solution, TwoFactor, one_factor
 
@@ -91,3 +96,33 @@ def doc_to_solution(doc: dict) -> Solution:
         matching = one_factor(edges)
 
     return Solution(v=v, factors=tuple(factors), m=m, r=r, s=s, one_factor=matching)
+
+
+def solution_to_doc(sol: Solution) -> dict:
+    factors = []
+    for f in sol.factors:
+        if f.cycle_length is not None:
+            length = f.cycle_length
+        else:
+            lengths = {len(c) for c in f.cycles}
+            if len(lengths) != 1:
+                raise ValueError("cannot annotate a non-uniform factor")
+            length = lengths.pop()
+        # json writes tuples as arrays, so the cycles and edges go in as they are
+        factors.append({"cycle_length": length, "cycles": sorted(f.cycles)})
+    doc: dict = {"v": sol.v, "factors": factors}
+    for key in ("m", "r", "s"):
+        val = getattr(sol, key)
+        if val is not None:
+            doc[key] = val
+    if sol.one_factor is not None:
+        doc["one_factor"] = sol.one_factor.edges
+    return doc
+
+
+def encode_solution(sol: Solution) -> bytes:
+    doc = solution_to_doc(sol)
+    # the document holds only dicts, lists, tuples and ints, so it cannot
+    # contain itself and json need not track the containers it has entered
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    return text.encode("ascii")

@@ -1,4 +1,4 @@
-"""The decoder against its reference oracle.
+"""The codec against its reference oracles.
 
 ``reference_codec`` keeps the per-vertex ``doc_to_solution``.  On every
 document here both must return the same ``Solution``, or raise a
@@ -9,9 +9,16 @@ duplicate vertex, an empty factor), pairs of edits whose first faulty
 cycle differs in kind from a later one, in one factor or in two, and
 rotated or reversed cycles, which take the decoder off its bulk proof that
 a factor is already canonical.
+
+It also keeps ``solution_to_doc`` plus json's compact sorted dump, which
+the package's encoder must match byte for byte, or raise the same
+``ValueError``: on every block kind, built solutions of every route,
+Hamilton decompositions, a searched outcome, and hand-made solutions at
+the edges of the format.
 """
 
 import copy
+import itertools
 import json
 import random
 
@@ -19,10 +26,21 @@ import pytest
 import reference_codec as oracle
 
 from hwp4m.blocks import c4_block, cm_block, mixed_block, switch_block
-from hwp4m.composer import build
+from hwp4m.composer import BLOCK_BUILDERS, build
 from hwp4m.k24 import k24_solution
-from hwp4m.model import DecodeError, Solution, canonicalize_cycle, doc_to_solution, encode_solution
-from hwp4m.outer import walecki
+from hwp4m.model import (
+    DecodeError,
+    OneFactor,
+    Solution,
+    TwoFactor,
+    canonicalize_cycle,
+    doc_to_solution,
+    encode_solution,
+    one_factor,
+    two_factor,
+)
+from hwp4m.outer import hamilton_decomposition, walecki
+from hwp4m.search import cm_factorization_instance, solve
 
 
 def _outcome(decode, doc):
@@ -189,3 +207,99 @@ def test_canonicalize_cycle_takes_lists_tuples_and_generators():
             with pytest.raises(ValueError) as err:
                 canonicalize_cycle(form(bad))
             assert str(err.value) == text
+
+
+# ============================================================
+# encoder
+# ============================================================
+
+
+def _encoded(encode, sol):
+    try:
+        return encode(sol)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _encodes_alike(sol):
+    new = _encoded(encode_solution, sol)
+    assert new == _encoded(oracle.encode_solution, sol)
+    return new
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_BUILDERS))
+def test_every_block_kind_encodes_alike(kind):
+    for m in (3, 5, 7, 9, 13, 25):
+        assert isinstance(_encodes_alike(BLOCK_BUILDERS[kind](m)), bytes)
+
+
+# one request of each route at v <= 124, all-C4 and switch routes at both ends
+ENCODED_REQUESTS = [
+    (12, 3, 1, 4), (12, 3, 2, 3), (12, 3, 5, 0), (24, 3, 4, 7), (36, 3, 17, 0),
+    (40, 5, 3, 16), (40, 5, 19, 0), (48, 3, 7, 16), (60, 5, 6, 23),
+    (120, 3, 59, 0), (124, 31, 1, 60), (124, 31, 2, 59),
+]
+
+
+def test_built_solutions_encode_alike():
+    for request in ENCODED_REQUESTS:
+        assert isinstance(_encodes_alike(build(*request)), bytes)
+
+
+def test_hamilton_decompositions_and_a_searched_outcome_encode_alike():
+    for n in (3, 4, 5, 8, 9, 10, 21, 30):
+        _encodes_alike(hamilton_decomposition(n))
+    outcome = solve(cm_factorization_instance(9, 3))
+    assert outcome.status == "found"
+    _encodes_alike(Solution(v=9, factors=outcome.factors))
+    outcome = solve(cm_factorization_instance(10, 5))
+    _encodes_alike(Solution(v=10, factors=outcome.factors, one_factor=outcome.matching))
+
+
+def _factor(cycles, length=None, n=12):
+    # cycles as given: neither canonical nor sorted
+    return TwoFactor(cycles=tuple(cycles), n=n, cycle_length=length)
+
+
+EDGE_FACTORS = {
+    "no_cycles": [_factor([], 3)],
+    "no_cycles_undeclared": [_factor([])],
+    "two_vertex_rows": [_factor([(0, 1), (2, 3)])],
+    "two_vertex_row_among_triangles": [_factor([(0, 1, 2), (3, 4)], 3)],
+    "one_vertex_rows": [_factor([(5,), (0,)])],
+    "empty_row": [_factor([()], 3)],
+    "empty_and_full_rows": [_factor([(), (0, 1, 2)], 3)],
+    "mixed_declared": [_factor([(0, 1, 2), (3, 4, 5, 6)], 3), _factor([(3, 4, 5, 6), (0, 1, 2)], 4)],
+    "mixed_undeclared": [_factor([(0, 1, 2), (3, 4, 5, 6)])],
+    "unsorted_rows": [_factor([(6, 7, 8), (0, 2, 1), (3, 5, 4)])],
+    "list_rows": [_factor([[4, 5, 6, 7], [0, 1, 2, 3]])],
+    "out_of_range": [_factor([(-3, 7, 12), (-1, 100, 5)])],
+    "width_9_10": [_factor([(8, 9, 10, 11), (1, 9, 10, 0)])],
+    "width_99_100": [_factor([(98, 99, 100, 101), (9, 10, 99, 100)]), _factor([(99, 100, 9)])],
+    "width_999_1000": [_factor([(999, 1000, 10 ** 6)], 3)],
+    "huge": [_factor([(2 ** 64, -(2 ** 70), 0)])],
+    "int_subclass": [_factor([(Label(3), 4, 5), (0, Label(1), 2)])],
+    "repeated_vertex": [_factor([(0, 1, 0, 1), (1, 0, 1, 0)])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FACTORS))
+def test_edge_case_factors_encode_alike(name):
+    factors = tuple(EDGE_FACTORS[name])
+    for v in (1, 5, 12, 101):
+        _encodes_alike(Solution(v=v, factors=factors, m=3, r=1, s=0))
+    _encodes_alike(Solution(v=12, factors=factors + tuple(walecki(5)), one_factor=OneFactor(((0, 1),))))
+
+
+def test_every_none_pattern_of_m_r_s_and_the_matching_encodes_alike():
+    factors = (two_factor([(0, 1, 2, 3)], 4, 4),)
+    matchings = (None, OneFactor(()), one_factor([(0, 3), (1, 2)]), OneFactor(((3, 0), (10, -2))))
+    for m, r, s in itertools.product((None, 5), (None, 0, 1), (None, 0, 10)):
+        for matching in matchings:
+            _encodes_alike(Solution(v=4, factors=factors, m=m, r=r, s=s, one_factor=matching))
+
+
+def test_v_1_and_empty_documents_encode_alike():
+    assert _encodes_alike(Solution(v=1, factors=())) == b'{"factors":[],"v":1}\n'
+    _encodes_alike(Solution(v=1, factors=(), m=1, r=0, s=0, one_factor=OneFactor(())))
+    _encodes_alike(Solution(v=1, factors=(_factor([(0,)]),)))

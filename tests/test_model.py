@@ -7,15 +7,19 @@ makes every serialized artifact byte-stable.
 """
 
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
+import reference_codec
 from reference_verifier import listed_edges
 
 from hwp4m.model import (
     DecodeError,
     EdgeSpace,
+    OneFactor,
     Solution,
+    TwoFactor,
     canonicalize_cycle,
     complete_graph,
     cycle_blowup4,
@@ -25,7 +29,6 @@ from hwp4m.model import (
     equipartite_graph,
     normalize_edge,
     one_factor,
-    solution_to_doc,
     switch_graph,
     switch_matching_edges,
     two_factor,
@@ -186,12 +189,46 @@ def test_encoding_is_canonical_ascii_line():
     # key order is sorted, whitespace-free
     assert text.index('"factors"') < text.index('"m"') < text.index('"v"')
     assert ": " not in text
-    # written without json's circularity check, the bytes of a default dump
+    # written without json, the bytes of json's default dump
     matched = Solution(v=4, factors=(two_factor([(0, 1, 2, 3)], 4, 4),), r=1, s=0,
                        one_factor=one_factor([(0, 3), (1, 2)]))
     for sol in (_tiny_solution(), matched):
-        default = json.dumps(solution_to_doc(sol), sort_keys=True, separators=(",", ":"))
+        doc = reference_codec.solution_to_doc(sol)
+        default = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         assert encode_solution(sol) == (default + "\n").encode("ascii")
+
+
+def test_encoding_names_only_the_listed_vertices_and_only_ints():
+    # the table of names holds the ints the document lists, not 0..v-1
+    v = 10 ** 9
+    sol = Solution(v=v, factors=(two_factor([(0, 1, 2)], v, 3),))
+    tracemalloc.start()
+    try:
+        data = encode_solution(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data == b'{"factors":[{"cycle_length":3,"cycles":[[0,1,2]]}],"v":1000000000}\n'
+    assert peak < 1 << 20
+    for bad, error in (("1", ValueError), (1.5, ValueError), (None, ValueError),
+                       (True, ValueError), ([1], TypeError)):
+        for sol in (
+            Solution(v=3, factors=(TwoFactor(cycles=((0, bad, 2),), n=3, cycle_length=3),)),
+            Solution(v=4, factors=(), one_factor=OneFactor(((0, bad),))),
+        ):
+            with pytest.raises(error):
+                encode_solution(sol)
+    # the fields are written from the same table, so they are ints too; no
+    # int named before them equals these values
+    tri = two_factor([(4, 5, 6)], 7, 3)
+    for sol in (
+        Solution(v=7.0, factors=(tri,)),
+        Solution(v=7, factors=(tri,), m="3"),
+        Solution(v=7, factors=(tri,), r=False),
+        Solution(v=7, factors=(TwoFactor(cycles=((4, 5, 6),), n=7, cycle_length=3.5),)),
+    ):
+        with pytest.raises(ValueError, match="is not an int"):
+            encode_solution(sol)
 
 
 def test_matching_survives_round_trip():
@@ -263,7 +300,7 @@ def test_decode_rejects_inconsistent_declared_counts():
 
 def test_doc_cycles_are_sorted_canonical():
     sol = _tiny_solution()
-    doc = solution_to_doc(sol)
+    doc = json.loads(encode_solution(sol))
     for entry in doc["factors"]:
         cycles = [tuple(c) for c in entry["cycles"]]
         assert cycles == sorted(canonicalize_cycle(c) for c in cycles)
