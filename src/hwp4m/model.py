@@ -76,11 +76,6 @@ def canonicalize_cycle(vertices) -> Cycle:
     return rot[:1] + rot[:0:-1] if rot[1] > rot[-1] else rot
 
 
-def cycle_edges(cycle) -> list[Edge]:
-    n = len(cycle)
-    return [normalize_edge(cycle[i], cycle[(i + 1) % n]) for i in range(n)]
-
-
 # ============================================================
 # factors and solutions
 # ============================================================
@@ -97,12 +92,6 @@ class TwoFactor:
     cycles: tuple[Cycle, ...]
     n: int
     cycle_length: int | None = None
-
-    def edges(self) -> list[Edge]:
-        out: list[Edge] = []
-        for c in self.cycles:
-            out.extend(cycle_edges(c))
-        return out
 
 
 def two_factor(cycles, n: int, cycle_length: int | None = None) -> TwoFactor:

@@ -27,8 +27,9 @@ engine kept in ``tests/reference_search.py``, so node counts and first
 solutions match that oracle exactly.
 
 Found results are re-checked by the verifier before being returned, and
-positive results can be cached on disk keyed by a hash of the instance;
-each cache file is written through a temporary file of the writing
+positive results can be cached on disk keyed by a hash of the instance.
+The disk is the only cache: each use re-reads the file and proves it
+again, and each file is written through a temporary file of the writing
 process's own and moved into place whole.
 """
 
@@ -332,15 +333,6 @@ def first_proven(instance: SearchInstance, docs) -> Solution | None:
 # caching
 # ============================================================
 
-_MEMO: dict[tuple[str, str], SearchOutcome] = {}  # (instance key, cache directory)
-
-
-def clear_memo() -> None:
-    """Forget every outcome ``solve_cached`` holds in memory, as a new
-    process would; the disk cache is left alone."""
-    _MEMO.clear()
-
-
 def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "hwp4m")
 
@@ -353,32 +345,26 @@ def _cache_path(instance: SearchInstance, cache_dir: str) -> str:
 def solve_cached(
     instance: SearchInstance, cache_dir: str | None = None, time_limit: float | None = None
 ) -> SearchOutcome:
-    """solve() with an in-process memo and an on-disk cache of Found results.
+    """solve() behind an on-disk cache of Found results.
 
-    The memo is keyed on the instance and the absolute cache directory, so a
-    second directory is still filled.  Cached files are re-verified on load;
+    Every call reads the instance's cache file and proves it afresh, so a
+    file another process rewrote or corrupted is caught by the next call;
     anything unreadable or invalid is ignored and recomputed.  Unsat/timeout
     outcomes are never cached (a longer time limit could change them).
     """
     cache_dir = default_cache_dir() if cache_dir is None else cache_dir
-    key = (instance.key(), os.path.abspath(os.fspath(cache_dir)))
-    if key in _MEMO:
-        return _MEMO[key]
     path = _cache_path(instance, cache_dir)
     n = instance.space.vertex_count
     try:
         with open(path, "rb") as fh:
             sol = first_proven(instance, [decode_solution(fh.read())])
         if sol is not None:
-            outcome = SearchOutcome("found", sol.factors, sol.one_factor)
-            _MEMO[key] = outcome
-            return outcome
+            return SearchOutcome("found", sol.factors, sol.one_factor)
     except (OSError, ValueError):
         pass
 
     outcome = solve(instance, time_limit=time_limit)
     if outcome.status == "found":
-        _MEMO[key] = outcome
         doc = Solution(v=n, factors=outcome.factors, one_factor=outcome.matching)
         _write_cache(path, encode_solution(doc))
     return outcome

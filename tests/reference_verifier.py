@@ -51,6 +51,12 @@ def _rs_counts(factors, m: int | None) -> tuple[int, int]:
     return r_found, s_found
 
 
+def factor_edges(cycles) -> list[Edge]:
+    """The edges of ``cycles``: each cycle's consecutive pairs, its closing
+    pair last, each normalized."""
+    return [normalize_edge(u, w) for c in cycles for u, w in zip(c, (*c[1:], *c[:1]))]
+
+
 def _fmt_edges(edges) -> str:
     shown = ", ".join(f"{u}-{v}" for u, v in edges[:_EXAMPLE_CAP])
     if len(edges) > _EXAMPLE_CAP:
@@ -241,7 +247,7 @@ def verify_solution(sol: Solution) -> Report:
                 )
             )
 
-    edge_lists = [f.edges() for f in sol.factors]
+    edge_lists = [factor_edges(f.cycles) for f in sol.factors]
     if sol.one_factor is not None:
         edge_lists.append(list(sol.one_factor.edges))
     out.extend(check_edge_cover(edge_lists, complete_graph(v)))
@@ -304,7 +310,7 @@ def verify_block(sol: Solution, space: EdgeSpace | None = None) -> Report:
         else:
             out.extend(check_matching(sol.one_factor, n))
 
-    edge_lists = [f.edges() for f in sol.factors]
+    edge_lists = [factor_edges(f.cycles) for f in sol.factors]
     out.extend(check_edge_cover(edge_lists, space))
     return _report(out, sol.factors, block_m)
 
@@ -316,7 +322,7 @@ def verify_factors_cover(factors, space: EdgeSpace, matching: OneFactor | None =
     for idx, factor in enumerate(factors):
         for viol in check_factor(factor, n):
             out.append(Violation(viol.code, f"factor {idx}: {viol.detail}"))
-    edge_lists = [f.edges() for f in factors]
+    edge_lists = [factor_edges(f.cycles) for f in factors]
     if matching is not None:
         out.extend(check_matching(matching, n))
         edge_lists.append(list(matching.edges))

@@ -30,7 +30,7 @@ from hwp4m.model import (
     one_factor,
     two_factor,
 )
-from hwp4m.search import clear_memo, cm_factorization_instance, solve_cached
+from hwp4m.search import cm_factorization_instance, solve_cached
 from hwp4m.verifier import verify_block, verify_solution
 
 # ============================================================
@@ -128,7 +128,6 @@ def test_05_single_block_solutions_cover_the_promised_spectrum():
 
 def test_06_searched_triangle_system_drives_the_v36_spectrum(tmp_path):
     start = time.monotonic()
-    clear_memo()
     constructive = set()
     for r in range(18):
         p = plan(36, 3, r, 17 - r)
@@ -174,9 +173,8 @@ def _table_v120():
 
 def test_08_inner_blowups_need_no_search(tmp_path):
     # every inner solution comes from a builtin outer or the k24 table: with
-    # an empty memo, a fresh cache and no search budget at all, every
-    # inner_blowup request still builds and nothing is written to the cache
-    clear_memo()
+    # a fresh cache and no search budget at all, every inner_blowup request
+    # still builds and nothing is written to the cache
     reached = {}
     for v, m, r, s in _table_v120():
         p = plan(v, m, r, s)
@@ -300,7 +298,6 @@ def test_10_random_single_edit_mutations_are_all_rejected():
 
 
 def _artifact_run(cache_dir) -> dict[str, bytes]:
-    clear_memo()
     arts = {}
     arts["build-36"] = encode_solution(build(36, 3, 5, 12, cache_dir=cache_dir))
     arts["build-48"] = encode_solution(build(48, 3, 10, 13, cache_dir=cache_dir))

@@ -12,7 +12,6 @@ from hwp4m import cli
 from hwp4m.cli import main
 from hwp4m.composer import plan
 from hwp4m.model import decode_solution
-from hwp4m.search import clear_memo
 from hwp4m.verifier import verify_solution
 
 # ============================================================
@@ -60,7 +59,6 @@ def test_build_exit_codes_follow_the_planner(tmp_path, capsys):
 
 
 def test_build_reports_unavailable_ingredients(tmp_path):
-    clear_memo()
     out = str(tmp_path / "x.json")
     code = main(
         [
@@ -82,7 +80,6 @@ def test_build_accepts_an_ingredient_file_where_search_cannot_go(tmp_path):
         )
         == 0
     )
-    clear_memo()
     out = tmp_path / "sol.json"
     code = main(
         [
@@ -100,7 +97,6 @@ def test_build_proves_an_ingredient_file_once(tmp_path, certify_calls):
     argv = ["ingredient", "--type", "kts9", "--cache", str(tmp_path / "c1"), "--out", str(kts)]
     assert main(argv) == 0
     certify_calls.clear()  # count the build's proofs only
-    clear_memo()
     code = main(
         [
             "build", "--v", "36", "--m", "3", "--r", "1", "--s", "16",
@@ -241,7 +237,6 @@ def test_ingredient_equipartite_export(tmp_path):
 
 
 def test_ingredient_timeout_exit(tmp_path):
-    clear_memo()
     code = main(
         [
             "ingredient", "--type", "kts9", "--time-limit", "0",

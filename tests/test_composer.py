@@ -37,7 +37,7 @@ from hwp4m.composer import (
 from hwp4m.k24 import k24_solution
 from hwp4m.model import Solution, canonicalize_cycle, encode_solution, two_factor
 from hwp4m.outer import outer_availability
-from hwp4m.search import clear_memo, cm_factorization_instance, equipartite_instance, solve_cached
+from hwp4m.search import cm_factorization_instance, equipartite_instance, solve_cached
 from hwp4m.verifier import verify_solution
 
 # ============================================================
@@ -248,7 +248,6 @@ def test_build_raises_by_plan_status():
 def test_build_reports_missing_searched_outer_honestly(tmp_path):
     # the outer module raises it, and the composer re-exports the same class
     assert IngredientUnavailable is outer.IngredientUnavailable
-    clear_memo()
     with pytest.raises(IngredientUnavailable, match=r"^outer \(9, 3\) factorization: timeout \("):
         build(36, 3, 1, 16, cache_dir=tmp_path, time_limit=0.0)
 
@@ -275,7 +274,6 @@ def test_a_proven_import_rides_in_the_plan_outside_equality(tmp_path):
 def test_a_build_proves_each_import_once(tmp_path, certify_calls):
     doc = _kts9_doc(tmp_path)
     certify_calls.clear()  # count the build's proofs only
-    clear_memo()
     sol = build(36, 3, 1, 16, imports=(doc,), cache_dir=tmp_path / "empty", time_limit=0.0)
     assert verify_solution(sol).ok
     assert len(certify_calls) == 1

@@ -115,7 +115,6 @@ def test_cold_builds_over_starters_run_no_search(request_, tmp_path, monkeypatch
     def no_search(*args, **kwargs):
         raise AssertionError("searched")
 
-    search.clear_memo()
     monkeypatch.setattr(search, "solve", no_search)
     sol = build(*request_, cache_dir=tmp_path, time_limit=0.0)
     rep = verify_solution(sol)
@@ -199,9 +198,6 @@ def test_search_supplies_the_whitelisted_outers(tmp_path):
 
 
 def test_search_timeout_is_reported_not_swallowed(tmp_path):
-    from hwp4m import search
-
-    search.clear_memo()  # other tests may have solved this instance already
     with pytest.raises(IngredientUnavailable, match="timeout"):
         outer_cm_factorization(10, 5, cache_dir=tmp_path, time_limit=0.0)
 
@@ -227,15 +223,12 @@ def test_import_is_used_when_it_proves_itself(tmp_path):
     # an imported document for an (n, m) that search would otherwise solve;
     # the planner proves it, and with time_limit=0 only the import can make
     # the build succeed
-    from hwp4m import search
-
     found = outer_cm_factorization(9, 3, cache_dir=tmp_path)
     doc = Solution(v=9, factors=found.factors, m=3, r=0, s=4)
     ing = _ingredient("outer_cm", (9, 3), (doc,))
     assert ing.availability == "import"
     assert ing.proven is doc
     assert plan(36, 3, 1, 16, imports=(doc,)).ingredients == (ing,)
-    search.clear_memo()
     sol = build(36, 3, 1, 16, imports=(doc,), cache_dir=tmp_path / "empty", time_limit=0.0)
     assert verify_solution(sol).ok
 
@@ -244,14 +237,11 @@ def test_import_with_wrong_declared_counts_builds_as_the_right_one(tmp_path):
     # every factor of the document is a C3-factor, though it declares r = 4,
     # s = 0; the proof reads its cycles, and so does the build, which counts
     # the outer's C4-factors from them, never from the declared r
-    from hwp4m import search
-
     found = outer_cm_factorization(9, 3, cache_dir=tmp_path)
     right = Solution(v=9, factors=found.factors, m=3, r=0, s=4)
     wrong = Solution(v=9, factors=found.factors, m=3, r=4, s=0)
     (ing,) = plan(36, 3, 1, 16, imports=(wrong,)).ingredients
     assert ing.availability == "import" and ing.proven is wrong
-    search.clear_memo()
     built = [
         encode_solution(build(36, 3, 1, 16, imports=(doc,), cache_dir=tmp_path / "empty",
                               time_limit=0.0))
@@ -261,13 +251,10 @@ def test_import_with_wrong_declared_counts_builds_as_the_right_one(tmp_path):
 
 
 def test_import_that_does_not_prove_itself_is_ignored(tmp_path):
-    from hwp4m import search
-
     found = outer_cm_factorization(9, 3, cache_dir=tmp_path)
     broken = Solution(v=9, factors=found.factors[1:], m=3, r=0, s=3)
     ing = _ingredient("outer_cm", (9, 3), (broken,))
     assert (ing.availability, ing.proven) == ("searchable", None)
     assert plan(36, 3, 1, 16, imports=(broken,)).ingredients == (ing,)
-    search.clear_memo()
     with pytest.raises(IngredientUnavailable, match="timeout"):
         outer_cm_factorization(9, 3, cache_dir=tmp_path / "empty", time_limit=0.0)

@@ -11,14 +11,12 @@ import os
 import pytest
 
 from hwp4m.blocks import check_c4_cm3_nonexistence
-from hwp4m.model import complete_graph
+from hwp4m.model import Solution, complete_graph, encode_solution, two_factor
 from hwp4m.search import (
-    _MEMO,
     SearchInstance,
     _cache_path,
     c4_cm3_split_instance,
     check_budget,
-    clear_memo,
     cm_factorization_instance,
     equipartite_instance,
     solve,
@@ -118,22 +116,19 @@ def test_equipartite_instance_rejects_odd_degree():
 
 
 def test_disk_cache_round_trips_found_results(tmp_path):
-    clear_memo()
     first = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path)
     assert first.status == "found"
     cached_files = list(tmp_path.iterdir())
     assert len(cached_files) == 1
 
-    # a fresh process would have an empty memo; the expired limit proves the
-    # result now comes from disk, not from a rerun of the search
-    clear_memo()
+    # the expired limit proves the result now comes from disk, not from a
+    # rerun of the search
     second = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path, time_limit=0.0)
     assert second.status == "found"
     assert second.factors == first.factors
 
 
-def test_memo_hit_still_fills_a_second_cache_directory(tmp_path):
-    clear_memo()
+def test_a_second_cache_directory_is_filled_too(tmp_path):
     first = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path / "a")
     second = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path / "b")
     assert second.factors == first.factors
@@ -141,25 +136,47 @@ def test_memo_hit_still_fills_a_second_cache_directory(tmp_path):
 
 
 def test_corrupted_cache_is_ignored_and_recomputed(tmp_path):
-    clear_memo()
     first = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path)
     path = next(tmp_path.iterdir())
     path.write_bytes(b"{ not json")
-    clear_memo()
     again = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path)
     assert again.status == "found"
     assert again.factors == first.factors
 
 
+def test_a_deleted_cache_file_is_not_remembered(tmp_path):
+    instance = cm_factorization_instance(9, 3)
+    assert solve_cached(instance, cache_dir=tmp_path).status == "found"
+    os.unlink(_cache_path(instance, str(tmp_path)))
+    # no copy is kept in the process: with no search budget, nothing is found
+    assert solve_cached(instance, cache_dir=tmp_path, time_limit=0.0).status == "timeout"
+
+
+def test_a_rewritten_cache_file_is_read_and_proven_again(tmp_path):
+    # another process replaces the file with a different valid factorization
+    # (the found one, relabelled); the next call returns what the file holds
+    instance = cm_factorization_instance(9, 3)
+    first = solve_cached(instance, cache_dir=tmp_path)
+    other = tuple(
+        two_factor([[(x + 1) % 9 for x in c] for c in f.cycles], 9, cycle_length=3)
+        for f in first.factors
+    )
+    assert other != first.factors
+    path = _cache_path(instance, str(tmp_path))
+    with open(path, "wb") as fh:
+        fh.write(encode_solution(Solution(v=9, factors=other)))
+    again = solve_cached(instance, cache_dir=tmp_path, time_limit=0.0)
+    assert again.status == "found"
+    assert again.factors == other
+
+
 def test_cache_write_does_not_collide_with_a_leftover_temporary(tmp_path):
     # whatever sits at path + ".tmp" (here a directory, which cannot be
     # opened for writing) belongs to another writer and must not block this one
-    clear_memo()
     path = _cache_path(cm_factorization_instance(9, 3), str(tmp_path))
     os.mkdir(path + ".tmp")
     assert solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path).status == "found"
     assert sorted(os.listdir(tmp_path)) == sorted([os.path.basename(path), os.path.basename(path) + ".tmp"])
-    clear_memo()
     again = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path, time_limit=0.0)
     assert again.status == "found"
 
@@ -178,8 +195,6 @@ def test_cache_files_keep_their_names():
 
 
 def test_timeouts_are_never_cached(tmp_path):
-    clear_memo()
     out = solve_cached(cm_factorization_instance(15, 5), cache_dir=tmp_path, time_limit=0.0)
     assert out.status == "timeout"
     assert list(tmp_path.iterdir()) == []
-    assert _MEMO == {}
