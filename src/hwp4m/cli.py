@@ -14,7 +14,7 @@ twice writes byte-identical files; ``--out -`` streams to standard output.
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import composer, search
 from .model import DecodeError, decode_solution, encode_solution, Solution
@@ -160,6 +160,7 @@ def _cmd_ingredient(args) -> int:
 # argument parsing
 # ============================================================
 
+@cache  # built once per process: parse_args keeps nothing from one call to the next
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hwp4m",

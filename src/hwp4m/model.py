@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain, repeat
 from operator import eq, itemgetter, lt
 
@@ -314,25 +315,32 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _canonical_cycles(cycles: list, v: int):
+def _canonical_cycles(cycles: list, v: int, span):
     """The sorted canonical cycles of a well-formed factor, or None when
     some cycle is faulty, checked by C-level passes over the whole factor:
     every cycle is a list, every vertex an int (bools excluded) in 0..v-1,
     and canonicalize_cycle raises on a short cycle or a repeated vertex.
     These accept exactly the cycles the ordered scan in ``doc_to_solution``
-    accepts, but for subclasses of list and int.  A factor already in
-    canonical form, as every document hwp4m writes is, is proven so in bulk
-    and skips canonicalize_cycle: no cycle is short, no vertex repeats, and
-    each cycle starts at its minimum with its second below its last."""
+    accepts, but for subclasses of list and int.  One set of the factor's
+    vertices gives both bulk facts: no vertex repeats when it is as long as
+    the list, and v distinct vertices are in range exactly when they are
+    ``span()``, the set 0..v-1 (any others when their least is at least 0
+    and their greatest below v).  A factor already in canonical form, as
+    every document hwp4m writes is, is proven so in bulk and skips
+    canonicalize_cycle: no cycle is short, no vertex repeats, and each
+    cycle starts at its minimum with its second below its last."""
     if not set(map(type, cycles)) <= {list}:
         return None
     verts = list(chain.from_iterable(cycles))
-    if verts and (set(map(type, verts)) != {int} or min(verts) < 0 or max(verts) >= v):
+    if verts and set(map(type, verts)) != {int}:
+        return None
+    seen = set(verts)
+    if seen and not (seen == span() if len(seen) == v else min(seen) >= 0 and max(seen) < v):
         return None
     if (
         verts
         and min(map(len, cycles)) >= 3
-        and len(set(verts)) == len(verts)
+        and len(seen) == len(verts)
         and all(map(eq, map(itemgetter(0), cycles), map(min, cycles)))
         and all(map(lt, map(itemgetter(1), cycles), map(itemgetter(-1), cycles)))
     ):
@@ -357,10 +365,11 @@ def doc_to_solution(doc: dict) -> Solution:
         raise DecodeError("MalformedDocument", "factors must be a list")
 
     factors = []
+    span = cache(partial(frozenset, range(v)))  # made once a factor lists v distinct vertices
     for idx, entry in enumerate(raw_factors):
         if not isinstance(entry, dict) or not isinstance(entry.get("cycles"), list):
             raise DecodeError("MalformedDocument", f"factor {idx} has no list of cycles")
-        cycles = _canonical_cycles(entry["cycles"], v)
+        cycles = _canonical_cycles(entry["cycles"], v, span)
         if cycles is None:  # the ordered scan names the first faulty cycle
             for cyc in entry["cycles"]:
                 if not isinstance(cyc, list) or len(cyc) < 3:

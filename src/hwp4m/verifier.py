@@ -18,9 +18,9 @@ listed vertices and edges, O(E) against a dense ambient, apart from the
 sorts behind the examples a rejection quotes, and O(E log E) against the
 others.  A factor is read as two flat lists, its vertices and each one's
 successor on its cycle, and the spanning check and the edges both come
-from that pair.  A factor that lists exactly n vertices, sorted to
-0..n-1, spans with no repeat and no stray vertex, which one sorted compare
-shows (the range 0..n-1 is built only then), and its edges are taken as
+from that pair.  A factor that lists exactly n vertices whose set is
+0..n-1 spans with no repeat and no stray vertex, which one set compare
+shows (the set 0..n-1 is built only then), and its edges are taken as
 they come.  Any other factor is checked vertex by vertex, for the fault
 texts, and its edges, smaller end first, and the matching's pairs, taken
 as given, pass one filter: a pair (a, b) is kept only when
@@ -43,16 +43,18 @@ set byte outside the ambient a foreign one, and more kept edges than set
 bytes means that some code repeats.  The repeats are read in the write
 loop, as the edges whose byte is already set: in the first pass when the
 document lists more edges than the ambient holds, otherwise by writing
-the edges once more into a fresh bitmap.  Those inside the ambient are
-duplicated edges.  Every other case (a sparse block ambient, a dense
-document too small for its bitmap) sorts the kept edges' codes, accepts
-by one element-wise compare with the ambient's sorted code walk, and
-explains a rejection by one membership test per distinct code: every
-ambient is a simple graph, so a code is foreign or hits one edge.  The
-ambient's edge count, bitmap, code walk and membership test all come from
-``model.EdgeSpace``; the verifier keeps no copy of them.  The walk for
-missing-edge examples stops after ``_EXAMPLE_CAP`` misses, and missing
-vertices are found by a gap walk over the covered ones.
+the edges once more into a fresh bitmap, in a pass that only writes: each
+factor's span bit, kept from the first pass, says whether its edges pass
+the filter.  Those inside the ambient are duplicated edges.  Every other
+case (a sparse block ambient, a dense document too small for its bitmap)
+sorts the kept edges' codes, accepts by one element-wise compare with the
+ambient's sorted code walk, and explains a rejection by one membership
+test per distinct code: every ambient is a simple graph, so a code is
+foreign or hits one edge.  The ambient's edge count, bitmap, code walk
+and membership test all come from ``model.EdgeSpace``; the verifier keeps
+no copy of them.  The walk for missing-edge examples stops after
+``_EXAMPLE_CAP`` misses, and missing vertices are found by a gap walk
+over the covered ones.
 
 A report carries a list of violations, each tagged with a stable code:
 
@@ -174,22 +176,41 @@ def _in_range(pairs, n: int, strays: list):
             strays.append((a, b))
 
 
-def _listed(factors, matching: OneFactor | None, n: int, out: list, by_length: Counter, strays: list):
+def _pairs(cycles, verts: list, lengths: set, spans: bool, n: int, strays: list):
+    """A factor's pairs (vertex, successor on its cycle, the cycle's first
+    after its last): as they come when the factor ``spans``, else smaller
+    end first through ``_in_range``.  ``verts`` is the factor's vertices in
+    cycle order and ``lengths`` the set of its cycle lengths."""
+    if len(lengths) == 1 and verts:
+        (length,) = lengths
+        succ = verts[1:] + verts[:1]
+        succ[length - 1::length] = verts[::length]
+    else:
+        succ = list(chain.from_iterable(cyc[1:] + cyc[:1] for cyc in cycles))
+    pairs = zip(verts, succ)
+    return pairs if spans else _in_range(((a, b) if a < b else (b, a) for a, b in pairs), n, strays)
+
+
+def _listed(
+    factors, matching: OneFactor | None, n: int, out: list, by_length: Counter, strays: list, spanning: list,
+):
     """The listed edges as pairs, one iterable per factor and one for the
     optional matching, whose edges join the cover.  On the way the vertex
     and cycle-length faults join ``out``, the factor counts by uniform
-    cycle length join ``by_length``, and the pairs ``_in_range`` rejects
-    join ``strays``.  A factor whose sorted vertices are 0..n-1 needs no
-    vertex check, and its pairs (vertex, successor) are yielded as they
-    come; any other factor runs ``_vertex_faults``, and its pairs, smaller
-    end first, pass ``_in_range``, as the matching's pairs do as given."""
+    cycle length join ``by_length``, the pairs ``_in_range`` rejects join
+    ``strays``, and each factor's span bit joins ``spanning``.  A factor
+    that lists n vertices whose set is 0..n-1 spans, and needs no vertex
+    check; any other factor runs ``_vertex_faults``.  ``_pairs`` draws each
+    factor's pairs, and the matching's, taken as given, pass
+    ``_in_range``."""
     span = None  # 0..n-1, built once a factor lists n vertices
     for idx, factor in enumerate(factors):
         cycles = factor.cycles
         verts = list(chain.from_iterable(cycles))
         if len(verts) == n and span is None:
-            span = list(range(n))
-        spans = len(verts) == n and sorted(verts) == span
+            span = frozenset(range(n))
+        spans = len(verts) == n and set(verts) == span
+        spanning.append(spans)
         if not spans:
             for viol in _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles"):
                 out.append(Violation(viol.code, f"factor {idx}: {viol.detail}"))
@@ -209,19 +230,21 @@ def _listed(factors, matching: OneFactor | None, n: int, out: list, by_length: C
                 )
         else:
             out.append(Violation("NotSpanning", f"factor {idx}: factor has no cycles"))
-
-        # each vertex's successor on its cycle, the cycle's first after its last
-        if len(lengths) == 1 and verts:
-            succ = verts[1:] + verts[:1]
-            succ[length - 1::length] = verts[::length]
-        else:
-            succ = list(chain.from_iterable(cyc[1:] + cyc[:1] for cyc in cycles))
-        pairs = zip(verts, succ)
-        yield pairs if spans else _in_range(((a, b) if a < b else (b, a) for a, b in pairs), n, strays)
+        yield _pairs(cycles, verts, lengths, spans, n, strays)
 
     if matching is not None:
         out.extend(_matching_faults(matching, n))
         yield _in_range(matching.edges, n, strays)
+
+
+def _relisted(factors, spanning: list, matching: OneFactor | None, n: int):
+    """The pairs ``_listed`` yielded, drawn again with each factor's span
+    bit read from ``spanning``: no fault is checked, and strays are dropped."""
+    for factor, spans in zip(factors, spanning):
+        cycles = factor.cycles
+        yield _pairs(cycles, list(chain.from_iterable(cycles)), set(map(len, cycles)), spans, n, [])
+    if matching is not None:
+        yield _in_range(matching.edges, n, [])
 
 
 def _dense_listed(factors, matching: OneFactor | None, space: EdgeSpace) -> int:
@@ -272,7 +295,8 @@ def _quoted(mask: int, n: int) -> list:
 
 
 def _bitmap_faults(
-    bitmap: bytearray, repeats: set | None, listed: int, strays: list, factors, matching, space: EdgeSpace,
+    bitmap: bytearray, repeats: set | None, listed: int, strays: list, factors, spanning: list, matching,
+    space: EdgeSpace,
 ):
     """The ``listed`` edges must tile the complete or equipartite ``space``:
     the kept ones are written into the n * n ``bitmap``, and the others are
@@ -282,7 +306,10 @@ def _bitmap_faults(
     they were collected as the bitmap was written (more edges listed than
     the space holds); else it is None, and only when there are more kept
     edges than set bytes are the edges of ``factors`` and ``matching``
-    written again, into a fresh bitmap, to find them."""
+    written again, into a fresh bitmap, to find them.  That second pass
+    only writes: each factor's span bit from the first pass, in
+    ``spanning``, says whether its pairs pass ``_in_range``, and no fault
+    is checked again."""
     n, total = space.vertex_count, space.edge_count()
     filled = listed - len(strays)  # each listed edge is kept or a stray
     ambient = space.bitmap()
@@ -299,7 +326,7 @@ def _bitmap_faults(
     if filled > distinct:
         if repeats is None:
             repeats = set()
-            _write(bytearray(n * n), _listed(factors, matching, n, [], Counter(), []), n, repeats)
+            _write(bytearray(n * n), _relisted(factors, spanning, matching, n), n, repeats)
         duplicated = sorted(code for code in repeats if ambient[code])
         if duplicated:
             quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
@@ -352,7 +379,8 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
     out: list[Violation] = []
     by_length: Counter[int] = Counter()
     strays: list = []
-    parts = _listed(factors, matching, n, out, by_length, strays)
+    spanning: list[bool] = []
+    parts = _listed(factors, matching, n, out, by_length, strays, spanning)
     listed = _dense_listed(factors, matching, space)
     if listed:
         bitmap = bytearray(n * n)
@@ -361,7 +389,7 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
         # derived again only when a rejection shows that some code repeats
         repeats = set() if listed > space.edge_count() else None
         _write(bitmap, parts, n, repeats)
-        faults = _bitmap_faults(bitmap, repeats, listed, strays, factors, matching, space)
+        faults = _bitmap_faults(bitmap, repeats, listed, strays, factors, spanning, matching, space)
     else:
         codes = [a * n + b if a < b else b * n + a for pairs in parts for a, b in pairs]
         if defect := space.defect():

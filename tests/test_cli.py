@@ -7,7 +7,12 @@ unavailable within limits, 6 out of memory.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hwp4m
 from hwp4m import cli
 from hwp4m.cli import main
 from hwp4m.composer import plan
@@ -279,3 +284,32 @@ def test_usage_errors_exit_one(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def _alone(argv):
+    """The exit code and standard output of ``hwp4m argv`` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hwp4m.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-m", "hwp4m.cli", *argv], capture_output=True, env=env, timeout=120, check=False,
+    )
+    return done.returncode, done.stdout.decode()
+
+
+def test_commands_run_in_one_process_as_each_runs_alone(tmp_path, capsys):
+    """main builds its parser once per process: a usage error, a verify of
+    a built document and a block, run in turn through main and then again,
+    each give the exit code and output they give in a fresh interpreter, so
+    the reused parser carries nothing from one call to the next."""
+    out = tmp_path / "sol.json"
+    assert main(["build", "--v", "12", "--m", "3", "--r", "3", "--s", "2", "--out", str(out)]) == 0
+    runs = (
+        ["build", "--v", "12"],
+        ["verify", "--in", str(out), "--report", "json"],
+        ["block", "--m", "5", "--kind", "mixed"],
+    )
+    alone = [_alone(argv) for argv in runs]
+    assert [code for code, _ in alone] == [1, 0, 0]
+    capsys.readouterr()
+    for argv, want in [*zip(runs, alone)] * 2:
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == want, argv

@@ -5,7 +5,8 @@ document here both must return the same ``Solution``, or raise a
 ``DecodeError`` with the same code and text.  The documents are valid
 solutions and blocks, seeded single edits of their cycles (a bool, float,
 nested-list, negative or out-of-range vertex, a short or non-list cycle, a
-duplicate vertex, an empty factor), pairs of edits whose first faulty
+duplicate vertex, an empty factor, and edits of a spanning factor to each
+side of the decoder's one-set test), pairs of edits whose first faulty
 cycle differs in kind from a later one, in one factor or in two, and
 rotated or reversed cycles, which take the decoder off its bulk proof that
 a factor is already canonical.
@@ -108,6 +109,14 @@ def _edit_cycle(doc, rng, kind, fi, ci):
         doc["factors"][fi]["cycles"] = []
     elif kind == "label":
         cyc[0] = Label(cyc[0])
+    elif kind == "minus_one":
+        cyc[rng.randrange(len(cyc))] = -1
+    elif kind == "v":
+        cyc[rng.randrange(len(cyc))] = doc["v"]
+    elif kind == "extra_vertex":
+        cyc.insert(rng.randrange(len(cyc) + 1), doc["v"])
+    elif kind == "shared":
+        cyc[1] = cycles[ci - 1][0]
     else:
         raise ValueError(kind)
 
@@ -119,20 +128,38 @@ def _somewhere(doc, rng):
 
 CYCLE_KINDS = (*VERTEX_EDITS, "short", "non_list", "duplicate", "empty_factor", "label")
 
+# edits of a factor that lists each of 0..v-1 once, to each side of the
+# decoder's one-set test, with the code each raises (None: it decodes):
+# v distinct vertices, one of them -1 or v; v + 1 distinct vertices; and a
+# vertex moved into a second cycle, in range, so that the factor is
+# canonicalized cycle by cycle (or repeats in its one cycle)
+SPAN_EDITS = {
+    "minus_one": "VertexOutOfRange",
+    "v": "VertexOutOfRange",
+    "extra_vertex": "VertexOutOfRange",
+    "shared": None,
+}
+
 
 def test_valid_solution_and_block_documents_decode_alike():
     for doc in BASES:
         assert not isinstance(_agree(doc), tuple)
 
 
-@pytest.mark.parametrize("kind", CYCLE_KINDS)
+@pytest.mark.parametrize("kind", (*CYCLE_KINDS, *SPAN_EDITS))
 def test_seeded_cycle_edits_decode_alike(kind):
     rng = random.Random(f"cycle-{kind}")
     for doc in BASES:
         for _ in range(6):
             edited = copy.deepcopy(doc)
-            _edit_cycle(edited, rng, kind, *_somewhere(edited, rng))
-            _agree(edited)
+            fi, ci = _somewhere(edited, rng)
+            cycles = edited["factors"][fi]["cycles"]
+            _edit_cycle(edited, rng, kind, fi, ci)
+            outcome = _agree(edited)
+            if kind in SPAN_EDITS:
+                assert sorted(itertools.chain(*doc["factors"][fi]["cycles"])) == list(range(doc["v"]))
+                want = SPAN_EDITS[kind] if kind != "shared" or len(cycles) > 1 else "DuplicateVertex"
+                assert (outcome[1] if isinstance(outcome, tuple) else None) == want
 
 
 @pytest.mark.parametrize("same_factor", [False, True])

@@ -492,7 +492,8 @@ def test_spaces_without_dense_edges_never_allocate_a_bitmap(monkeypatch):
 
 def test_a_tiny_document_with_a_huge_v_allocates_under_1_mb():
     """A 46-byte document costs what it lists, not what its v names: no
-    vertex range 0..v-1 is built for a factor that lists three vertices."""
+    vertex range 0..v-1 is built for a factor that lists three vertices,
+    when it is decoded or when it is verified."""
     data = b'{"factors":[{"cycles":[[0,1,2]]}],"v":2000000}'
     summaries = {
         verify_solution: "CountMismatch: v=2000000 needs 999999 two-factors, got 1; "
@@ -505,7 +506,8 @@ def test_a_tiny_document_with_a_huge_v_allocates_under_1_mb():
         "EdgeForeign: 0-1, 0-2, 1-2",
     }
     for entry, summary in summaries.items():
-        sol = decode_solution(data)
+        sol, peak = _traced_peak(lambda: decode_solution(data))
+        assert peak < 1_000_000, ("decode_solution", peak)
         rep, peak = _traced_peak(lambda: entry(sol))
         assert rep.summary() == summary
         assert peak < 1_000_000, (entry.__name__, peak)

@@ -14,8 +14,9 @@ aimed at the bitmap accept of complete and equipartite spaces (valid
 solutions of odd and even order, ``certifies`` on equipartite instances,
 and edits that keep the listed edge count), inputs aimed at the bitmap's
 row views and its one-loop repeat finder (stray vertices -1 and v, codes
-repeated inside a factor and across a factor and the matching), and small
-hostile documents.
+repeated inside a factor and across a factor and the matching, and
+equal-count rejections whose second pass filters a factor that does not
+span), and small hostile documents.
 """
 
 import random
@@ -552,7 +553,11 @@ def test_the_repeat_finder_quotes_the_oracles_duplicated_edges():
     and in the matching, and every edge of two 4-cycles listed again in
     their factor, past the quoting cap.  With exactly edge_count() edges
     listed (two neighbours swapped in a 4-cycle, which then lists its
-    diagonals), a second derivation into a fresh bitmap finds them."""
+    diagonals), a second derivation into a fresh bitmap finds them.  That
+    pass takes each factor's span bit from the first, so the pairs of a
+    factor that does not span still pass the range filter: a vertex 60 or
+    -1 in another factor next to the swap, and a vertex moved into a second
+    cycle of its factor, all with the edge count unchanged."""
     sol = build(60, 5, 5, 24)
     space = complete_graph(60)
     f0, f1 = sol.factors[0], sol.factors[1]
@@ -576,6 +581,20 @@ def test_the_repeat_finder_quotes_the_oracles_duplicated_edges():
         assert detail.count("-") == min(total, 6) and detail.endswith(f"({total} total)") == (total > 6)
     ab, cd = f"{min(a, b)}-{max(a, b)}", f"{min(c, d)}-{max(c, d)}"
     assert sorted(_duplicated(verify_solution(twice))[0].split(", ")) == sorted([ab, cd])
+
+    equal_count = []
+    for stray in (60, -1):
+        strayed = [list(cyc) for cyc in f1.cycles]
+        strayed[0][0] = stray
+        equal_count.append(_with_factor(swapped, 1, strayed))
+    moved = [list(cyc) for cyc in f0.cycles]
+    moved[0][1] = moved[1][0]
+    equal_count.append(_with_factor(sol, 0, moved))
+    for doc in equal_count:
+        assert _listed_edges(doc) == space.edge_count() and _takes_bitmap(doc, space)
+        report, old = verify_solution(doc), oracle.verify_solution(doc)
+        _agree(report, old, details=True)
+        assert _duplicated(report) == _duplicated(old) != []
 
 
 # ============================================================
