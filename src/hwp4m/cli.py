@@ -16,7 +16,7 @@ import json
 import sys
 from functools import cache, partial
 
-from . import composer, search
+from . import blocks, composer, search
 from .model import DecodeError, decode_solution, encode_solution, Solution
 from .verifier import verify_block, verify_solution
 
@@ -126,7 +126,7 @@ def _cmd_feasible(args) -> int:
 
 def _cmd_block(args) -> int:
     try:
-        sol = composer.BLOCK_BUILDERS[args.kind](args.m)
+        sol = blocks.BLOCK_BUILDERS[args.kind](args.m)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     _write_bytes(encode_solution(sol), args.out)
@@ -194,7 +194,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("block", help="emit one block factorization of C_m[4]")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kind", choices=sorted(composer.BLOCK_BUILDERS), required=True)
+    p.add_argument("--kind", choices=sorted(blocks.BLOCK_BUILDERS), required=True)
     p.add_argument("--out", default="-", metavar="FILE")
     p.set_defaults(func=_cmd_block)
 

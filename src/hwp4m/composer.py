@@ -39,7 +39,7 @@ Every route but the v = 24 table is assembled by one placement core,
 merges them, factor i of every copy of a piece joining one global factor
 and every copy's removed matching joining the global matching.  The
 pieces are the blocks, the constants K_4 - I and K_{4,4}
-(``outer.K4_MINUS_I``, ``outer.K44``), a small inner solution, and an
+(``blocks.K4_MINUS_I``, ``blocks.K44``), a small inner solution, and an
 imported equipartite factorization.  Each copy is canonical as made: every
 vertex map keeps the layer order inside each part of 4 and sends part 0
 below the others, and under that contract one comparison decides whether
@@ -75,12 +75,10 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
-from .blocks import c4_block, cm_block, mixed_block, switch_block
+from .blocks import BLOCK_BUILDERS, K4_MINUS_I, K44
 from .k24 import k24_solution
 from .model import Solution, TwoFactor, canonicalize_cycle, one_factor
 from .outer import (
-    K4_MINUS_I,
-    K44,
     IngredientUnavailable,
     hamilton_decomposition,
     outer_availability,
@@ -388,14 +386,6 @@ def describe_plan(v: int, m: int, r: int, s: int, p: Plan) -> str:
 # ============================================================
 # the one assembler: copies of verified pieces
 # ============================================================
-
-BLOCK_BUILDERS = {
-    "c4": c4_block,
-    "cm": cm_block,
-    "mixed": mixed_block,
-    "switch": switch_block,
-}
-
 
 def _copier(cyc):
     """(a, b, f, g) for one canonical piece cycle: under the contract of

@@ -12,10 +12,6 @@ needs from this module:
   STARTERS, develop(base, n, m, fixed), starter_factorization(n, m)
                      one base Cm-factor per outer, developed under a cyclic
                      group into a Cm-factorization and proven on every use
-  K4_MINUS_I         K_4 - I as a verified piece: one C4-factor and the
-                     two edges it leaves as the removed matching
-  K44                K_{4,4} between parts {0..3} and {4..7} as a verified
-                     piece: two C4-factors on 8 vertices
   outer_availability(n, m)
                      the one static ladder for a Cm-factorization of K_n
                      (odd n) or K_n - I (even n): builtin when n = m or a
@@ -160,22 +156,6 @@ def hamilton_decomposition(n: int) -> Solution:
         return Solution(v=n, factors=tuple(walecki(n)), m=n)
     factors, leftover = walecki_even(n)
     return Solution(v=n, factors=tuple(factors), m=n, one_factor=leftover)
-
-
-# ============================================================
-# the two constant pieces of a blow-up by 4
-# ============================================================
-
-# K_4 on one part: the 4-cycle 0-1-3-2 and the matching {03, 12} it leaves
-K4_MINUS_I = Solution(
-    v=4, factors=(two_factor([(0, 1, 3, 2)], 4, 4),), one_factor=one_factor([(0, 3), (1, 2)])
-)
-
-# the 16 edges between two parts, 0..3 and 4..7, as two C4-factors
-K44 = Solution(v=8, factors=(
-    two_factor([(0, 4, 1, 5), (2, 6, 3, 7)], 8, 4),
-    two_factor([(0, 6, 1, 7), (2, 4, 3, 5)], 8, 4),
-))
 
 
 # ============================================================

@@ -83,19 +83,15 @@ def test_03_layer_scaling_fixes_the_scaled_factor_setwise():
 
 
 def test_04_triangle_blowup_has_no_three_cm_one_c4_split():
-    check = check_c4_cm3_nonexistence(3)
-    assert check.status == "nonexistent"
+    assert check_c4_cm3_nonexistence(3) == 4 ** 3
 
 
 def test_04_pentagon_blowup_has_no_three_cm_one_c4_split():
-    check = check_c4_cm3_nonexistence(5)
-    assert check.status == "nonexistent"
+    assert check_c4_cm3_nonexistence(5) == 4 ** 5
 
 
 def test_04_heptagon_blowup_has_no_three_cm_one_c4_split():
-    check = check_c4_cm3_nonexistence(7)
-    assert check.status == "nonexistent"
-    assert check.m_cycles == 4 ** 7
+    assert check_c4_cm3_nonexistence(7) == 4 ** 7
 
 
 # ============================================================

@@ -4,8 +4,9 @@ Covers the walk-driven C4 block, the GF(4) product table and the Cm
 block built over it (including the wrap-around bend it needs when
 m = 1 mod 3 and the scaling automorphism it gains from the field
 structure), the Z4 mixed block, the switch block that trades a matching
-for the part K4s, the pinned bytes of all four kinds, and the brute-force
-audit of every m-cycle behind the {3 Cm + 1 C4} nonexistence check.
+for the part K4s, the pinned bytes of all four kinds, the constant pieces
+K_4 - I and K_{4,4}, and the brute-force audit of every m-cycle behind the
+{3 Cm + 1 C4} nonexistence check.
 """
 
 import hashlib
@@ -13,6 +14,8 @@ import hashlib
 import pytest
 
 from hwp4m.blocks import (
+    K4_MINUS_I,
+    K44,
     audit_m_cycles,
     c4_block,
     check_c4_cm3_nonexistence,
@@ -23,8 +26,14 @@ from hwp4m.blocks import (
     mixed_block,
     switch_block,
 )
-from hwp4m.model import canonicalize_cycle, cycle_blowup4, encode_solution, switch_graph
-from hwp4m.verifier import verify_block, verify_factors_cover
+from hwp4m.model import (
+    canonicalize_cycle,
+    cycle_blowup4,
+    encode_solution,
+    equipartite_graph,
+    switch_graph,
+)
+from hwp4m.verifier import verify_block, verify_factors_cover, verify_solution
 
 # ============================================================
 # the walk behind the C4 block
@@ -192,6 +201,33 @@ def test_scaling_layers_by_x_fixes_the_scaled_factor(m):
 
 
 # ============================================================
+# the two constant pieces of a blow-up by 4
+# ============================================================
+
+
+def test_k44_pair_tiles_one_complete_bipartite_block():
+    # the K44 piece: two C4-factors on the 8 vertices of parts 0..3 and 4..7
+    assert K44.v == 8 and K44.one_factor is None
+    assert [f.cycle_length for f in K44.factors] == [4, 4]
+    rep = verify_factors_cover(K44.factors, equipartite_graph(4, 2))
+    assert rep.ok, rep.summary()
+
+
+def test_k4_minus_matching_partitions_one_clique():
+    # the K4_MINUS_I piece: one 4-cycle plus its 2-edge removed matching
+    (factor,) = K4_MINUS_I.factors
+    (square,) = factor.cycles
+    matching = K4_MINUS_I.one_factor.edges
+    used = {frozenset({square[i], square[(i + 1) % 4]}) for i in range(4)}
+    used |= {frozenset(e) for e in matching}
+    quad = range(4)
+    want = {frozenset({a, b}) for a in quad for b in quad if a < b}
+    assert used == want
+    assert len(matching) == 2
+    assert verify_solution(K4_MINUS_I).ok
+
+
+# ============================================================
 # nonexistence of {three Cm, one C4} on C_m[4]
 # ============================================================
 
@@ -207,9 +243,7 @@ def test_audit_rejects_even_m_where_m_cycles_turn_back(m):
 
 
 def test_no_three_cm_one_c4_factorization_for_m_three():
-    check = check_c4_cm3_nonexistence(3)
-    assert check.status == "nonexistent"
-    assert check.m_cycles == 64
+    assert check_c4_cm3_nonexistence(3) == 4 ** 3
 
 
 def test_nonexistence_check_rejects_even_m():

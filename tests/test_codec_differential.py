@@ -26,8 +26,8 @@ import random
 import pytest
 import reference_codec as oracle
 
-from hwp4m.blocks import c4_block, cm_block, mixed_block, switch_block
-from hwp4m.composer import BLOCK_BUILDERS, build
+from hwp4m.blocks import BLOCK_BUILDERS, c4_block, cm_block, mixed_block, switch_block
+from hwp4m.composer import build
 from hwp4m.k24 import k24_solution
 from hwp4m.model import (
     DecodeError,

@@ -13,9 +13,8 @@ import pytest
 import reference_codec as oracle
 
 from hwp4m import outer
-from hwp4m.blocks import c4_block
+from hwp4m.blocks import BLOCK_BUILDERS, K4_MINUS_I, K44, c4_block
 from hwp4m.composer import (
-    BLOCK_BUILDERS,
     CONSTRUCTIVE_ROUTES,
     STATUS_ROUTES,
     ExternalRequired,
@@ -377,7 +376,7 @@ def test_copies_match_the_reference_canonical_form():
     pieces = [BLOCK_BUILDERS[kind](m) for kind in sorted(BLOCK_BUILDERS) for m in range(3, 15, 2)]
     # the constants, an even-m block, and a blow-up of the (15, 5) outer,
     # some of whose 5-cycles avoid part 0
-    pieces += [c4_block(4), outer.K4_MINUS_I, outer.K44, build(60, 5, 5, 24)]
+    pieces += [c4_block(4), K4_MINUS_I, K44, build(60, 5, 5, 24)]
     shapes = set()
     for piece in pieces:
         factors, _ = _copiers(piece)

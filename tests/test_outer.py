@@ -1,6 +1,5 @@
-"""Outer factorizations: Hamilton decompositions, starters, the K_4 - I and
-K44 pieces, and the resolution ladder (builtin, imported document, bounded
-search, honest miss).
+"""Outer factorizations: Hamilton decompositions, starters, and the
+resolution ladder (builtin, imported document, bounded search, honest miss).
 """
 
 import hashlib
@@ -15,11 +14,8 @@ from hwp4m.model import (
     Solution,
     complete_graph,
     encode_solution,
-    equipartite_graph,
 )
 from hwp4m.outer import (
-    K4_MINUS_I,
-    K44,
     OUTER_LADDER,
     STARTERS,
     IngredientUnavailable,
@@ -132,33 +128,6 @@ def test_a_broken_starter_raises_and_writes_nothing(n, m, tmp_path, monkeypatch)
     with pytest.raises(RuntimeError, match="does not develop"):
         outer_cm_factorization(n, m, cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
-
-
-# ============================================================
-# the two constant pieces of a blow-up
-# ============================================================
-
-
-def test_k44_pair_tiles_one_complete_bipartite_block():
-    # the K44 piece: two C4-factors on the 8 vertices of parts 0..3 and 4..7
-    assert K44.v == 8 and K44.one_factor is None
-    assert [f.cycle_length for f in K44.factors] == [4, 4]
-    rep = verify_factors_cover(K44.factors, equipartite_graph(4, 2))
-    assert rep.ok, rep.summary()
-
-
-def test_k4_minus_matching_partitions_one_clique():
-    # the K4_MINUS_I piece: one 4-cycle plus its 2-edge removed matching
-    (factor,) = K4_MINUS_I.factors
-    (square,) = factor.cycles
-    matching = K4_MINUS_I.one_factor.edges
-    used = {frozenset({square[i], square[(i + 1) % 4]}) for i in range(4)}
-    used |= {frozenset(e) for e in matching}
-    quad = range(4)
-    want = {frozenset({a, b}) for a in quad for b in quad if a < b}
-    assert used == want
-    assert len(matching) == 2
-    assert verify_solution(K4_MINUS_I).ok
 
 
 # ============================================================

@@ -13,6 +13,8 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import hwp4m.model
 import hwp4m.verifier
 from test_acceptance import _mutate
@@ -518,12 +520,14 @@ def test_a_tiny_document_with_a_huge_v_allocates_under_1_mb():
 # ============================================================
 
 
-def test_verifier_imports_only_the_data_layer():
-    tree = ast.parse(Path(hwp4m.verifier.__file__).read_text())
+@pytest.mark.parametrize("module", ["verifier", "blocks"])
+def test_verifier_imports_only_the_data_layer(module):
+    # the verifier certifies, and the blocks are built, from model alone
+    tree = ast.parse(Path(hwp4m.verifier.__file__).with_name(f"{module}.py").read_text())
     package_imports = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
-            package_imports.add(node.module)
+            package_imports.update([node.module] if node.module else (a.name for a in node.names))
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hwp4m"):
             package_imports.add(node.module.removeprefix("hwp4m."))
         elif isinstance(node, ast.Import):
