@@ -143,7 +143,9 @@ class EdgeSpace:
     ``bitmap``, built row by row, against which the verifier accepts a
     tiling with one byte compare and explains a rejection.  The verifier
     accepts a tiling of any other space by comparing its sorted codes with
-    ``edge_codes``, and tests membership only to explain a rejection.
+    ``edge_codes``, and tests membership only to explain a rejection.  A
+    space that names no graph cannot be made: an unknown kind, or a blow-up
+    of fewer than 3 parts, raises ValueError on construction.
 
     kinds:
       complete(v)        K_v
@@ -156,16 +158,21 @@ class EdgeSpace:
     kind: str
     params: tuple = ()
 
+    def __post_init__(self):
+        if self.kind not in ("complete", "blowup4", "switch", "equipartite"):
+            raise ValueError(f"unknown edge space kind {self.kind!r}")
+        # parts around a cycle; for m = 3 the three part pairs are still distinct
+        if self.kind in ("blowup4", "switch") and self.params[0] < 3:
+            raise ValueError(f"{self.kind} needs at least 3 parts, got {self.params[0]}")
+
     @property
     def vertex_count(self) -> int:
         if self.kind == "complete":
             return self.params[0]
         if self.kind in ("blowup4", "switch"):
             return 4 * self.params[0]
-        if self.kind == "equipartite":
-            a, b = self.params
-            return a * b
-        raise ValueError(f"unknown edge space kind {self.kind!r}")
+        a, b = self.params
+        return a * b
 
     def edge_count(self) -> int:
         if self.kind == "complete":
@@ -175,17 +182,8 @@ class EdgeSpace:
             return 16 * self.params[0]
         if self.kind == "switch":
             return 20 * self.params[0]
-        if self.kind == "equipartite":
-            a, b = self.params
-            return a * a * b * (b - 1) // 2
-        raise ValueError(f"unknown edge space kind {self.kind!r}")
-
-    def defect(self) -> str | None:
-        """Why these parameters name no graph, or None when they do."""
-        # parts around a cycle; for m = 3 the three part pairs are still distinct
-        if self.kind in ("blowup4", "switch") and self.params[0] < 3:
-            return f"{self.kind} needs at least 3 parts, got {self.params[0]}"
-        return None
+        a, b = self.params
+        return a * a * b * (b - 1) // 2
 
     def multiplicity(self):
         """The membership test of this space: a function from a pair (u, w)
@@ -200,27 +198,23 @@ class EdgeSpace:
                 return 1 if 0 <= u < w < n and u // a != w // a else 0
 
             return multiplicity
-        if self.kind in ("blowup4", "switch"):
-            m = self.params[0]
-            if defect := self.defect():
-                raise ValueError(defect)
-            switch = 1 if self.kind == "switch" else 0
+        m = self.params[0]
+        switch = 1 if self.kind == "switch" else 0
 
-            def multiplicity(edge) -> int:
-                u, w = edge
-                if not 0 <= u < w < n:
-                    return 0
-                p, q = u // 4, w // 4
-                if p == q:
-                    return switch
-                if (q - p) % m == 1:
-                    return 0 if switch and (u % 4, w % 4) in SWITCH_REMOVED_LAYERS else 1
-                if (p - q) % m == 1:
-                    return 0 if switch and (w % 4, u % 4) in SWITCH_REMOVED_LAYERS else 1
+        def multiplicity(edge) -> int:
+            u, w = edge
+            if not 0 <= u < w < n:
                 return 0
+            p, q = u // 4, w // 4
+            if p == q:
+                return switch
+            if (q - p) % m == 1:
+                return 0 if switch and (u % 4, w % 4) in SWITCH_REMOVED_LAYERS else 1
+            if (p - q) % m == 1:
+                return 0 if switch and (w % 4, u % 4) in SWITCH_REMOVED_LAYERS else 1
+            return 0
 
-            return multiplicity
-        raise ValueError(f"unknown edge space kind {self.kind!r}")
+        return multiplicity
 
     def edge_codes(self) -> Iterator[int]:
         """The edges (u, w) as codes u * n + w, n the vertex count, in sorted

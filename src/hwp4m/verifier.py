@@ -11,7 +11,9 @@ the perfect matching, and the missing, duplicated and foreign edges against
 the ambient edge space.  ``verify_solution``, ``verify_block`` and
 ``verify_factors_cover`` are adapters that add only their document-level
 rules, and ``certifies`` is the one proof an imported or cached ingredient
-must pass.
+must pass.  ``verify_block`` takes no ambient: the document's v and
+matching name it, and ``model.EdgeSpace`` refuses to make a space that
+names no graph, so every entry point sees only real graphs.
 
 The work is bounded by the size of the document, whatever its v: for E
 listed vertices and edges, O(E) against a dense ambient, apart from the
@@ -392,10 +394,7 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
         faults = _bitmap_faults(bitmap, repeats, listed, strays, factors, spanning, matching, space)
     else:
         codes = [a * n + b if a < b else b * n + a for pairs in parts for a, b in pairs]
-        if defect := space.defect():
-            faults = [Violation("CountMismatch", f"no ambient graph: {defect}")]
-        else:
-            faults = _edge_faults(codes, strays, space)
+        faults = _edge_faults(codes, strays, space)
     out.extend(faults)  # after the vertex faults, added as the pairs were drawn
     return out, by_length
 
@@ -460,35 +459,25 @@ def verify_solution(sol: Solution) -> Report:
     return _report(out, by_length, sol.m)
 
 
-def verify_block(sol: Solution, space: EdgeSpace | None = None) -> Report:
-    """Check a factor list against its ambient graph.
-
-    Without a given ``space`` the ambient is inferred from the document:
-    a removed 1-factor means the switch graph on v/4 parts, otherwise the
-    4-fold blow-up C_{v/4}[4].  The removed 1-factor of a switch block must be
-    the standard one, a perfect matching inside the blow-up (that is what the
-    factorization earns the right to delete).
+def verify_block(sol: Solution) -> Report:
+    """Check a block factorization against the ambient graph its document
+    names: a removed 1-factor means the switch graph on v/4 parts,
+    otherwise the 4-fold blow-up C_{v/4}[4].  A v that is not a multiple of
+    4, or below 12, names no ambient graph.  The removed 1-factor of a
+    switch block must be the standard one, a perfect matching inside the
+    blow-up (that is what the factorization earns the right to delete).
     """
     v = sol.v
-    out: list[Violation] = []
-    if space is None and v % 4 == 0 and v >= 12:
-        space = switch_graph(v // 4) if sol.one_factor is not None else cycle_blowup4(v // 4)
-    if space is None or space.defect():
+    if v % 4 or v < 12:
         shapes = ({len(c) for c in f.cycles} for f in sol.factors)
         by_length = Counter(lengths.pop() for lengths in shapes if len(lengths) == 1)
-        detail = f"no ambient graph for v={v}" if space is None else f"no ambient graph: {space.defect()}"
-        return _report([Violation("CountMismatch", detail)], by_length, None)
-    block_m = space.params[0] if space.kind in ("blowup4", "switch") else None
+        return _report([Violation("CountMismatch", f"no ambient graph for v={v}")], by_length, None)
+    m = v // 4
+    space = switch_graph(m) if sol.one_factor is not None else cycle_blowup4(m)
 
-    n = space.vertex_count
-    if n != v:
-        out.append(Violation("CountMismatch", f"document v={v}, ambient has {n} vertices"))
-
-    factor_edge_total = space.edge_count()
-    if space.kind == "switch" and sol.one_factor is None:
-        out.append(Violation("MatchingInvalid", "switch block without removed 1-factor"))
-    expected = factor_edge_total // n if n else 0
-    if n and factor_edge_total % n == 0 and len(sol.factors) != expected:
+    out: list[Violation] = []
+    expected = space.edge_count() // v
+    if len(sol.factors) != expected:
         out.append(
             Violation(
                 "CountMismatch",
@@ -501,13 +490,11 @@ def verify_block(sol: Solution, space: EdgeSpace | None = None) -> Report:
 
     # the removed 1-factor lies outside the ambient, so it joins no cover
     if sol.one_factor is not None:
-        out.extend(_matching_faults(sol.one_factor, n))
+        out.extend(_matching_faults(sol.one_factor, v))
         declared = sol.one_factor.edges
-        if space.kind == "switch" and (
-            len(declared) != 2 * block_m or sorted(declared) != switch_matching_edges(block_m)
-        ):
+        if len(declared) != 2 * m or sorted(declared) != switch_matching_edges(m):
             out.append(Violation("MatchingInvalid", "removed 1-factor is not the declared one"))
-    return _report(out, by_length, block_m)
+    return _report(out, by_length, m)
 
 
 def verify_factors_cover(factors, space: EdgeSpace, matching: OneFactor | None = None) -> Report:

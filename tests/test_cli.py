@@ -198,6 +198,11 @@ def test_feasible_reports_and_exits_by_route(capsys):
     assert "m ∤ v" in capsys.readouterr().out
     assert main(["feasible", "--v", "24", "--m", "3", "--r", "2", "--s", "9"]) == 3
     assert main(["feasible", "--v", "12", "--m", "3", "--r", "0", "--s", "5"]) == 4
+    # routes with no recipe report their t alone
+    for (v, m, r, s), route in (("36 3 17 0".split(), "all_c4"), ("24 3 4 7".split(), "k24_table")):
+        assert main(["feasible", "--v", v, "--m", m, "--r", r, "--s", s]) == 0
+        out = capsys.readouterr().out
+        assert f"route={route} t=" in out and "recipe" not in out
 
 
 def test_inner_blowup_is_feasible_builds_and_verifies(tmp_path, capsys):
@@ -223,9 +228,17 @@ def test_block_kinds_emit_verifiable_documents(tmp_path):
         assert main(["verify", "--in", str(out)]) == 0
 
 
-def test_block_rejects_bad_shapes(capsys):
+def test_block_rejects_bad_shapes(tmp_path, capsys):
     assert main(["block", "--m", "4", "--kind", "switch", "--out", "-"]) == 1
     assert "error:" in capsys.readouterr().err
+    for kind, message in (
+        ("c4", "walk needs m >= 3"), ("cm", "block needs m >= 3"), ("mixed", "block needs m >= 3"),
+    ):
+        assert main(["block", "--m", "2", "--kind", kind, "--out", "-"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    out = tmp_path / "missing" / "c4.json"
+    assert main(["block", "--m", "3", "--kind", "c4", "--out", str(out)]) == 1
+    assert f"error: cannot write {out}" in capsys.readouterr().err
 
 
 def test_ingredient_equipartite_export(tmp_path):
@@ -267,6 +280,10 @@ def test_ingredient_bad_params_is_an_error(tmp_path, capsys):
             )
             assert code == 1
             assert "error:" in capsys.readouterr().err
+    # a value count that does not fit the type
+    for args in (["kts9", "--params", "1"], ["equipartite", "--params", "4", "3"]):
+        assert main(["ingredient", "--type", *args, "--cache", str(tmp_path / "c"), "--out", "-"]) == 1
+        assert "error: --params" in capsys.readouterr().err
 
 
 # ============================================================

@@ -117,10 +117,8 @@ def test_equipartite_graph_excludes_within_part_pairs():
 
 def test_only_the_named_kinds_are_spaces():
     # every space is a closed-form simple graph; a literal edge list is none
-    space = EdgeSpace("explicit", (4,))
-    for ask in (lambda: space.vertex_count, space.edge_count, space.multiplicity):
-        with pytest.raises(ValueError, match="unknown edge space kind"):
-            ask()
+    with pytest.raises(ValueError, match="unknown edge space kind"):
+        EdgeSpace("explicit", (4,))
 
 
 def _listable_spaces():
@@ -265,6 +263,18 @@ def test_decode_rejects_malformed_documents():
     with pytest.raises(DecodeError) as err:
         decode_solution(json.dumps({"v": 4, "factors": [], "one_factor": [[0, True], [2, 3]]}))
     assert err.value.code == "VertexOutOfRange"
+    # lists of the wrong shape, named alike by the reference decoder
+    for bad, message in (
+        ({"v": 4, "factors": {}}, "factors must be a list"),
+        ({"v": 4, "factors": [], "one_factor": {"0": 1}}, "one_factor must be a list"),
+        ({"v": 4, "factors": [], "one_factor": [[0, 1, 2]]}, "bad matching edge [0, 1, 2]"),
+        ({"v": 4, "factors": [], "one_factor": [3]}, "bad matching edge 3"),
+        ({"v": 4, "factors": [], "one_factor": [[1, 1]]}, "loop matching edge [1, 1]"),
+    ):
+        for decode in (lambda doc: decode_solution(json.dumps(doc)), reference_codec.doc_to_solution):
+            with pytest.raises(DecodeError) as err:
+                decode(bad)
+            assert (err.value.code, str(err.value)) == ("MalformedDocument", f"MalformedDocument: {message}")
 
 
 def test_decode_rejects_bad_cycles():

@@ -7,9 +7,12 @@ so negative outcomes are never persisted).
 """
 
 import os
+from itertools import chain, repeat
+from types import SimpleNamespace
 
 import pytest
 
+import hwp4m.search
 from hwp4m.blocks import check_c4_cm3_nonexistence
 from hwp4m.model import Solution, complete_graph, encode_solution, two_factor
 from hwp4m.search import (
@@ -82,6 +85,22 @@ def test_expired_limit_means_no_search_at_all():
     outcome = solve(cm_factorization_instance(9, 3), time_limit=0.0)
     assert outcome.status == "timeout"
     assert outcome.nodes == 0
+
+
+def _expiring_clock():
+    """Stands in for the search module's ``time``: the start and the
+    pre-search check read 0, and every later reading is far past any limit."""
+    return SimpleNamespace(monotonic=chain((0.0, 0.0), repeat(1e9)).__next__)
+
+
+def test_a_limit_that_expires_during_the_search_times_out_and_caches_nothing(tmp_path, monkeypatch):
+    # the in-loop clock is read once every 1024 nodes
+    monkeypatch.setattr(hwp4m.search, "time", _expiring_clock())
+    outcome = solve(cm_factorization_instance(15, 5), time_limit=1.0)
+    assert (outcome.status, outcome.nodes) == ("timeout", 1024)
+    monkeypatch.setattr(hwp4m.search, "time", _expiring_clock())
+    assert solve_cached(cm_factorization_instance(15, 5), cache_dir=tmp_path, time_limit=1.0).status == "timeout"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_search_is_deterministic():
@@ -179,6 +198,16 @@ def test_cache_write_does_not_collide_with_a_leftover_temporary(tmp_path):
     assert sorted(os.listdir(tmp_path)) == sorted([os.path.basename(path), os.path.basename(path) + ".tmp"])
     again = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path, time_limit=0.0)
     assert again.status == "found"
+
+
+def test_a_failed_cache_publish_leaves_no_temporary(tmp_path):
+    # a directory at the cache path cannot be replaced by the written file
+    instance = cm_factorization_instance(9, 3)
+    path = _cache_path(instance, str(tmp_path))
+    os.mkdir(path)
+    assert solve_cached(instance, cache_dir=tmp_path).status == "found"
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
+    assert os.listdir(path) == []
 
 
 def test_cache_files_keep_their_names():

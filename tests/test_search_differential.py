@@ -11,7 +11,7 @@ the ``canonical_first`` cut both on and off.
 import pytest
 import reference_search as oracle
 
-from hwp4m.model import complete_graph
+from hwp4m.model import complete_graph, equipartite_graph
 from hwp4m.search import (
     SearchInstance,
     c4_cm3_split_instance,
@@ -47,6 +47,14 @@ def _agree(instance):
 )
 def test_engine_matches_the_oracle(instance, status):
     assert _agree(instance).status == status
+
+
+def test_no_first_cycle_through_vertex_0_is_unsat_before_any_node():
+    # K_{3,3} has no triangle, so canonical_first finds no first cycle
+    instance = SearchInstance("k33-triangles", equipartite_graph(3, 2), ((3, 1),), canonical_first=True)
+    for engine in (solve, oracle.solve):
+        outcome = engine(instance)
+        assert (outcome.status, outcome.nodes) == ("unsat", 0)
 
 
 def test_engine_matches_the_oracle_without_the_symmetry_cut():

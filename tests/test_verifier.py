@@ -299,17 +299,11 @@ def test_certifies_checks_space_and_cycle_length_multiset():
     assert not certifies(Solution(v=5, factors=sol.factors[:1]), complete_graph(5), [5])
 
 
-def test_blowup_of_fewer_than_three_parts_is_reported_not_raised():
+def test_blowup_of_fewer_than_three_parts_is_refused():
     # around a cycle of 2 parts the two part pairs coincide: no ambient graph
-    empty = Solution(v=8, factors=())
-    for space in (cycle_blowup4(2), switch_graph(2)):
-        for rep in (verify_block(empty, space), verify_factors_cover([], space)):
-            assert not rep.ok
-            assert rep.codes() == {"CountMismatch"}
-            assert "no ambient graph" in rep.summary()
-        assert not certifies(empty, space, [])
-    matched = Solution(v=8, factors=(), one_factor=one_factor([(0, 4), (1, 5), (2, 6), (3, 7)]))
-    assert verify_block(matched, switch_graph(2)).codes() == {"CountMismatch"}
+    for make in (cycle_blowup4, switch_graph, lambda m: EdgeSpace("blowup4", (m,))):
+        with pytest.raises(ValueError, match="at least 3 parts"):
+            make(2)
 
 
 # ============================================================
