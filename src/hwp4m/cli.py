@@ -14,6 +14,7 @@ twice writes byte-identical files; ``--out -`` streams to standard output.
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from functools import cache, partial
 
 from . import blocks, composer, search
@@ -104,15 +105,7 @@ def _cmd_verify(args) -> int:
     else:
         report = verify_block(sol)
     if args.report == "json":
-        doc = {
-            "ok": report.ok,
-            "r_found": report.r_found,
-            "s_found": report.s_found,
-            "violations": [
-                {"code": v.code, "detail": v.detail} for v in report.violations
-            ],
-        }
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps(asdict(report), sort_keys=True))
     else:
         print(report.summary())
     return EXIT_OK if report.ok else EXIT_ERROR
@@ -138,13 +131,13 @@ def _cmd_ingredient(args) -> int:
         if args.params:
             raise _CliError("--params takes no values for type kts9")
         instance = partial(search.cm_factorization_instance, 9, 3)
-        label, fields = "kts9", {"v": 9, "m": 3, "r": 0, "s": 4}
+        label, fields = "kts9", {"m": 3, "r": 0, "s": 4}
     else:
         if len(args.params) != 3:
             raise _CliError("--params A B LENGTH required for type equipartite")
         a, b, length = args.params
         instance = partial(search.equipartite_instance, a, b, length)
-        label, fields = f"equipartite ({a}, {b}, {length})", {"v": a * b, "m": length}
+        label, fields = f"equipartite ({a}, {b}, {length})", {"m": length}
     try:  # a shape with no C_length-factorization is a usage error
         outcome = search.solve_cached(instance(), cache_dir=args.cache, time_limit=args.time_limit)
     except ValueError as exc:
@@ -152,7 +145,7 @@ def _cmd_ingredient(args) -> int:
     if outcome.status != "found":
         print(f"ingredient unavailable: {label} search: {outcome.status}", file=sys.stderr)
         return EXIT_INGREDIENT
-    _write_bytes(encode_solution(Solution(factors=outcome.factors, **fields)), args.out)
+    _write_bytes(encode_solution(replace(outcome.solution, **fields)), args.out)
     return EXIT_OK
 
 

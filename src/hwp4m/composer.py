@@ -70,7 +70,7 @@ its declared r.
 Every constructive build is verified in-process before it is returned.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -358,9 +358,8 @@ def _gate(p: Plan) -> Plan:
     bits = ", ".join(
         f"{i.kind}{i.params} is {i.availability}" for i in missing
     )
-    return Plan(
-        route="external", t=p.t, r1=p.r1, s1=p.s1, x=p.x,
-        ingredients=p.ingredients,
+    return replace(
+        p, route="external",
         note=f"route {p.route} needs an ingredient beyond builtin blocks and "
         f"bounded search: {bits}",
         underlying_route=p.route,

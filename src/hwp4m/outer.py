@@ -23,7 +23,7 @@ needs from this module:
                      ladder (searching when it says searchable); raises
                      IngredientUnavailable when it cannot be produced
 
-This module only builds; ``composer._ingredient`` proves imported outers.
+Starters, imports and cache loads are all proven by ``search.first_proven``.
 
 A starter is one Cm-factor whose translates tile the graph, and
 ``develop`` is the one place that translates.  For odd n it is
@@ -45,12 +45,12 @@ matching, which is computed by edge accounting and checked, not assumed.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import chain, combinations
 from operator import itemgetter
 
 from . import search
 from .model import OneFactor, Solution, TwoFactor, one_factor, two_factor
-from .verifier import certifies
 
 # Base factors of the starter outers (see the module docstring).  (15, 5):
 # ring Z_14 and infinity 14, developed by x -> x + g mod 14 for g < 7.
@@ -113,12 +113,11 @@ def develop(base, n: int, m: int, fixed: int) -> Solution:
 
 
 def starter_factorization(n: int, m: int) -> Solution:
-    """``STARTERS[(n, m)]`` developed and certified against the search
-    instance of (n, m), as imported documents and cache loads are; raises
-    when the literal does not develop into a Cm-factorization."""
+    """``STARTERS[(n, m)]`` developed and proven by ``search.first_proven``,
+    as imported documents and cache loads are; raises when the literal does
+    not develop into a Cm-factorization."""
     developed = develop(STARTERS[n, m], n, m, 2 - n % 2)
-    instance = search.cm_factorization_instance(n, m)
-    if not certifies(developed, instance.space, instance.slots()):
+    if search.first_proven(search.cm_factorization_instance(n, m), [developed]) is None:
         raise RuntimeError(f"the ({n}, {m}) starter does not develop into a C{m}-factorization")
     return developed
 
@@ -208,7 +207,7 @@ def outer_cm_factorization(n: int, m: int, cache_dir=None, time_limit: float | N
         search.cm_factorization_instance(n, m), cache_dir=cache_dir, time_limit=time_limit
     )
     if outcome.status == "found":
-        return Solution(v=n, factors=outcome.factors, m=m, one_factor=outcome.matching)
+        return replace(outcome.solution, m=m)
     if outcome.status == "timeout":
         raise _unavailable(n, m, "timeout", f"search for ({n}, {m}) hit the time limit")
     raise _unavailable(n, m, "nonexistent", f"exhaustive search: no ({n}, {m}) factorization")

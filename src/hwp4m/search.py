@@ -26,11 +26,11 @@ as one node.  It visits the same tree in the same order as the set-based
 engine kept in ``tests/reference_search.py``, so node counts and first
 solutions match that oracle exactly.
 
-Found results are re-checked by the verifier before being returned, and
-positive results can be cached on disk keyed by a hash of the instance.
-The disk is the only cache: each use re-reads the file and proves it
-again, and each file is written through a temporary file of the writing
-process's own and moved into place whole.
+A found result is re-checked by the verifier, and that very Solution is
+returned and may be cached on disk, keyed by a hash of the instance.  The
+disk is the only cache: each use re-reads the file and returns what
+``first_proven`` accepts, as read; each file is written through a
+temporary file of the writing process's own and moved into place whole.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ from dataclasses import dataclass
 
 from .model import (
     EdgeSpace,
-    OneFactor,
     Solution,
-    TwoFactor,
     complete_graph,
     cycle_blowup4,
     decode_solution,
@@ -87,9 +85,10 @@ class SearchInstance:
 
 @dataclass
 class SearchOutcome:
+    """``solution`` is the proven Solution when found, else None."""
+
     status: str  # "found" | "unsat" | "timeout"
-    factors: tuple[TwoFactor, ...] | None = None
-    matching: OneFactor | None = None
+    solution: Solution | None = None
     nodes: int = 0
     elapsed: float = 0.0
 
@@ -279,7 +278,7 @@ def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOu
     report = verify_factors_cover(factors, instance.space, result["matching"])
     if not report.ok:
         raise RuntimeError(f"search produced an invalid result: {report.summary()}")
-    return SearchOutcome("found", factors, result["matching"], nodes, elapsed)
+    return SearchOutcome("found", Solution(v=n, factors=factors, one_factor=result["matching"]), nodes, elapsed)
 
 
 # ============================================================
@@ -354,19 +353,17 @@ def solve_cached(
     """
     cache_dir = default_cache_dir() if cache_dir is None else cache_dir
     path = _cache_path(instance, cache_dir)
-    n = instance.space.vertex_count
     try:
         with open(path, "rb") as fh:
             sol = first_proven(instance, [decode_solution(fh.read())])
         if sol is not None:
-            return SearchOutcome("found", sol.factors, sol.one_factor)
+            return SearchOutcome("found", sol)
     except (OSError, ValueError):
         pass
 
     outcome = solve(instance, time_limit=time_limit)
     if outcome.status == "found":
-        doc = Solution(v=n, factors=outcome.factors, one_factor=outcome.matching)
-        _write_cache(path, encode_solution(doc))
+        _write_cache(path, encode_solution(outcome.solution))
     return outcome
 
 

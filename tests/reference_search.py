@@ -9,7 +9,7 @@ bitmask engine to return the same status, node count, factors and matching.
 
 import time
 
-from hwp4m.model import one_factor, two_factor
+from hwp4m.model import Solution, one_factor, two_factor
 from hwp4m.search import _TIME_CHECK_MASK, SearchInstance, SearchOutcome, _Timeout, check_budget
 from hwp4m.verifier import verify_factors_cover
 
@@ -149,4 +149,4 @@ def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOu
     report = verify_factors_cover(factors, instance.space, result["matching"])
     if not report.ok:
         raise RuntimeError(f"search produced an invalid result: {report.summary()}")
-    return SearchOutcome("found", factors, result["matching"], nodes, elapsed)
+    return SearchOutcome("found", Solution(v=n, factors=factors, one_factor=result["matching"]), nodes, elapsed)

@@ -305,7 +305,7 @@ def _artifact_run(cache_dir) -> dict[str, bytes]:
     ):
         arts[name] = encode_solution(doc)
     kts = solve_cached(cm_factorization_instance(9, 3), cache_dir=cache_dir)
-    arts["kts9"] = encode_solution(Solution(v=9, factors=kts.factors))
+    arts["kts9"] = encode_solution(Solution(v=9, factors=kts.solution.factors))
     arts["build-12"] = encode_solution(build(12, 3, 1, 4, cache_dir=cache_dir))
     arts["k24"] = encode_solution(k24_solution())
     return arts

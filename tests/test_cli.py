@@ -196,6 +196,8 @@ def test_feasible_reports_and_exits_by_route(capsys):
     assert "route=odd_r_odd_t" in capsys.readouterr().out
     assert main(["feasible", "--v", "16", "--m", "3", "--r", "1", "--s", "6"]) == 2
     assert "m ∤ v" in capsys.readouterr().out
+    assert main(["feasible", "--v", "24", "--m", "3", "--r", "-1", "--s", "12"]) == 2
+    assert "r and s must be nonnegative" in capsys.readouterr().out
     assert main(["feasible", "--v", "24", "--m", "3", "--r", "2", "--s", "9"]) == 3
     assert main(["feasible", "--v", "12", "--m", "3", "--r", "0", "--s", "5"]) == 4
     # routes with no recipe report their t alone

@@ -278,9 +278,9 @@ def test_hamilton_decompositions_and_a_searched_outcome_encode_alike():
         _encodes_alike(hamilton_decomposition(n))
     outcome = solve(cm_factorization_instance(9, 3))
     assert outcome.status == "found"
-    _encodes_alike(Solution(v=9, factors=outcome.factors))
+    _encodes_alike(Solution(v=9, factors=outcome.solution.factors))
     outcome = solve(cm_factorization_instance(10, 5))
-    _encodes_alike(Solution(v=10, factors=outcome.factors, one_factor=outcome.matching))
+    _encodes_alike(Solution(v=10, factors=outcome.solution.factors, one_factor=outcome.solution.one_factor))
 
 
 def _factor(cycles, length=None, n=12):

@@ -51,6 +51,9 @@ def test_counting_conditions_are_reported_verbatim():
         "r + s must equal floor((v - 1)/2) = 11"
     ]
     assert necessary_violations(24, 3, 4, 7) == []
+    assert necessary_violations(24, 3, -1, 12) == ["r and s must be nonnegative"]
+    assert necessary_violations(3, 3, 0, 1) == ["v must be at least 4"]
+    assert necessary_violations(8, 2, 0, 3) == ["no cycle is shorter than 3, so s > 0 needs m >= 3"]
 
 
 # ============================================================
@@ -258,7 +261,7 @@ def test_build_reports_missing_searched_outer_honestly(tmp_path):
 
 def _kts9_doc(cache_dir):
     outcome = solve_cached(cm_factorization_instance(9, 3), cache_dir=cache_dir)
-    return Solution(v=9, factors=outcome.factors, m=3, r=0, s=4)
+    return Solution(v=9, factors=outcome.solution.factors, m=3, r=0, s=4)
 
 
 def test_a_proven_import_rides_in_the_plan_outside_equality(tmp_path):
@@ -281,7 +284,7 @@ def test_a_build_proves_each_import_once(tmp_path, certify_calls):
 def _equipartite_doc(a, b, m, cache_dir):
     outcome = solve_cached(equipartite_instance(a, b, m), cache_dir=cache_dir)
     assert outcome.status == "found"
-    return Solution(v=a * b, factors=outcome.factors, m=m)
+    return Solution(v=a * b, factors=outcome.solution.factors, m=m)
 
 
 def _sha256(sol):

@@ -68,6 +68,8 @@ def test_two_factor_sorts_canonical_cycles():
 
 def test_one_factor_normalizes_and_sorts():
     assert one_factor([(3, 1), (0, 2)]).edges == ((0, 2), (1, 3))
+    with pytest.raises(ValueError, match=r"^loop edge at vertex 1$"):
+        one_factor([(1, 1)])
 
 
 # ============================================================
@@ -142,6 +144,12 @@ def test_closed_forms_agree_with_the_listed_edges():
             for w in range(u + 1, n):
                 assert multiplicity((u, w)) == counts[u, w], (space, u, w)
         assert space.edge_count() == len(listed), space
+
+
+def test_a_blowup_space_holds_no_pair_off_its_range_or_reversed():
+    blowup = cycle_blowup4(3).multiplicity()
+    assert blowup((0, 12)) == blowup((-1, 0)) == 0
+    assert switch_graph(3).multiplicity()((5, 3)) == 0
 
 
 def test_bitmap_marks_exactly_the_listed_edges():

@@ -50,6 +50,13 @@ def test_walecki_even_leaves_a_perfect_matching(n):
     assert rep.ok, rep.summary()
 
 
+def test_walecki_refuses_the_other_parity():
+    with pytest.raises(ValueError, match=r"^needs odd n >= 1$"):
+        walecki(4)
+    with pytest.raises(ValueError, match=r"^needs even n >= 2$"):
+        walecki_even(5)
+
+
 @pytest.mark.parametrize("n", range(1, 12))
 def test_hamilton_decomposition_is_a_verified_outer_solution(n):
     # n = 1 and n = 2 have no cycles: one part, or two parts and a matching
@@ -175,6 +182,17 @@ def test_known_nonexistent_outers_short_circuit():
     assert OUTER_LADDER[6, 3] == OUTER_LADDER[12, 3] == "nonexistent"
     with pytest.raises(IngredientUnavailable, match="nonexistent"):
         outer_cm_factorization(6, 3)
+
+
+def test_an_exhaustive_unsat_search_is_nonexistent_and_caches_nothing(tmp_path, monkeypatch):
+    # no ladder entry searches an unsat outer, so (6, 3) is marked searchable here
+    monkeypatch.setitem(OUTER_LADDER, (6, 3), "searchable")
+    with pytest.raises(IngredientUnavailable) as caught:
+        outer_cm_factorization(6, 3, cache_dir=tmp_path)
+    assert str(caught.value) == (
+        "outer (6, 3) factorization: nonexistent (exhaustive search: no (6, 3) factorization)"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unlisted_outers_are_external():

@@ -54,23 +54,23 @@ def test_budget_rejects_malformed_instances():
 def test_triangle_system_on_nine_points_is_found():
     outcome = solve(cm_factorization_instance(9, 3))
     assert outcome.status == "found"
-    assert outcome.matching is None
-    rep = verify_factors_cover(outcome.factors, complete_graph(9))
+    assert outcome.solution.one_factor is None
+    rep = verify_factors_cover(outcome.solution.factors, complete_graph(9))
     assert rep.ok
 
 
 def test_pentagon_factorization_of_k10_found_with_matching():
     outcome = solve(cm_factorization_instance(10, 5))
     assert outcome.status == "found"
-    assert outcome.matching is not None
-    rep = verify_factors_cover(outcome.factors, complete_graph(10), outcome.matching)
+    assert outcome.solution.one_factor is not None
+    rep = verify_factors_cover(outcome.solution.factors, complete_graph(10), outcome.solution.one_factor)
     assert rep.ok
 
 
 def test_k6_minus_matching_has_no_triangle_factorization():
     outcome = solve(cm_factorization_instance(6, 3))
     assert outcome.status == "unsat"
-    assert outcome.factors is None
+    assert outcome.solution is None
 
 
 def test_blowup_split_search_agrees_with_the_exhaustive_check():
@@ -106,7 +106,7 @@ def test_a_limit_that_expires_during_the_search_times_out_and_caches_nothing(tmp
 def test_search_is_deterministic():
     a = solve(cm_factorization_instance(9, 3))
     b = solve(cm_factorization_instance(9, 3))
-    assert a.factors == b.factors
+    assert a.solution.factors == b.solution.factors
     assert a.nodes == b.nodes
 
 
@@ -120,7 +120,7 @@ def test_equipartite_search_solves_three_groups_of_four():
     assert outcome.status == "found"
     from hwp4m.model import equipartite_graph
 
-    rep = verify_factors_cover(outcome.factors, equipartite_graph(4, 3))
+    rep = verify_factors_cover(outcome.solution.factors, equipartite_graph(4, 3))
     assert rep.ok
 
 
@@ -144,13 +144,13 @@ def test_disk_cache_round_trips_found_results(tmp_path):
     # rerun of the search
     second = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path, time_limit=0.0)
     assert second.status == "found"
-    assert second.factors == first.factors
+    assert second.solution.factors == first.solution.factors
 
 
 def test_a_second_cache_directory_is_filled_too(tmp_path):
     first = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path / "a")
     second = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path / "b")
-    assert second.factors == first.factors
+    assert second.solution.factors == first.solution.factors
     assert len(list((tmp_path / "b").iterdir())) == 1
 
 
@@ -160,7 +160,7 @@ def test_corrupted_cache_is_ignored_and_recomputed(tmp_path):
     path.write_bytes(b"{ not json")
     again = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path)
     assert again.status == "found"
-    assert again.factors == first.factors
+    assert again.solution.factors == first.solution.factors
 
 
 def test_a_deleted_cache_file_is_not_remembered(tmp_path):
@@ -178,15 +178,15 @@ def test_a_rewritten_cache_file_is_read_and_proven_again(tmp_path):
     first = solve_cached(instance, cache_dir=tmp_path)
     other = tuple(
         two_factor([[(x + 1) % 9 for x in c] for c in f.cycles], 9, cycle_length=3)
-        for f in first.factors
+        for f in first.solution.factors
     )
-    assert other != first.factors
+    assert other != first.solution.factors
     path = _cache_path(instance, str(tmp_path))
     with open(path, "wb") as fh:
         fh.write(encode_solution(Solution(v=9, factors=other)))
     again = solve_cached(instance, cache_dir=tmp_path, time_limit=0.0)
     assert again.status == "found"
-    assert again.factors == other
+    assert again.solution.factors == other
 
 
 def test_cache_write_does_not_collide_with_a_leftover_temporary(tmp_path):

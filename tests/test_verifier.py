@@ -39,6 +39,7 @@ from hwp4m.model import (
 from hwp4m.outer import walecki
 from hwp4m.verifier import (
     Report,
+    Violation,
     certifies,
     verify_block,
     verify_factors_cover,
@@ -507,6 +508,16 @@ def test_a_tiny_document_with_a_huge_v_allocates_under_1_mb():
         rep, peak = _traced_peak(lambda: entry(sol))
         assert rep.summary() == summary
         assert peak < 1_000_000, (entry.__name__, peak)
+
+
+def test_the_first_uncovered_vertices_follow_a_long_covered_run():
+    # the scan for missing vertices stops after six, past the 100 000 covered
+    v = 10 ** 9
+    sol = Solution(v=v, factors=(two_factor([tuple(range(100_000))], v, 100_000),))
+    rep = verify_solution(sol)
+    assert Violation(
+        "NotSpanning", "factor 0: vertices uncovered: [100000, 100001, 100002, 100003, 100004, 100005]"
+    ) in rep.violations
 
 
 # ============================================================

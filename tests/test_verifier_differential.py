@@ -407,7 +407,7 @@ def test_certifies_on_equipartite_instances_agrees_with_the_oracle():
         instance = equipartite_instance(*params)
         outcome = solve(instance)
         assert outcome.status == "found", params
-        proofs.append((instance.space, outcome.factors, instance.slots()))
+        proofs.append((instance.space, outcome.solution.factors, instance.slots()))
     for a in (3, 5, 7):
         proofs.append((equipartite_graph(a, 3), _latin_triangles_of(a), [3] * a))
     rng = random.Random(11)
