@@ -71,7 +71,7 @@ Every constructive build is verified in-process before it is returned.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from operator import itemgetter
 
@@ -429,10 +429,15 @@ def _block(kind: str, m: int):
 _K4_MINUS_I, _K44 = _copiers(K4_MINUS_I), _copiers(K44)
 
 
-def _parts(cells) -> tuple[int, ...]:
+def _part_table(n: int) -> list[tuple[int, ...]]:
+    """Outer vertex c's part in the blow-up by 4: 4 c .. 4 c + 3, in order."""
+    return [tuple(range(4 * c, 4 * c + 4)) for c in range(n)]
+
+
+def _parts(table: list, cells) -> tuple[int, ...]:
     """The vertex map of a piece on the blow-up of outer vertices ``cells``:
-    piece vertex 4 i + layer goes to 4 cells[i] + layer."""
-    return tuple(chain.from_iterable(range(4 * c, 4 * c + 4) for c in cells))
+    piece part i goes to the part ``table[cells[i]]``, layer for layer."""
+    return tuple(chain.from_iterable(map(table.__getitem__, cells)))
 
 
 def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
@@ -443,9 +448,9 @@ def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
     factor, C4-factors first, and every copy's removed matching joins the
     global matching.  The map contract: a map sends each part of 4 piece
     vertices onto 4 vertices in the same layer order, and part 0 below the
-    others.  ``_parts`` of a canonical outer cycle or of a normalized
-    matching edge and the increasing group ranges all keep it, and under it
-    each copier gives a canonical copy, so the factors are only sorted."""
+    others.  The maps ``_blow_up`` reads from its part table and the
+    increasing group ranges all keep it, and under it each copier gives a
+    canonical copy, so the factors are only sorted."""
     c4_factors, cm_factors, matching = [], [], []
     for (factors, edge_getters), maps in placed:
         buckets = [[] for _ in factors]
@@ -473,15 +478,17 @@ def _blow_up(outer: Solution, kinds) -> list:
     2-factorization on v/4 parts up by 4: block ``kinds[i]`` on every cycle
     of outer factor i, K_4 - I on every part unless a switch block took
     those edges, and K_{4,4} over every pair of the outer's removed
-    matching."""
+    matching.  Each map comes from one part table made for this call: a
+    cycle's joins its cells' parts, K_4 - I's is a part, K_{4,4}'s two."""
+    table = _part_table(outer.v)
     placed = [
-        (_block(kind, len(f.cycles[0])), map(_parts, f.cycles))
+        (_block(kind, len(f.cycles[0])), map(partial(_parts, table), f.cycles))
         for f, kind in zip(outer.factors, kinds, strict=True)
     ]
     if "switch" not in kinds:
-        placed.append((_K4_MINUS_I, (_parts((p,)) for p in range(outer.v))))
+        placed.append((_K4_MINUS_I, table))
     if outer.one_factor is not None:
-        placed.append((_K44, map(_parts, outer.one_factor.edges)))
+        placed.append((_K44, [table[a] + table[b] for a, b in outer.one_factor.edges]))
     return placed
 
 

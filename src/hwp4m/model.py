@@ -139,9 +139,9 @@ class EdgeSpace:
     (``edges`` as pairs, ``edge_codes`` as the integers u * n + w) all
     live here, and the verifier reads them from here.  Every kind is a
     simple graph given by a closed form, and none lists its edges.  A
-    complete or equipartite space also gives its n * n membership
-    ``bitmap``, built row by row, against which the verifier accepts a
-    tiling with one byte compare and explains a rejection.  The verifier
+    complete or equipartite space also gives its n membership ``rows``,
+    against which the verifier accepts a tiling row by row, and their join,
+    the n * n ``bitmap``, which explains a rejection.  The verifier
     accepts a tiling of any other space by comparing its sorted codes with
     ``edge_codes``, and tests membership only to explain a rejection.  A
     space that names no graph cannot be made: an unknown kind, or a blow-up
@@ -226,16 +226,20 @@ class EdgeSpace:
             return chain.from_iterable(range(u * n + (u // a + 1) * a, u * n + n) for u in range(n))
         return (u * n + w for u, w in self.edges())
 
-    def bitmap(self) -> bytes:
-        """The n * n membership bytes of a complete or equipartite space:
-        byte u * n + w is 1 exactly when (u, w) is an edge with u < w.  Row
+    def rows(self) -> Iterator[bytes]:
+        """The n membership rows of a complete or equipartite space, lazily:
+        byte w of row u is 1 exactly when (u, w) is an edge with u < w.  Row
         u is zeros up to the end of u's part and ones after, so the rows of
-        one part are equal."""
+        one part are one shared bytes."""
         if self.kind not in ("complete", "equipartite"):
             raise ValueError(f"no bitmap for edge space kind {self.kind!r}")
         n = self.vertex_count
         a = self.params[0] if self.kind == "equipartite" else 1
-        return b"".join((b"\0" * end + b"\1" * (n - end)) * a for end in range(a, n + 1, a))
+        return chain.from_iterable(repeat(b"\0" * end + b"\1" * (n - end), a) for end in range(a, n + 1, a))
+
+    def bitmap(self) -> bytes:
+        """The n * n membership bytes: the ``rows`` joined."""
+        return b"".join(self.rows())
 
     def edges(self) -> Iterator[Edge]:
         """The edges in sorted order, generated lazily over only the pairs

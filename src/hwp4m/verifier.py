@@ -34,27 +34,28 @@ once however many factors list it.
 
 A complete or equipartite ambient is dense: its n * n membership bytes are
 at most four per edge.  When they are also at most four per listed edge,
-the kept edges are written into one n * n bitmap by a plain loop through
-per-row views of it: edge (a, b), a < b, is byte b of row a, so no code is
+the kept edges are written by a plain loop into a bitmap of n separate
+bytearray rows: edge (a, b), a < b, is byte b of row a, so no code is
 computed and no code list is built.  The tiling is accepted when the
-document lists exactly the edge count, with no stray, and the bitmap
-equals the ambient's: equal bytes from that many codes leave no edge
-missing, foreign or duplicated.  A rejection is explained from the same
-bytes, read as integers: an ambient byte left unset is a missing edge, a
-set byte outside the ambient a foreign one, and more kept edges than set
-bytes means that some code repeats.  The repeats are read in the write
-loop, as the edges whose byte is already set: in the first pass when the
-document lists more edges than the ambient holds, otherwise by writing
-the edges once more into a fresh bitmap, in a pass that only writes: each
-factor's span bit, kept from the first pass, says whether its edges pass
-the filter.  Those inside the ambient are duplicated edges.  Every other
-case (a sparse block ambient, a dense document too small for its bitmap)
-sorts the kept edges' codes, accepts by one element-wise compare with the
+document lists exactly the edge count, with no stray, and each row equals
+the ambient's row, drawn lazily: equal bytes from that many codes leave no
+edge missing, foreign or duplicated.  Only a rejection joins the rows, and
+the ambient's, into n * n bytes, and explains itself from them, read as
+integers: an ambient byte left unset is a missing edge, a set byte
+outside the ambient a foreign one, and more kept edges than set bytes
+means that some code repeats.  The repeats are read in the write loop, as
+the edges whose byte is already set: in the first pass when the document
+lists more edges than the ambient holds, otherwise by writing the edges
+once more into fresh rows, in a pass that only writes: each factor's span
+bit, kept from the first pass, says whether its edges pass the filter.
+Those inside the ambient are duplicated edges.  Every other case (a
+sparse block ambient, a dense document too small for its bitmap) sorts
+the kept edges' codes, accepts by one element-wise compare with the
 ambient's sorted code walk, and explains a rejection by one membership
 test per distinct code: every ambient is a simple graph, so a code is
-foreign or hits one edge.  The ambient's edge count, bitmap, code walk
-and membership test all come from ``model.EdgeSpace``; the verifier keeps
-no copy of them.  The walk for missing-edge examples stops after
+foreign or hits one edge.  The ambient's edge count, bitmap rows, code
+walk and membership test all come from ``model.EdgeSpace``; the verifier
+keeps no copy of them.  The walk for missing-edge examples stops after
 ``_EXAMPLE_CAP`` misses, and so does the scan of 0..n-1 for missing
 vertices, which never sorts the covered ones.
 
@@ -253,14 +254,12 @@ def _dense_listed(factors, matching: OneFactor | None, space: EdgeSpace) -> int:
     return listed if total > 0 and n * n <= 4 * min(total, listed) else 0
 
 
-def _write(bitmap: bytearray, parts, n: int, repeats: set | None) -> None:
-    """Set the n * n ``bitmap``'s byte of every pair (a, b) in ``parts``,
-    the in-range pairs ``_listed`` yields: edge (a, b), a < b, is byte b of
-    row a, a view of the bitmap's n bytes from a * n, so no code is
-    computed.  Given a set, ``repeats`` gains the code a * n + b of each
-    edge whose byte is already set instead."""
-    view = memoryview(bitmap)
-    rows = [view[i:i + n] for i in range(0, n * n, n)]
+def _write(rows: list, parts, n: int, repeats: set | None) -> None:
+    """Set the byte of every pair (a, b) in ``parts``, the in-range pairs
+    ``_listed`` yields, in the n bytearray ``rows``: edge (a, b), a < b, is
+    byte b of row a, so no code is computed.  Given a set, ``repeats``
+    gains the code a * n + b of each edge whose byte is already set
+    instead."""
     for pairs in parts:
         if repeats is None:
             for a, b in pairs:
@@ -287,27 +286,27 @@ def _quoted(mask: int, n: int) -> list:
 
 
 def _bitmap_faults(
-    bitmap: bytearray, repeats: set | None, listed: int, strays: list, factors, spanning: list, matching,
+    rows: list, repeats: set | None, listed: int, strays: list, factors, spanning: list, matching,
     space: EdgeSpace,
 ):
     """The ``listed`` edges must tile the complete or equipartite ``space``:
-    the kept ones are written into the n * n ``bitmap``, and the others are
-    the ``strays``.  Equal bytes from exactly edge_count() kept edges accept
-    them: no edge is missing, foreign or duplicated.  A rejection is
-    explained from the bytes.  ``repeats`` holds the repeated codes when
-    they were collected as the bitmap was written (more edges listed than
-    the space holds); else it is None, and only when there are more kept
-    edges than set bytes are the edges of ``factors`` and ``matching``
-    written again, into a fresh bitmap, to find them.  That second pass
-    only writes: each factor's span bit from the first pass, in
-    ``spanning``, says whether its pairs pass ``_in_range``, and no fault
-    is checked again."""
+    the kept ones are written into the n bitmap ``rows``, and the others are
+    the ``strays``.  Rows equal to the space's rows, from exactly
+    edge_count() kept edges, accept them: no edge is missing, foreign or
+    duplicated.  A rejection is explained from the joined n * n bytes.
+    ``repeats`` holds the repeated codes when they were collected as the
+    rows were written (more edges listed than the space holds); else it is
+    None, and only when there are more kept edges than set bytes are the
+    edges of ``factors`` and ``matching`` written again, into fresh rows,
+    to find them.  That second pass only writes: each factor's span bit
+    from the first pass, in ``spanning``, says whether its pairs pass
+    ``_in_range``, and no fault is checked again."""
     n, total = space.vertex_count, space.edge_count()
     filled = listed - len(strays)  # each listed edge is kept or a stray
-    ambient = space.bitmap()
-    if not strays and filled == total and bitmap == ambient:
+    if not strays and filled == total and all(map(eq, rows, space.rows())):
         return []
-    want, have = int.from_bytes(ambient, "big"), int.from_bytes(bitmap, "big")
+    ambient = space.bitmap()
+    want, have = int.from_bytes(ambient, "big"), int.from_bytes(b"".join(rows), "big")
     foreign = have & ~want
     distinct, outside = have.bit_count(), foreign.bit_count()
     hit = distinct - outside
@@ -318,7 +317,7 @@ def _bitmap_faults(
     if filled > distinct:
         if repeats is None:
             repeats = set()
-            _write(bytearray(n * n), _relisted(factors, spanning, matching, n), n, repeats)
+            _write([bytearray(n) for _ in range(n)], _relisted(factors, spanning, matching, n), n, repeats)
         duplicated = sorted(code for code in repeats if ambient[code])
         if duplicated:
             quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
@@ -375,13 +374,13 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
     parts = _listed(factors, matching, n, out, by_length, strays, spanning)
     listed = _dense_listed(factors, matching, space)
     if listed:
-        bitmap = bytearray(n * n)
+        rows = [bytearray(n) for _ in range(n)]
         # with more edges listed than the space holds, repeats are likely, so
         # they are collected as the edges are written; otherwise they are
         # derived again only when a rejection shows that some code repeats
         repeats = set() if listed > space.edge_count() else None
-        _write(bitmap, parts, n, repeats)
-        faults = _bitmap_faults(bitmap, repeats, listed, strays, factors, spanning, matching, space)
+        _write(rows, parts, n, repeats)
+        faults = _bitmap_faults(rows, repeats, listed, strays, factors, spanning, matching, space)
     else:
         codes = [a * n + b if a < b else b * n + a for pairs in parts for a, b in pairs]
         faults = _edge_faults(codes, strays, space)

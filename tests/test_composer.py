@@ -25,6 +25,7 @@ from hwp4m.composer import (
     Unsupported,
     _copiers,
     _ingredient,
+    _part_table,
     _parts,
     _resolve,
     build,
@@ -356,13 +357,15 @@ def test_large_builds_keep_their_pinned_bytes(request_, digest):
 
 def _contract_maps(parts, rng, count=12):
     """The identity and seeded maps under the contract of ``_assemble``:
-    distinct cells, cells[0] the smallest, each part kept in layer order."""
-    yield _parts(range(parts))
+    distinct cells, cells[0] the smallest, each part kept in layer order,
+    joined from one part table as ``_blow_up`` joins them."""
+    table = _part_table(3 * parts + 2)
+    yield _parts(table, range(parts))
     for _ in range(count):
         cells = rng.sample(range(3 * parts + 2), parts)
         low = cells.index(min(cells))
         cells[0], cells[low] = cells[low], cells[0]
-        yield _parts(cells)
+        yield _parts(table, cells)
 
 
 def _copier_shape(cyc, copier):

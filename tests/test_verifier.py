@@ -404,8 +404,9 @@ def _traced_peak(check):
 
 
 def test_accepting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
-    """A valid tiling of K_v or K_v - I is accepted by one byte compare of
-    two v^2 bitmaps: neither sorted walk of the ambient is drawn."""
+    """A valid tiling of K_v or K_v - I is accepted by comparing its bitmap
+    rows with the ambient's, row by row: neither sorted walk of the
+    ambient is drawn, and neither is its joined v^2 bitmap."""
     sol = build(404, 101, 3, 198)
 
     def guarded_walk(space):
@@ -413,17 +414,19 @@ def test_accepting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
 
     monkeypatch.setattr(EdgeSpace, "edges", guarded_walk)
     monkeypatch.setattr(EdgeSpace, "edge_codes", guarded_walk)
+    monkeypatch.setattr(EdgeSpace, "bitmap", guarded_walk)
     rep = verify_solution(sol)
     assert rep.ok and (rep.r_found, rep.s_found) == (3, 198)
 
 
-def test_verifying_a_v804_solution_allocates_under_6_mb():
-    """The accept path holds two v^2 bitmaps (646 KB each here) and one
-    factor's edge codes, never a list of all 322806 codes (over 11 MB)."""
+def test_verifying_a_v804_solution_allocates_under_1_mb():
+    """The accept path holds one v^2 bitmap (646 KB here, as 804 rows), one
+    ambient row at a time and one factor's vertex lists: it never joins
+    either bitmap into v^2 bytes, nor lists all 322806 codes (over 11 MB)."""
     sol = build(804, 201, 5, 396)
     rep, peak = _traced_peak(lambda: verify_solution(sol))
     assert rep.ok
-    assert peak < 6_000_000
+    assert peak < 1_000_000
 
 
 def test_rejecting_single_edits_of_a_v804_solution_allocates_under_8_mb():
@@ -454,12 +457,13 @@ def test_rejecting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
 def test_a_document_listing_few_dense_edges_never_allocates_a_bitmap(monkeypatch):
     """A complete ambient takes a bitmap only when its v^2 bytes are at
     most four per listed edge; a shorter document is explained by the
-    sorted compare."""
+    sorted compare, and draws neither the ambient's rows nor its bitmap."""
 
     def guarded_bitmap(space):
         raise AssertionError(f"drew the bitmap of {space.kind}")
 
     monkeypatch.setattr(EdgeSpace, "bitmap", guarded_bitmap)
+    monkeypatch.setattr(EdgeSpace, "rows", guarded_bitmap)
     v = 101
     factors = tuple(walecki(v))
     for kept in (factors[:12], factors[:25]):  # 4 * 101 * 25 < 101^2
@@ -469,12 +473,13 @@ def test_a_document_listing_few_dense_edges_never_allocates_a_bitmap(monkeypatch
 
 def test_spaces_without_dense_edges_never_allocate_a_bitmap(monkeypatch):
     """An edgeless equipartite(a, 1) space and the sparse block ambients
-    are certified without a v^2 bitmap, even for large v."""
+    are certified without a v^2 bitmap or its rows, even for large v."""
 
     def guarded_bitmap(space):
         raise AssertionError(f"drew the bitmap of {space.kind}")
 
     monkeypatch.setattr(EdgeSpace, "bitmap", guarded_bitmap)
+    monkeypatch.setattr(EdgeSpace, "rows", guarded_bitmap)
     edgeless = equipartite_graph(3000, 1)  # v^2 = 9 MB
     c4, switch = c4_block(2001), switch_block(1001)  # v^2 = 64 MB and 16 MB
     for check in (
