@@ -20,19 +20,20 @@ matching give two.  Summing these contributions gives the recipe
     r = 4 r1 + 2 x + const,   r1 + s1 + x = budget,
 
 r1 copies of the all-C4 kind, x mixed, s1 all-Cm, which ``_recipe``
-derives from what is blown up: an outer solution on n parts whose first c
-factors are C4-factors, each of which takes the all-C4 kind,
+derives for an outer Cm-factorization on n parts,
 
-    const  = 4 c + (2 if r is even else 1) + (2 if n is even else 0)
-    budget = (n - 1) // 2 - c - (1 if r is even else 0).
+    const  = (2 if r is even else 1) + (2 if n is even else 0)
+    budget = (n - 1) // 2 - (1 if r is even else 0),
 
-An outer Cm-factorization has c = 0, which gives the four routes odd_r_odd_t
-(const 1), odd_r_even_t (3) and even_r_switch (2 or 4).  The v -> 4v rule,
-route inner_blowup, takes for n = v/4 a multiple of 4m the smallest c whose
-recipe solves r among the (4, m)-HWP(n; c, s') that ``plan`` itself routes
-constructively without imports.  The all-C4 route blows up Walecki's
-Hamilton decomposition of K_{v/4} with the all-C4 kind throughout, and
-v = 24 is settled by a hand-built table at r = 4.
+the routes odd_r_odd_t (const 1), odd_r_even_t (3) and even_r_switch (2
+or 4).  The v -> 4v rule, route inner_blowup, blows up for n = v/4 a
+multiple of 4m a (4, m)-HWP(n; c, s') instead, c the least count that
+``plan`` itself routes constructively without imports.  Each of its c
+C4-factors takes the all-C4 kind, adding 4 to const and taking 1 from
+budget, so it solves exactly when c <= r1 and takes (r1 - c, s1, x).
+The all-C4 route blows up Walecki's Hamilton decomposition of K_{v/4}
+with the all-C4 kind throughout, and v = 24 is settled by a hand-built
+table at r = 4.
 
 Every route but the v = 24 table is assembled by one placement core,
 ``_assemble``: it places copies of verified pieces on vertex sets and
@@ -192,13 +193,13 @@ def necessary_violations(v: int, m: int, r: int, s: int) -> list[str]:
     return out
 
 
-def _recipe(r: int, n: int, c: int) -> tuple[int, int]:
+def _recipe(r: int, n: int) -> tuple[int, int]:
     """(const, budget) of the recipe r = 4 r1 + 2 x + const, r1 + s1 + x =
-    budget, for blowing up by 4 an outer solution on n parts whose first c
-    factors are C4-factors (see the module docstring)."""
+    budget, for blowing up by 4 an outer Cm-factorization on n parts (see
+    the module docstring)."""
     even = r % 2 == 0
-    const = 4 * c + (2 if even else 1) + (2 if n % 2 == 0 else 0)
-    budget = (n - 1) // 2 - c - (1 if even else 0)
+    const = (2 if even else 1) + (2 if n % 2 == 0 else 0)
+    budget = (n - 1) // 2 - (1 if even else 0)
     return const, budget
 
 
@@ -319,7 +320,7 @@ def plan(v: int, m: int, r: int, s: int, imports: tuple[Solution, ...] = ()) -> 
         route = "even_r_switch"
     else:
         route = "odd_r_odd_t" if t % 2 == 1 else "odd_r_even_t"
-    const, budget = _recipe(r, n, 0)
+    const, budget = _recipe(r, n)
     solved = _solve_recipe(r, const, budget)
     if solved is None:
         p = Plan(
@@ -330,23 +331,22 @@ def plan(v: int, m: int, r: int, s: int, imports: tuple[Solution, ...] = ()) -> 
         )
     else:
         p = _gate(Plan(route, t, *solved, ingredients=(_ingredient("outer_cm", (n, m), imports),)))
-    if p.route != "external" or n % (4 * m):
-        return p
-    # blow up an inner (4, m)-HWP(n; c, s') this planner builds itself
-    for c in _inner_c4_counts(n, m):
-        inner = _solve_recipe(r, *_recipe(r, n, c))
-        if inner is not None:
+    # blow up an inner (4, m)-HWP(n; c, s') this planner builds itself: its c
+    # C4-factors stand in for c of the r1 all-C4 copies, and c = 0 is external
+    if p.route == "external" and n % (4 * m) == 0 and solved and solved[0]:
+        r1, s1, x = solved
+        if (c := _least_inner_c4_count(n, m)) <= r1:
             ing = _ingredient("recursive", (n, m, c, (n - 2) // 2 - c), imports)
-            return Plan("inner_blowup", t, *inner, ingredients=(ing,))
+            return Plan("inner_blowup", t, r1 - c, s1, x, ingredients=(ing,))
     return p
 
 
 @lru_cache(maxsize=None)
-def _inner_c4_counts(n: int, m: int) -> tuple[int, ...]:
-    """The C4-factor counts c, ascending, of every (4, m)-HWP(n; c, s') that
-    ``plan`` routes constructively without imports."""
+def _least_inner_c4_count(n: int, m: int) -> int:
+    """The least c > 0 of a (4, m)-HWP(n; c, s') that ``plan`` routes
+    constructively without imports; c = (n - 2)/2, all C4, always is one."""
     half = (n - 2) // 2
-    return tuple(c for c in range(half + 1) if plan(n, m, c, half - c).route in CONSTRUCTIVE_ROUTES)
+    return next(c for c in range(1, half + 1) if plan(n, m, c, half - c).route in CONSTRUCTIVE_ROUTES)
 
 
 def _gate(p: Plan) -> Plan:

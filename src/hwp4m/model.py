@@ -140,12 +140,12 @@ class EdgeSpace:
     live here, and the verifier reads them from here.  Every kind is a
     simple graph given by a closed form, and none lists its edges.  A
     complete or equipartite space also gives its n membership ``rows``,
-    against which the verifier accepts a tiling row by row, and their join,
-    the n * n ``bitmap``, which explains a rejection.  The verifier
-    accepts a tiling of any other space by comparing its sorted codes with
-    ``edge_codes``, and tests membership only to explain a rejection.  A
-    space that names no graph cannot be made: an unknown kind, or a blow-up
-    of fewer than 3 parts, raises ValueError on construction.
+    against which the verifier accepts a tiling row by row and explains a
+    rejection.  The verifier accepts a tiling of any other space by
+    comparing its sorted codes with ``edge_codes``, and tests membership
+    only to explain a rejection.  A space that names no graph cannot be
+    made: an unknown kind, or a blow-up of fewer than 3 parts, raises
+    ValueError on construction.
 
     kinds:
       complete(v)        K_v
@@ -229,17 +229,14 @@ class EdgeSpace:
     def rows(self) -> Iterator[bytes]:
         """The n membership rows of a complete or equipartite space, lazily:
         byte w of row u is 1 exactly when (u, w) is an edge with u < w.  Row
-        u is zeros up to the end of u's part and ones after, so the rows of
-        one part are one shared bytes."""
+        u is zeros up to the end of u's part and ones after, so that end is
+        n less the row's count of ones, and the rows of one part are one
+        shared bytes."""
         if self.kind not in ("complete", "equipartite"):
             raise ValueError(f"no bitmap for edge space kind {self.kind!r}")
         n = self.vertex_count
         a = self.params[0] if self.kind == "equipartite" else 1
         return chain.from_iterable(repeat(b"\0" * end + b"\1" * (n - end), a) for end in range(a, n + 1, a))
-
-    def bitmap(self) -> bytes:
-        """The n * n membership bytes: the ``rows`` joined."""
-        return b"".join(self.rows())
 
     def edges(self) -> Iterator[Edge]:
         """The edges in sorted order, generated lazily over only the pairs
@@ -314,19 +311,17 @@ def _is_int(x) -> bool:
 
 
 def _canonical_cycles(cycles: list, v: int, span):
-    """The sorted canonical cycles of a well-formed factor, or None when
-    some cycle is faulty, checked by C-level passes over the whole factor:
-    every cycle is a list, every vertex an int (bools excluded) in 0..v-1,
-    and canonicalize_cycle raises on a short cycle or a repeated vertex.
-    These accept exactly the cycles the ordered scan in ``doc_to_solution``
-    accepts, but for subclasses of list and int.  One set of the factor's
-    vertices gives both bulk facts: no vertex repeats when it is as long as
-    the list, and v distinct vertices are in range exactly when they are
-    ``span()``, the set 0..v-1 (any others when their least is at least 0
-    and their greatest below v).  A factor already in canonical form, as
-    every document hwp4m writes is, is proven so in bulk and skips
-    canonicalize_cycle: no cycle is short, no vertex repeats, and each
-    cycle starts at its minimum with its second below its last."""
+    """The sorted cycles of a factor already in canonical form, as every
+    document hwp4m writes is, proven so by C-level passes over the whole
+    factor: every cycle is a list and every vertex an int (bools excluded)
+    in 0..v-1, no cycle is short, no vertex repeats, and each cycle starts
+    at its minimum with its second below its last.  None for any other
+    factor, faulty or not: the ordered scan in ``doc_to_solution`` then
+    names its first faulty cycle, or canonicalizes it.  One set of the
+    factor's vertices gives both bulk facts: no vertex repeats when it is
+    as long as the list, and v distinct vertices are in range exactly when
+    they are ``span()``, the set 0..v-1 (any others when their least is at
+    least 0 and their greatest below v)."""
     if not set(map(type, cycles)) <= {list}:
         return None
     verts = list(chain.from_iterable(cycles))
@@ -343,10 +338,7 @@ def _canonical_cycles(cycles: list, v: int, span):
         and all(map(lt, map(itemgetter(1), cycles), map(itemgetter(-1), cycles)))
     ):
         return sorted(map(tuple, cycles))
-    try:
-        return sorted(map(canonicalize_cycle, cycles))
-    except ValueError:
-        return None
+    return None
 
 
 def doc_to_solution(doc: dict) -> Solution:
@@ -376,7 +368,8 @@ def doc_to_solution(doc: dict) -> Solution:
                     raise DecodeError("VertexOutOfRange", f"factor {idx}: {cyc!r}")
                 if len(set(cyc)) != len(cyc):
                     raise DecodeError("DuplicateVertex", f"factor {idx}: {cyc!r}")
-            # a subclass of list or int passes the scan but not the bulk type checks
+            # a factor not in canonical form, or one with a subclass of list
+            # or int, passes the scan but not the bulk checks
             cycles = sorted(map(canonicalize_cycle, entry["cycles"]))
         length = entry.get("cycle_length")
         if length is not None and not _is_int(length):

@@ -39,25 +39,26 @@ bytearray rows: edge (a, b), a < b, is byte b of row a, so no code is
 computed and no code list is built.  The tiling is accepted when the
 document lists exactly the edge count, with no stray, and each row equals
 the ambient's row, drawn lazily: equal bytes from that many codes leave no
-edge missing, foreign or duplicated.  Only a rejection joins the rows, and
-the ambient's, into n * n bytes, and explains itself from them, read as
-integers: an ambient byte left unset is a missing edge, a set byte
-outside the ambient a foreign one, and more kept edges than set bytes
-means that some code repeats.  The repeats are read in the write loop, as
-the edges whose byte is already set: in the first pass when the document
-lists more edges than the ambient holds, otherwise by writing the edges
-once more into fresh rows, in a pass that only writes: each factor's span
-bit, kept from the first pass, says whether its edges pass the filter.
-Those inside the ambient are duplicated edges.  Every other case (a
-sparse block ambient, a dense document too small for its bitmap) sorts
-the kept edges' codes, accepts by one element-wise compare with the
-ambient's sorted code walk, and explains a rejection by one membership
-test per distinct code: every ambient is a simple graph, so a code is
-foreign or hits one edge.  The ambient's edge count, bitmap rows, code
-walk and membership test all come from ``model.EdgeSpace``; the verifier
-keeps no copy of them.  The walk for missing-edge examples stops after
-``_EXAMPLE_CAP`` misses, and so does the scan of 0..n-1 for missing
-vertices, which never sorts the covered ones.
+edge missing, foreign or duplicated.  A rejection is explained from the
+same rows.  The ambient's row u is zeros up to the end of u's part and
+ones after it, so its count of ones gives that end: an unset byte of row u
+after it is a missing edge, a set byte before it a foreign one, and more
+kept edges than set bytes means that some code repeats.  The repeats are
+read in the write loop: as the edges whose byte is already set, in the
+first pass, when the document lists more edges than the ambient holds;
+otherwise by writing the edges once more into the same rows, clearing each
+byte, so an edge whose byte is already clear repeats.  That pass only
+writes: each factor's span bit, kept from the first pass, says whether its
+edges pass the filter.  The repeats inside the ambient are duplicated
+edges.  Every other case (a sparse block ambient, a dense document too
+small for its bitmap) sorts the kept edges' codes, accepts by one
+element-wise compare with the ambient's sorted code walk, and explains a
+rejection by one membership test per distinct code: every ambient is a
+simple graph, so a code is foreign or hits one edge.  The ambient's edge
+count, bitmap rows, code walk and membership test all come from
+``model.EdgeSpace``; the verifier keeps no copy of them.  The walk for
+missing-edge examples stops after ``_EXAMPLE_CAP`` misses, and so does the
+scan of 0..n-1 for missing vertices, which never sorts the covered ones.
 
 A report carries a list of violations, each tagged with a stable code:
 
@@ -73,11 +74,11 @@ A report carries a list of violations, each tagged with a stable code:
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, filterfalse, islice
+from itertools import chain, filterfalse, islice, repeat
 from operator import eq
-from re import finditer
 
 from .model import (
     EdgeSpace,
@@ -90,6 +91,7 @@ from .model import (
 )
 
 _EXAMPLE_CAP = 6  # edges quoted per violation before truncating
+_UNSET, _SET = re.compile(b"\0"), re.compile(b"\1")  # an unset and a set bitmap byte
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,9 @@ def _listed(
 
 
 def _relisted(factors, spanning: list, matching: OneFactor | None, n: int):
-    """The pairs ``_listed`` yielded, drawn again with each factor's span
-    bit read from ``spanning``: no fault is checked, and strays are dropped."""
+    """The pairs ``_listed`` yielded, drawn again for the pass that clears
+    the bitmap rows, with each factor's span bit read from ``spanning``: no
+    fault is checked, and strays are dropped."""
     for factor, spans in zip(factors, spanning):
         cycles = factor.cycles
         yield _pairs(cycles, list(chain.from_iterable(cycles)), set(map(len, cycles)), spans, n, [])
@@ -254,35 +257,37 @@ def _dense_listed(factors, matching: OneFactor | None, space: EdgeSpace) -> int:
     return listed if total > 0 and n * n <= 4 * min(total, listed) else 0
 
 
-def _write(rows: list, parts, n: int, repeats: set | None) -> None:
-    """Set the byte of every pair (a, b) in ``parts``, the in-range pairs
-    ``_listed`` yields, in the n bytearray ``rows``: edge (a, b), a < b, is
-    byte b of row a, so no code is computed.  Given a set, ``repeats``
-    gains the code a * n + b of each edge whose byte is already set
-    instead."""
+def _write(rows: list, parts, n: int, value: int, repeats: set | None) -> None:
+    """Write ``value`` to the byte of every pair (a, b) in ``parts``, the
+    in-range pairs ``_listed`` yields, in the n bytearray ``rows``: edge
+    (a, b), a < b, is byte b of row a, so no code is computed.  Given a
+    set, ``repeats`` gains the code a * n + b of each edge whose byte
+    already holds ``value`` instead."""
     for pairs in parts:
         if repeats is None:
             for a, b in pairs:
                 if a < b:
-                    rows[a][b] = 1
+                    rows[a][b] = value
                 else:
-                    rows[b][a] = 1
+                    rows[b][a] = value
         else:
             for a, b in pairs:
                 if a > b:
                     a, b = b, a
                 row = rows[a]
-                if row[b]:
+                if row[b] == value:
                     repeats.add(a * n + b)
                 else:
-                    row[b] = 1
+                    row[b] = value
 
 
-def _quoted(mask: int, n: int) -> list:
-    """The first _EXAMPLE_CAP edges (u, w) whose byte u * n + w is set in
-    ``mask`` written as n * n big-endian bytes."""
-    data = mask.to_bytes(n * n, "big")
-    return [divmod(found.start(), n) for found in islice(finditer(b"\1", data), _EXAMPLE_CAP)]
+def _quoted(rows: list, pattern: re.Pattern, bounds) -> list:
+    """The first _EXAMPLE_CAP edges (u, w), in row order, whose byte w of
+    row u matches ``pattern``, with lo <= w < hi for the pair (lo, hi) that
+    ``bounds`` gives for row u."""
+    hits = (pattern.finditer(row, lo, hi) for row, (lo, hi) in zip(rows, bounds))
+    found = ((u, hit.start()) for u, row_hits in enumerate(hits) for hit in row_hits)
+    return list(islice(found, _EXAMPLE_CAP))
 
 
 def _bitmap_faults(
@@ -292,12 +297,12 @@ def _bitmap_faults(
     """The ``listed`` edges must tile the complete or equipartite ``space``:
     the kept ones are written into the n bitmap ``rows``, and the others are
     the ``strays``.  Rows equal to the space's rows, from exactly
-    edge_count() kept edges, accept them: no edge is missing, foreign or
-    duplicated.  A rejection is explained from the joined n * n bytes.
+    edge_count() kept edges, accept them.  A rejection is explained from
+    the same rows and ``ends``: the space's row u is ones from ends[u] on.
     ``repeats`` holds the repeated codes when they were collected as the
     rows were written (more edges listed than the space holds); else it is
     None, and only when there are more kept edges than set bytes are the
-    edges of ``factors`` and ``matching`` written again, into fresh rows,
+    edges of ``factors`` and ``matching`` written again, clearing the rows,
     to find them.  That second pass only writes: each factor's span bit
     from the first pass, in ``spanning``, says whether its pairs pass
     ``_in_range``, and no fault is checked again."""
@@ -305,26 +310,26 @@ def _bitmap_faults(
     filled = listed - len(strays)  # each listed edge is kept or a stray
     if not strays and filled == total and all(map(eq, rows, space.rows())):
         return []
-    ambient = space.bitmap()
-    want, have = int.from_bytes(ambient, "big"), int.from_bytes(b"".join(rows), "big")
-    foreign = have & ~want
-    distinct, outside = have.bit_count(), foreign.bit_count()
-    hit = distinct - outside
+    ends = [n - want.count(1) for want in space.rows()]
+    outside = sum(map(bytearray.count, rows, repeat(1), repeat(0), ends))
+    hit = sum(map(bytearray.count, rows, repeat(1), ends))
 
     out: list[Violation] = []
     if hit < total:
-        out.append(Violation("EdgeMissing", _fmt_edges(_quoted(want & ~have, n), total - hit)))
-    if filled > distinct:
+        missing = _quoted(rows, _UNSET, zip(ends, repeat(n)))
+        out.append(Violation("EdgeMissing", _fmt_edges(missing, total - hit)))
+    foreign = _quoted(rows, _SET, zip(repeat(0), ends)) if outside else []  # before the rows are cleared
+    if filled > hit + outside:
         if repeats is None:
             repeats = set()
-            _write([bytearray(n) for _ in range(n)], _relisted(factors, spanning, matching, n), n, repeats)
-        duplicated = sorted(code for code in repeats if ambient[code])
+            _write(rows, _relisted(factors, spanning, matching, n), n, 0, repeats)
+        duplicated = sorted(code for code in repeats if code % n >= ends[code // n])
         if duplicated:
             quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
             out.append(Violation("EdgeDuplicated", _fmt_edges(quoted, len(duplicated))))
     strays = sorted(set(strays))
     if outside or strays:
-        quoted = sorted(strays[:_EXAMPLE_CAP] + _quoted(foreign, n))
+        quoted = sorted(strays[:_EXAMPLE_CAP] + foreign)
         out.append(Violation("EdgeForeign", _fmt_edges(quoted, outside + len(strays))))
     return out
 
@@ -379,7 +384,7 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
         # they are collected as the edges are written; otherwise they are
         # derived again only when a rejection shows that some code repeats
         repeats = set() if listed > space.edge_count() else None
-        _write(rows, parts, n, repeats)
+        _write(rows, parts, n, 1, repeats)
         faults = _bitmap_faults(rows, repeats, listed, strays, factors, spanning, matching, space)
     else:
         codes = [a * n + b if a < b else b * n + a for pairs in parts for a, b in pairs]

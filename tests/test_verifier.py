@@ -406,17 +406,20 @@ def _traced_peak(check):
 def test_accepting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
     """A valid tiling of K_v or K_v - I is accepted by comparing its bitmap
     rows with the ambient's, row by row: neither sorted walk of the
-    ambient is drawn, and neither is its joined v^2 bitmap."""
+    ambient is drawn, and its rows are drawn once."""
     sol = build(404, 101, 3, 198)
 
     def guarded_walk(space):
         raise AssertionError(f"walked the edges of {space.kind} on a valid solution")
 
+    drawn = []
+    rows = EdgeSpace.rows
     monkeypatch.setattr(EdgeSpace, "edges", guarded_walk)
     monkeypatch.setattr(EdgeSpace, "edge_codes", guarded_walk)
-    monkeypatch.setattr(EdgeSpace, "bitmap", guarded_walk)
+    monkeypatch.setattr(EdgeSpace, "rows", lambda space: drawn.append(space.kind) or rows(space))
     rep = verify_solution(sol)
     assert rep.ok and (rep.r_found, rep.s_found) == (3, 198)
+    assert drawn == ["complete"]
 
 
 def test_verifying_a_v804_solution_allocates_under_1_mb():
@@ -429,14 +432,15 @@ def test_verifying_a_v804_solution_allocates_under_1_mb():
     assert peak < 1_000_000
 
 
-def test_rejecting_single_edits_of_a_v804_solution_allocates_under_8_mb():
-    """A rejection is explained from the accept path's bitmaps and a few
-    v^2 integers, never from a sorted list of every edge code."""
+def test_rejecting_single_edits_of_a_v804_solution_allocates_under_1_mb():
+    """A rejection is explained from the rows the tiling was checked
+    against, one ambient row at a time: it never joins the rows into v^2
+    bytes, nor lists every edge code."""
     sol = build(804, 201, 5, 396)
     for op in range(4):
         rep, peak = _traced_peak(lambda: verify_solution(_mutate(sol, random.Random(op), op)))
         assert not rep.ok
-        assert peak < 8_000_000, (op, peak)
+        assert peak < 1_000_000, (op, peak)
 
 
 def test_rejecting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
@@ -457,12 +461,11 @@ def test_rejecting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
 def test_a_document_listing_few_dense_edges_never_allocates_a_bitmap(monkeypatch):
     """A complete ambient takes a bitmap only when its v^2 bytes are at
     most four per listed edge; a shorter document is explained by the
-    sorted compare, and draws neither the ambient's rows nor its bitmap."""
+    sorted compare, and never draws the ambient's rows."""
 
     def guarded_bitmap(space):
-        raise AssertionError(f"drew the bitmap of {space.kind}")
+        raise AssertionError(f"drew the bitmap rows of {space.kind}")
 
-    monkeypatch.setattr(EdgeSpace, "bitmap", guarded_bitmap)
     monkeypatch.setattr(EdgeSpace, "rows", guarded_bitmap)
     v = 101
     factors = tuple(walecki(v))
@@ -473,12 +476,12 @@ def test_a_document_listing_few_dense_edges_never_allocates_a_bitmap(monkeypatch
 
 def test_spaces_without_dense_edges_never_allocate_a_bitmap(monkeypatch):
     """An edgeless equipartite(a, 1) space and the sparse block ambients
-    are certified without a v^2 bitmap or its rows, even for large v."""
+    are certified without drawing the rows of a v^2 bitmap, even for large
+    v."""
 
     def guarded_bitmap(space):
-        raise AssertionError(f"drew the bitmap of {space.kind}")
+        raise AssertionError(f"drew the bitmap rows of {space.kind}")
 
-    monkeypatch.setattr(EdgeSpace, "bitmap", guarded_bitmap)
     monkeypatch.setattr(EdgeSpace, "rows", guarded_bitmap)
     edgeless = equipartite_graph(3000, 1)  # v^2 = 9 MB
     c4, switch = c4_block(2001), switch_block(1001)  # v^2 = 64 MB and 16 MB

@@ -13,10 +13,10 @@ edit of every ambient kind, seeded single edits of Walecki covers), inputs
 aimed at the bitmap accept of complete and equipartite spaces (valid
 solutions of odd and even order, ``certifies`` on equipartite instances,
 and edits that keep the listed edge count), inputs aimed at the bitmap's
-row views and its one-loop repeat finder (stray vertices -1 and v, codes
+row-by-row compare and its repeat finder (stray vertices -1 and v, codes
 repeated inside a factor and across a factor and the matching, and
-equal-count rejections whose second pass filters a factor that does not
-span), and small hostile documents.
+equal-count rejections whose in-place clearing pass filters a factor that
+does not span), and small hostile documents.
 """
 
 import random
@@ -309,8 +309,9 @@ def _even(v):
     return Solution(v=v, factors=tuple(factors), m=v, r=0, s=len(factors), one_factor=leftover)
 
 
-# K_301 and K_300 - I list more codes than one bitmap batch, so a failed
-# byte compare there re-derives codes the bitmap has already taken
+# K_301 and K_300 - I have hundreds of rows: an equal-count edit there
+# fails the row compare at its first changed row, and the rejection is
+# explained from the same rows
 DENSE = {
     "K5": lambda: _odd(5),
     "K9": lambda: _odd(9),
@@ -475,8 +476,8 @@ def test_dense_edits_that_change_the_listed_count_agree_with_the_oracle(name, mo
     sol = DENSE[name]()
     space = complete_graph(sol.v)
     drawn = []
-    bitmap = EdgeSpace.bitmap
-    monkeypatch.setattr(EdgeSpace, "bitmap", lambda space: drawn.append(space.kind) or bitmap(space))
+    rows = EdgeSpace.rows
+    monkeypatch.setattr(EdgeSpace, "rows", lambda space: drawn.append(space.kind) or rows(space))
     edits = list(_count_changing_edits(sol, random.Random(name)))
     for edited in edits:
         assert _listed_edges(edited) != space.edge_count()
@@ -508,7 +509,7 @@ def test_equipartite_edits_that_change_the_listed_count_agree_with_the_oracle():
 
 
 # ============================================================
-# the row views and the one-loop repeat finder
+# the row-by-row compare and the repeat finder
 # ============================================================
 
 
@@ -520,7 +521,7 @@ def _with_factor(sol, fi, cycles):
 
 @pytest.mark.parametrize("stray", [-1, 60])
 def test_a_stray_vertex_on_the_dense_path_agrees_with_the_oracle(stray):
-    """Edge (a, b), a < b, is written as byte b of the row view of a.  A
+    """Edge (a, b), a < b, is written as byte b of row a.  A
     vertex -1 would silently write into the last row and a vertex v would
     index past a row's end, so the pairs of a factor that does not span
     0..n-1 pass the same range filter as the matching's, and its
@@ -551,8 +552,9 @@ def test_the_repeat_finder_quotes_the_oracles_duplicated_edges():
     and in the matching, and every edge of two 4-cycles listed again in
     their factor, past the quoting cap.  With exactly edge_count() edges
     listed (two neighbours swapped in a 4-cycle, which then lists its
-    diagonals), a second derivation into a fresh bitmap finds them.  That
-    pass takes each factor's span bit from the first, so the pairs of a
+    diagonals), a second pass writes the edges again into the same rows,
+    clearing each byte, and an edge whose byte is already clear repeats.
+    That pass takes each factor's span bit from the first, so the pairs of a
     factor that does not span still pass the range filter: a vertex 60 or
     -1 in another factor next to the swap, and a vertex moved into a second
     cycle of its factor, all with the edge count unchanged."""
