@@ -317,23 +317,29 @@ def _canonical_cycles(cycles: list, v: int, span):
     in 0..v-1, no cycle is short, no vertex repeats, and each cycle starts
     at its minimum with its second below its last.  None for any other
     factor, faulty or not: the ordered scan in ``doc_to_solution`` then
-    names its first faulty cycle, or canonicalizes it.  One set of the
-    factor's vertices gives both bulk facts: no vertex repeats when it is
-    as long as the list, and v distinct vertices are in range exactly when
-    they are ``span()``, the set 0..v-1 (any others when their least is at
-    least 0 and their greatest below v)."""
+    names its first faulty cycle, or canonicalizes it.  One sum proves
+    ``json.loads`` vertices ints: a float makes it a float, and a str, null,
+    list or object raises.  It counts false and true as ints, but distinct
+    vertices hold them only as the one equal to 0 and the one equal to 1,
+    whose types alone are checked.  v vertices that miss none of
+    ``span()``, the set 0..v-1, list each of them once (pigeonhole); others
+    are distinct when their set is as long as their list, and in range when
+    their least is at least 0 and their greatest below v."""
     if not set(map(type, cycles)) <= {list}:
         return None
     verts = list(chain.from_iterable(cycles))
-    if verts and set(map(type, verts)) != {int}:
+    try:
+        total = sum(verts)
+    except (TypeError, OverflowError):  # OverflowError: a float after an int too large for one
         return None
-    seen = set(verts)
-    if seen and not (seen == span() if len(seen) == v else min(seen) >= 0 and max(seen) < v):
-        return None
+    spanned = len(verts) == v
+    seen = span() if spanned else set(verts)
     if (
-        verts
+        type(total) is int
+        and verts
+        and (not seen.difference(verts) if spanned else len(seen) == len(verts) and min(seen) >= 0 and max(seen) < v)
+        and not any(type(verts[verts.index(u)]) is bool for u in (0, 1) if u in seen)
         and min(map(len, cycles)) >= 3
-        and len(seen) == len(verts)
         and all(map(eq, map(itemgetter(0), cycles), map(min, cycles)))
         and all(map(lt, map(itemgetter(1), cycles), map(itemgetter(-1), cycles)))
     ):
@@ -342,6 +348,9 @@ def _canonical_cycles(cycles: list, v: int, span):
 
 
 def doc_to_solution(doc: dict) -> Solution:
+    """The Solution a document names, or ``DecodeError``.  ``doc`` is
+    ``json.loads`` output, whose only int-like values are ints and bools:
+    that makes ``_canonical_cycles``'s one sum an exact int proof."""
     if not isinstance(doc, dict):
         raise DecodeError("MalformedDocument", "top level is not an object")
     for key in ("v", "factors"):
@@ -355,7 +364,7 @@ def doc_to_solution(doc: dict) -> Solution:
         raise DecodeError("MalformedDocument", "factors must be a list")
 
     factors = []
-    span = cache(partial(frozenset, range(v)))  # made once a factor lists v distinct vertices
+    span = cache(partial(frozenset, range(v)))  # made once a factor lists v vertices
     for idx, entry in enumerate(raw_factors):
         if not isinstance(entry, dict) or not isinstance(entry.get("cycles"), list):
             raise DecodeError("MalformedDocument", f"factor {idx} has no list of cycles")
@@ -368,8 +377,8 @@ def doc_to_solution(doc: dict) -> Solution:
                     raise DecodeError("VertexOutOfRange", f"factor {idx}: {cyc!r}")
                 if len(set(cyc)) != len(cyc):
                     raise DecodeError("DuplicateVertex", f"factor {idx}: {cyc!r}")
-            # a factor not in canonical form, or one with a subclass of list
-            # or int, passes the scan but not the bulk checks
+            # a factor not in canonical form, or one with a subclass of list,
+            # passes the scan but not the bulk checks
             cycles = sorted(map(canonicalize_cycle, entry["cycles"]))
         length = entry.get("cycle_length")
         if length is not None and not _is_int(length):

@@ -20,17 +20,17 @@ listed vertices and edges, O(E) against a dense ambient, apart from the
 sorts behind the examples a rejection quotes, and O(E log E) against the
 others.  A factor is read as two flat lists, its vertices and each one's
 successor on its cycle, and the spanning check and the edges both come
-from that pair.  A factor that lists exactly n vertices whose set is
-0..n-1 spans with no repeat and no stray vertex, which one set compare
-shows (the set 0..n-1 is built only then), and its edges are taken as
-they come.  Any other factor is checked vertex by vertex, for the fault
-texts, and its edges, smaller end first, and the matching's pairs, taken
-as given, pass one filter: a pair (a, b) is kept only when
-0 <= a <= b < n.  Every other pair is a stray and foreign, since its code
-a * n + b would alias a real edge; so a reversed matching pair is foreign
-by that rule, not by where its code falls.  A loop (a, a) is kept, as a
-spanning factor's one-vertex cycle is: its code is foreign, and counted
-once however many factors list it.
+from that pair.  A factor that lists exactly n vertices and misses none
+of 0..n-1 lists each of them once (pigeonhole), so it spans with no repeat
+and no stray vertex (the set 0..n-1 is built only once a factor lists n
+vertices), and its edges are taken as they come.  Any other factor is
+checked vertex by vertex, for the fault texts, and its edges, smaller end
+first, and the matching's pairs, taken as given, pass one filter: a pair
+(a, b) is kept only when 0 <= a <= b < n.  Every other pair is a stray
+and foreign, since its code a * n + b would alias a real edge; so a
+reversed matching pair is foreign by that rule, not by where its code
+falls.  A loop (a, a) is kept, as a spanning factor's one-vertex cycle
+is: its code is foreign, and counted once however many factors list it.
 
 A complete or equipartite ambient is dense: its n * n membership bytes are
 at most four per edge.  When they are also at most four per listed edge,
@@ -194,17 +194,17 @@ def _listed(
     and cycle-length faults join ``out``, the factor counts by uniform
     cycle length join ``by_length``, the pairs ``_in_range`` rejects join
     ``strays``, and each factor's span bit joins ``spanning``.  A factor
-    that lists n vertices whose set is 0..n-1 spans, and needs no vertex
-    check; any other factor runs ``_vertex_faults``.  ``_pairs`` draws each
-    factor's pairs, and the matching's, taken as given, pass
-    ``_in_range``."""
+    that lists n vertices and misses none of 0..n-1 spans, since it then
+    lists each of them once, and needs no vertex check; any other factor
+    runs ``_vertex_faults``.  ``_pairs`` draws each factor's pairs, and the
+    matching's, taken as given, pass ``_in_range``."""
     span = None  # 0..n-1, built once a factor lists n vertices
     for idx, factor in enumerate(factors):
         cycles = factor.cycles
         verts = list(chain.from_iterable(cycles))
         if len(verts) == n and span is None:
             span = frozenset(range(n))
-        spans = len(verts) == n and set(verts) == span
+        spans = len(verts) == n and not span.difference(verts)
         spanning.append(spans)
         if not spans:
             for viol in _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles"):

@@ -6,10 +6,13 @@ document here both must return the same ``Solution``, or raise a
 solutions and blocks, seeded single edits of their cycles (a bool, float,
 nested-list, negative or out-of-range vertex, a short or non-list cycle, a
 duplicate vertex, an empty factor, and edits of a spanning factor to each
-side of the decoder's one-set test), pairs of edits whose first faulty
-cycle differs in kind from a later one, in one factor or in two, and
-rotated or reversed cycles, which take the decoder off its bulk proof that
-a factor is already canonical.
+side of the decoder's pigeonhole span test), type edits of one vertex of a
+spanning factor (json's false for 0 and true for 1, the only bools the
+decoder's one-sum int proof must catch by type, a float, nan, an int
+subclass and 2**70), pairs of edits whose first faulty cycle differs in
+kind from a later one, in one factor or in two, and rotated or reversed
+cycles, which take the decoder off its bulk proof that a factor is already
+canonical.
 
 It also keeps ``solution_to_doc`` plus json's compact sorted dump, which
 the package's encoder must match byte for byte, or raise the same
@@ -76,7 +79,8 @@ BASES = _bases()
 
 
 class Label(int):
-    """An int subclass other than bool: the scan accepts it as a vertex."""
+    """An int subclass other than bool: the bulk proof and the scan both
+    accept it as a vertex."""
 
 
 # one edit of a cycle vertex each; ``v`` is the document's order
@@ -129,7 +133,7 @@ def _somewhere(doc, rng):
 CYCLE_KINDS = (*VERTEX_EDITS, "short", "non_list", "duplicate", "empty_factor", "label")
 
 # edits of a factor that lists each of 0..v-1 once, to each side of the
-# decoder's one-set test, with the code each raises (None: it decodes):
+# decoder's pigeonhole span test, with the code each raises (None: it decodes):
 # v distinct vertices, one of them -1 or v; v + 1 distinct vertices; and a
 # vertex moved into a second cycle, in range, so that the factor is
 # canonicalized cycle by cycle (or repeats in its one cycle)
@@ -160,6 +164,44 @@ def test_seeded_cycle_edits_decode_alike(kind):
                 assert sorted(itertools.chain(*doc["factors"][fi]["cycles"])) == list(range(doc["v"]))
                 want = SPAN_EDITS[kind] if kind != "shared" or len(cycles) > 1 else "DuplicateVertex"
                 assert (outcome[1] if isinstance(outcome, tuple) else None) == want
+
+
+# type edits of one vertex u of a factor that lists each of 0..v-1 once:
+# which u, its new value, and the code it raises (None: it decodes to the
+# unedited Solution).
+# The decoder proves its vertices ints by one sum, which counts json's false
+# and true as ints; distinct vertices hold them only as 0 and 1, so those
+# two are the only bools it must catch by type.  A float, nan or not, makes
+# the sum a float; an int subclass is a vertex wherever it stands.
+TYPE_EDITS = {
+    "false_for_0": (lambda u: 0, lambda u: False, "VertexOutOfRange"),
+    "true_for_1": (lambda u: 1, lambda u: True, "VertexOutOfRange"),
+    "float": (lambda u: u, float, "VertexOutOfRange"),
+    "nan": (lambda u: u, lambda u: float("nan"), "VertexOutOfRange"),
+    "label_at_0": (lambda u: 0, Label, None),
+    "label_at_1": (lambda u: 1, Label, None),
+    "label": (lambda u: u, Label, None),
+    "two_to_the_70": (lambda u: u, lambda u: 2 ** 70, "VertexOutOfRange"),
+}
+
+
+@pytest.mark.parametrize("kind", TYPE_EDITS)
+def test_type_edits_of_a_spanning_factor_decode_alike(kind):
+    which, value, want = TYPE_EDITS[kind]
+    rng = random.Random(f"type-{kind}")
+    for doc in BASES:
+        for _ in range(3):
+            fi = rng.randrange(len(doc["factors"]))
+            assert sorted(itertools.chain(*doc["factors"][fi]["cycles"])) == list(range(doc["v"]))
+            u = which(rng.randrange(2, doc["v"]))
+            edited = copy.deepcopy(doc)
+            cyc = next(cyc for cyc in edited["factors"][fi]["cycles"] if u in cyc)
+            cyc[cyc.index(u)] = value(u)
+            outcome = _agree(edited)
+            if want is None:
+                assert outcome == _agree(doc)
+            else:
+                assert outcome[1] == want and repr(value(u)) in outcome[2]
 
 
 @pytest.mark.parametrize("same_factor", [False, True])

@@ -16,12 +16,15 @@ and edits that keep the listed edge count), inputs aimed at the bitmap's
 row-by-row compare and its repeat finder (stray vertices -1 and v, codes
 repeated inside a factor and across a factor and the matching, and
 equal-count rejections whose in-place clearing pass filters a factor that
-does not span), and small hostile documents.
+does not span), inputs aimed at the pigeonhole span test (2.0 listed for 2,
+True for 1, and one vertex repeated in place of another), and small
+hostile documents.
 """
 
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 import reference_verifier as oracle
@@ -190,6 +193,38 @@ def test_factor_covers_agree_with_the_oracle():
     mixed = list(switch_block(5).factors[:2]) + [c4_block(5).factors[0]] * 2
     _agree_cover(mixed, cycle_blowup4(5))
     _agree_cover(mixed, switch_graph(5))
+
+
+def _retyped(factor, u, value):
+    """``factor`` with vertex ``u`` listed as ``value``."""
+    cycles = tuple(tuple(value if w == u else w for w in cyc) for cyc in factor.cycles)
+    return replace(factor, cycles=cycles)
+
+
+def test_the_span_test_keeps_the_set_compares_equality():
+    """A factor spans when it lists n vertices and misses none of 0..n-1,
+    since it then lists each of them once.  That test keeps the equality of
+    the set compare it replaced: a factor that lists 2.0 for 2 or True for
+    1 still spans, and one of n in-range vertices with one repeated and one
+    missing does not.  The sparse path takes all three edits and K_9's
+    dense path the last two: a float vertex cannot index a bitmap row."""
+    block = c4_block(5)
+    k9 = Solution(v=9, factors=tuple(walecki(9)), m=9, r=0, s=4)
+    for sol, edits, verify, agree in (
+        (block, ((2, 2.0), (1, True)), verify_block, _agree_block),
+        (k9, ((1, True),), verify_solution, _agree_solution),
+    ):
+        first = sol.factors[0]
+        assert sorted(chain(*first.cycles)) == list(range(sol.v))
+        cycles = [list(cyc) for cyc in first.cycles]
+        cycles[0][2] = cycles[-1][0]
+        repeated = replace(first, cycles=tuple(map(tuple, cycles)))
+        for factor in (*(_retyped(first, u, value) for u, value in edits), repeated):
+            doc = replace(sol, factors=(factor, *sol.factors[1:]))
+            agree(doc)
+            spans = factor is not repeated
+            report = verify(doc)
+            assert report.ok == spans and ("NotSpanning" in report.codes()) != spans
 
 
 # ============================================================
