@@ -321,7 +321,9 @@ def _canonical_cycles(cycles: list, v: int, span):
     ``json.loads`` vertices ints: a float makes it a float, and a str, null,
     list or object raises.  It counts false and true as ints, but distinct
     vertices hold them only as the one equal to 0 and the one equal to 1,
-    whose types alone are checked.  v vertices that miss none of
+    whose types alone are checked, once the form is proven, where a
+    canonical factor holds them: 0 first in its cycle, and 1 first in its
+    own cycle or in the cycle of 0.  v vertices that miss none of
     ``span()``, the set 0..v-1, list each of them once (pigeonhole); others
     are distinct when their set is as long as their list, and in range when
     their least is at least 0 and their greatest below v."""
@@ -334,17 +336,24 @@ def _canonical_cycles(cycles: list, v: int, span):
         return None
     spanned = len(verts) == v
     seen = span() if spanned else set(verts)
-    if (
+    if not (
         type(total) is int
         and verts
         and (not seen.difference(verts) if spanned else len(seen) == len(verts) and min(seen) >= 0 and max(seen) < v)
-        and not any(type(verts[verts.index(u)]) is bool for u in (0, 1) if u in seen)
         and min(map(len, cycles)) >= 3
-        and all(map(eq, map(itemgetter(0), cycles), map(min, cycles)))
+    ):
+        return None
+    firsts = list(map(itemgetter(0), cycles))
+    if not (
+        all(map(eq, firsts, map(min, cycles)))
         and all(map(lt, map(itemgetter(1), cycles), map(itemgetter(-1), cycles)))
     ):
-        return sorted(map(tuple, cycles))
-    return None
+        return None
+    held = [firsts[firsts.index(0)]] if 0 in seen else []
+    if 1 in seen:
+        home = firsts if 1 in firsts else cycles[firsts.index(0)]
+        held.append(home[home.index(1)])
+    return None if bool in map(type, held) else sorted(map(tuple, cycles))
 
 
 def doc_to_solution(doc: dict) -> Solution:

@@ -8,7 +8,8 @@ needs from this module:
                      a leftover perfect matching
   hamilton_decomposition(n)
                      either of the two as one Solution, with the leftover
-                     matching of even n as its one-factor
+                     matching of even n as its one-factor, built once per
+                     order per process and shared
   STARTERS, develop(base, n, m, fixed), starter_factorization(n, m)
                      one base Cm-factor per outer, developed under a cyclic
                      group into a Cm-factorization and proven on every use
@@ -23,7 +24,8 @@ needs from this module:
                      ladder (searching when it says searchable); raises
                      IngredientUnavailable when it cannot be produced
 
-Starters, imports and cache loads are all proven by ``search.first_proven``.
+Starters, imports and cache loads are all proven by ``search.first_proven``,
+on every use.
 
 A starter is one Cm-factor whose translates tile the graph, and
 ``develop`` is the one place that translates.  For odd n it is
@@ -41,12 +43,15 @@ The Hamilton decompositions are the classical rotating zigzag, itself a
 0, +1, -1, +2, -2, ... over the ring Z_{n-1}; rotating it sweeps each ring
 difference exactly once.  For even n the (n-2)/2 rotations leave a perfect
 matching, which is computed by edge accounting and checked, not assumed.
+Every request of one (v, m) blows up the same one, of order m when t = 1
+or v/4 on the all-C4 route, so ``hamilton_decomposition`` keeps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import combinations
 from operator import itemgetter
 
 from . import search
@@ -88,16 +93,19 @@ def develop(base, n: int, m: int, fixed: int) -> Solution:
     fixed point (1-rotational starters, Walecki's zigzag), or two blocks
     Z_h, h = (n-2)/2, and two fixed points (2-pyramidal starters).  The
     (n-1)//2 translates g = 0, 1, ... are the factors; for even n the edges
-    none of them uses are the one-factor, checked to be a perfect matching."""
+    none of them uses are the one-factor, checked to be a perfect matching.
+    Every image, and the one-factor, is drawn from one list of 0..n-1, so
+    the Solution holds n int objects, one per vertex, as a built one does."""
     ring = n - fixed
     h = ring // fixed
+    verts = list(range(n))
     getters = [itemgetter(*c) for c in base]
     factors = []
     for g in range((n - 1) // 2):
         image = []
         for b in range(0, ring, h):
-            image += chain(range(b + g, b + h), range(b, b + g))
-        image += range(ring, n)
+            image += verts[b + g:b + h] + verts[b:b + g]
+        image += verts[ring:]
         factors.append(two_factor([get(image) for get in getters], n, m))
     if n % 2:
         return Solution(v=n, factors=tuple(factors), m=m)
@@ -105,7 +113,7 @@ def develop(base, n: int, m: int, fixed: int) -> Solution:
         (u, w) if u < w else (w, u)
         for f in factors for c in f.cycles for u, w in zip(c, c[1:] + c[:1])
     }
-    leftover = [e for e in combinations(range(n), 2) if e not in used]
+    leftover = [e for e in combinations(verts, 2) if e not in used]
     if len(leftover) != n // 2 or len({x for e in leftover for x in e}) != n:
         raise RuntimeError(f"the base {base} does not develop: its leftover on {n} vertices "
                            "is not a perfect matching")
@@ -148,9 +156,16 @@ def walecki_even(n: int) -> tuple[list[TwoFactor], OneFactor]:
     return list(sol.factors), sol.one_factor
 
 
+@lru_cache(maxsize=32)
 def hamilton_decomposition(n: int) -> Solution:
     """K_n (odd n) or K_n - I (even n) split into Hamilton cycles, as one
-    Solution whose one-factor is the leftover matching of even n."""
+    Solution whose one-factor is the leftover matching of even n.
+
+    Built once per order per process, by ``walecki`` or ``walecki_even``,
+    and shared: the Solution is frozen.  It costs about 4n^2 bytes, (n-1)/2
+    cycles of n pointers to n shared ints, where a block costs O(m); the 32
+    orders kept cover the 25 of a v <= 120 sweep and hold at most 32 * 4n^2
+    bytes, 128 MB were all of them near n = 1000."""
     if n % 2 == 1:
         return Solution(v=n, factors=tuple(walecki(n)), m=n)
     factors, leftover = walecki_even(n)

@@ -51,14 +51,16 @@ byte, so an edge whose byte is already clear repeats.  That pass only
 writes: each factor's span bit, kept from the first pass, says whether its
 edges pass the filter.  The repeats inside the ambient are duplicated
 edges.  Every other case (a sparse block ambient, a dense document too
-small for its bitmap) sorts the kept edges' codes, accepts by one
-element-wise compare with the ambient's sorted code walk, and explains a
-rejection by one membership test per distinct code: every ambient is a
-simple graph, so a code is foreign or hits one edge.  The ambient's edge
-count, bitmap rows, code walk and membership test all come from
-``model.EdgeSpace``; the verifier keeps no copy of them.  The walk for
-missing-edge examples stops after ``_EXAMPLE_CAP`` misses, and so does the
-scan of 0..n-1 for missing vertices, which never sorts the covered ones.
+small for its bitmap, or one that lists a vertex equal to an int without
+being one, as 2.0, which indexes no row) sorts the kept edges' codes,
+accepts by one element-wise compare with the ambient's sorted code walk,
+and explains a rejection by one membership test per distinct code: every
+ambient is a simple graph, so a code is foreign or hits one edge.  The
+ambient's edge count, bitmap rows, code walk and membership test all come
+from ``model.EdgeSpace``; the verifier keeps no copy of them.  The walk
+for missing-edge examples stops after ``_EXAMPLE_CAP`` misses, and so does
+the scan of 0..n-1 for missing vertices, which never sorts the covered
+ones.
 
 A report carries a list of violations, each tagged with a stable code:
 
@@ -367,24 +369,29 @@ def _edge_faults(codes: list[int], strays: list, space: EdgeSpace) -> list[Viola
     return out
 
 
-def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
+def _certify(factors, matching: OneFactor | None, space: EdgeSpace, dense: bool = True):
     """One pass over the factors and the optional matching, whose edges join
     the cover.  Returns the violations and the factor counts by uniform
-    cycle length."""
+    cycle length.  A vertex that equals an int without being one, as 2.0
+    for 2, indexes no bitmap row: when the bitmap write raises TypeError,
+    the whole pass runs again, afresh, on the sorted codes (``dense`` false)."""
     n = space.vertex_count
     out: list[Violation] = []
     by_length: Counter[int] = Counter()
     strays: list = []
     spanning: list[bool] = []
     parts = _listed(factors, matching, n, out, by_length, strays, spanning)
-    listed = _dense_listed(factors, matching, space)
+    listed = _dense_listed(factors, matching, space) if dense else 0
     if listed:
         rows = [bytearray(n) for _ in range(n)]
         # with more edges listed than the space holds, repeats are likely, so
         # they are collected as the edges are written; otherwise they are
         # derived again only when a rejection shows that some code repeats
         repeats = set() if listed > space.edge_count() else None
-        _write(rows, parts, n, 1, repeats)
+        try:
+            _write(rows, parts, n, 1, repeats)
+        except TypeError:
+            return _certify(factors, matching, space, dense=False)
         faults = _bitmap_faults(rows, repeats, listed, strays, factors, spanning, matching, space)
     else:
         codes = [a * n + b if a < b else b * n + a for pairs in parts for a, b in pairs]

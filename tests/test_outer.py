@@ -19,6 +19,7 @@ from hwp4m.outer import (
     OUTER_LADDER,
     STARTERS,
     IngredientUnavailable,
+    _zigzag,
     develop,
     hamilton_decomposition,
     outer_cm_factorization,
@@ -75,6 +76,50 @@ def test_large_hamilton_decompositions_are_pinned(n, digest):
     # the two outers of the benchmark's large builds, beyond the v <= 120 sweep
     encoded = encode_solution(hamilton_decomposition(n))
     assert hashlib.sha256(encoded).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [*range(3, 42), 300, 401])
+def test_the_kept_decomposition_is_the_developed_zigzag(n):
+    kept = hamilton_decomposition(n)
+    assert kept == develop([_zigzag(n)], n, n, 1)
+    assert hamilton_decomposition(n) is kept
+
+
+@pytest.mark.parametrize("n", [300, 401])
+def test_a_decomposition_holds_one_int_object_per_vertex(n):
+    # beyond 256, where CPython stops sharing small ints, every copy would show
+    sol = hamilton_decomposition(n)
+    ints = {id(u) for f in sol.factors for c in f.cycles for u in c}
+    if sol.one_factor is not None:
+        ints |= {id(u) for e in sol.one_factor.edges for u in e}
+    assert len(ints) == n
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_mutating_a_walecki_list_leaves_the_decompositions_alone(n):
+    fresh = develop([_zigzag(n)], n, n, 1)
+
+    def listed():
+        return walecki(n) if n % 2 else walecki_even(n)[0]
+
+    kept = hamilton_decomposition(n)
+    factors = listed()
+    factors.reverse()
+    factors.pop()
+    assert hamilton_decomposition(n) is kept and kept == fresh
+    hamilton_decomposition.cache_clear()
+    factors = listed()
+    factors.clear()
+    assert hamilton_decomposition(n) == fresh
+    assert listed() == list(fresh.factors)
+
+
+@pytest.mark.parametrize("request_", [(100, 25, 23, 26), (40, 5, 19, 0)])
+def test_a_request_built_twice_in_one_process_writes_the_same_bytes(request_, tmp_path):
+    # over a decomposition built for the first, kept for the second, and built again
+    first, second = (encode_solution(build(*request_, cache_dir=tmp_path)) for _ in range(2))
+    hamilton_decomposition.cache_clear()
+    assert first == second == encode_solution(build(*request_, cache_dir=tmp_path))
 
 
 # ============================================================

@@ -206,13 +206,14 @@ def test_the_span_test_keeps_the_set_compares_equality():
     since it then lists each of them once.  That test keeps the equality of
     the set compare it replaced: a factor that lists 2.0 for 2 or True for
     1 still spans, and one of n in-range vertices with one repeated and one
-    missing does not.  The sparse path takes all three edits and K_9's
-    dense path the last two: a float vertex cannot index a bitmap row."""
+    missing does not.  The sparse path and K_9's dense path take all three
+    edits: 2.0 indexes no bitmap row, so the dense path certifies that
+    factor's document on the sorted codes instead."""
     block = c4_block(5)
     k9 = Solution(v=9, factors=tuple(walecki(9)), m=9, r=0, s=4)
     for sol, edits, verify, agree in (
         (block, ((2, 2.0), (1, True)), verify_block, _agree_block),
-        (k9, ((1, True),), verify_solution, _agree_solution),
+        (k9, ((2, 2.0), (1, True)), verify_solution, _agree_solution),
     ):
         first = sol.factors[0]
         assert sorted(chain(*first.cycles)) == list(range(sol.v))
