@@ -10,9 +10,9 @@ needs from this module:
                      either of the two as one Solution, with the leftover
                      matching of even n as its one-factor, built once per
                      order per process and shared
-  STARTERS, develop(base, n, m, fixed), starter_factorization(n, m)
+  STARTERS, develop(base, n, m, fixed)
                      one base Cm-factor per outer, developed under a cyclic
-                     group into a Cm-factorization and proven on every use
+                     group into a Cm-factorization and proven as it is made
   outer_availability(n, m)
                      the one static ladder for a Cm-factorization of K_n
                      (odd n) or K_n - I (even n): builtin when n = m or a
@@ -24,8 +24,8 @@ needs from this module:
                      ladder (searching when it says searchable); raises
                      IngredientUnavailable when it cannot be produced
 
-Starters, imports and cache loads are all proven by ``search.first_proven``,
-on every use.
+Every outer factorization, developed, searched, imported or cached, is
+proven by ``search.first_proven`` where it is made.
 
 A starter is one Cm-factor whose translates tile the graph, and
 ``develop`` is the one place that translates.  For odd n it is
@@ -42,7 +42,7 @@ The Hamilton decompositions are the classical rotating zigzag, itself a
 1-rotational starter of one cycle for either parity: the hub n - 1, then
 0, +1, -1, +2, -2, ... over the ring Z_{n-1}; rotating it sweeps each ring
 difference exactly once.  For even n the (n-2)/2 rotations leave a perfect
-matching, which is computed by edge accounting and checked, not assumed.
+matching, each vertex's one free neighbour, proven with them, not assumed.
 Every request of one (v, m) blows up the same one, of order m when t = 1
 or v/4 on the all-C4 route, so ``hamilton_decomposition`` keeps it.
 """
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from itertools import combinations
 from operator import itemgetter
 
 from . import search
@@ -88,14 +87,14 @@ OUTER_LADDER = {
 
 def develop(base, n: int, m: int, fixed: int) -> Solution:
     """The translates of the base Cm-factor ``base`` as one Solution on n
-    vertices, unproven.  The group translates within blocks of h vertices
-    and fixes the ``fixed`` vertices above them: one block Z_{n-1} and one
-    fixed point (1-rotational starters, Walecki's zigzag), or two blocks
-    Z_h, h = (n-2)/2, and two fixed points (2-pyramidal starters).  The
-    (n-1)//2 translates g = 0, 1, ... are the factors; for even n the edges
-    none of them uses are the one-factor, checked to be a perfect matching.
-    Every image, and the one-factor, is drawn from one list of 0..n-1, so
-    the Solution holds n int objects, one per vertex, as a built one does."""
+    vertices, proven by ``search.first_proven`` or raised against.  The group
+    translates within blocks of h vertices and fixes the ``fixed`` vertices
+    above them: one block Z_{n-1} and one fixed point (1-rotational starters,
+    Walecki's zigzag), or two blocks Z_h, h = (n-2)/2, and two fixed points
+    (2-pyramidal starters).  The (n-1)//2 translates g = 0, 1, ... are the
+    factors; for even n each vertex's one free neighbour in n bytearray rows
+    gives the one-factor.  Every image, and both ends of each leftover edge,
+    is drawn from one list of 0..n-1, so the Solution holds n int objects."""
     ring = n - fixed
     h = ring // fixed
     verts = list(range(n))
@@ -107,27 +106,21 @@ def develop(base, n: int, m: int, fixed: int) -> Solution:
             image += verts[b + g:b + h] + verts[b:b + g]
         image += verts[ring:]
         factors.append(two_factor([get(image) for get in getters], n, m))
-    if n % 2:
-        return Solution(v=n, factors=tuple(factors), m=m)
-    used = {
-        (u, w) if u < w else (w, u)
-        for f in factors for c in f.cycles for u, w in zip(c, c[1:] + c[:1])
-    }
-    leftover = [e for e in combinations(verts, 2) if e not in used]
-    if len(leftover) != n // 2 or len({x for e in leftover for x in e}) != n:
-        raise RuntimeError(f"the base {base} does not develop: its leftover on {n} vertices "
-                           "is not a perfect matching")
-    return Solution(v=n, factors=tuple(factors), m=m, one_factor=one_factor(leftover))
-
-
-def starter_factorization(n: int, m: int) -> Solution:
-    """``STARTERS[(n, m)]`` developed and proven by ``search.first_proven``,
-    as imported documents and cache loads are; raises when the literal does
-    not develop into a Cm-factorization."""
-    developed = develop(STARTERS[n, m], n, m, 2 - n % 2)
-    if search.first_proven(search.cm_factorization_instance(n, m), [developed]) is None:
-        raise RuntimeError(f"the ({n}, {m}) starter does not develop into a C{m}-factorization")
-    return developed
+    leftover = None
+    if n % 2 == 0:
+        rows = [bytearray(n) for _ in verts]
+        for f in factors:
+            for c in f.cycles:
+                prev = c[-1]
+                for u in c:
+                    rows[prev][u] = rows[u][prev] = 1
+                    prev = u
+        leftover = one_factor(  # each vertex's one free neighbour above it
+            (u, verts[w]) for u, row in zip(verts, rows) if (w := row.find(0, u + 1)) > u)
+    sol = Solution(v=n, factors=tuple(factors), m=m, one_factor=leftover)
+    if search.first_proven(search.cm_factorization_instance(n, m), [sol]) is None:
+        raise RuntimeError(f"the base {base} does not develop into C{m}-factors on {n} vertices")
+    return sol
 
 
 # ============================================================
@@ -161,9 +154,9 @@ def hamilton_decomposition(n: int) -> Solution:
     """K_n (odd n) or K_n - I (even n) split into Hamilton cycles, as one
     Solution whose one-factor is the leftover matching of even n.
 
-    Built once per order per process, by ``walecki`` or ``walecki_even``,
-    and shared: the Solution is frozen.  It costs about 4n^2 bytes, (n-1)/2
-    cycles of n pointers to n shared ints, where a block costs O(m); the 32
+    Built and proven once per order per process, by ``walecki`` or
+    ``walecki_even``, and shared: the Solution is frozen.  It costs about
+    4n^2 bytes, (n-1)/2 cycles of n pointers to n shared ints, where a block costs O(m); the 32
     orders kept cover the 25 of a v <= 120 sweep and hold at most 32 * 4n^2
     bytes, 128 MB were all of them near n = 1000."""
     if n % 2 == 1:
@@ -210,7 +203,7 @@ def outer_cm_factorization(n: int, m: int, cache_dir=None, time_limit: float | N
 
     availability = outer_availability(n, m)
     if availability == "builtin":
-        return hamilton_decomposition(n) if n == m else starter_factorization(n, m)
+        return hamilton_decomposition(n) if n == m else develop(STARTERS[n, m], n, m, 2 - n % 2)
     if availability == "nonexistent":
         raise _unavailable(n, m, "nonexistent", f"K_{n} minus a 1-factor has no C{m}-factorization")
     if availability == "unavailable":

@@ -26,7 +26,7 @@ as one node.  It visits the same tree in the same order as the set-based
 engine kept in ``tests/reference_search.py``, so node counts and first
 solutions match that oracle exactly.
 
-A found result is re-checked by the verifier, and that very Solution is
+A found result is proven by ``first_proven``, and that very Solution is
 returned and may be cached on disk, keyed by a hash of the instance.  The
 disk is the only cache: each use re-reads the file and returns what
 ``first_proven`` accepts, as read; each file is written through a
@@ -55,7 +55,7 @@ from .model import (
     one_factor,
     two_factor,
 )
-from .verifier import certifies, verify_factors_cover
+from .verifier import certifies
 
 _TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes
 
@@ -275,10 +275,10 @@ def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOu
     factors = tuple(
         two_factor(cycles, n, cycle_length=slots[i]) for i, cycles in enumerate(factor_cycles)
     )
-    report = verify_factors_cover(factors, instance.space, result["matching"])
-    if not report.ok:
-        raise RuntimeError(f"search produced an invalid result: {report.summary()}")
-    return SearchOutcome("found", Solution(v=n, factors=factors, one_factor=result["matching"]), nodes, elapsed)
+    sol = Solution(v=n, factors=factors, one_factor=result["matching"])
+    if first_proven(instance, [sol]) is None:
+        raise RuntimeError(f"search produced an invalid result for {instance.name}")
+    return SearchOutcome("found", sol, nodes, elapsed)
 
 
 # ============================================================
@@ -324,7 +324,8 @@ def c4_cm3_split_instance(m: int) -> SearchInstance:
 
 def first_proven(instance: SearchInstance, docs) -> Solution | None:
     """The first of ``docs`` that certifies as a solution of ``instance``:
-    the one proof for imported ingredients and cache loads alike."""
+    the one proof of every outer factorization (developed, found by
+    ``solve``, imported or cached) and of every searched ingredient."""
     return next((sol for sol in docs if certifies(sol, instance.space, instance.slots())), None)
 
 

@@ -10,10 +10,11 @@ spanning and 2-regularity of each factor, uniform and declared cycle lengths,
 the perfect matching, and the missing, duplicated and foreign edges against
 the ambient edge space.  ``verify_solution``, ``verify_block`` and
 ``verify_factors_cover`` are adapters that add only their document-level
-rules, and ``certifies`` is the one proof an imported or cached ingredient
-must pass.  ``verify_block`` takes no ambient: the document's v and
-matching name it, and ``model.EdgeSpace`` refuses to make a space that
-names no graph, so every entry point sees only real graphs.
+rules, and ``certifies``, behind ``search.first_proven``, is the one proof
+every outer factorization and every imported or cached ingredient passes.
+``verify_block`` takes no ambient: the document's v and matching name it,
+and ``model.EdgeSpace`` refuses to make a space that names no graph, so
+every entry point sees only real graphs.
 
 The work is bounded by the size of the document, whatever its v: for E
 listed vertices and edges, O(E) against a dense ambient, apart from the
@@ -499,5 +500,6 @@ def verify_block(sol: Solution) -> Report:
 
 
 def verify_factors_cover(factors, space: EdgeSpace, matching: OneFactor | None = None) -> Report:
-    """Loose helper: factors (plus optional matching) tile the ambient graph."""
+    """Loose helper, kept for the tests and the benchmark's trace (no package
+    code calls it): factors (plus optional matching) tile the ambient graph."""
     return _report(*_certify(factors, matching, space), None)

@@ -3,16 +3,21 @@ resolution ladder (builtin, imported document, bounded search, honest miss).
 """
 
 import hashlib
+import tracemalloc
+from dataclasses import replace
+from itertools import combinations
+from operator import is_
 
 import pytest
 import reference_verifier as oracle
 from reference_starters import find_starter
 
-from hwp4m import search
+from hwp4m import composer, outer, search
 from hwp4m.composer import _ingredient, build, plan
 from hwp4m.model import (
     Solution,
     complete_graph,
+    decode_solution,
     encode_solution,
 )
 from hwp4m.outer import (
@@ -27,6 +32,32 @@ from hwp4m.outer import (
     walecki_even,
 )
 from hwp4m.verifier import verify_factors_cover, verify_solution
+
+
+@pytest.fixture
+def fresh_decompositions():
+    """An empty ``hamilton_decomposition`` cache, emptied again afterwards."""
+    hamilton_decomposition.cache_clear()
+    yield
+    hamilton_decomposition.cache_clear()
+
+
+@pytest.fixture
+def proven(monkeypatch):
+    """Every Solution ``search.first_proven`` accepts, in order, in every
+    module that calls it."""
+    first_proven, accepted = search.first_proven, []
+
+    def recorded(instance, docs):
+        sol = first_proven(instance, docs)
+        if sol is not None:
+            accepted.append(sol)
+        return sol
+
+    monkeypatch.setattr(search, "first_proven", recorded)
+    monkeypatch.setattr(composer, "first_proven", recorded)
+    return accepted
+
 
 # ============================================================
 # Hamilton decompositions of K_n
@@ -114,6 +145,52 @@ def test_mutating_a_walecki_list_leaves_the_decompositions_alone(n):
     assert listed() == list(fresh.factors)
 
 
+@pytest.mark.parametrize("n", [9, 10])
+def test_a_walecki_decomposition_is_proven_once_per_order(n, certify_calls, fresh_decompositions):
+    kept = hamilton_decomposition(n)
+    assert [call[1] for call in certify_calls] == [complete_graph(n)]
+    certify_calls.clear()
+    assert hamilton_decomposition(n) is kept
+    assert certify_calls == []
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_a_broken_zigzag_does_not_develop(n, monkeypatch, fresh_decompositions):
+    zigzag = outer._zigzag
+
+    def swapped(n):
+        base = list(zigzag(n))
+        base[2], base[3] = base[3], base[2]
+        return tuple(base)
+
+    monkeypatch.setattr(outer, "_zigzag", swapped)
+    with pytest.raises(RuntimeError, match="does not develop"):
+        outer_cm_factorization(n, n)
+
+
+def _uncovered(factors, n):
+    # the reference rule: every pair of 0..n-1 that no cycle of the factors joins
+    used = {frozenset(e) for f in factors for c in f.cycles for e in zip(c, c[1:] + c[:1])}
+    return [e for e in combinations(range(n), 2) if frozenset(e) not in used]
+
+
+@pytest.mark.parametrize("n", [*range(2, 41, 2), 300])
+def test_the_leftover_is_every_pair_the_rotated_zigzags_miss(n):
+    sol = develop([_zigzag(n)], n, n, 1)
+    assert list(sol.one_factor.edges) == _uncovered(sol.factors, n)
+
+
+def test_developing_k_1000_peaks_under_12_mb():
+    # about 4n^2 bytes of cycles, n^2 bytes of leftover rows and the proof's own rows
+    tracemalloc.start()
+    try:
+        develop([_zigzag(1000)], 1000, 1000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
+
+
 @pytest.mark.parametrize("request_", [(100, 25, 23, 26), (40, 5, 19, 0)])
 def test_a_request_built_twice_in_one_process_writes_the_same_bytes(request_, tmp_path):
     # over a decomposition built for the first, kept for the second, and built again
@@ -150,12 +227,13 @@ def test_14_7_starter_removes_difference_3_and_the_infinities():
 
 @pytest.mark.parametrize("n, m", sorted(STARTERS))
 def test_a_starter_is_proven_on_every_use(n, m, certify_calls):
+    space = search.cm_factorization_instance(n, m).space
     for _ in range(2):
+        certify_calls.clear()  # count this use's proofs only
         out = outer_cm_factorization(n, m)
+        assert [call[1] for call in certify_calls] == [space]
         assert isinstance(out, Solution)
         assert out == develop(STARTERS[n, m], n, m, 2 - n % 2)
-    space = search.cm_factorization_instance(n, m).space
-    assert [call[1] for call in certify_calls] == [space, space]
 
 
 @pytest.mark.parametrize("request_", [(56, 7, 3, 24), (60, 5, 5, 24)])
@@ -280,6 +358,44 @@ def test_import_with_wrong_declared_counts_builds_as_the_right_one(tmp_path):
         for doc in (wrong, right)
     ]
     assert built[0] == built[1]
+
+
+def _searched(tmp_path):
+    return outer_cm_factorization(9, 3, cache_dir=tmp_path)
+
+
+def _reloaded(tmp_path):
+    _searched(tmp_path)
+    return outer_cm_factorization(9, 3, cache_dir=tmp_path, time_limit=0.0)
+
+
+def _imported(tmp_path):
+    # a copy read back, so that no factor object is shared with the search's proof
+    doc = replace(decode_solution(encode_solution(_searched(tmp_path))), r=0, s=4)
+    return _ingredient("outer_cm", (9, 3), (doc,)).proven
+
+
+OUTER_SOURCES = {
+    "starter 15": lambda tmp_path: outer_cm_factorization(15, 5),
+    "starter 14": lambda tmp_path: outer_cm_factorization(14, 7),
+    "walecki 9": lambda tmp_path: hamilton_decomposition(9),
+    "walecki 10": lambda tmp_path: hamilton_decomposition(10),
+    "search": _searched,
+    "cache": _reloaded,
+    "import": _imported,
+}
+
+
+@pytest.mark.parametrize("source", OUTER_SOURCES)
+def test_every_outer_source_hands_over_what_first_proven_accepted(
+    source, tmp_path, proven, fresh_decompositions
+):
+    # the caller's factors and matching are the very objects of the last proof
+    out = OUTER_SOURCES[source](tmp_path)
+    last = proven[-1]
+    assert len(out.factors) == len(last.factors) and all(map(is_, out.factors, last.factors))
+    assert out.one_factor is last.one_factor
+    assert verify_solution(out).ok
 
 
 def test_import_that_does_not_prove_itself_is_ignored(tmp_path):

@@ -67,6 +67,12 @@ def test_pentagon_factorization_of_k10_found_with_matching():
     assert rep.ok
 
 
+def test_a_found_result_is_proven_once(certify_calls):
+    instance = cm_factorization_instance(9, 3)
+    assert solve(instance).status == "found"
+    assert [call[1] for call in certify_calls] == [instance.space]
+
+
 def test_k6_minus_matching_has_no_triangle_factorization():
     outcome = solve(cm_factorization_instance(6, 3))
     assert outcome.status == "unsat"

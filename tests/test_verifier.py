@@ -466,9 +466,9 @@ def test_a_document_listing_few_dense_edges_never_allocates_a_bitmap(monkeypatch
     def guarded_bitmap(space):
         raise AssertionError(f"drew the bitmap rows of {space.kind}")
 
-    monkeypatch.setattr(EdgeSpace, "rows", guarded_bitmap)
     v = 101
-    factors = tuple(walecki(v))
+    factors = tuple(walecki(v))  # before the guard: walecki's own proof draws K_101's rows
+    monkeypatch.setattr(EdgeSpace, "rows", guarded_bitmap)
     for kept in (factors[:12], factors[:25]):  # 4 * 101 * 25 < 101^2
         rep = verify_solution(Solution(v=v, factors=kept))
         assert rep.codes() == {"CountMismatch", "EdgeMissing"}
