@@ -9,6 +9,9 @@ was missing), 6 out of memory, so that a crash is not read as a rejection.
 
 All artifacts use the canonical Solution JSON encoding, so a command run
 twice writes byte-identical files; ``--out -`` streams to standard output.
+Nothing unverified is written: ``build`` writes what the composer verified,
+and ``block`` writes a block only once ``verify_block`` accepts it, or
+exits 1 naming the kind, m and the report.
 """
 
 import argparse
@@ -122,6 +125,9 @@ def _cmd_block(args) -> int:
         sol = blocks.BLOCK_BUILDERS[args.kind](args.m)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
+    report = verify_block(sol)
+    if not report.ok:
+        raise _CliError(f"{args.kind} block at m = {args.m} failed verification: {report.summary()}")
     _write_bytes(encode_solution(sol), args.out)
     return EXIT_OK
 

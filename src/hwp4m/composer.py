@@ -35,26 +35,26 @@ The all-C4 route blows up Walecki's Hamilton decomposition of K_{v/4}
 with the all-C4 kind throughout, and v = 24 is settled by a hand-built
 table at r = 4.
 
-Every route but the v = 24 table is assembled by one placement core,
-``_assemble``: it places copies of verified pieces on vertex sets and
-merges them, factor i of every copy of a piece joining one global factor
-and every copy's removed matching joining the global matching.  The
-pieces are the blocks, the constants K_4 - I and K_{4,4}
-(``blocks.K4_MINUS_I``, ``blocks.K44``), a small inner solution, and an
-imported equipartite factorization.  Each copy is canonical as made: every
-vertex map keeps the layer order inside each part of 4 and sends part 0
-below the others, and under that contract one comparison decides whether
-a piece cycle's image is canonical as read or takes a reordering fixed
-once per piece cycle.  Only a cycle on three or more parts that avoids
-part 0, which today only an import has, is canonicalized.  A blow-up places a block on the
-blow-up of every outer cycle, K_4 - I on every part and K_{4,4} over
-every leftover pair.  The routes r1_equipartite and r2_equipartite
-(r = 1 and r = 2 at even t) place a small solution on every group,
-K_4 - I for r = 1 and the inner build(4m, m, 2, 2m - 3) for r = 2, plus
-the imported Cm-factors of the complete equipartite graph between the
-groups.  The remaining shapes are genuinely open (r = 2 at v = 8m, and
-``OPEN_CORNERS``), or fall to known results we do not reconstruct (route
-"external").
+Every route is assembled by one placement core, ``_assemble``: it places
+copies of verified pieces on vertex sets and merges them, factor i of
+every copy of a piece joining one global factor and every copy's removed
+matching joining the global matching.  The pieces are the blocks, the
+constants K_4 - I and K_{4,4} (``blocks.K4_MINUS_I``, ``blocks.K44``), a
+small inner solution, an imported equipartite factorization and the
+v = 24 table.  Each copy is canonical as made: every vertex map keeps the
+layer order inside each part of 4 and sends part 0 below the others, and
+under that contract one comparison decides whether a piece cycle's image
+is canonical as read or takes a reordering fixed once per piece cycle.
+Only a cycle on three or more parts that avoids part 0, as the v = 24
+table and imports have, is canonicalized.  A blow-up places a block on
+the blow-up of every outer cycle, K_4 - I on every part and K_{4,4} over
+every leftover pair.  The routes r1_equipartite and r2_equipartite (r = 1
+and r = 2 at even t) place a small solution on every group, K_4 - I for
+r = 1 and the inner build(4m, m, 2, 2m - 3) for r = 2, plus the imported
+Cm-factors of the complete equipartite graph between the groups on
+range(v), as k24_table places the table on range(24).  The remaining
+shapes are genuinely open (r = 2 at v = 8m, and ``OPEN_CORNERS``), or
+fall to known results we do not reconstruct (route "external").
 
 The planner's precedence: the open corners, the v = 24 table, the r1/r2
 routes, the c = 0 recipe when its outer is available (an import included),
@@ -67,8 +67,8 @@ against the kind's search instance, while planning.  The plan carries the
 proven document as given, and ``build_planned`` (which ``build`` and the
 CLI call after planning once) resolves every ingredient through
 ``_resolve`` and counts an outer's C4-factors from its cycles, never from
-its declared r.
-Every constructive build is verified in-process before it is returned.
+its declared r.  Every constructive build is one ``_assemble`` call, which
+checks its counts, verified in-process before it is returned.
 """
 
 from dataclasses import dataclass, field, replace
@@ -389,19 +389,18 @@ def describe_plan(v: int, m: int, r: int, s: int, p: Plan) -> str:
 def _copier(cyc):
     """(a, b, f, g) for one canonical piece cycle: under the contract of
     ``_assemble`` its canonical copy through a vertex map is f(vmap) if
-    vmap[a] < vmap[b], else g(f(vmap)).  g reorders the image: a position
-    getter that copiers share, or canonicalize_cycle where none applies."""
+    vmap[a] < vmap[b], else g(f(vmap)), by three rules: a two-part cycle's
+    parts swap; one through part 0, or on one part (where no map turns it),
+    turns; any other is canonicalized.  g is a shared position getter."""
     f = itemgetter(*cyc)
     first = cyc[0] // 4  # cyc[0] is the minimum, so its part is the lowest
     others = [u for u in cyc if u // 4 != first]
-    if not others:  # one part: the map is monotone on the cycle, g unused
-        return cyc[0], cyc[1], f, canonicalize_cycle
     if len({u // 4 for u in others}) == 1:
         # two parts: the image is ordered as the cycle, or as this probe
         # with the two parts swapped
         probe = [u % 4 + (4 if u // 4 == first else 0) for u in cyc]
         return cyc[0], min(others), f, _reorder(tuple(map(probe.index, canonicalize_cycle(probe))))
-    if first == 0:  # part 0 stays lowest, so only the orientation can turn
+    if first == 0 or not others:  # the least vertex stays first
         return cyc[1], cyc[-1], f, _reorder((0, *range(len(cyc) - 1, 0, -1)))
     return cyc[0], cyc[0], f, canonicalize_cycle
 
@@ -449,8 +448,8 @@ def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
     global matching.  The map contract: a map sends each part of 4 piece
     vertices onto 4 vertices in the same layer order, and part 0 below the
     others.  The maps ``_blow_up`` reads from its part table and the
-    increasing group ranges all keep it, and under it each copier gives a
-    canonical copy, so the factors are only sorted."""
+    increasing ranges (groups, the v = 24 table) all keep it, and under it
+    each copier gives a canonical copy, so the factors are only sorted."""
     c4_factors, cm_factors, matching = [], [], []
     for (factors, edge_getters), maps in placed:
         buckets = [[] for _ in factors]
@@ -522,12 +521,12 @@ def build_planned(v: int, m: int, r: int, s: int, p: Plan, cache_dir=None,
     got = [_resolve(i, cache_dir, time_limit) for i in p.ingredients]
 
     if p.route == "k24_table":
-        sol = k24_solution()
+        placed = [(_copiers(k24_solution()), [range(24)])]
     elif p.route in ("r1_equipartite", "r2_equipartite"):
         # a small solution on every group, the equipartite factors between
         small = got[1] if p.route == "r2_equipartite" else K4_MINUS_I
         groups = (range(g, g + small.v) for g in range(0, v, small.v))
-        sol = _assemble(v, m, r, s, [(_copiers(small), groups), (_copiers(got[0]), [range(v)])])
+        placed = [(_copiers(small), groups), (_copiers(got[0]), [range(v)])]
     else:
         if p.route == "all_c4":
             outer = hamilton_decomposition(v // 4)
@@ -538,8 +537,9 @@ def build_planned(v: int, m: int, r: int, s: int, p: Plan, cache_dir=None,
             kinds = ["c4"] * (c + p.r1) + ["mixed"] * p.x + ["cm"] * p.s1
             if r % 2 == 0:
                 kinds.append("switch")
-        sol = _assemble(v, m, r, s, _blow_up(outer, kinds))
+        placed = _blow_up(outer, kinds)
 
+    sol = _assemble(v, m, r, s, placed)
     report = verify_solution(sol)
     if not report.ok:
         raise RuntimeError(

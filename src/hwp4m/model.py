@@ -188,14 +188,16 @@ class EdgeSpace:
     def multiplicity(self):
         """The membership test of this space: a function from a pair (u, w)
         to the number of times the space holds that edge, answered from its
-        closed form: 0 or 1, since every space is a simple graph."""
+        closed form: 0 or 1, since every space is a simple graph.  A pair
+        with an end that is not integral, such as (0, 6.5), is no edge; an
+        integral float, such as 6.0, is read as the int it equals."""
         n = self.vertex_count
         if self.kind in ("complete", "equipartite"):
             a = self.params[0] if self.kind == "equipartite" else 1
 
             def multiplicity(edge) -> int:
                 u, w = edge
-                return 1 if 0 <= u < w < n and u // a != w // a else 0
+                return 1 if 0 <= u < w < n and u // a != w // a and u % 1 == w % 1 == 0 else 0
 
             return multiplicity
         m = self.params[0]
@@ -203,7 +205,7 @@ class EdgeSpace:
 
         def multiplicity(edge) -> int:
             u, w = edge
-            if not 0 <= u < w < n:
+            if not 0 <= u < w < n or u % 1 or w % 1:
                 return 0
             p, q = u // 4, w // 4
             if p == q:

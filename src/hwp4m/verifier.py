@@ -27,11 +27,15 @@ and no stray vertex (the set 0..n-1 is built only once a factor lists n
 vertices), and its edges are taken as they come.  Any other factor is
 checked vertex by vertex, for the fault texts, and its edges, smaller end
 first, and the matching's pairs, taken as given, pass one filter: a pair
-(a, b) is kept only when 0 <= a <= b < n.  Every other pair is a stray
-and foreign, since its code a * n + b would alias a real edge; so a
-reversed matching pair is foreign by that rule, not by where its code
-falls.  A loop (a, a) is kept, as a spanning factor's one-vertex cycle
-is: its code is foreign, and counted once however many factors list it.
+(a, b) is kept only when a and b are integral and 0 <= a <= b < n.  Every
+other pair is a stray and foreign, since its code a * n + b would alias a
+real edge or none; so a reversed matching pair, or (0, 6.5), is foreign
+by that rule, not by where its code falls; an integral float such as
+2.0 passes it as the int it equals.  A loop (a, a) is kept, as a
+spanning factor's one-vertex cycle is: its code is foreign, and counted
+once however many factors list it.  A vertex such as 6.5 in range covers
+none of 0..n-1, so every factor that does not span scans for the
+vertices it misses.
 
 A complete or equipartite ambient is dense: its n * n membership bytes are
 at most four per edge.  When they are also at most four per listed edge,
@@ -143,18 +147,18 @@ def _fmt_edges(examples, total: int) -> str:
 
 def _vertex_faults(verts: list, n: int, code: str, repeat_code: str, repeat_text: str) -> list[Violation]:
     """Each of 0..n-1 must occur exactly once in ``verts``.  The scan for
-    uncovered vertices stops at the _EXAMPLE_CAP-th: the first k absent
-    vertices lie below len(seen) + k, so it is bounded by the document."""
+    uncovered vertices runs every time, since a vertex such as 6.5 in range
+    covers none of them, and stops at the _EXAMPLE_CAP-th: the first k
+    absent vertices lie below len(seen) + k, so it is bounded by the
+    document."""
     out: list[Violation] = []
     seen = set(verts)
     if len(seen) < len(verts):
         repeated = sorted(u for u, k in Counter(verts).items() if k > 1)
         out.append(Violation(repeat_code, f"{repeat_text}: {repeated[:_EXAMPLE_CAP]}"))
-    stray = sorted(u for u in seen if not 0 <= u < n)
-    if len(seen) - len(stray) < n:
-        uncovered = list(islice(filterfalse(seen.__contains__, range(n)), _EXAMPLE_CAP))
+    if uncovered := list(islice(filterfalse(seen.__contains__, range(n)), _EXAMPLE_CAP)):
         out.append(Violation(code, f"vertices uncovered: {uncovered}"))
-    if stray:
+    if stray := sorted(u for u in seen if not 0 <= u < n):
         out.append(Violation(code, f"vertices out of range: {stray[:_EXAMPLE_CAP]}"))
     return out
 
@@ -165,10 +169,11 @@ def _matching_faults(matching: OneFactor, n: int) -> list[Violation]:
 
 
 def _in_range(pairs, n: int, strays: list):
-    """The pairs (a, b) with 0 <= a <= b < n; every other pair joins
-    ``strays``, since its code a * n + b would alias a real edge."""
+    """The pairs (a, b) of integral a and b with 0 <= a <= b < n; every
+    other pair joins ``strays``, since its code a * n + b would alias a
+    real edge or none."""
     for a, b in pairs:
-        if 0 <= a <= b < n:
+        if 0 <= a <= b < n and a % 1 == b % 1 == 0:
             yield a, b
         else:
             strays.append((a, b))

@@ -10,10 +10,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import hwp4m
-from hwp4m import cli
+from hwp4m import blocks, cli
+from hwp4m.blocks import cm_block
 from hwp4m.cli import main
 from hwp4m.composer import plan
 from hwp4m.model import decode_solution
@@ -241,6 +243,19 @@ def test_block_rejects_bad_shapes(tmp_path, capsys):
     out = tmp_path / "missing" / "c4.json"
     assert main(["block", "--m", "3", "--kind", "c4", "--out", str(out)]) == 1
     assert f"error: cannot write {out}" in capsys.readouterr().err
+
+
+def test_block_writes_only_what_verify_block_accepts(tmp_path, capsys, monkeypatch):
+    def short_cm(m):  # a Cm block with its last factor dropped
+        sol = cm_block(m)
+        return replace(sol, factors=sol.factors[:-1])
+
+    monkeypatch.setitem(blocks.BLOCK_BUILDERS, "cm", short_cm)
+    out = tmp_path / "cm.json"
+    assert main(["block", "--m", "5", "--kind", "cm", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: cm block at m = 5 failed verification: CountMismatch: ")
 
 
 def test_ingredient_equipartite_export(tmp_path):

@@ -12,7 +12,7 @@ import random
 import pytest
 import reference_codec as oracle
 
-from hwp4m import outer
+from hwp4m import composer, outer
 from hwp4m.blocks import BLOCK_BUILDERS, K4_MINUS_I, K44, c4_block
 from hwp4m.composer import (
     CONSTRUCTIVE_ROUTES,
@@ -35,7 +35,7 @@ from hwp4m.composer import (
     plan,
 )
 from hwp4m.k24 import k24_solution
-from hwp4m.model import Solution, canonicalize_cycle, encode_solution, two_factor
+from hwp4m.model import Solution, encode_solution, two_factor
 from hwp4m.outer import outer_availability
 from hwp4m.search import cm_factorization_instance, equipartite_instance, solve_cached
 from hwp4m.verifier import verify_solution
@@ -190,6 +190,9 @@ def test_availability_ladder():
     assert _ingredient("outer_cm", (9, 3), ()) == Ingredient("outer_cm", (9, 3), "searchable")
     assert _ingredient("equipartite_cm", (4, 10, 5), ()).availability == "unavailable"
     assert _ingredient("recursive", (12, 3, 2, 3), ()).availability == "builtin"
+    # an inner plan that is not constructive, the open corner (24, 3, 2)
+    assert plan(24, 3, 2, 9).route == "unsupported"
+    assert _ingredient("recursive", (24, 3, 2, 9), ()).availability == "unavailable"
     with pytest.raises(ValueError):
         _ingredient("hwp12", (), ())
     # the inner solution of an inner blow-up is an inner build, never a search
@@ -237,6 +240,30 @@ def test_all_c4_solution_leaves_m_unset():
 
 def test_build_returns_the_k24_table_object():
     assert encode_solution(build(24, 3, 4, 7)) == encode_solution(k24_solution())
+
+
+@pytest.mark.parametrize("request_, route, calls", [
+    ((24, 3, 4, 7), "k24_table", 1),
+    ((12, 3, 5, 0), "all_c4", 1),
+    ((12, 3, 3, 2), "odd_r_odd_t", 1),
+    ((56, 7, 3, 24), "odd_r_even_t", 1),
+    ((12, 3, 2, 3), "even_r_switch", 1),
+    ((48, 3, 10, 13), "inner_blowup", 2),
+])
+def test_every_route_is_assembled_once_per_build(request_, route, calls, monkeypatch):
+    # one placement core: each build places its pieces through _assemble,
+    # and inner_blowup's inner build is a build of its own
+    seen = []
+    assemble = composer._assemble
+
+    def counted(*args):
+        seen.append(args[:4])
+        return assemble(*args)
+
+    monkeypatch.setattr(composer, "_assemble", counted)
+    assert plan(*request_).route == route
+    assert verify_solution(build(*request_)).ok
+    assert len(seen) == calls and seen[-1] == request_
 
 
 def test_build_raises_by_plan_status():
@@ -372,17 +399,16 @@ def _copier_shape(cyc, copier):
     a, b, _, g = copier
     if a == b:
         return "fallback"
-    if g is canonicalize_cycle:
-        return "one part"
     return "reversed" if a == cyc[1] else "two parts"
 
 
 def test_copies_match_the_reference_canonical_form():
     rng = random.Random(17)
     pieces = [BLOCK_BUILDERS[kind](m) for kind in sorted(BLOCK_BUILDERS) for m in range(3, 15, 2)]
-    # the constants, an even-m block, and a blow-up of the (15, 5) outer,
-    # some of whose 5-cycles avoid part 0
-    pieces += [c4_block(4), K4_MINUS_I, K44, build(60, 5, 5, 24)]
+    # the constants, an even-m block, a blow-up of the (15, 5) outer, some
+    # of whose 5-cycles avoid part 0, and the v = 24 table, whose one-part
+    # 4-cycles take the orientation rule
+    pieces += [c4_block(4), K4_MINUS_I, K44, build(60, 5, 5, 24), k24_solution()]
     shapes = set()
     for piece in pieces:
         factors, _ = _copiers(piece)
@@ -394,7 +420,7 @@ def test_copies_match_the_reference_canonical_form():
                     assert got == oracle.canonicalize_cycle(vmap[u] for u in cyc)
         shapes.update(_copier_shape(c, k) for f, (_, ks) in zip(piece.factors, factors)
                       for c, k in zip(f.cycles, ks))
-    assert shapes == {"one part", "two parts", "reversed", "fallback"}
+    assert shapes == {"two parts", "reversed", "fallback"}
 
 
 @pytest.mark.parametrize("request_", [(48, 3, 10, 13), (60, 5, 6, 23)],

@@ -152,6 +152,17 @@ def test_a_blowup_space_holds_no_pair_off_its_range_or_reversed():
     assert switch_graph(3).multiplicity()((5, 3)) == 0
 
 
+def test_a_pair_with_an_end_that_is_not_integral_is_no_edge():
+    # 6.0 is read as the int it equals; 6.5 lies between two vertices
+    complete = complete_graph(8).multiplicity()
+    assert complete((0, 6.5)) == 0 and complete((0, 6.0)) == 1
+    equipartite = equipartite_graph(4, 3).multiplicity()
+    assert equipartite((0, 4.5)) == 0 and equipartite((0, 4.0)) == 1
+    blowup, switch = cycle_blowup4(5).multiplicity(), switch_graph(5).multiplicity()
+    assert blowup((0, 4.5)) == blowup((0.5, 4)) == 0 and blowup((0, 4.0)) == 1
+    assert switch((0, 1.5)) == switch((0.5, 1)) == 0 and switch((0, 1.0)) == 1
+
+
 def test_bitmap_marks_exactly_the_listed_edges():
     """The rows of a dense space, joined, mark exactly its edges, and the
     rows of one part are one shared object; a sparse space has no rows."""

@@ -17,8 +17,9 @@ row-by-row compare and its repeat finder (stray vertices -1 and v, codes
 repeated inside a factor and across a factor and the matching, and
 equal-count rejections whose in-place clearing pass filters a factor that
 does not span), inputs aimed at the pigeonhole span test (2.0 listed for 2,
-True for 1, and one vertex repeated in place of another), and small
-hostile documents.
+True for 1, and one vertex repeated in place of another), one vertex u
+listed as u + 0.5 in a block, a solution or a matching, and small hostile
+documents.
 """
 
 import random
@@ -47,7 +48,7 @@ from hwp4m.model import (
     two_factor,
 )
 from hwp4m.outer import walecki, walecki_even
-from hwp4m.search import equipartite_instance, solve
+from hwp4m.search import cm_factorization_instance, equipartite_instance, first_proven, solve
 from hwp4m.verifier import certifies, verify_block, verify_factors_cover, verify_solution
 
 
@@ -226,6 +227,54 @@ def test_the_span_test_keeps_the_set_compares_equality():
             spans = factor is not repeated
             report = verify(doc)
             assert report.ok == spans and ("NotSpanning" in report.codes()) != spans
+
+
+def _halved(sol, u):
+    """``sol`` with vertex ``u`` of factor 0's first cycle listed as u + 0.5."""
+    first = sol.factors[0]
+    cyc = tuple(w + 0.5 if w == u else w for w in first.cycles[0])
+    return replace(sol, factors=(replace(first, cycles=(cyc, *first.cycles[1:])), *sol.factors[1:]))
+
+
+@pytest.mark.parametrize("block, m, u", [
+    (c4_block, 5, 6), (switch_block, 5, 18), (cm_block, 5, 8), (mixed_block, 7, 21),
+], ids=["c4", "switch", "cm", "mixed"])
+def test_a_block_vertex_listed_as_a_half_agrees_with_the_oracle(block, m, u):
+    # u + 0.5 lies in range yet covers no vertex, and no pair with it as an
+    # end is an edge: each edit is rejected and quoted as listed
+    doc = _halved(block(m), u)
+    report = verify_block(doc)
+    _agree(report, oracle.verify_block(doc), details=True)
+    assert "NotSpanning" in report.codes()
+
+
+@pytest.mark.parametrize("make, u", [
+    (lambda: build(60, 5, 5, 24), 6),
+    (lambda: build(40, 5, 3, 16), 3),
+    (lambda: Solution(v=7, factors=tuple(walecki(7)), m=7, r=0, s=3), 6),
+    (lambda: Solution(v=9, factors=tuple(walecki(9)), m=9, r=0, s=4), 1),
+], ids=["build60", "build40", "walecki7", "walecki9"])
+def test_a_solution_vertex_listed_as_a_half_agrees_with_the_oracle(make, u):
+    doc = _halved(make(), u)
+    _agree_solution(doc)
+    assert "NotSpanning" in verify_solution(doc).codes()
+
+
+def test_a_matching_end_listed_as_a_half_is_never_certified():
+    # (0, 6) listed as (0, 6.5), in range but no edge
+    factors, leftover = walecki_even(8)
+    sol = Solution(v=8, factors=tuple(factors), m=8, r=0, s=3, one_factor=leftover)
+    assert verify_solution(sol).ok and (0, 6) in leftover.edges
+    edges = tuple((0, 6.5) if e == (0, 6) else e for e in sol.one_factor.edges)
+    doc = replace(sol, one_factor=OneFactor(edges))
+    _agree_solution(doc)
+    assert [(v.code, v.detail) for v in verify_solution(doc).violations] == [
+        ("MatchingInvalid", "vertices uncovered: [6]"),
+        ("EdgeMissing", "0-6"),
+        ("EdgeForeign", "0-6.5"),
+    ]
+    assert first_proven(cm_factorization_instance(8, 8), [sol]) is sol
+    assert first_proven(cm_factorization_instance(8, 8), [doc]) is None
 
 
 # ============================================================
