@@ -167,12 +167,11 @@ def _parser() -> argparse.ArgumentParser:
         "K_v minus a perfect matching into C4-factors and Cm-factors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    request = argparse.ArgumentParser(add_help=False)  # the (v, m, r, s) of a request
+    for name in ("--v", "--m", "--r", "--s"):
+        request.add_argument(name, type=int, required=True)
 
-    p = sub.add_parser("build", help="plan, assemble, and verify a solution")
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p = sub.add_parser("build", parents=[request], help="plan, assemble, and verify a solution")
     p.add_argument("--ingredient", action="append", default=[], metavar="FILE")
     p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     p.add_argument("--cache", default=None, metavar="DIR")
@@ -184,11 +183,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("feasible", help="report the planner route for a request")
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p = sub.add_parser("feasible", parents=[request], help="report the planner route for a request")
     p.set_defaults(func=_cmd_feasible)
 
     p = sub.add_parser("block", help="emit one block factorization of C_m[4]")

@@ -66,9 +66,12 @@ one place an import is proven: an outer or equipartite import, once,
 against the kind's search instance, while planning.  The plan carries the
 proven document as given, and ``build_planned`` (which ``build`` and the
 CLI call after planning once) resolves every ingredient through
-``_resolve`` and counts an outer's C4-factors from its cycles, never from
-its declared r.  Every constructive build is one ``_assemble`` call, which
-checks its counts, verified in-process before it is returned.
+``_resolve``.  Every blow-up, all-C4 included, is one rule: the recipe
+names x mixed, s1 all-Cm and, for even r, one switch factor, and every
+other outer factor takes the all-C4 kind, the outer's own C4-factors
+among them, so no declared r is read.  Every constructive build is one
+``_assemble`` call, which checks its counts, verified in-process before
+it is returned.
 """
 
 from dataclasses import dataclass, field, replace
@@ -102,8 +105,6 @@ CONSTRUCTIVE_ROUTES = frozenset({
     "k24_table",
     "inner_blowup",
 })
-
-STATUS_ROUTES = frozenset({"infeasible", "unsupported", "external"})
 
 # ingredient availabilities, most available first
 AVAILABILITY = ("builtin", "import", "searchable", "nonexistent", "unavailable")
@@ -159,13 +160,9 @@ class ExternalRequired(Exception):
     """A solution is known or possible, but not built by these recipes."""
 
 
-def _raise_for_status(p: Plan):
-    if p.route == "infeasible":
-        raise Infeasible(p.note)
-    if p.route == "unsupported":
-        raise Unsupported(p.note)
-    if p.route == "external":
-        raise ExternalRequired(p.note)
+# the exception each non-constructive route raises
+STATUS_ERRORS = {"infeasible": Infeasible, "unsupported": Unsupported, "external": ExternalRequired}
+STATUS_ROUTES = frozenset(STATUS_ERRORS)
 
 
 # ============================================================
@@ -267,8 +264,8 @@ def plan(v: int, m: int, r: int, s: int, imports: tuple[Solution, ...] = ()) -> 
     if violations:
         return Plan(route="infeasible", note="; ".join(violations))
 
+    t = v // (4 * m) if m >= 3 and v % (4 * m) == 0 else 0
     if s == 0:
-        t = v // (4 * m) if m >= 3 and v % (4 * m) == 0 else 0
         return Plan(route="all_c4", t=t)
 
     if m % 2 == 0:
@@ -279,19 +276,17 @@ def plan(v: int, m: int, r: int, s: int, imports: tuple[Solution, ...] = ()) -> 
 
     if r == 0:
         return Plan(
-            route="external",
-            t=v // (4 * m) if v % (4 * m) == 0 else 0,
+            route="external", t=t,
             note="r = 0 needs a full Cm-factorization of K_v or K_v - I; "
             "known in the literature, not constructed here",
         )
 
-    t = v // (4 * m)
     if (v, m, r) in OPEN_CORNERS:
         note = f"r = {r} at v = {v} is an open corner not reached by any implemented construction"
         return Plan(route="unsupported", t=t, note=note)
 
     if (v, m, r) == (24, 3, 4):
-        return Plan(route="k24_table", t=2)
+        return Plan(route="k24_table", t=t)
 
     n = m * t
 
@@ -475,7 +470,8 @@ def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
 def _blow_up(outer: Solution, kinds) -> list:
     """The (piece copiers, vertex maps) that blow a verified outer
     2-factorization on v/4 parts up by 4: block ``kinds[i]`` on every cycle
-    of outer factor i, K_4 - I on every part unless a switch block took
+    of outer factor i, one kind per outer factor (a list of another length
+    raises ValueError), K_4 - I on every part unless a switch block took
     those edges, and K_{4,4} over every pair of the outer's removed
     matching.  Each map comes from one part table made for this call: a
     cycle's joins its cells' parts, K_4 - I's is a part, K_{4,4}'s two."""
@@ -516,8 +512,10 @@ def build(
 def build_planned(v: int, m: int, r: int, s: int, p: Plan, cache_dir=None,
                   time_limit: float | None = None) -> Solution:
     """``build`` for a request already planned as ``p``: resolve its
-    ingredients, place them, and verify the result.  Raises as ``build``."""
-    _raise_for_status(p)
+    ingredients, place them, and verify the result; a blow-up's outer is
+    its one ingredient, or Walecki's K_{v/4} (all-C4).  Raises as ``build``."""
+    if p.route in STATUS_ERRORS:
+        raise STATUS_ERRORS[p.route](p.note)
     got = [_resolve(i, cache_dir, time_limit) for i in p.ingredients]
 
     if p.route == "k24_table":
@@ -527,17 +525,11 @@ def build_planned(v: int, m: int, r: int, s: int, p: Plan, cache_dir=None,
         small = got[1] if p.route == "r2_equipartite" else K4_MINUS_I
         groups = (range(g, g + small.v) for g in range(0, v, small.v))
         placed = [(_copiers(small), groups), (_copiers(got[0]), [range(v)])]
-    else:
-        if p.route == "all_c4":
-            outer = hamilton_decomposition(v // 4)
-            kinds = ["c4"] * len(outer.factors)
-        else:  # the recipe over the outer's own C4-factors, which come first
-            (outer,) = got
-            c = sum(len(f.cycles[0]) == 4 for f in outer.factors)
-            kinds = ["c4"] * (c + p.r1) + ["mixed"] * p.x + ["cm"] * p.s1
-            if r % 2 == 0:
-                kinds.append("switch")
-        placed = _blow_up(outer, kinds)
+    else:  # every outer factor the recipe does not name takes c4, the
+        # outer's own C4-factors, which come first, among them
+        outer = got[0] if got else hamilton_decomposition(v // 4)
+        named = ["mixed"] * p.x + ["cm"] * p.s1 + ["switch"] * (r % 2 == 0)
+        placed = _blow_up(outer, ["c4"] * (len(outer.factors) - len(named)) + named)
 
     sol = _assemble(v, m, r, s, placed)
     report = verify_solution(sol)

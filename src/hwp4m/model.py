@@ -134,25 +134,27 @@ class Solution:
 
 @dataclass(frozen=True)
 class EdgeSpace:
-    """Ambient edge set of a named graph family, defined once: a kind's
+    """Ambient edge set of a named graph family, defined once: a family's
     membership test (``multiplicity``), edge count and sorted edge walks
     (``edges`` as pairs, ``edge_codes`` as the integers u * n + w) all
     live here, and the verifier reads them from here.  Every kind is a
-    simple graph given by a closed form, and none lists its edges.  A
-    complete or equipartite space also gives its n membership ``rows``,
-    against which the verifier accepts a tiling row by row and explains a
-    rejection.  The verifier accepts a tiling of any other space by
-    comparing its sorted codes with ``edge_codes``, and tests membership
-    only to explain a rejection.  A space that names no graph cannot be
-    made: an unknown kind, or a blow-up of fewer than 3 parts, raises
-    ValueError on construction.
+    simple graph given by a closed form, and none lists its edges.  The
+    kinds form two families.  A dense space, complete or equipartite, is
+    K_{a:b} for its ``part`` size a, and also gives its n membership
+    ``rows``, against which the verifier accepts a tiling row by row and
+    explains a rejection.  A ring, blowup4 or switch, lies on m parts of 4
+    around a cycle; the verifier accepts a tiling of it by comparing its
+    sorted codes with ``edge_codes``, and tests membership only to explain
+    a rejection.  A space that names no graph cannot be made: an unknown
+    kind, or a ring of fewer than 3 parts, raises ValueError on
+    construction.  ``kind`` and ``params`` are the space's identity.
 
     kinds:
-      complete(v)        K_v
+      complete(v)        K_v, which is K_{1:v}
+      equipartite(a, b)  complete equipartite K_{a:b}, b parts of size a
       blowup4(m)         C_m[4], the cycle of m parts blown up by 4
       switch(m)          (C_m[4] - I) + m*K_4 with the standard removed
                          matching I = {(0,i)(2,i+1)} u {(3,i)(1,i+1)}
-      equipartite(a, b)  complete equipartite K_{a:b}, b parts of size a
     """
 
     kind: str
@@ -166,24 +168,26 @@ class EdgeSpace:
             raise ValueError(f"{self.kind} needs at least 3 parts, got {self.params[0]}")
 
     @property
-    def vertex_count(self) -> int:
+    def part(self) -> int | None:
+        """The part size a of a dense space K_{a:b}, whose params end with
+        its b parts: 1 for complete(v), a for equipartite(a, b).  None for
+        a ring, whose parts of 4 are not independent sets; so 0, the part
+        size of K_{0:b}, keeps that space dense."""
         if self.kind == "complete":
-            return self.params[0]
-        if self.kind in ("blowup4", "switch"):
-            return 4 * self.params[0]
-        a, b = self.params
-        return a * b
+            return 1
+        return self.params[0] if self.kind == "equipartite" else None
+
+    @property
+    def vertex_count(self) -> int:
+        a = self.part
+        return 4 * self.params[0] if a is None else a * self.params[-1]
 
     def edge_count(self) -> int:
-        if self.kind == "complete":
-            v = self.params[0]
-            return v * (v - 1) // 2
-        if self.kind == "blowup4":
-            return 16 * self.params[0]
-        if self.kind == "switch":
-            return 20 * self.params[0]
-        a, b = self.params
-        return a * a * b * (b - 1) // 2
+        a = self.part
+        if a is None:
+            return (20 if self.kind == "switch" else 16) * self.params[0]
+        n = self.vertex_count
+        return n * (n - a) // 2
 
     def multiplicity(self):
         """The membership test of this space: a function from a pair (u, w)
@@ -191,9 +195,8 @@ class EdgeSpace:
         closed form: 0 or 1, since every space is a simple graph.  A pair
         with an end that is not integral, such as (0, 6.5), is no edge; an
         integral float, such as 6.0, is read as the int it equals."""
-        n = self.vertex_count
-        if self.kind in ("complete", "equipartite"):
-            a = self.params[0] if self.kind == "equipartite" else 1
+        n, a = self.vertex_count, self.part
+        if a is not None:
 
             def multiplicity(edge) -> int:
                 u, w = edge
@@ -221,30 +224,28 @@ class EdgeSpace:
     def edge_codes(self) -> Iterator[int]:
         """The edges (u, w) as codes u * n + w, n the vertex count, in sorted
         order and lazily."""
-        n = self.vertex_count
-        if self.kind in ("complete", "equipartite"):
-            a = self.params[0] if self.kind == "equipartite" else 1
+        n, a = self.vertex_count, self.part
+        if a is not None:
             # the vertices above u outside its part form one contiguous range
             return chain.from_iterable(range(u * n + (u // a + 1) * a, u * n + n) for u in range(n))
         return (u * n + w for u, w in self.edges())
 
     def rows(self) -> Iterator[bytes]:
-        """The n membership rows of a complete or equipartite space, lazily:
-        byte w of row u is 1 exactly when (u, w) is an edge with u < w.  Row
-        u is zeros up to the end of u's part and ones after, so that end is
-        n less the row's count of ones, and the rows of one part are one
-        shared bytes."""
-        if self.kind not in ("complete", "equipartite"):
+        """The n membership rows of a dense space, lazily: byte w of row u
+        is 1 exactly when (u, w) is an edge with u < w.  Row u is zeros up
+        to the end of u's part and ones after, so that end is n less the
+        row's count of ones, and the rows of one part are one shared
+        bytes."""
+        n, a = self.vertex_count, self.part
+        if a is None:
             raise ValueError(f"no bitmap for edge space kind {self.kind!r}")
-        n = self.vertex_count
-        a = self.params[0] if self.kind == "equipartite" else 1
         return chain.from_iterable(repeat(b"\0" * end + b"\1" * (n - end), a) for end in range(a, n + 1, a))
 
     def edges(self) -> Iterator[Edge]:
         """The edges in sorted order, generated lazily over only the pairs
         that can be edges."""
         n = self.vertex_count
-        if self.kind in ("complete", "equipartite"):
+        if self.part is not None:
             return map(divmod, self.edge_codes(), repeat(n))
         member = self.multiplicity()
         m = self.params[0]
@@ -476,6 +477,8 @@ def encode_solution(sol: Solution) -> bytes:
 def decode_solution(data: bytes | str) -> Solution:
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers bytes that are no UTF-8/16/32 text and an
+        # int past Python's digit limit; RecursionError, deep nesting
         raise DecodeError("MalformedDocument", str(exc)) from exc
     return doc_to_solution(doc)

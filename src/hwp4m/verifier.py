@@ -37,7 +37,7 @@ once however many factors list it.  A vertex such as 6.5 in range covers
 none of 0..n-1, so every factor that does not span scans for the
 vertices it misses.
 
-A complete or equipartite ambient is dense: its n * n membership bytes are
+A dense ambient, K_{a:b} (K_v is K_{1:v}), has n * n membership bytes,
 at most four per edge.  When they are also at most four per listed edge,
 the kept edges are written by a plain loop into a bitmap of n separate
 bytearray rows: edge (a, b), a < b, is byte b of row a, so no code is
@@ -84,6 +84,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain, filterfalse, islice, repeat
 from operator import eq
 
@@ -206,13 +207,11 @@ def _listed(
     lists each of them once, and needs no vertex check; any other factor
     runs ``_vertex_faults``.  ``_pairs`` draws each factor's pairs, and the
     matching's, taken as given, pass ``_in_range``."""
-    span = None  # 0..n-1, built once a factor lists n vertices
+    span = cache(partial(frozenset, range(n)))  # made once a factor lists n vertices
     for idx, factor in enumerate(factors):
         cycles = factor.cycles
         verts = list(chain.from_iterable(cycles))
-        if len(verts) == n and span is None:
-            span = frozenset(range(n))
-        spans = len(verts) == n and not span.difference(verts)
+        spans = len(verts) == n and not span().difference(verts)
         spanning.append(spans)
         if not spans:
             for viol in _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles"):
@@ -253,10 +252,10 @@ def _relisted(factors, spanning: list, matching: OneFactor | None, n: int):
 
 def _dense_listed(factors, matching: OneFactor | None, space: EdgeSpace) -> int:
     """The number of listed edges when the bitmap applies, else 0: the space
-    is complete or equipartite and has edges, and its n * n bytes are at
-    most four per ambient edge and four per listed edge, so the bitmap is
-    bounded by the document."""
-    if space.kind not in ("complete", "equipartite"):
+    is dense (it has a ``part`` size) and has edges, and its n * n bytes are
+    at most four per ambient edge and four per listed edge, so the bitmap
+    is bounded by the document."""
+    if space.part is None:
         return 0
     n, total = space.vertex_count, space.edge_count()
     listed = sum(map(len, chain.from_iterable(f.cycles for f in factors)))
@@ -302,7 +301,7 @@ def _bitmap_faults(
     rows: list, repeats: set | None, listed: int, strays: list, factors, spanning: list, matching,
     space: EdgeSpace,
 ):
-    """The ``listed`` edges must tile the complete or equipartite ``space``:
+    """The ``listed`` edges must tile the dense ``space``, a K_{a:b}:
     the kept ones are written into the n bitmap ``rows``, and the others are
     the ``strays``.  Rows equal to the space's rows, from exactly
     edge_count() kept edges, accept them.  A rejection is explained from

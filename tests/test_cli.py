@@ -168,6 +168,19 @@ def test_verify_missing_or_malformed_file_is_an_error(tmp_path, capsys):
     assert "error:" in err
     # the decode error's code is printed once
     assert err.count("MalformedDocument") == 1
+    # every failure of json.loads is one error line: deep nesting, an int
+    # past Python's digit limit, and bytes that are no UTF-8/16/32 text
+    for text in (
+        b"[" * 100000 + b"]" * 100000,
+        b'{"v":' + b"9" * 5000 + b',"factors":[]}',
+        b"\xff\xfe{",
+        b"\x80abc",
+    ):
+        bad.write_bytes(text)
+        assert main(["verify", "--in", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: MalformedDocument: ") and err.count("\n") == 1, err[:200]
+        assert "Traceback" not in err
 
 
 def test_verify_out_of_memory_exits_six_without_a_traceback(tmp_path, capsys, monkeypatch):

@@ -266,6 +266,31 @@ def test_every_route_is_assembled_once_per_build(request_, route, calls, monkeyp
     assert len(seen) == calls and seen[-1] == request_
 
 
+@pytest.mark.parametrize("request_, kinds", [
+    ((16, 3, 7, 0), [["c4"]]),  # Walecki's K_4 - I, whose one factor is a 4-cycle
+    ((60, 5, 5, 24), [["c4"] + ["cm"] * 6]),
+    ((56, 7, 3, 24), [["cm"] * 6]),
+    ((60, 5, 6, 23), [["c4"] + ["cm"] * 5 + ["switch"]]),
+    # the inner (12, 3, 1, 4), then its five factors, its own C4-factor first
+    ((48, 3, 10, 13), [["cm"], ["c4", "mixed", "cm", "cm", "switch"]]),
+    ((4, 3, 1, 0), [[]]),  # K_1 has no factor
+    ((8, 3, 3, 0), [[]]),  # nor K_2 - I
+], ids=["all_c4", "odd_r_odd_t", "odd_r_even_t", "even_r_switch", "inner_blowup", "v4", "v8"])
+def test_each_blow_up_gives_one_kind_per_outer_factor(request_, kinds, monkeypatch):
+    seen = []
+    blow_up = composer._blow_up
+
+    def recorded(outer, kinds_):
+        kinds_ = list(kinds_)
+        assert len(kinds_) == len(outer.factors)
+        seen.append(kinds_)
+        return blow_up(outer, kinds_)
+
+    monkeypatch.setattr(composer, "_blow_up", recorded)
+    assert verify_solution(build(*request_)).ok
+    assert seen == kinds
+
+
 def test_build_raises_by_plan_status():
     with pytest.raises(Infeasible):
         build(16, 3, 1, 6)

@@ -123,6 +123,36 @@ def test_only_the_named_kinds_are_spaces():
         EdgeSpace("explicit", (4,))
 
 
+def test_complete_graph_is_the_equipartite_graph_of_parts_of_one():
+    """K_v is K_{1:v}: every answer of the two spaces agrees, membership
+    included off the range and at ends that are not integral."""
+    for v in range(13):
+        complete, equipartite = complete_graph(v), equipartite_graph(1, v)
+        assert complete.vertex_count == equipartite.vertex_count == v
+        assert complete.edge_count() == equipartite.edge_count() == v * (v - 1) // 2
+        assert list(complete.edges()) == list(equipartite.edges())
+        assert list(complete.edge_codes()) == list(equipartite.edge_codes())
+        assert list(complete.rows()) == list(equipartite.rows())
+        ends = [*range(-2, v + 2), 0.5, 2.0, 6.5]
+        pairs = [(u, w) for u in ends for w in ends]
+        assert list(map(complete.multiplicity(), pairs)) == list(map(equipartite.multiplicity(), pairs)), v
+
+
+def test_parts_of_size_zero_give_an_empty_space():
+    for b in range(6):
+        space = equipartite_graph(0, b)
+        assert space.vertex_count == space.edge_count() == 0
+        assert list(space.edges()) == list(space.edge_codes()) == []
+        assert space.multiplicity()((0, 1)) == 0
+
+
+def test_part_is_the_dense_part_size_and_none_on_a_ring():
+    # K_{0:b} stays dense: its part size 0 is not read as a ring's None
+    assert complete_graph(7).part == 1
+    assert equipartite_graph(3, 4).part == 3 and equipartite_graph(0, 4).part == 0
+    assert cycle_blowup4(3).part is None and switch_graph(3).part is None
+
+
 def _listable_spaces():
     yield from (complete_graph(n) for n in range(1, 11))
     yield from (equipartite_graph(a, b) for a in range(1, 5) for b in range(2, 6))
@@ -269,6 +299,16 @@ def test_decode_rejects_malformed_documents():
     with pytest.raises(DecodeError) as err:
         decode_solution(json.dumps([1, 2, 3]))
     assert err.value.code == "MalformedDocument"
+    # json.loads fails past its nesting depth and on bytes that are no
+    # UTF-8/16/32 text with errors other than JSONDecodeError
+    for bad in ("[" * 100000 + "]" * 100000, b"\xff\xfe{", b"\x80abc"):
+        with pytest.raises(DecodeError) as err:
+            decode_solution(bad)
+        assert err.value.code == "MalformedDocument"
+    # past Python's int digit limit json.loads raises; without one the
+    # vertex is decoded and out of range
+    with pytest.raises(DecodeError):
+        decode_solution('{"v":12,"factors":[{"cycles":[[0,1,' + "9" * 5000 + ']]}]}')
     # JSON booleans are not integers, wherever an integer is expected
     tri = {"cycle_length": 3, "cycles": [[0, 1, 2]]}
     for bad in (

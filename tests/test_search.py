@@ -163,10 +163,12 @@ def test_a_second_cache_directory_is_filled_too(tmp_path):
 def test_corrupted_cache_is_ignored_and_recomputed(tmp_path):
     first = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path)
     path = next(tmp_path.iterdir())
-    path.write_bytes(b"{ not json")
-    again = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path)
-    assert again.status == "found"
-    assert again.solution.factors == first.solution.factors
+    # text json.loads rejects, and nesting past its depth
+    for corrupted in (b"{ not json", b"[" * 100000 + b"]" * 100000):
+        path.write_bytes(corrupted)
+        again = solve_cached(cm_factorization_instance(9, 3), cache_dir=tmp_path)
+        assert again.status == "found"
+        assert again.solution.factors == first.solution.factors
 
 
 def test_a_deleted_cache_file_is_not_remembered(tmp_path):
