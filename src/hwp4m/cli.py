@@ -19,6 +19,7 @@ import json
 import sys
 from dataclasses import asdict, replace
 from functools import cache, partial
+from math import isnan
 
 from . import blocks, composer, search
 from .model import DecodeError, decode_solution, encode_solution, Solution
@@ -210,6 +211,10 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return EXIT_OK if code == 0 else EXIT_ERROR
     try:
+        # float() reads "nan", and a deadline of start + nan is never passed;
+        # None (no limit) reads as 0, which is a number
+        if isnan(getattr(args, "time_limit", None) or 0):
+            raise _CliError("--time-limit must be a number of seconds, not nan")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

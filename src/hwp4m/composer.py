@@ -95,22 +95,16 @@ from .verifier import verify_solution
 # plan model and status exceptions
 # ============================================================
 
-CONSTRUCTIVE_ROUTES = frozenset({
-    "all_c4",
-    "odd_r_odd_t",
-    "odd_r_even_t",
-    "even_r_switch",
-    "r1_equipartite",
-    "r2_equipartite",
-    "k24_table",
-    "inner_blowup",
-})
+# the routes that solve the recipe r = 4 r1 + 2 x + const, and every route
+# that builds
+RECIPE_ROUTES = frozenset({"odd_r_odd_t", "odd_r_even_t", "even_r_switch", "inner_blowup"})
+CONSTRUCTIVE_ROUTES = RECIPE_ROUTES | {"all_c4", "r1_equipartite", "r2_equipartite", "k24_table"}
 
 # ingredient availabilities, most available first
 AVAILABILITY = ("builtin", "import", "searchable", "nonexistent", "unavailable")
 
 # (v, m, r) requests no implemented construction reaches
-OPEN_CORNERS = frozenset({(24, 3, 2), (24, 3, 6), (48, 3, 6)})
+OPEN_CORNERS = frozenset({(24, 3, 6), (48, 3, 6)})
 
 
 @dataclass(frozen=True)
@@ -364,10 +358,10 @@ def _gate(p: Plan) -> Plan:
 def describe_plan(v: int, m: int, r: int, s: int, p: Plan) -> str:
     """One-line human report: route, recipe, and anything blocking it."""
     head = f"(4,{m})-HWP({v}; {r}, {s}): route={p.route}"
-    if p.route in ("odd_r_odd_t", "odd_r_even_t", "even_r_switch", "inner_blowup"):
-        head += f" t={p.t} recipe (r1, s1, x)=({p.r1}, {p.s1}, {p.x})"
-    elif p.route in ("r1_equipartite", "r2_equipartite", "k24_table", "all_c4"):
+    if p.route in CONSTRUCTIVE_ROUTES:
         head += f" t={p.t}"
+    if p.route in RECIPE_ROUTES:
+        head += f" recipe (r1, s1, x)=({p.r1}, {p.s1}, {p.x})"
     if p.underlying_route:
         head += f" intended={p.underlying_route}"
     for i in p.ingredients:

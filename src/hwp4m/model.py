@@ -135,19 +135,19 @@ class Solution:
 @dataclass(frozen=True)
 class EdgeSpace:
     """Ambient edge set of a named graph family, defined once: a family's
-    membership test (``multiplicity``), edge count and sorted edge walks
-    (``edges`` as pairs, ``edge_codes`` as the integers u * n + w) all
-    live here, and the verifier reads them from here.  Every kind is a
-    simple graph given by a closed form, and none lists its edges.  The
-    kinds form two families.  A dense space, complete or equipartite, is
-    K_{a:b} for its ``part`` size a, and also gives its n membership
-    ``rows``, against which the verifier accepts a tiling row by row and
-    explains a rejection.  A ring, blowup4 or switch, lies on m parts of 4
-    around a cycle; the verifier accepts a tiling of it by comparing its
-    sorted codes with ``edge_codes``, and tests membership only to explain
-    a rejection.  A space that names no graph cannot be made: an unknown
-    kind, or a ring of fewer than 3 parts, raises ValueError on
-    construction.  ``kind`` and ``params`` are the space's identity.
+    membership test (``multiplicity``), edge count and sorted edge walk
+    (``edges``, as pairs) all live here, and the verifier reads them from
+    here.  Every kind is a simple graph given by a closed form, and none
+    lists its edges.  The kinds form two families.  A dense space,
+    complete or equipartite, is K_{a:b} for its ``part`` size a, and also
+    gives its n membership ``rows``, against which the verifier accepts a
+    tiling row by row and explains a rejection.  A ring, blowup4 or
+    switch, lies on m parts of 4 around a cycle; the verifier accepts a
+    tiling of it by comparing its sorted pairs with ``edges``, and tests
+    membership only to explain a rejection.  A space that names no graph
+    cannot be made: an unknown kind, or a ring of fewer than 3 parts,
+    raises ValueError on construction.  ``kind`` and ``params`` are the
+    space's identity.
 
     kinds:
       complete(v)        K_v, which is K_{1:v}
@@ -221,15 +221,6 @@ class EdgeSpace:
 
         return multiplicity
 
-    def edge_codes(self) -> Iterator[int]:
-        """The edges (u, w) as codes u * n + w, n the vertex count, in sorted
-        order and lazily."""
-        n, a = self.vertex_count, self.part
-        if a is not None:
-            # the vertices above u outside its part form one contiguous range
-            return chain.from_iterable(range(u * n + (u // a + 1) * a, u * n + n) for u in range(n))
-        return (u * n + w for u, w in self.edges())
-
     def rows(self) -> Iterator[bytes]:
         """The n membership rows of a dense space, lazily: byte w of row u
         is 1 exactly when (u, w) is an edge with u < w.  Row u is zeros up
@@ -244,9 +235,10 @@ class EdgeSpace:
     def edges(self) -> Iterator[Edge]:
         """The edges in sorted order, generated lazily over only the pairs
         that can be edges."""
-        n = self.vertex_count
-        if self.part is not None:
-            return map(divmod, self.edge_codes(), repeat(n))
+        n, a = self.vertex_count, self.part
+        if a is not None:
+            # the vertices above u outside its part form one contiguous range
+            return chain.from_iterable(zip(repeat(u), range((u // a + 1) * a, n)) for u in range(n))
         member = self.multiplicity()
         m = self.params[0]
 

@@ -28,12 +28,14 @@ vertices), and its edges are taken as they come.  Any other factor is
 checked vertex by vertex, for the fault texts, and its edges, smaller end
 first, and the matching's pairs, taken as given, pass one filter: a pair
 (a, b) is kept only when a and b are integral and 0 <= a <= b < n.  Every
-other pair is a stray and foreign, since its code a * n + b would alias a
-real edge or none; so a reversed matching pair, or (0, 6.5), is foreign
-by that rule, not by where its code falls; an integral float such as
+other pair is a stray and foreign: written into the bitmap below, or
+turned smaller end first, it could pass for another edge (a negative end
+indexes a row from the end, and a reversed matching pair is the edge it
+reverses).  So a reversed matching pair, or (0, 6.5), is foreign by that
+rule, not by the ambient's membership test; an integral float such as
 2.0 passes it as the int it equals.  A loop (a, a) is kept, as a
-spanning factor's one-vertex cycle is: its code is foreign, and counted
-once however many factors list it.  A vertex such as 6.5 in range covers
+spanning factor's one-vertex cycle is: it is foreign, and counted once
+however many factors list it.  A vertex such as 6.5 in range covers
 none of 0..n-1, so every factor that does not span scans for the
 vertices it misses.
 
@@ -57,12 +59,15 @@ writes: each factor's span bit, kept from the first pass, says whether its
 edges pass the filter.  The repeats inside the ambient are duplicated
 edges.  Every other case (a sparse block ambient, a dense document too
 small for its bitmap, or one that lists a vertex equal to an int without
-being one, as 2.0, which indexes no row) sorts the kept edges' codes,
-accepts by one element-wise compare with the ambient's sorted code walk,
-and explains a rejection by one membership test per distinct code: every
-ambient is a simple graph, so a code is foreign or hits one edge.  The
-ambient's edge count, bitmap rows, code walk and membership test all come
-from ``model.EdgeSpace``; the verifier keeps no copy of them.  The walk
+being one, as 2.0, which indexes no row) sorts the kept pairs, smaller
+end first, accepts them by one element-wise compare with the ambient's
+sorted edge walk, and explains a rejection by one membership test per
+distinct pair: every ambient is a simple graph, so a pair is foreign or
+hits one edge.  Each pair is quoted as it was first listed, 0-2.0 for a
+listed (0, 2.0), as the reference oracle quotes it; the code a * n + b
+is made only for the bitmap pass's set of repeats.  The ambient's edge
+count, bitmap rows, edge walk and membership test all come from
+``model.EdgeSpace``; the verifier keeps no copy of them.  The walk
 for missing-edge examples stops after ``_EXAMPLE_CAP`` misses, and so does
 the scan of 0..n-1 for missing vertices, which never sorts the covered
 ones.
@@ -86,7 +91,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, filterfalse, islice, repeat
-from operator import eq
+from operator import eq, itemgetter
 
 from .model import (
     EdgeSpace,
@@ -171,8 +176,8 @@ def _matching_faults(matching: OneFactor, n: int) -> list[Violation]:
 
 def _in_range(pairs, n: int, strays: list):
     """The pairs (a, b) of integral a and b with 0 <= a <= b < n; every
-    other pair joins ``strays``, since its code a * n + b would alias a
-    real edge or none."""
+    other pair joins ``strays``, since it is no edge and could pass for
+    another one, in the bitmap or turned smaller end first."""
     for a, b in pairs:
         if 0 <= a <= b < n and a % 1 == b % 1 == 0:
             yield a, b
@@ -341,35 +346,35 @@ def _bitmap_faults(
     return out
 
 
-def _edge_faults(codes: list[int], strays: list, space: EdgeSpace) -> list[Violation]:
-    """The listed edges, ``codes`` plus the foreign ``strays``, must equal
-    the ambient edge set.  One sorted compare accepts them; one
-    membership test per distinct code explains a rejection."""
-    codes.sort()
+def _edge_faults(pairs: list, strays: list, space: EdgeSpace) -> list[Violation]:
+    """The listed edges, the kept ``pairs`` (smaller end first) plus the
+    foreign ``strays``, must equal the ambient edge set.  One sorted
+    compare accepts them; one membership test per distinct pair explains a
+    rejection, which quotes each pair as it was first listed."""
+    # two stable passes, each keyed on one end, compare vertices rather than
+    # tuples, so they sort faster; equal pairs keep their listed order
+    pairs.sort(key=itemgetter(1))
+    pairs.sort(key=itemgetter(0))
     total = space.edge_count()
-    if not strays and len(codes) == total and all(map(eq, codes, space.edge_codes())):
+    if not strays and len(pairs) == total and all(map(eq, pairs, space.edges())):
         return []
 
-    n = space.vertex_count
-    listed = Counter(codes)
+    listed = Counter(pairs)
     multiplicity = space.multiplicity()
-    duplicated, foreign_codes = [], []
-    for code, k in listed.items():
-        if not multiplicity(divmod(code, n)):
-            foreign_codes.append(code)
+    duplicated, foreign = [], []
+    for edge, k in listed.items():
+        if not multiplicity(edge):
+            foreign.append(edge)
         elif k > 1:
-            duplicated.append(code)
+            duplicated.append(edge)
 
     out: list[Violation] = []
-    if missed := total - len(listed) + len(foreign_codes):  # each non-foreign code hits one edge
-        missing = filterfalse(listed.__contains__, space.edge_codes())
-        quoted = [divmod(code, n) for code in islice(missing, _EXAMPLE_CAP)]
-        out.append(Violation("EdgeMissing", _fmt_edges(quoted, missed)))
+    if missed := total - len(listed) + len(foreign):  # each non-foreign pair hits one edge
+        missing = list(islice(filterfalse(listed.__contains__, space.edges()), _EXAMPLE_CAP))
+        out.append(Violation("EdgeMissing", _fmt_edges(missing, missed)))
     if duplicated:
-        quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
-        out.append(Violation("EdgeDuplicated", _fmt_edges(quoted, len(duplicated))))
-    foreign = sorted(set(strays).union(divmod(code, n) for code in foreign_codes))
-    if foreign:
+        out.append(Violation("EdgeDuplicated", _fmt_edges(duplicated, len(duplicated))))
+    if foreign := sorted(set(strays).union(foreign)):
         out.append(Violation("EdgeForeign", _fmt_edges(foreign, len(foreign))))
     return out
 
@@ -379,7 +384,7 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace, dense: bool 
     the cover.  Returns the violations and the factor counts by uniform
     cycle length.  A vertex that equals an int without being one, as 2.0
     for 2, indexes no bitmap row: when the bitmap write raises TypeError,
-    the whole pass runs again, afresh, on the sorted codes (``dense`` false)."""
+    the whole pass runs again, afresh, on the sorted pairs (``dense`` false)."""
     n = space.vertex_count
     out: list[Violation] = []
     by_length: Counter[int] = Counter()
@@ -399,8 +404,8 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace, dense: bool 
             return _certify(factors, matching, space, dense=False)
         faults = _bitmap_faults(rows, repeats, listed, strays, factors, spanning, matching, space)
     else:
-        codes = [a * n + b if a < b else b * n + a for pairs in parts for a, b in pairs]
-        faults = _edge_faults(codes, strays, space)
+        pairs = [(a, b) if a < b else (b, a) for part in parts for a, b in part]
+        faults = _edge_faults(pairs, strays, space)
     out.extend(faults)  # after the vertex faults, added as the pairs were drawn
     return out, by_length
 

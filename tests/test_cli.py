@@ -215,6 +215,7 @@ def test_feasible_reports_and_exits_by_route(capsys):
     assert "r and s must be nonnegative" in capsys.readouterr().out
     assert main(["feasible", "--v", "24", "--m", "3", "--r", "2", "--s", "9"]) == 3
     assert main(["feasible", "--v", "12", "--m", "3", "--r", "0", "--s", "5"]) == 4
+    capsys.readouterr()
     # routes with no recipe report their t alone
     for (v, m, r, s), route in (("36 3 17 0".split(), "all_c4"), ("24 3 4 7".split(), "k24_table")):
         assert main(["feasible", "--v", v, "--m", m, "--r", r, "--s", s]) == 0
@@ -314,6 +315,22 @@ def test_ingredient_bad_params_is_an_error(tmp_path, capsys):
     for args in (["kts9", "--params", "1"], ["equipartite", "--params", "4", "3"]):
         assert main(["ingredient", "--type", *args, "--cache", str(tmp_path / "c"), "--out", "-"]) == 1
         assert "error: --params" in capsys.readouterr().err
+
+
+def test_a_nan_time_limit_is_an_error_that_writes_nothing(tmp_path, capsys):
+    # float() reads "nan", a deadline no clock passes; the outer of (12, 3)
+    # is builtin and kts9 takes 45 nodes, so neither call could hang
+    for argv in (["build", "--v", "12", "--m", "3", "--r", "3", "--s", "2"], ["ingredient", "--type", "kts9"]):
+        out, cache_dir = tmp_path / "out.json", tmp_path / "cache"
+        assert main([*argv, "--time-limit", "nan", "--cache", str(cache_dir), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --time-limit")
+        assert not out.exists() and not cache_dir.exists()
+    # a negative limit has expired, as 0 has, and inf is no limit
+    for limit, code in (("-1", 5), ("inf", 0)):
+        cache_dir = str(tmp_path / f"cache{limit}")
+        assert main(["ingredient", "--type", "kts9", "--time-limit", limit, "--cache", cache_dir, "--out", "-"]) == code
+    capsys.readouterr()
 
 
 # ============================================================

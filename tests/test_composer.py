@@ -179,6 +179,13 @@ def test_two_c4_factors_at_t_two_is_structurally_unsupported():
     assert "bipartite" in p.note
 
 
+def test_two_c4_factors_at_v_24_fall_under_the_v_8m_rule():
+    # (24, 3, 2) is the m = 3 case of r = 2 at v = 8m, not a corner of its own
+    p = plan(24, 3, 2, 9)
+    assert (p.route, p.t) == ("unsupported", 2)
+    assert p.note == plan(40, 5, 2, 17).note
+
+
 def test_availability_ladder():
     assert outer_availability(3, 3) == "builtin"
     assert outer_availability(9, 3) == "searchable"

@@ -327,9 +327,9 @@ def test_accepting_a_valid_solution_tests_no_membership(monkeypatch):
 
 def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatch):
     """Small documents with a huge v, routed as ``hwp4m verify`` routes them:
-    rejecting them must not draw more than 10^6 ambient edges or edge codes
-    from the walks, list the switch matching, nor walk the vertex range once
-    per factor."""
+    rejecting them must not draw more than 10^6 ambient edges from the
+    walk, list the switch matching, nor walk the vertex range once per
+    factor."""
     v = 200001
     hostile = [
         # ~1.5 MB: a full solution with (v - 1)/2 empty factors names 2*10^10 edges
@@ -352,19 +352,13 @@ def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatc
         ),
     ]
 
-    walk, code_walk = EdgeSpace.edges, EdgeSpace.edge_codes
+    walk = EdgeSpace.edges
 
     def guarded_edges(space):
         for drawn, edge in enumerate(walk(space), 1):
             if drawn > 10**6:
                 raise AssertionError("drew more than 10^6 ambient edges")
             yield edge
-
-    def guarded_codes(space):
-        for drawn, code in enumerate(code_walk(space), 1):
-            if drawn > 10**6:
-                raise AssertionError("drew more than 10^6 ambient edge codes")
-            yield code
 
     def guarded_matching(m):
         raise AssertionError(f"listed the switch matching on {m} parts")
@@ -379,7 +373,6 @@ def test_hostile_document_is_rejected_without_enumerating_the_ambient(monkeypatc
             yield x
 
     monkeypatch.setattr(EdgeSpace, "edges", guarded_edges)
-    monkeypatch.setattr(EdgeSpace, "edge_codes", guarded_codes)
     monkeypatch.setattr(hwp4m.verifier, "switch_matching_edges", guarded_matching)
     monkeypatch.setattr(hwp4m.verifier, "range", guarded_range, raising=False)
     monkeypatch.setattr(hwp4m.model, "range", guarded_range, raising=False)
@@ -405,8 +398,8 @@ def _traced_peak(check):
 
 def test_accepting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
     """A valid tiling of K_v or K_v - I is accepted by comparing its bitmap
-    rows with the ambient's, row by row: neither sorted walk of the
-    ambient is drawn, and its rows are drawn once."""
+    rows with the ambient's, row by row: the sorted walk of the ambient
+    is not drawn, and its rows are drawn once."""
     sol = build(404, 101, 3, 198)
 
     def guarded_walk(space):
@@ -415,7 +408,6 @@ def test_accepting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
     drawn = []
     rows = EdgeSpace.rows
     monkeypatch.setattr(EdgeSpace, "edges", guarded_walk)
-    monkeypatch.setattr(EdgeSpace, "edge_codes", guarded_walk)
     monkeypatch.setattr(EdgeSpace, "rows", lambda space: drawn.append(space.kind) or rows(space))
     rep = verify_solution(sol)
     assert rep.ok and (rep.r_found, rep.s_found) == (3, 198)
@@ -445,14 +437,13 @@ def test_rejecting_single_edits_of_a_v804_solution_allocates_under_1_mb():
 
 def test_rejecting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
     """Each single edit of a K_v - I tiling is explained from the v^2
-    bitmaps: neither sorted walk of the ambient is drawn."""
+    bitmaps: the sorted walk of the ambient is not drawn."""
     sol = build(404, 101, 3, 198)
 
     def guarded_walk(space):
         raise AssertionError(f"walked the edges of {space.kind} to reject a dense tiling")
 
     monkeypatch.setattr(EdgeSpace, "edges", guarded_walk)
-    monkeypatch.setattr(EdgeSpace, "edge_codes", guarded_walk)
     for op in range(4):
         rep = verify_solution(_mutate(sol, random.Random(op), op))
         assert not rep.ok and rep.codes() & {"EdgeMissing", "EdgeDuplicated", "EdgeForeign"}

@@ -18,8 +18,9 @@ repeated inside a factor and across a factor and the matching, and
 equal-count rejections whose in-place clearing pass filters a factor that
 does not span), inputs aimed at the pigeonhole span test (2.0 listed for 2,
 True for 1, and one vertex repeated in place of another), one vertex u
-listed as u + 0.5 in a block, a solution or a matching, and small hostile
-documents.
+listed as u + 0.5 in a block, a solution or a matching, a factor listed
+twice with 2.0 for 2 in the copy, a foreign pair with an end 8.0, and
+small hostile documents.
 """
 
 import random
@@ -277,6 +278,31 @@ def test_a_matching_end_listed_as_a_half_is_never_certified():
     assert first_proven(cm_factorization_instance(8, 8), [doc]) is None
 
 
+@pytest.mark.parametrize("copy_first", [True, False], ids=["copy_first", "copy_last"])
+def test_a_factor_repeated_with_an_integral_float_is_quoted_as_listed(copy_first):
+    """Factor 1 listed twice, the copy naming 2 as 2.0: K_9's dense path
+    falls back to the sorted pairs, as a block's ring ambient always takes
+    them, and each repeated edge is quoted as it was first listed, 0-2.0
+    after a copy listed first and 0-2 after one listed last."""
+    k9 = Solution(v=9, factors=tuple(walecki(9)), m=9, r=0, s=4)
+    summaries = []
+    for sol, verify, check in (
+        (k9, verify_solution, oracle.verify_solution),
+        (c4_block(5), verify_block, oracle.verify_block),
+    ):
+        copy = _retyped(sol.factors[1], 2, 2.0)
+        doc = replace(sol, factors=(copy, *sol.factors) if copy_first else (*sol.factors, copy))
+        report = verify(doc)
+        _agree(report, check(doc), details=True)
+        summaries.append(report.summary())
+    quoted = "0-2.0, 0-3, 1-2.0" if copy_first else "0-2, 0-3, 1-2"
+    assert f"EdgeDuplicated: {quoted}, 1-8" in summaries[0]
+    # a foreign pair is quoted as listed too: parts 0 and 2 of C_5[4] are not neighbours
+    extra = two_factor([(0, 8.0, 1)], 20)
+    _agree_cover([*c4_block(5).factors, extra], cycle_blowup4(5))
+    assert "EdgeForeign: 0-1, 0-8.0, 1-8.0" in verify_factors_cover([extra], cycle_blowup4(5)).summary()
+
+
 # ============================================================
 # the integer edge codes
 # ============================================================
@@ -295,7 +321,7 @@ def test_reversed_matching_pairs_agree_with_the_oracle():
     reversed_ = OneFactor(tuple((w, u) for u, w in leftover.edges))
     _agree_cover(factors, complete_graph(10), reversed_)
     _agree_cover(factors, complete_graph(10), OneFactor(leftover.edges[1:] + ((9, 8),)))
-    # off the bitmap, where codes are sorted: a sparse block ambient, and one
+    # off the bitmap, where pairs are sorted: a sparse block ambient, and one
     # factor of K_9, too few edges for its bitmap; a reversed pair must not
     # be read as the real edge it reverses, repeated or next to a stray
     sparse = [
