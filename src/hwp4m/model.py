@@ -7,6 +7,9 @@ Graphs built from m parts of 4 vertices use the flat id
     id = 4 * part + layer,        layer in 0..3,  part in 0..n_parts-1.
 
 Plain graphs (complete graphs on outer points) use ids 0..n-1 directly.
+An ``EdgeSpace`` answers from its closed form alone, a dense K_{a:b} from
+each vertex's row end and a ring on parts of 4 from one neighbour table
+of its layers: no space lists its edges or draws them as bytes.
 
 Canonical cycle form
 --------------------
@@ -140,14 +143,15 @@ class EdgeSpace:
     here.  Every kind is a simple graph given by a closed form, and none
     lists its edges.  The kinds form two families.  A dense space,
     complete or equipartite, is K_{a:b} for its ``part`` size a, and also
-    gives its n membership ``rows``, against which the verifier accepts a
+    gives each vertex's ``row_ends``, against which the verifier counts a
     tiling row by row and explains a rejection.  A ring, blowup4 or
-    switch, lies on m parts of 4 around a cycle; the verifier accepts a
-    tiling of it by comparing its sorted pairs with ``edges``, and tests
-    membership only to explain a rejection.  A space that names no graph
-    cannot be made: an unknown kind, or a ring of fewer than 3 parts,
-    raises ValueError on construction.  ``kind`` and ``params`` are the
-    space's identity.
+    switch, lies on m parts of 4 around a cycle; its membership test and
+    its walk read one neighbour table, ``_layers``.  The verifier accepts
+    a tiling of a ring by comparing its sorted pairs with ``edges``, and
+    tests membership only to explain a rejection.  A space that names no
+    graph cannot be made: an unknown kind, or a ring of fewer than 3
+    parts, raises ValueError on construction.  ``kind`` and ``params``
+    are the space's identity.
 
     kinds:
       complete(v)        K_v, which is K_{1:v}
@@ -186,8 +190,17 @@ class EdgeSpace:
         a = self.part
         if a is None:
             return (20 if self.kind == "switch" else 16) * self.params[0]
-        n = self.vertex_count
+        n = max(self.vertex_count, 0)  # a dense space with no vertices has no edges
         return n * (n - a) // 2
+
+    def _layers(self) -> list:
+        """A ring's neighbour table: for each layer x, the layers joined to
+        layer x of part p in parts p, p + 1 and p - 1, in increasing order."""
+        cut = SWITCH_REMOVED_LAYERS if self.kind == "switch" else ()
+        same = [[y for y in range(4) if cut and y != x] for x in range(4)]  # only the switch joins inside a part
+        later = [[y for y in range(4) if (x, y) not in cut] for x in range(4)]
+        earlier = [[y for y in range(4) if (y, x) not in cut] for x in range(4)]
+        return list(zip(same, later, earlier))
 
     def multiplicity(self):
         """The membership test of this space: a function from a pair (u, w)
@@ -195,64 +208,49 @@ class EdgeSpace:
         closed form: 0 or 1, since every space is a simple graph.  A pair
         with an end that is not integral, such as (0, 6.5), is no edge; an
         integral float, such as 6.0, is read as the int it equals."""
-        n, a = self.vertex_count, self.part
-        if a is not None:
-
-            def multiplicity(edge) -> int:
-                u, w = edge
-                return 1 if 0 <= u < w < n and u // a != w // a and u % 1 == w % 1 == 0 else 0
-
-            return multiplicity
-        m = self.params[0]
-        switch = 1 if self.kind == "switch" else 0
+        n, a, m = self.vertex_count, self.part, self.params[0]
+        layers = self._layers() if a is None else None
 
         def multiplicity(edge) -> int:
             u, w = edge
             if not 0 <= u < w < n or u % 1 or w % 1:
                 return 0
-            p, q = u // 4, w // 4
-            if p == q:
-                return switch
-            if (q - p) % m == 1:
-                return 0 if switch and (u % 4, w % 4) in SWITCH_REMOVED_LAYERS else 1
-            if (p - q) % m == 1:
-                return 0 if switch and (w % 4, u % 4) in SWITCH_REMOVED_LAYERS else 1
-            return 0
+            if a is not None:
+                return int(u // a != w // a)
+            (p, x), (q, y) = divmod(int(u), 4), divmod(w, 4)
+            return sum(q == part % m and y in joined for part, joined in zip((p, p + 1, p - 1), layers[x]))
 
         return multiplicity
 
-    def rows(self) -> Iterator[bytes]:
-        """The n membership rows of a dense space, lazily: byte w of row u
-        is 1 exactly when (u, w) is an edge with u < w.  Row u is zeros up
-        to the end of u's part and ones after, so that end is n less the
-        row's count of ones, and the rows of one part are one shared
-        bytes."""
+    def row_ends(self) -> list[int]:
+        """Each vertex's row end in a dense space, the first vertex above
+        its part: the edges (u, w) with u < w are the w from u's end on."""
         n, a = self.vertex_count, self.part
         if a is None:
-            raise ValueError(f"no bitmap for edge space kind {self.kind!r}")
-        return chain.from_iterable(repeat(b"\0" * end + b"\1" * (n - end), a) for end in range(a, n + 1, a))
+            raise ValueError(f"no row ends for edge space kind {self.kind!r}")
+        return [(u // a + 1) * a for u in range(n)]
 
     def edges(self) -> Iterator[Edge]:
         """The edges in sorted order, generated lazily over only the pairs
-        that can be edges."""
+        that are edges."""
         n, a = self.vertex_count, self.part
         if a is not None:
             # the vertices above u outside its part form one contiguous range
             return chain.from_iterable(zip(repeat(u), range((u // a + 1) * a, n)) for u in range(n))
-        member = self.multiplicity()
-        m = self.params[0]
+        m, layers = self.params[0], self._layers()
 
-        def walk():
-            # the candidates above u: the rest of its part, then the
-            # neighbouring parts above it, in order
-            for u in range(n):
-                p = u // 4
-                later = sorted(q for q in {(p + 1) % m, (p - 1) % m} if q > p)
-                for w in chain(range(u + 1, 4 * p + 4), *(range(4 * q, 4 * q + 4) for q in later)):
-                    if member((u, w)):
-                        yield u, w
+        def above(u):
+            # the layers above u in its part p, then in part p + 1, and in part m - 1 from part 0
+            p, x = divmod(u, 4)
+            same, later, earlier = layers[x]
+            ws = [4 * p + y for y in same if y > x]
+            if p + 1 < m:
+                ws += [4 * p + 4 + y for y in later]
+            if p == 0:
+                ws += [4 * m - 4 + y for y in earlier]
+            return zip(repeat(u), ws)
 
-        return walk()
+        return chain.from_iterable(map(above, range(n)))
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.vertex_count)]

@@ -43,16 +43,17 @@ A dense ambient, K_{a:b} (K_v is K_{1:v}), has n * n membership bytes,
 at most four per edge.  When they are also at most four per listed edge,
 the kept edges are written by a plain loop into a bitmap of n separate
 bytearray rows: edge (a, b), a < b, is byte b of row a, so no code is
-computed and no code list is built.  The tiling is accepted when the
-document lists exactly the edge count, with no stray, and each row equals
-the ambient's row, drawn lazily: equal bytes from that many codes leave no
-edge missing, foreign or duplicated.  A rejection is explained from the
-same rows.  The ambient's row u is zeros up to the end of u's part and
-ones after it, so its count of ones gives that end: an unset byte of row u
-after it is a missing edge, a set byte before it a foreign one, and more
-kept edges than set bytes means that some code repeats.  The repeats are
-read in the write loop: as the edges whose byte is already set, in the
-first pass, when the document lists more edges than the ambient holds;
+computed and no code list is built.  The ambient's row u holds the edges
+(u, w) for w from u's row end, the first vertex above u's part.  The
+tiling is accepted when the document lists exactly the edge count, with
+no stray, and one count per row, from its end, finds every ambient byte
+set: that many bytes from that many edges leave no edge missing, foreign
+or duplicated.  A rejection is explained from the same rows and ends: an
+unset byte of row u after its end is a missing edge, a set byte before
+it a foreign one, and more kept edges than set bytes means that some
+code repeats.  The repeats are read in the write loop: as the edges
+whose byte is already set, in the first pass, when the document lists
+more edges than the ambient holds;
 otherwise by writing the edges once more into the same rows, clearing each
 byte, so an edge whose byte is already clear repeats.  That pass only
 writes: each factor's span bit, kept from the first pass, says whether its
@@ -66,7 +67,7 @@ distinct pair: every ambient is a simple graph, so a pair is foreign or
 hits one edge.  Each pair is quoted as it was first listed, 0-2.0 for a
 listed (0, 2.0), as the reference oracle quotes it; the code a * n + b
 is made only for the bitmap pass's set of repeats.  The ambient's edge
-count, bitmap rows, edge walk and membership test all come from
+count, row ends, edge walk and membership test all come from
 ``model.EdgeSpace``; the verifier keeps no copy of them.  The walk
 for missing-edge examples stops after ``_EXAMPLE_CAP`` misses, and so does
 the scan of 0..n-1 for missing vertices, which never sorts the covered
@@ -308,23 +309,23 @@ def _bitmap_faults(
 ):
     """The ``listed`` edges must tile the dense ``space``, a K_{a:b}:
     the kept ones are written into the n bitmap ``rows``, and the others are
-    the ``strays``.  Rows equal to the space's rows, from exactly
-    edge_count() kept edges, accept them.  A rejection is explained from
-    the same rows and ``ends``: the space's row u is ones from ends[u] on.
-    ``repeats`` holds the repeated codes when they were collected as the
-    rows were written (more edges listed than the space holds); else it is
-    None, and only when there are more kept edges than set bytes are the
-    edges of ``factors`` and ``matching`` written again, clearing the rows,
-    to find them.  That second pass only writes: each factor's span bit
-    from the first pass, in ``spanning``, says whether its pairs pass
-    ``_in_range``, and no fault is checked again."""
+    the ``strays``.  They are accepted when there is no stray, exactly
+    edge_count() are kept, and each row is set from its end in
+    ``space.row_ends()`` on: that many bytes from that many edges leave
+    none set twice or before an end.  A rejection is explained from the
+    same rows and ends.  ``repeats`` holds the repeated codes when they
+    were collected as the rows were written (more edges listed than the
+    space holds); else it is None, and only when there are more kept edges
+    than set bytes are the edges of ``factors`` and ``matching`` written
+    again, clearing the rows, to find them: each factor's span bit, kept in
+    ``spanning``, says whether its pairs pass ``_in_range``."""
     n, total = space.vertex_count, space.edge_count()
-    filled = listed - len(strays)  # each listed edge is kept or a stray
-    if not strays and filled == total and all(map(eq, rows, space.rows())):
-        return []
-    ends = [n - want.count(1) for want in space.rows()]
-    outside = sum(map(bytearray.count, rows, repeat(1), repeat(0), ends))
+    ends = space.row_ends()
     hit = sum(map(bytearray.count, rows, repeat(1), ends))
+    filled = listed - len(strays)  # each listed edge is kept or a stray
+    if not strays and filled == total == hit:
+        return []
+    outside = sum(map(bytearray.count, rows, repeat(1), repeat(0), ends))
 
     out: list[Violation] = []
     if hit < total:

@@ -131,7 +131,7 @@ def test_complete_graph_is_the_equipartite_graph_of_parts_of_one():
         assert complete.vertex_count == equipartite.vertex_count == v
         assert complete.edge_count() == equipartite.edge_count() == v * (v - 1) // 2
         assert list(complete.edges()) == list(equipartite.edges())
-        assert list(complete.rows()) == list(equipartite.rows())
+        assert complete.row_ends() == equipartite.row_ends()
         ends = [*range(-2, v + 2), 0.5, 2.0, 6.5]
         pairs = [(u, w) for u in ends for w in ends]
         assert list(map(complete.multiplicity(), pairs)) == list(map(equipartite.multiplicity(), pairs)), v
@@ -174,6 +174,23 @@ def test_closed_forms_agree_with_the_listed_edges():
         assert space.edge_count() == len(listed), space
 
 
+def test_a_ring_walks_its_edges_without_a_membership_test(monkeypatch):
+    """A ring's sorted walk reads its neighbour table: it calls the
+    membership test that ``multiplicity()`` returns for no candidate."""
+    calls = []
+    multiplicity = EdgeSpace.multiplicity
+
+    def counted(space):
+        member = multiplicity(space)
+        return lambda edge: calls.append(edge) or member(edge)
+
+    monkeypatch.setattr(EdgeSpace, "multiplicity", counted)
+    for m in range(3, 10):
+        for space in (cycle_blowup4(m), switch_graph(m)):
+            assert len(list(space.edges())) == space.edge_count(), space
+    assert calls == []
+
+
 def test_a_blowup_space_holds_no_pair_off_its_range_or_reversed():
     blowup = cycle_blowup4(3).multiplicity()
     assert blowup((0, 12)) == blowup((-1, 0)) == 0
@@ -192,21 +209,20 @@ def test_a_pair_with_an_end_that_is_not_integral_is_no_edge():
 
 
 def test_bitmap_marks_exactly_the_listed_edges():
-    """The rows of a dense space, joined, mark exactly its edges, and the
-    rows of one part are one shared object; a sparse space has no rows."""
+    """Each vertex u of a dense space is joined, above itself, to exactly
+    the vertices from its row end up to n; a ring has no row ends."""
     for space in [*_listable_spaces(), equipartite_graph(3, 1)]:
         if space.kind not in ("complete", "equipartite"):
-            with pytest.raises(ValueError, match="no bitmap"):
-                space.rows()
+            with pytest.raises(ValueError, match="no row ends"):
+                space.row_ends()
             continue
         n = space.vertex_count
-        want = bytearray(n * n)
+        above = [set() for _ in range(n)]
         for u, w in listed_edges(space):
-            want[u * n + w] = 1
-        rows = list(space.rows())
-        assert b"".join(rows) == want, space
-        a = space.params[0] if space.kind == "equipartite" else 1
-        assert all(rows[u] is rows[u - u % a] for u in range(n)), space
+            above[u].add(w)
+        ends = space.row_ends()
+        assert len(ends) == n, space
+        assert [set(range(end, n)) for end in ends] == above, space
 
 
 # ============================================================

@@ -397,27 +397,27 @@ def _traced_peak(check):
 
 
 def test_accepting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
-    """A valid tiling of K_v or K_v - I is accepted by comparing its bitmap
-    rows with the ambient's, row by row: the sorted walk of the ambient
-    is not drawn, and its rows are drawn once."""
+    """A valid tiling of K_v or K_v - I is accepted by counting its bitmap
+    rows from the ambient's row ends, row by row: the sorted walk of the
+    ambient is not drawn, and its row ends are drawn once."""
     sol = build(404, 101, 3, 198)
 
     def guarded_walk(space):
         raise AssertionError(f"walked the edges of {space.kind} on a valid solution")
 
     drawn = []
-    rows = EdgeSpace.rows
+    row_ends = EdgeSpace.row_ends
     monkeypatch.setattr(EdgeSpace, "edges", guarded_walk)
-    monkeypatch.setattr(EdgeSpace, "rows", lambda space: drawn.append(space.kind) or rows(space))
+    monkeypatch.setattr(EdgeSpace, "row_ends", lambda space: drawn.append(space.kind) or row_ends(space))
     rep = verify_solution(sol)
     assert rep.ok and (rep.r_found, rep.s_found) == (3, 198)
     assert drawn == ["complete"]
 
 
 def test_verifying_a_v804_solution_allocates_under_1_mb():
-    """The accept path holds one v^2 bitmap (646 KB here, as 804 rows), one
-    ambient row at a time and one factor's vertex lists: it never joins
-    either bitmap into v^2 bytes, nor lists all 322806 codes (over 11 MB)."""
+    """The accept path holds one v^2 bitmap (646 KB here, as 804 rows), the
+    ambient's 804 row ends and one factor's vertex lists: it never draws
+    the ambient as bytes, nor lists all 322806 codes (over 11 MB)."""
     sol = build(804, 201, 5, 396)
     rep, peak = _traced_peak(lambda: verify_solution(sol))
     assert rep.ok
@@ -425,9 +425,9 @@ def test_verifying_a_v804_solution_allocates_under_1_mb():
 
 
 def test_rejecting_single_edits_of_a_v804_solution_allocates_under_1_mb():
-    """A rejection is explained from the rows the tiling was checked
-    against, one ambient row at a time: it never joins the rows into v^2
-    bytes, nor lists every edge code."""
+    """A rejection is explained from the rows and row ends the tiling was
+    checked against: it never joins the rows into v^2 bytes, nor lists
+    every edge code."""
     sol = build(804, 201, 5, 396)
     for op in range(4):
         rep, peak = _traced_peak(lambda: verify_solution(_mutate(sol, random.Random(op), op)))
@@ -452,14 +452,14 @@ def test_rejecting_a_dense_tiling_walks_no_ambient_edge(monkeypatch):
 def test_a_document_listing_few_dense_edges_never_allocates_a_bitmap(monkeypatch):
     """A complete ambient takes a bitmap only when its v^2 bytes are at
     most four per listed edge; a shorter document is explained by the
-    sorted compare, and never draws the ambient's rows."""
+    sorted compare, and never draws the ambient's row ends."""
 
     def guarded_bitmap(space):
-        raise AssertionError(f"drew the bitmap rows of {space.kind}")
+        raise AssertionError(f"drew the row ends of {space.kind}")
 
     v = 101
-    factors = tuple(walecki(v))  # before the guard: walecki's own proof draws K_101's rows
-    monkeypatch.setattr(EdgeSpace, "rows", guarded_bitmap)
+    factors = tuple(walecki(v))  # before the guard: walecki's own proof draws K_101's row ends
+    monkeypatch.setattr(EdgeSpace, "row_ends", guarded_bitmap)
     for kept in (factors[:12], factors[:25]):  # 4 * 101 * 25 < 101^2
         rep = verify_solution(Solution(v=v, factors=kept))
         assert rep.codes() == {"CountMismatch", "EdgeMissing"}
@@ -467,13 +467,13 @@ def test_a_document_listing_few_dense_edges_never_allocates_a_bitmap(monkeypatch
 
 def test_spaces_without_dense_edges_never_allocate_a_bitmap(monkeypatch):
     """An edgeless equipartite(a, 1) space and the sparse block ambients
-    are certified without drawing the rows of a v^2 bitmap, even for large
-    v."""
+    are certified without a v^2 bitmap, whose check would draw the row
+    ends, even for large v."""
 
     def guarded_bitmap(space):
-        raise AssertionError(f"drew the bitmap rows of {space.kind}")
+        raise AssertionError(f"drew the row ends of {space.kind}")
 
-    monkeypatch.setattr(EdgeSpace, "rows", guarded_bitmap)
+    monkeypatch.setattr(EdgeSpace, "row_ends", guarded_bitmap)
     edgeless = equipartite_graph(3000, 1)  # v^2 = 9 MB
     c4, switch = c4_block(2001), switch_block(1001)  # v^2 = 64 MB and 16 MB
     for check in (

@@ -19,8 +19,8 @@ equal-count rejections whose in-place clearing pass filters a factor that
 does not span), inputs aimed at the pigeonhole span test (2.0 listed for 2,
 True for 1, and one vertex repeated in place of another), one vertex u
 listed as u + 0.5 in a block, a solution or a matching, a factor listed
-twice with 2.0 for 2 in the copy, a foreign pair with an end 8.0, and
-small hostile documents.
+twice with 2.0 for 2 in the copy, a foreign pair with an end 8.0,
+small hostile documents, and documents of negative order.
 """
 
 import random
@@ -587,8 +587,8 @@ def test_dense_edits_that_change_the_listed_count_agree_with_the_oracle(name, mo
     sol = DENSE[name]()
     space = complete_graph(sol.v)
     drawn = []
-    rows = EdgeSpace.rows
-    monkeypatch.setattr(EdgeSpace, "rows", lambda space: drawn.append(space.kind) or rows(space))
+    row_ends = EdgeSpace.row_ends
+    monkeypatch.setattr(EdgeSpace, "row_ends", lambda space: drawn.append(space.kind) or row_ends(space))
     edits = list(_count_changing_edits(sol, random.Random(name)))
     for edited in edits:
         assert _listed_edges(edited) != space.edge_count()
@@ -803,3 +803,13 @@ def test_hostile_documents_agree_with_the_oracle():
     factors = tuple(walecki(9))
     _agree_solution(Solution(v=9, factors=factors + factors, m=9, r=0, s=8))
     _agree_solution(Solution(v=12, factors=tuple(walecki(9))))
+
+
+@pytest.mark.parametrize("v", [-4, -3, -1])
+def test_a_negative_order_has_no_edges_and_agrees_with_the_oracle(v):
+    """K_v for v < 0 has no vertices, so no edge is missing from it."""
+    triangle = two_factor([(0, 1, 2)], 3, 3)
+    for factors in ((), (triangle,)):
+        for matching in (None, one_factor([(0, 1)])):
+            _agree_solution(Solution(v=v, factors=factors, one_factor=matching))
+    assert complete_graph(v).edge_count() == 0
