@@ -438,7 +438,8 @@ def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
     vertices onto 4 vertices in the same layer order, and part 0 below the
     others.  The maps ``_blow_up`` reads from its part table and the
     increasing ranges (groups, the v = 24 table) all keep it, and under it
-    each copier gives a canonical copy, so the factors are only sorted."""
+    each copier gives a canonical copy, so the factors are only sorted, each
+    piece's once its maps are used up: no two pieces' buckets live at once."""
     c4_factors, cm_factors, matching = [], [], []
     for (factors, edge_getters), maps in placed:
         buckets = [[] for _ in factors]
@@ -447,14 +448,14 @@ def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
                 bucket += [f(vmap) if vmap[a] < vmap[b] else g(f(vmap)) for a, b, f, g in copiers]
             matching += [g(vmap) for g in edge_getters]
         for bucket, (length, _) in zip(buckets, factors):
-            (c4_factors if length == 4 else cm_factors).append(bucket)
+            (c4_factors if length == 4 else cm_factors).append(tuple(sorted(bucket)))
     if len(c4_factors) != r or len(cm_factors) != s:
         raise RuntimeError(
             f"assembly mismatch: built {len(c4_factors)} C4-factors and "
             f"{len(cm_factors)} Cm-factors, wanted ({r}, {s})"
         )
-    factors = [TwoFactor(tuple(sorted(c)), v, 4) for c in c4_factors]
-    factors += [TwoFactor(tuple(sorted(c)), v, m) for c in cm_factors]
+    factors = [TwoFactor(c, v, 4) for c in c4_factors]
+    factors += [TwoFactor(c, v, m) for c in cm_factors]
     return Solution(
         v=v, factors=tuple(factors), m=m if s > 0 else None, r=r, s=s,
         one_factor=one_factor(matching),

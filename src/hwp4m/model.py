@@ -42,7 +42,8 @@ written as json writes it.  A vertex or field that is not an int (a
 bool, float, str, ...) raises ``ValueError`` when the table first meets
 it, or ``TypeError`` when it cannot be hashed.  A non-int equal to an int
 already named (True after 1, 2.0 after 2) is outside the contract: it
-takes that int's text.  The decoder rejects every such document.
+takes that int's text.  The decoder rejects every such document.  Each
+factor's bytes join one ``bytearray`` as made; the document is copied once.
 """
 
 from __future__ import annotations
@@ -149,9 +150,10 @@ class EdgeSpace:
     its walk read one neighbour table, ``_layers``.  The verifier accepts
     a tiling of a ring by comparing its sorted pairs with ``edges``, and
     tests membership only to explain a rejection.  A space that names no
-    graph cannot be made: an unknown kind, or a ring of fewer than 3
-    parts, raises ValueError on construction.  ``kind`` and ``params``
-    are the space's identity.
+    graph cannot be made: an unknown kind, a ring of fewer than 3 parts,
+    or an equipartite space of a negative part size or count, raises
+    ValueError on construction.  ``kind`` and ``params`` are the space's
+    identity.
 
     kinds:
       complete(v)        K_v, which is K_{1:v}
@@ -170,6 +172,8 @@ class EdgeSpace:
         # parts around a cycle; for m = 3 the three part pairs are still distinct
         if self.kind in ("blowup4", "switch") and self.params[0] < 3:
             raise ValueError(f"{self.kind} needs at least 3 parts, got {self.params[0]}")
+        if self.kind == "equipartite" and min(self.params) < 0:
+            raise ValueError(f"equipartite needs a part size and part count of at least 0, got {self.params}")
 
     @property
     def part(self) -> int | None:
@@ -441,9 +445,9 @@ def _rows_text(rows, names: _IntNames, lengths: set) -> str:
 def encode_solution(sol: Solution) -> bytes:
     """The document's bytes (see "Solution interchange format" above)."""
     names = _IntNames()
-    # each factor becomes bytes as it is written, so the document is never
-    # held as str and bytes at once
-    pieces, sep = [b'{"factors":['], ""
+    # each factor's text joins one buffer as bytes as soon as it is written,
+    # so the document is never held as str, and the buffer is copied out once
+    out, sep = bytearray(b'{"factors":['), ""
     for f in sol.factors:
         cycles = sorted(f.cycles)
         lengths = set(map(len, cycles))
@@ -453,15 +457,15 @@ def encode_solution(sol: Solution) -> bytes:
                 raise ValueError("cannot annotate a non-uniform factor")
             length = next(iter(lengths))
         text = f'{sep}{{"cycle_length":{names[length]},"cycles":{_rows_text(cycles, names, lengths)}}}'
-        pieces.append(text.encode("ascii"))
+        out += text.encode("ascii")
         sep = ","
     fields = {key: names[val] for key in ("m", "r", "s") if (val := getattr(sol, key)) is not None}
     if sol.one_factor is not None:
         edges = sol.one_factor.edges
         fields["one_factor"] = _rows_text(edges, names, set(map(len, edges)))
     fields["v"] = names[sol.v]
-    pieces.append(("]," + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}\n").encode("ascii"))
-    return b"".join(pieces)
+    out += ("]," + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}\n").encode("ascii")
+    return bytes(out)
 
 
 def decode_solution(data: bytes | str) -> Solution:

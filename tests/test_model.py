@@ -145,6 +145,17 @@ def test_parts_of_size_zero_give_an_empty_space():
         assert space.multiplicity()((0, 1)) == 0
 
 
+def test_negative_part_size_or_count_is_refused():
+    # a negative part size or part count names no graph
+    for a, b in ((-2, -3), (-1, 4), (3, -1), (0, -2)):
+        with pytest.raises(ValueError, match="part size and part count of at least 0"):
+            equipartite_graph(a, b)
+    # K_v for v < 0 is still made, with no vertices and no edges
+    for v in (-1, -3, -4):
+        space = complete_graph(v)
+        assert space.edge_count() == 0 and list(space.edges()) == [] and space.row_ends() == []
+
+
 def test_part_is_the_dense_part_size_and_none_on_a_ring():
     # K_{0:b} stays dense: its part size 0 is not read as a ring's None
     assert complete_graph(7).part == 1
