@@ -44,6 +44,14 @@ it, or ``TypeError`` when it cannot be hashed.  A non-int equal to an int
 already named (True after 1, 2.0 after 2) is outside the contract: it
 takes that int's text.  The decoder rejects every such document.  Each
 factor's bytes join one ``bytearray`` as made; the document is copied once.
+
+``decode_solution`` keeps the mirror table, from text to int: ``json.loads``
+takes it as ``parse_int``, so each distinct number text of a document is
+made an int once, on its first occurrence, and every later occurrence is
+that same object.  A decoded Solution, as a built one, then holds one int
+object per vertex value.  A JSON int is ``-?(0|[1-9][0-9]*)``, so ``int``
+of its text is the value json makes, and a text past Python's digit limit
+raises the same ``ValueError``.
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import chain, repeat
 from operator import eq, itemgetter, lt
 
@@ -307,7 +314,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _canonical_cycles(cycles: list, v: int, span):
+def _canonical_cycles(cycles: list, v: int, span: list):
     """The sorted cycles of a factor already in canonical form, as every
     document hwp4m writes is, proven so by C-level passes over the whole
     factor: every cycle is a list and every vertex an int (bools excluded)
@@ -320,10 +327,12 @@ def _canonical_cycles(cycles: list, v: int, span):
     vertices hold them only as the one equal to 0 and the one equal to 1,
     whose types alone are checked, once the form is proven, where a
     canonical factor holds them: 0 first in its cycle, and 1 first in its
-    own cycle or in the cycle of 0.  v vertices that miss none of
-    ``span()``, the set 0..v-1, list each of them once (pigeonhole); others
-    are distinct when their set is as long as their list, and in range when
-    their least is at least 0 and their greatest below v."""
+    own cycle or in the cycle of 0.  Vertices are distinct when their set
+    is as long as their list, and in range when their least is at least 0
+    and their greatest below v; v of them are then 0..v-1, each once
+    (pigeonhole).  The first factor proven so lends its set to ``span``, and
+    each later factor of v vertices is proven by missing none of that set,
+    whose objects a factor's shared ints match by identity."""
     if not set(map(type, cycles)) <= {list}:
         return None
     verts = list(chain.from_iterable(cycles))
@@ -331,15 +340,17 @@ def _canonical_cycles(cycles: list, v: int, span):
         total = sum(verts)
     except (TypeError, OverflowError):  # OverflowError: a float after an int too large for one
         return None
-    spanned = len(verts) == v
-    seen = span() if spanned else set(verts)
+    lent = len(verts) == v and span
+    seen = span[0] if lent else set(verts)
     if not (
         type(total) is int
         and verts
-        and (not seen.difference(verts) if spanned else len(seen) == len(verts) and min(seen) >= 0 and max(seen) < v)
+        and (not seen.difference(verts) if lent else len(seen) == len(verts) and min(seen) >= 0 and max(seen) < v)
         and min(map(len, cycles)) >= 3
     ):
         return None
+    if len(verts) == v and not span:
+        span.append(seen)
     firsts = list(map(itemgetter(0), cycles))
     if not (
         all(map(eq, firsts, map(min, cycles)))
@@ -370,7 +381,7 @@ def doc_to_solution(doc: dict) -> Solution:
         raise DecodeError("MalformedDocument", "factors must be a list")
 
     factors = []
-    span = cache(partial(frozenset, range(v)))  # made once a factor lists v vertices
+    span: list = []  # the vertex set of the first factor that spans, lent to the later ones
     for idx, entry in enumerate(raw_factors):
         if not isinstance(entry, dict) or not isinstance(entry.get("cycles"), list):
             raise DecodeError("MalformedDocument", f"factor {idx} has no list of cycles")
@@ -468,9 +479,18 @@ def encode_solution(sol: Solution) -> bytes:
     return bytes(out)
 
 
+class _IntValues(dict):
+    """The int of each number text of one document, made on its first
+    lookup and kept for the rest of the document: ``_IntNames`` reversed."""
+
+    def __missing__(self, text: str) -> int:
+        self[text] = u = int(text)
+        return u
+
+
 def decode_solution(data: bytes | str) -> Solution:
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, parse_int=_IntValues().__getitem__)
     except (ValueError, RecursionError) as exc:
         # ValueError also covers bytes that are no UTF-8/16/32 text and an
         # int past Python's digit limit; RecursionError, deep nesting

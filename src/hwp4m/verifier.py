@@ -21,23 +21,26 @@ listed vertices and edges, O(E) against a dense ambient, apart from the
 sorts behind the examples a rejection quotes, and O(E log E) against the
 others.  A factor is read as two flat lists, its vertices and each one's
 successor on its cycle, and the spanning check and the edges both come
-from that pair.  A factor that lists exactly n vertices and misses none
-of 0..n-1 lists each of them once (pigeonhole), so it spans with no repeat
-and no stray vertex (the set 0..n-1 is built only once a factor lists n
-vertices), and its edges are taken as they come.  Any other factor is
-checked vertex by vertex, for the fault texts, and its edges, smaller end
-first, and the matching's pairs, taken as given, pass one filter: a pair
-(a, b) is kept only when a and b are integral and 0 <= a <= b < n.  Every
-other pair is a stray and foreign: written into the bitmap below, or
-turned smaller end first, it could pass for another edge (a negative end
-indexes a row from the end, and a reversed matching pair is the edge it
-reverses).  So a reversed matching pair, or (0, 6.5), is foreign by that
-rule, not by the ambient's membership test; an integral float such as
-2.0 passes it as the int it equals.  A loop (a, a) is kept, as a
-spanning factor's one-vertex cycle is: it is foreign, and counted once
-however many factors list it.  A vertex such as 6.5 in range covers
-none of 0..n-1, so every factor that does not span scans for the
-vertices it misses.
+from that pair.  A factor that lists exactly n vertices whose set equals
+0..n-1 spans with no repeat and no stray vertex, and its edges are taken
+as they come.  The set 0..n-1 is built at most once, and only once a
+factor lists n vertices.  The first factor that spans lends its own set,
+0..n-1 by value, to the later ones: n vertices that miss none of it list
+each of them once (pigeonhole), and since a built or decoded solution
+holds one int object per vertex, they find its members by identity.  Any
+other factor is checked vertex by vertex, for the fault texts, and its
+edges, smaller end first, and the matching's pairs, taken as given, pass
+one filter: a pair (a, b) is kept only when a and b are integral and
+0 <= a <= b < n.  Every other pair is a stray and foreign: written into
+the bitmap below, or turned smaller end first, it could pass for another
+edge (a negative end indexes a row from the end, and a reversed matching
+pair is the edge it reverses).  So a reversed matching pair, or
+(0, 6.5), is foreign by that rule, not by the ambient's membership test;
+an integral float such as 2.0 passes it as the int it equals.  A loop
+(a, a) is kept, as a spanning factor's one-vertex cycle is: it is
+foreign, and counted once however many factors list it.  A vertex such
+as 6.5 in range covers none of 0..n-1, so every factor that does not
+span scans for the vertices it misses.
 
 A dense ambient, K_{a:b} (K_v is K_{1:v}), has n * n membership bytes,
 at most four per edge.  When they are also at most four per listed edge,
@@ -53,25 +56,27 @@ unset byte of row u after its end is a missing edge, a set byte before
 it a foreign one, and more kept edges than set bytes means that some
 code repeats.  The repeats are read in the write loop: as the edges
 whose byte is already set, in the first pass, when the document lists
-more edges than the ambient holds;
-otherwise by writing the edges once more into the same rows, clearing each
-byte, so an edge whose byte is already clear repeats.  That pass only
-writes: each factor's span bit, kept from the first pass, says whether its
-edges pass the filter.  The repeats inside the ambient are duplicated
-edges.  Every other case (a sparse block ambient, a dense document too
-small for its bitmap, or one that lists a vertex equal to an int without
-being one, as 2.0, which indexes no row) sorts the kept pairs, smaller
-end first, accepts them by one element-wise compare with the ambient's
-sorted edge walk, and explains a rejection by one membership test per
-distinct pair: every ambient is a simple graph, so a pair is foreign or
-hits one edge.  Each pair is quoted as it was first listed, 0-2.0 for a
-listed (0, 2.0), as the reference oracle quotes it; the code a * n + b
-is made only for the bitmap pass's set of repeats.  The ambient's edge
-count, row ends, edge walk and membership test all come from
-``model.EdgeSpace``; the verifier keeps no copy of them.  The walk
-for missing-edge examples stops after ``_EXAMPLE_CAP`` misses, and so does
-the scan of 0..n-1 for missing vertices, which never sorts the covered
-ones.
+more edges than the ambient holds; otherwise by writing the edges once
+more into the same rows, clearing each byte, so an edge whose byte is
+already clear repeats.  That pass only writes: each factor's span bit,
+kept from the first pass, says whether its edges pass the filter.  The
+repeats inside the ambient are duplicated edges.  The rows quote a
+duplicated or foreign edge by its ints, as it was listed unless an end
+was listed as False or True: a rejection that quotes one at 0 or 1, from
+a document that lists a bool, is explained on the sorted pairs.  Every
+other case (a sparse block ambient, a dense document too small for its
+bitmap, or one that lists a vertex equal to an int without being one, as
+2.0, which indexes no row) sorts the kept pairs, smaller end first,
+accepts them by one element-wise compare with the ambient's sorted edge
+walk, and explains a rejection by one membership test per distinct pair:
+every ambient is a simple graph, so a pair is foreign or hits one edge.
+Each pair is quoted as it was first listed, 0-2.0 for a listed (0, 2.0),
+as the reference oracle quotes it; the code a * n + b is made only for
+the bitmap pass's set of repeats.  The ambient's edge count, row ends,
+edge walk and membership test all come from ``model.EdgeSpace``; the
+verifier keeps no copy of them.  The walk for missing-edge examples stops
+after ``_EXAMPLE_CAP`` misses, and so does the scan of 0..n-1 for missing
+vertices, which never sorts the covered ones.
 
 A report carries a list of violations, each tagged with a stable code:
 
@@ -209,15 +214,24 @@ def _listed(
     and cycle-length faults join ``out``, the factor counts by uniform
     cycle length join ``by_length``, the pairs ``_in_range`` rejects join
     ``strays``, and each factor's span bit joins ``spanning``.  A factor
-    that lists n vertices and misses none of 0..n-1 spans, since it then
-    lists each of them once, and needs no vertex check; any other factor
-    runs ``_vertex_faults``.  ``_pairs`` draws each factor's pairs, and the
+    of n vertices spans when its set equals 0..n-1, or, once a factor has
+    spanned, when it misses none of that factor's set; it then lists each
+    of 0..n-1 once and needs no vertex check.  Any other factor runs
+    ``_vertex_faults``.  ``_pairs`` draws each factor's pairs, and the
     matching's, taken as given, pass ``_in_range``."""
-    span = cache(partial(frozenset, range(n)))  # made once a factor lists n vertices
+    full = cache(partial(frozenset, range(n)))  # made once a factor lists n vertices
+    span = None  # the vertex set of the first factor that spans, lent to the later ones
     for idx, factor in enumerate(factors):
         cycles = factor.cycles
         verts = list(chain.from_iterable(cycles))
-        spans = len(verts) == n and not span().difference(verts)
+        if len(verts) != n:
+            spans = False
+        elif span is not None:
+            spans = not span.difference(verts)
+        else:
+            seen = frozenset(verts)
+            if spans := seen == full():  # equal by value, and as long: no repeat
+                span = seen
         spanning.append(spans)
         if not spans:
             for viol in _vertex_faults(verts, n, "NotSpanning", "NotTwoRegular", "vertices in several cycles"):
@@ -303,6 +317,15 @@ def _quoted(rows: list, pattern: re.Pattern, bounds) -> list:
     return list(islice(found, _EXAMPLE_CAP))
 
 
+def _lists_a_bool(factors, matching: OneFactor | None) -> bool:
+    """Whether some listed vertex is False or True, which the bitmap rows
+    quote as 0 or 1."""
+    verts = chain.from_iterable(chain.from_iterable(f.cycles for f in factors))
+    if matching is not None:
+        verts = chain(verts, chain.from_iterable(matching.edges))
+    return bool in set(map(type, verts))
+
+
 def _bitmap_faults(
     rows: list, repeats: set | None, listed: int, strays: list, factors, spanning: list, matching,
     space: EdgeSpace,
@@ -318,7 +341,10 @@ def _bitmap_faults(
     space holds); else it is None, and only when there are more kept edges
     than set bytes are the edges of ``factors`` and ``matching`` written
     again, clearing the rows, to find them: each factor's span bit, kept in
-    ``spanning``, says whether its pairs pass ``_in_range``."""
+    ``spanning``, says whether its pairs pass ``_in_range``.  The rows
+    quote a duplicated or foreign edge by its ints: None, for the sorted
+    pairs to explain the rejection, when one they quote is at 0 or 1 and
+    the document lists a bool."""
     n, total = space.vertex_count, space.edge_count()
     ends = space.row_ends()
     hit = sum(map(bytearray.count, rows, repeat(1), ends))
@@ -332,14 +358,17 @@ def _bitmap_faults(
         missing = _quoted(rows, _UNSET, zip(ends, repeat(n)))
         out.append(Violation("EdgeMissing", _fmt_edges(missing, total - hit)))
     foreign = _quoted(rows, _SET, zip(repeat(0), ends)) if outside else []  # before the rows are cleared
+    duplicated = []
     if filled > hit + outside:
         if repeats is None:
             repeats = set()
             _write(rows, _relisted(factors, spanning, matching, n), n, 0, repeats)
         duplicated = sorted(code for code in repeats if code % n >= ends[code // n])
-        if duplicated:
-            quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
-            out.append(Violation("EdgeDuplicated", _fmt_edges(quoted, len(duplicated))))
+    quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
+    if any(u < 2 for u, _ in foreign + quoted) and _lists_a_bool(factors, matching):
+        return None
+    if duplicated:
+        out.append(Violation("EdgeDuplicated", _fmt_edges(quoted, len(duplicated))))
     strays = sorted(set(strays))
     if outside or strays:
         quoted = sorted(strays[:_EXAMPLE_CAP] + foreign)
@@ -384,8 +413,10 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace, dense: bool 
     """One pass over the factors and the optional matching, whose edges join
     the cover.  Returns the violations and the factor counts by uniform
     cycle length.  A vertex that equals an int without being one, as 2.0
-    for 2, indexes no bitmap row: when the bitmap write raises TypeError,
-    the whole pass runs again, afresh, on the sorted pairs (``dense`` false)."""
+    for 2, indexes no bitmap row, and True for 1 is quoted by the rows as
+    1: when the bitmap write raises TypeError, or the rows cannot quote a
+    rejection's edges as listed, the whole pass runs again, afresh, on the
+    sorted pairs (``dense`` false)."""
     n = space.vertex_count
     out: list[Violation] = []
     by_length: Counter[int] = Counter()
@@ -402,8 +433,11 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace, dense: bool 
         try:
             _write(rows, parts, n, 1, repeats)
         except TypeError:
+            faults = None
+        else:
+            faults = _bitmap_faults(rows, repeats, listed, strays, factors, spanning, matching, space)
+        if faults is None:
             return _certify(factors, matching, space, dense=False)
-        faults = _bitmap_faults(rows, repeats, listed, strays, factors, spanning, matching, space)
     else:
         pairs = [(a, b) if a < b else (b, a) for part in parts for a, b in part]
         faults = _edge_faults(pairs, strays, space)

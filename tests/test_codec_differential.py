@@ -12,7 +12,9 @@ decoder's one-sum int proof must catch by type, a float, nan, an int
 subclass and 2**70), pairs of edits whose first faulty cycle differs in
 kind from a later one, in one factor or in two, and rotated or reversed
 cycles, which take the decoder off its bulk proof that a factor is already
-canonical.
+canonical.  Each of these documents is also written as JSON text, which
+``decode_solution``, with its table of int values, must decode as
+``doc_to_solution`` decodes json's own parse of it.
 
 It also keeps ``solution_to_doc`` plus json's compact sorted dump, which
 the package's encoder must match byte for byte, or raise the same
@@ -38,6 +40,7 @@ from hwp4m.model import (
     Solution,
     TwoFactor,
     canonicalize_cycle,
+    decode_solution,
     doc_to_solution,
     encode_solution,
     one_factor,
@@ -57,6 +60,8 @@ def _outcome(decode, doc):
 def _agree(doc):
     new = _outcome(doc_to_solution, copy.deepcopy(doc))
     assert new == _outcome(oracle.doc_to_solution, copy.deepcopy(doc))
+    data = json.dumps(doc)
+    assert _outcome(decode_solution, data) == _outcome(doc_to_solution, json.loads(data))
     return new
 
 
@@ -148,6 +153,16 @@ SPAN_EDITS = {
 def test_valid_solution_and_block_documents_decode_alike():
     for doc in BASES:
         assert not isinstance(_agree(doc), tuple)
+
+
+def test_a_decoded_document_holds_one_int_object_per_vertex():
+    # each distinct number text becomes one int, shared by every occurrence,
+    # as a built solution shares one int per vertex; json.loads alone makes
+    # one per occurrence of a vertex above 256
+    sol = decode_solution(encode_solution(build(404, 101, 3, 198)))
+    cycles = itertools.chain.from_iterable(f.cycles for f in sol.factors)
+    listed = itertools.chain(*cycles, *sol.one_factor.edges)
+    assert len(set(map(id, listed))) == 404
 
 
 @pytest.mark.parametrize("kind", (*CYCLE_KINDS, *SPAN_EDITS))

@@ -330,10 +330,17 @@ def test_decode_rejects_malformed_documents():
         with pytest.raises(DecodeError) as err:
             decode_solution(bad)
         assert err.value.code == "MalformedDocument"
-    # past Python's int digit limit json.loads raises; without one the
-    # vertex is decoded and out of range
-    with pytest.raises(DecodeError):
-        decode_solution('{"v":12,"factors":[{"cycles":[[0,1,' + "9" * 5000 + ']]}]}')
+    # past Python's int digit limit json.loads raises, and the decoder quotes
+    # json's own text; without one the vertex is decoded and out of range
+    text = '{"v":12,"factors":[{"cycles":[[0,1,' + "9" * 5000 + ']]}]}'
+    try:
+        json.loads(text)
+        want = "VertexOutOfRange"
+    except ValueError as exc:
+        want = f"MalformedDocument: {exc}"
+    with pytest.raises(DecodeError) as err:
+        decode_solution(text)
+    assert str(err.value).startswith(want)
     # JSON booleans are not integers, wherever an integer is expected
     tri = {"cycle_length": 3, "cycles": [[0, 1, 2]]}
     for bad in (

@@ -17,10 +17,12 @@ row-by-row compare and its repeat finder (stray vertices -1 and v, codes
 repeated inside a factor and across a factor and the matching, and
 equal-count rejections whose in-place clearing pass filters a factor that
 does not span), inputs aimed at the pigeonhole span test (2.0 listed for 2,
-True for 1, and one vertex repeated in place of another), one vertex u
-listed as u + 0.5 in a block, a solution or a matching, a factor listed
-twice with 2.0 for 2 in the copy, a foreign pair with an end 8.0,
-small hostile documents, and documents of negative order.
+True for 1, and one vertex repeated in place of another), a span set lent
+by a first spanning factor that lists 2.0, True, False or an int subclass,
+to a later factor that misses a vertex, or to none when no factor spans,
+one vertex u listed as u + 0.5 in a block, a solution or a matching, a
+factor listed twice with 2.0 for 2 in the copy, a foreign pair with an
+end 8.0, small hostile documents, and documents of negative order.
 """
 
 import random
@@ -31,6 +33,7 @@ from itertools import chain
 import pytest
 import reference_verifier as oracle
 from test_acceptance import _mutate
+from test_codec_differential import Label
 
 from hwp4m.blocks import c4_block, cm_block, mixed_block, switch_block
 from hwp4m.composer import build
@@ -228,6 +231,47 @@ def test_the_span_test_keeps_the_set_compares_equality():
             spans = factor is not repeated
             report = verify(doc)
             assert report.ok == spans and ("NotSpanning" in report.codes()) != spans
+
+
+def _edited(factor, kind, n):
+    """``factor`` with the third vertex u of its first cycle listed as
+    another vertex of the factor (``repeat``), as n (``stray``) or as
+    u + 0.5 (``half``): it lists n vertices and misses u."""
+    cycles = [list(cyc) for cyc in factor.cycles]
+    u = cycles[0][2]
+    cycles[0][2] = {"repeat": cycles[-1][0], "stray": n, "half": u + 0.5}[kind]
+    return replace(factor, cycles=tuple(map(tuple, cycles)))
+
+
+@pytest.mark.parametrize(
+    "u, value", [(2, 2.0), (1, True), (0, False), (2, Label(2))], ids=["float", "true", "false", "label"],
+)
+def test_a_span_set_lent_by_a_factor_of_equal_objects_keeps_every_verdict(u, value):
+    """The first factor that spans lends its own vertex set to the later
+    factors.  Lent by a factor that lists 2.0 for 2, True for 1, False for
+    0 or an int subclass, the set still equals 0..n-1, so an unedited later
+    factor spans, and one that lists n vertices but misses one is rejected
+    and quoted as the oracle does.  When no factor spans, each is checked
+    against 0..n-1 itself, and the duplicated edges at a bool are quoted as
+    listed.  The sparse path, K_9's dense path (2.0 takes it to the sorted
+    pairs) and K_40 - I's dense path take every case."""
+    for sol, verify, agree in (
+        (c4_block(5), verify_block, _agree_block),
+        (Solution(v=9, factors=tuple(walecki(9)), m=9, r=0, s=4), verify_solution, _agree_solution),
+        (build(40, 5, 3, 16), verify_solution, _agree_solution),
+    ):
+        first, *middle, last = sol.factors
+        first = _retyped(first, u, value)
+        assert verify(replace(sol, factors=(first, *middle, last))).ok
+        cases = [(len(middle) + 1, (first, *middle, _edited(last, kind, sol.v)))
+                 for kind in ("repeat", "stray", "half")]
+        cases.append((None, tuple(_edited(f, "repeat", sol.v) for f in (first, *middle, last))))
+        for faulty, factors in cases:
+            doc = replace(sol, factors=factors)
+            agree(doc)
+            named = {d.split(":")[0] for code, d in _pairs(verify(doc)) if code == "NotSpanning"}
+            want = range(len(sol.factors)) if faulty is None else [faulty]
+            assert named == {f"factor {k}" for k in want}
 
 
 def _halved(sol, u):
