@@ -1,7 +1,7 @@
-"""Every piece of a blow-up by 4 on parts of 4 vertices, and the registry
-of block kinds: a block on each blown-up outer cycle C_m[4], K_4 - I on
-each part (K4_MINUS_I: one C4-factor and the removed matching it leaves)
-and K_{4,4} over each leftover outer pair (K44: two C4-factors).
+"""Every piece of a blow-up by 4, on parts of PART = 4 vertices, and the
+registry of block kinds: a block on each blown-up outer cycle C_m[4],
+K_4 - I on each part (K4_MINUS_I: one C4-factor and the removed matching
+it leaves) and K_{4,4} over each leftover outer pair (K44: two C4-factors).
 
 C_m[4] has m parts of 4 vertices arranged around a cycle, with every
 vertex joined to all 4 vertices of each neighbouring part (16m edges,
@@ -34,6 +34,8 @@ meets all m parts once, and a winding argument finishes the proof.
 from __future__ import annotations
 
 from .model import Solution, cycle_blowup4, one_factor, switch_matching_edges, two_factor
+
+PART = 4
 
 # ============================================================
 # C4-factorization via a 1-factorization of C_m[2]

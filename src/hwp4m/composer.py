@@ -36,25 +36,23 @@ with the all-C4 kind throughout, and v = 24 is settled by a hand-built
 table at r = 4.
 
 Every route is assembled by one placement core, ``_assemble``: it places
-copies of verified pieces on vertex sets and merges them, factor i of
-every copy of a piece joining one global factor and every copy's removed
-matching joining the global matching.  The pieces are the blocks, the
-constants K_4 - I and K_{4,4} (``blocks.K4_MINUS_I``, ``blocks.K44``), a
-small inner solution, an imported equipartite factorization and the
-v = 24 table.  Each copy is canonical as made: every vertex map keeps the
-layer order inside each part of 4 and sends part 0 below the others, and
-under that contract one comparison decides whether a piece cycle's image
-is canonical as read or takes a reordering fixed once per piece cycle.
-Only a cycle on three or more parts that avoids part 0, as the v = 24
-table and imports have, is canonicalized.  A blow-up places a block on
-the blow-up of every outer cycle, K_4 - I on every part and K_{4,4} over
-every leftover pair.  The routes r1_equipartite and r2_equipartite (r = 1
-and r = 2 at even t) place a small solution on every group, K_4 - I for
-r = 1 and the inner build(4m, m, 2, 2m - 3) for r = 2, plus the imported
-Cm-factors of the complete equipartite graph between the groups on
-range(v), as k24_table places the table on range(24).  The remaining
-shapes are genuinely open (r = 2 at v = 8m, and ``OPEN_CORNERS``), or
-fall to known results we do not reconstruct (route "external").
+copies of verified pieces and merges them, factor i of every copy of a
+piece joining one global factor and every removed matching the global
+matching.  A blow-up places a block on the blow-up of every outer cycle,
+K_4 - I (``blocks.K4_MINUS_I``) on every part and K_{4,4} (``blocks.K44``)
+over every leftover pair.  r1_equipartite and r2_equipartite (r = 1 and
+r = 2 at even t) place a small solution on every group, K_4 - I for r = 1
+and the inner build(4m, m, 2, 2m - 3) for r = 2, and the imported
+Cm-factors of the complete equipartite graph between the groups, and
+k24_table places the table.  One part table, ``_part_table(n, p)``, makes
+every vertex map, on parts of p: ``blocks.PART`` for a blow-up, the small
+solution's size on the groups, and the whole piece for an import or the
+table.  Every map keeps the order inside each part of p and sends part 0
+below the others, so one comparison decides whether a piece cycle's copy
+is canonical as read or takes a reordering fixed once per piece cycle,
+and no route canonicalizes a copy.  The remaining shapes are genuinely
+open (r = 2 at v = 8m, and ``OPEN_CORNERS``), or fall to known results we
+do not reconstruct (route "external").
 
 The planner's precedence: the open corners, the v = 24 table, the r1/r2
 routes, the c = 0 recipe when its outer is available (an import included),
@@ -79,7 +77,7 @@ from functools import lru_cache, partial
 from itertools import chain
 from operator import itemgetter
 
-from .blocks import BLOCK_BUILDERS, K4_MINUS_I, K44
+from .blocks import BLOCK_BUILDERS, K4_MINUS_I, K44, PART
 from .k24 import k24_solution
 from .model import Solution, TwoFactor, canonicalize_cycle, one_factor
 from .outer import (
@@ -375,51 +373,55 @@ def describe_plan(v: int, m: int, r: int, s: int, p: Plan) -> str:
 # the one assembler: copies of verified pieces
 # ============================================================
 
-def _copier(cyc):
-    """(a, b, f, g) for one canonical piece cycle: under the contract of
-    ``_assemble`` its canonical copy through a vertex map is f(vmap) if
-    vmap[a] < vmap[b], else g(f(vmap)), by three rules: a two-part cycle's
-    parts swap; one through part 0, or on one part (where no map turns it),
-    turns; any other is canonicalized.  g is a shared position getter."""
+def _copier(cyc, p):
+    """(a, b, f, g) for one canonical piece cycle on parts of p: under the
+    contract of ``_assemble`` its canonical copy through a vertex map is
+    f(vmap) if vmap[a] < vmap[b], else g(f(vmap)), by three rules: a
+    two-part cycle's parts swap; one through part 0, or on one part, turns;
+    any other (no placement has one) is canonicalized.  g is a shared
+    position getter."""
     f = itemgetter(*cyc)
-    first = cyc[0] // 4  # cyc[0] is the minimum, so its part is the lowest
-    others = [u for u in cyc if u // 4 != first]
-    if len({u // 4 for u in others}) == 1:
+    first = cyc[0] // p  # cyc[0] is the minimum, so its part is the lowest
+    others = [u for u in cyc if u // p != first]
+    if len({u // p for u in others}) == 1:
         # two parts: the image is ordered as the cycle, or as this probe
         # with the two parts swapped
-        probe = [u % 4 + (4 if u // 4 == first else 0) for u in cyc]
-        return cyc[0], min(others), f, _reorder(tuple(map(probe.index, canonicalize_cycle(probe))))
+        probe = [u % p + (p if u // p == first else 0) for u in cyc]
+        return cyc[0], min(others), f, _reorder(*map(probe.index, canonicalize_cycle(probe)))
     if first == 0 or not others:  # the least vertex stays first
-        return cyc[1], cyc[-1], f, _reorder((0, *range(len(cyc) - 1, 0, -1)))
+        return cyc[1], cyc[-1], f, _reorder(0, *range(len(cyc) - 1, 0, -1))
     return cyc[0], cyc[0], f, canonicalize_cycle
 
 
-@lru_cache(maxsize=None)
-def _reorder(positions: tuple) -> itemgetter:
-    return itemgetter(*positions)
+_reorder = lru_cache(maxsize=None)(itemgetter)  # one getter per reordering
 
 
-def _copiers(piece: Solution):
-    """What ``_assemble`` reads of a piece: per factor, its cycle length and
-    the copiers of its cycles, and one itemgetter per matching edge."""
+def _copiers(piece: Solution, p: int):
+    """What ``_assemble`` reads of a piece on parts of p: per factor, its
+    cycle length and cycle copiers, and one itemgetter per matching edge."""
     matched = piece.one_factor.edges if piece.one_factor is not None else ()
     return (
-        [(len(f.cycles[0]), [_copier(c) for c in f.cycles]) for f in piece.factors],
+        [(len(f.cycles[0]), [_copier(c, p) for c in f.cycles]) for f in piece.factors],
         [itemgetter(*e) for e in matched],
     )
 
 
 @lru_cache(maxsize=None)
 def _block(kind: str, m: int):
-    return _copiers(BLOCK_BUILDERS[kind](m))
+    return _copiers(BLOCK_BUILDERS[kind](m), PART)
 
 
-_K4_MINUS_I, _K44 = _copiers(K4_MINUS_I), _copiers(K44)
+_K4_MINUS_I, _K44 = _copiers(K4_MINUS_I, PART), _copiers(K44, PART)
 
 
-def _part_table(n: int) -> list[tuple[int, ...]]:
-    """Outer vertex c's part in the blow-up by 4: 4 c .. 4 c + 3, in order."""
-    return [tuple(range(4 * c, 4 * c + 4)) for c in range(n)]
+def _part_table(n: int, p: int) -> list[tuple[int, ...]]:
+    """Part c of n parts of p vertices: p c .. p c + p - 1, in order."""
+    return [tuple(range(p * c, p * c + p)) for c in range(n)]
+
+
+def _tiled(piece: Solution, n: int):
+    """A piece placed whole, as one part, on each of n parts of its size."""
+    return _copiers(piece, piece.v), _part_table(n, piece.v)
 
 
 def _parts(table: list, cells) -> tuple[int, ...]:
@@ -434,11 +436,10 @@ def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
     ``placed`` lists (piece copiers, vertex maps); each map sends piece
     vertex u to map[u].  Factor i of every copy of a piece joins one global
     factor, C4-factors first, and every copy's removed matching joins the
-    global matching.  The map contract: a map sends each part of 4 piece
-    vertices onto 4 vertices in the same layer order, and part 0 below the
-    others.  The maps ``_blow_up`` reads from its part table and the
-    increasing ranges (groups, the v = 24 table) all keep it, and under it
-    each copier gives a canonical copy, so the factors are only sorted, each
+    global matching.  The map contract, for copiers made on parts of p: a
+    map sends each part of p onto p consecutive vertices in order, and part
+    0 below the others.  Maps joined from a ``_part_table``'s rows keep it,
+    so every copy is canonical and the factors are only sorted, each
     piece's once its maps are used up: no two pieces' buckets live at once."""
     c4_factors, cm_factors, matching = [], [], []
     for (factors, edge_getters), maps in placed:
@@ -464,13 +465,12 @@ def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
 
 def _blow_up(outer: Solution, kinds) -> list:
     """The (piece copiers, vertex maps) that blow a verified outer
-    2-factorization on v/4 parts up by 4: block ``kinds[i]`` on every cycle
-    of outer factor i, one kind per outer factor (a list of another length
-    raises ValueError), K_4 - I on every part unless a switch block took
-    those edges, and K_{4,4} over every pair of the outer's removed
-    matching.  Each map comes from one part table made for this call: a
-    cycle's joins its cells' parts, K_4 - I's is a part, K_{4,4}'s two."""
-    table = _part_table(outer.v)
+    2-factorization up by PART: block ``kinds[i]`` on every cycle of outer
+    factor i (a kinds list of another length raises ValueError), K_4 - I on
+    every part unless a switch block took those edges, and K_{4,4} over
+    every pair of the outer's removed matching.  Each map comes from one
+    part table made for this call: a cycle's joins its cells' parts."""
+    table = _part_table(outer.v, PART)
     placed = [
         (_block(kind, len(f.cycles[0])), map(partial(_parts, table), f.cycles))
         for f, kind in zip(outer.factors, kinds, strict=True)
@@ -514,23 +514,18 @@ def build_planned(v: int, m: int, r: int, s: int, p: Plan, cache_dir=None,
     got = [_resolve(i, cache_dir, time_limit) for i in p.ingredients]
 
     if p.route == "k24_table":
-        placed = [(_copiers(k24_solution()), [range(24)])]
+        placed = [_tiled(k24_solution(), 1)]
     elif p.route in ("r1_equipartite", "r2_equipartite"):
         # a small solution on every group, the equipartite factors between
         small = got[1] if p.route == "r2_equipartite" else K4_MINUS_I
-        groups = (range(g, g + small.v) for g in range(0, v, small.v))
-        placed = [(_copiers(small), groups), (_copiers(got[0]), [range(v)])]
+        placed = [_tiled(small, v // small.v), _tiled(got[0], 1)]
     else:  # every outer factor the recipe does not name takes c4, the
         # outer's own C4-factors, which come first, among them
-        outer = got[0] if got else hamilton_decomposition(v // 4)
+        outer = got[0] if got else hamilton_decomposition(v // PART)
         named = ["mixed"] * p.x + ["cm"] * p.s1 + ["switch"] * (r % 2 == 0)
         placed = _blow_up(outer, ["c4"] * (len(outer.factors) - len(named)) + named)
 
     sol = _assemble(v, m, r, s, placed)
-    report = verify_solution(sol)
-    if not report.ok:
-        raise RuntimeError(
-            "internal error: assembled solution failed verification: "
-            + report.summary()
-        )
+    if not (report := verify_solution(sol)).ok:
+        raise RuntimeError(f"internal error: assembled solution failed verification: {report.summary()}")
     return sol

@@ -157,10 +157,10 @@ class EdgeSpace:
     its walk read one neighbour table, ``_layers``.  The verifier accepts
     a tiling of a ring by comparing its sorted pairs with ``edges``, and
     tests membership only to explain a rejection.  A space that names no
-    graph cannot be made: an unknown kind, a ring of fewer than 3 parts,
-    or an equipartite space of a negative part size or count, raises
-    ValueError on construction.  ``kind`` and ``params`` are the space's
-    identity.
+    graph cannot be made: an unknown kind, params of another arity, a
+    ring of fewer than 3 parts, or an equipartite space of a negative part
+    size or count, raises ValueError on construction.  ``kind`` and
+    ``params`` are the space's identity.
 
     kinds:
       complete(v)        K_v, which is K_{1:v}
@@ -174,8 +174,11 @@ class EdgeSpace:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("complete", "blowup4", "switch", "equipartite"):
+        arity = {"complete": 1, "blowup4": 1, "switch": 1, "equipartite": 2}.get(self.kind)
+        if arity is None:
             raise ValueError(f"unknown edge space kind {self.kind!r}")
+        if len(self.params) != arity:
+            raise ValueError(f"{self.kind} params must have length {arity}, got {self.params}")
         # parts around a cycle; for m = 3 the three part pairs are still distinct
         if self.kind in ("blowup4", "switch") and self.params[0] < 3:
             raise ValueError(f"{self.kind} needs at least 3 parts, got {self.params[0]}")

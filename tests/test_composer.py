@@ -11,9 +11,10 @@ import random
 
 import pytest
 import reference_codec as oracle
+from test_codec_differential import ENCODED_REQUESTS
 
 from hwp4m import composer, outer
-from hwp4m.blocks import BLOCK_BUILDERS, K4_MINUS_I, K44, c4_block
+from hwp4m.blocks import BLOCK_BUILDERS, K4_MINUS_I, K44, PART, c4_block
 from hwp4m.composer import (
     CONSTRUCTIVE_ROUTES,
     STATUS_ROUTES,
@@ -23,6 +24,7 @@ from hwp4m.composer import (
     IngredientUnavailable,
     Plan,
     Unsupported,
+    _copier,
     _copiers,
     _ingredient,
     _part_table,
@@ -414,11 +416,11 @@ def test_large_builds_keep_their_pinned_bytes(request_, digest):
 # ============================================================
 
 
-def _contract_maps(parts, rng, count=12):
+def _contract_maps(parts, rng, count=12, p=PART):
     """The identity and seeded maps under the contract of ``_assemble``:
-    distinct cells, cells[0] the smallest, each part kept in layer order,
+    distinct cells, cells[0] the smallest, each part of p kept in order,
     joined from one part table as ``_blow_up`` joins them."""
-    table = _part_table(3 * parts + 2)
+    table = _part_table(3 * parts + 2, p)
     yield _parts(table, range(parts))
     for _ in range(count):
         cells = rng.sample(range(3 * parts + 2), parts)
@@ -443,7 +445,7 @@ def test_copies_match_the_reference_canonical_form():
     pieces += [c4_block(4), K4_MINUS_I, K44, build(60, 5, 5, 24), k24_solution()]
     shapes = set()
     for piece in pieces:
-        factors, _ = _copiers(piece)
+        factors, _ = _copiers(piece, PART)
         for vmap in _contract_maps(piece.v // 4, rng):
             for f, (length, copiers) in zip(piece.factors, factors):
                 assert length == len(f.cycles[0])
@@ -453,6 +455,51 @@ def test_copies_match_the_reference_canonical_form():
         shapes.update(_copier_shape(c, k) for f, (_, ks) in zip(piece.factors, factors)
                       for c, k in zip(f.cycles, ks))
     assert shapes == {"two parts", "reversed", "fallback"}
+    # random canonical cycles on parts of p, for part sizes in use and not,
+    # each under four maps from a part table of p; every rule at every p
+    for p in (2, 3, 4, 5, 7):
+        shapes = set()
+        for _ in range(2900):
+            parts = rng.randint(-(-3 // p), 5)  # room for a triangle
+            cyc = tuple(oracle.canonicalize_cycle(
+                rng.sample(range(parts * p), rng.randint(3, min(parts * p, 8)))))
+            a, b, get, alt = copier = _copier(cyc, p)
+            for vmap in _contract_maps(parts, rng, 3, p):
+                got = get(vmap) if vmap[a] < vmap[b] else alt(get(vmap))
+                assert got == oracle.canonicalize_cycle(vmap[u] for u in cyc)
+            shapes.add(_copier_shape(cyc, copier))
+        assert shapes == {"two parts", "reversed", "fallback"}, p
+
+
+def test_no_route_canonicalizes_a_copy(tmp_path, monkeypatch):
+    # every placement reads its piece on its own part size, so no copier
+    # falls back to canonicalizing: one build per constructive route at
+    # least, the r = 1 and r = 2 routes over searched imports
+    fallbacks, routes = [], set()
+    copier = composer._copier
+
+    def recorded(cyc, p):
+        made = copier(cyc, p)
+        if made[0] == made[1]:
+            fallbacks.append((cyc, p))
+        return made
+
+    monkeypatch.setattr(composer, "_copier", recorded)
+    composer._block.cache_clear()  # so that the blocks' copiers are made here
+    for request in ENCODED_REQUESTS:
+        routes.add(plan(*request).route)
+        assert verify_solution(build(*request)).ok
+    r1 = _ingredient("equipartite_cm", (4, 3, 3), (_equipartite_doc(4, 3, 3, tmp_path),))
+    r2 = _ingredient("equipartite_cm", (12, 3, 3), (_equipartite_doc(12, 3, 3, tmp_path),))
+    inner = _ingredient("recursive", (12, 3, 2, 3), ())
+    for request, planned in (
+        ((12, 3, 1, 4), Plan(route="r1_equipartite", ingredients=(r1,))),
+        ((36, 3, 2, 15), Plan(route="r2_equipartite", ingredients=(r2, inner))),
+    ):
+        routes.add(planned.route)
+        assert verify_solution(build_planned(*request, planned, cache_dir=tmp_path)).ok
+    assert routes == CONSTRUCTIVE_ROUTES
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("request_", [(48, 3, 10, 13), (60, 5, 6, 23)],

@@ -121,6 +121,12 @@ def test_only_the_named_kinds_are_spaces():
     # every space is a closed-form simple graph; a literal edge list is none
     with pytest.raises(ValueError, match="unknown edge space kind"):
         EdgeSpace("explicit", (4,))
+    # nor are params of another arity: no param is read past or in place of
+    # the ones the kind names
+    for kind, params in (("complete", (5, 6)), ("complete", ()), ("blowup4", (3, 4)), ("switch", ()),
+                         ("equipartite", (3,)), ("equipartite", (1, 2, 3))):
+        with pytest.raises(ValueError, match=rf"^{kind} params must have length [12], got "):
+            EdgeSpace(kind, params)
 
 
 def test_complete_graph_is_the_equipartite_graph_of_parts_of_one():

@@ -519,6 +519,23 @@ def test_the_first_uncovered_vertices_follow_a_long_covered_run():
     ) in rep.violations
 
 
+def test_a_nan_vertex_is_out_of_range():
+    # NaN fails every comparison: a range test written as v < 0 or v >= n
+    # passes it, one written as not 0 <= u < n refuses it
+    nan = float("nan")
+
+    def spoiled(sol):
+        f = sol.factors[0]
+        cycles = ((nan, *f.cycles[0][1:]), *f.cycles[1:])
+        return replace(sol, factors=(replace(f, cycles=cycles), *sol.factors[1:]))
+
+    for check, sol in ((verify_solution, build(12, 3, 3, 2)), (verify_block, c4_block(3))):
+        rep = check(spoiled(sol))
+        assert Violation("NotSpanning", "factor 0: vertices out of range: [nan]") in rep.violations
+    assert certifies(c4_block(3), cycle_blowup4(3), [4] * 4)
+    assert not certifies(spoiled(c4_block(3)), cycle_blowup4(3), [4] * 4)
+
+
 # ============================================================
 # independence
 # ============================================================
