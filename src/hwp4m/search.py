@@ -22,9 +22,13 @@ The engine works on integer bitmasks: each vertex's unused edges, the
 covered vertices and the open path are ints, candidates are walked lowest
 bit first (the ascending order), and the children that would close a cycle
 are tested inline rather than by a call of their own, each still counted
-as one node.  It visits the same tree in the same order as the set-based
-engine kept in ``tests/reference_search.py``, so node counts and first
-solutions match that oracle exactly.
+as one node.  In a triangle slot every child of the node that opens the
+cycle is such a closing node, so that node counts and expands them itself.
+A finished factor leaves ``adj``, and returns to it, by one write per
+vertex that flips both of its cycle edges.  The engine visits the same
+tree in the same order as the set-based engine kept in
+``tests/reference_search.py``, so node counts and first solutions match
+that oracle exactly.
 
 A found result is proven by ``first_proven``, and that very Solution is
 returned and may be cached on disk, keyed by a hash of the instance.  The
@@ -145,21 +149,20 @@ def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOu
 
     def toggle_factor(si: int) -> None:
         for cyc in factor_cycles[si]:
-            prev = cyc[-1]
-            for u in cyc:
-                adj[u] ^= bit[prev]
-                adj[prev] ^= bit[u]
-                prev = u
+            prev, cur = cyc[-2], cyc[-1]
+            for nxt in cyc:
+                adj[cur] ^= bit[prev] | bit[nxt]
+                prev, cur = cur, nxt
 
     def degree_ok(si: int) -> bool:
         # after finishing factor si every vertex still needs 2 edges per
         # remaining factor plus 1 if a matching must survive
         need = 2 * (total_slots - si - 1) + (1 if leftover_expected else 0)
-        return all(a.bit_count() >= need for a in adj)
+        return min(map(int.bit_count, adj)) >= need
 
     def finish() -> bool:
         if leftover_expected:
-            if any(a.bit_count() != 1 for a in adj):
+            if set(map(int.bit_count, adj)) != {1}:
                 return False
             result["matching"] = one_factor(
                 (u, a.bit_length() - 1) for u, a in enumerate(adj) if u < a.bit_length() - 1
@@ -185,6 +188,38 @@ def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOu
         v0 = low.bit_length() - 1
         cand = adj[v0] & ~covered
         left = slots[si] - 2
+        if left == 1:
+            # a triangle: each child (v0, u) is a closing node, expanded here as
+            # extend expands one, and it closes only at a candidate of v0 above u
+            cycles = factor_cycles[si]
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                nodes += 1
+                if not nodes & check_mask and clock() > deadline:
+                    raise _Timeout
+                u = b.bit_length() - 1
+                blocked = covered | low | b
+                third = adj[u] & ~blocked
+                closers = third & cand
+                while closers:
+                    c = closers & -closers
+                    closers ^= c
+                    upto = third & ((c << 1) - 1)
+                    third ^= upto
+                    before = nodes
+                    nodes += upto.bit_count()
+                    if before | check_mask < nodes and clock() > deadline:
+                        raise _Timeout
+                    cycles.append((v0, u, c.bit_length() - 1))
+                    if start_cycle(si, blocked | c):
+                        return True
+                    cycles.pop()
+                before = nodes
+                nodes += third.bit_count()
+                if before | check_mask < nodes and clock() > deadline:
+                    raise _Timeout
+            return False
         while cand:
             b = cand & -cand
             cand ^= b

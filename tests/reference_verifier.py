@@ -118,7 +118,7 @@ def check_factor(factor: TwoFactor, n: int) -> list[Violation]:
         seen.update(cyc)
     repeated = sorted(v for v, k in seen.items() if k > 1)
     missing = sorted(set(range(n)) - set(seen))
-    stray = sorted(v for v in seen if v < 0 or v >= n)
+    stray = sorted(v for v in seen if not 0 <= v < n)
     if repeated:
         out.append(Violation("NotTwoRegular", f"vertices in several cycles: {repeated[:_EXAMPLE_CAP]}"))
     if missing:
@@ -148,7 +148,7 @@ def check_matching(matching: OneFactor, n: int, allowed: set[Edge] | None = None
         seen.update((u, v))
     repeated = sorted(v for v, k in seen.items() if k > 1)
     missing = sorted(set(range(n)) - set(seen))
-    stray = sorted(v for v in seen if v < 0 or v >= n)
+    stray = sorted(v for v in seen if not 0 <= v < n)
     if repeated:
         out.append(Violation("MatchingInvalid", f"vertices covered twice: {repeated[:_EXAMPLE_CAP]}"))
     if missing:

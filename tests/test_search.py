@@ -11,6 +11,7 @@ from itertools import chain, repeat
 from types import SimpleNamespace
 
 import pytest
+import reference_search as oracle
 
 import hwp4m.search
 from hwp4m.blocks import check_c4_cm3_nonexistence
@@ -99,13 +100,26 @@ def _expiring_clock():
     return SimpleNamespace(monotonic=chain((0.0, 0.0), repeat(1e9)).__next__)
 
 
-def test_a_limit_that_expires_during_the_search_times_out_and_caches_nothing(tmp_path, monkeypatch):
-    # the in-loop clock is read once every 1024 nodes
+@pytest.mark.parametrize(
+    "instance",
+    [
+        cm_factorization_instance(15, 5),
+        # triangle slots, whose closing nodes the node opening the cycle expands
+        c4_cm3_split_instance(3),
+        SearchInstance("hwp12", complete_graph(12), ((4, 1), (3, 4)), canonical_first=True),
+    ],
+    ids=lambda inst: inst.name,
+)
+def test_a_limit_that_expires_during_the_search_times_out_and_caches_nothing(instance, tmp_path, monkeypatch):
+    # the in-loop clock is read once every 1024 nodes, by the engine and its oracle alike
     monkeypatch.setattr(hwp4m.search, "time", _expiring_clock())
-    outcome = solve(cm_factorization_instance(15, 5), time_limit=1.0)
+    outcome = solve(instance, time_limit=1.0)
     assert (outcome.status, outcome.nodes) == ("timeout", 1024)
+    monkeypatch.setattr(oracle, "time", _expiring_clock())
+    reference = oracle.solve(instance, time_limit=1.0)
+    assert (reference.status, reference.nodes) == ("timeout", 1024)
     monkeypatch.setattr(hwp4m.search, "time", _expiring_clock())
-    assert solve_cached(cm_factorization_instance(15, 5), cache_dir=tmp_path, time_limit=1.0).status == "timeout"
+    assert solve_cached(instance, cache_dir=tmp_path, time_limit=1.0).status == "timeout"
     assert list(tmp_path.iterdir()) == []
 
 
