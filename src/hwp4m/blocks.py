@@ -24,16 +24,11 @@ cycles: ``_layers`` translates a base cycle through the four layers, and
 ``_swept`` sweeps a 4-cycle gadget around the parts; ``_factor`` flattens
 the cycles into one factor.  Every construction is certified by the
 independent verifier in tests; nothing here is trusted blindly.
-
-The last section shows that C_m[4] (odd m) has no factorization into three
-Cm-factors and one C4-factor, the boundary case the constructive routes
-must avoid: a brute-force audit of every m-cycle confirms that each one
-meets all m parts once, and a winding argument finishes the proof.
 """
 
 from __future__ import annotations
 
-from .model import Solution, cycle_blowup4, one_factor, switch_matching_edges, two_factor
+from .model import Solution, one_factor, switch_matching_edges, two_factor
 
 PART = 4
 
@@ -224,51 +219,3 @@ K44 = Solution(v=8, factors=(
     two_factor([(0, 4, 1, 5), (2, 6, 3, 7)], 8, 4),
     two_factor([(0, 6, 1, 7), (2, 4, 3, 5)], 8, 4),
 ))
-
-
-# ============================================================
-# nonexistence of a {three Cm, one C4} factorization of C_m[4]
-# ============================================================
-#
-# For odd m every m-cycle of C_m[4] meets all m parts once, so three Cm-factors
-# leave each vertex one edge to each neighbouring part: the fourth factor's
-# cycles wind round all m parts, so m divides their lengths and none is a C4.
-
-def audit_m_cycles(m: int) -> int:
-    """Enumerate every m-cycle of C_m[4] by DFS and confirm each one visits
-    every part exactly once.  Returns the count, which must be 4**m (one
-    free layer choice per part).  Raises if either property fails."""
-    adj = cycle_blowup4(m).adjacency()
-    n = 4 * m
-    count = 0
-    for start in range(n):
-        # only count cycles whose minimum vertex is the start
-        stack = [(start, [start], {start})]
-        while stack:
-            last, path, used = stack.pop()
-            if len(path) == m:
-                if start in adj[last] and path[1] < path[-1]:
-                    parts = {p // 4 for p in path}
-                    if len(parts) != m:
-                        raise RuntimeError(f"m-cycle off the transversal pattern: {path}")
-                    count += 1
-                continue
-            for nxt in adj[last]:
-                if nxt > start and nxt not in used:
-                    stack.append((nxt, path + [nxt], used | {nxt}))
-    if count != 4 ** m:
-        raise RuntimeError(f"expected {4 ** m} m-cycles in C_{m}[4], found {count}")
-    return count
-
-
-def check_c4_cm3_nonexistence(m: int) -> int:
-    """Confirm that C_m[4] (odd m >= 3) has no factorization into three
-    Cm-factors plus one C4-factor, and return the audited m-cycle count,
-    4**m.
-
-    audit_m_cycles checks the premise of the section comment by brute force
-    over every m-cycle; the winding argument does the rest.
-    """
-    if m < 3 or m % 2 == 0:
-        raise ValueError("check defined for odd m >= 3")
-    return audit_m_cycles(m)

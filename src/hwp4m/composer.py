@@ -154,7 +154,6 @@ class ExternalRequired(Exception):
 
 # the exception each non-constructive route raises
 STATUS_ERRORS = {"infeasible": Infeasible, "unsupported": Unsupported, "external": ExternalRequired}
-STATUS_ROUTES = frozenset(STATUS_ERRORS)
 
 
 # ============================================================

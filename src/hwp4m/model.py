@@ -266,13 +266,6 @@ class EdgeSpace:
 
         return chain.from_iterable(map(above, range(n)))
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges():
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 # (layer in part i, layer in part i + 1) of the switch's removed edges
 SWITCH_REMOVED_LAYERS = ((0, 2), (3, 1))

@@ -7,7 +7,8 @@ covered yet, extends with candidates in ascending order, and accepts a
 closed cycle only in the orientation whose second vertex is smaller than
 its last (so each cycle is generated once, already canonical).  If the
 edge budget leaves exactly v/2 edges over, those edges must come out as a
-perfect matching, which the solver checks at every full assignment.
+perfect matching; the last factor's degree test implies it, since v/2
+edges that leave every vertex a degree of at least 1 leave each exactly 1.
 
 Unsat is meaningful only because the enumeration is exhaustive; the one
 admissible shortcut is the ``canonical_first`` flag, which pins the first
@@ -141,7 +142,6 @@ def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOu
 
     factor_cycles: list[list[tuple[int, ...]]] = [[] for _ in slots]
     nodes = 0
-    result: dict = {}
 
     # Every candidate set is masked by the covered and path vertices, and an
     # edge of the factor being filled joins two such vertices; so a factor's
@@ -160,17 +160,6 @@ def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOu
         need = 2 * (total_slots - si - 1) + (1 if leftover_expected else 0)
         return min(map(int.bit_count, adj)) >= need
 
-    def finish() -> bool:
-        if leftover_expected:
-            if set(map(int.bit_count, adj)) != {1}:
-                return False
-            result["matching"] = one_factor(
-                (u, a.bit_length() - 1) for u, a in enumerate(adj) if u < a.bit_length() - 1
-            )
-        else:
-            result["matching"] = None
-        return True
-
     def start_cycle(si: int, covered: int) -> bool:
         """A node with an empty path: complete factor si, or open a cycle at
         its first uncovered vertex."""
@@ -180,7 +169,7 @@ def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOu
             raise _Timeout
         if covered == full:
             toggle_factor(si)
-            if degree_ok(si) and (finish() if si + 1 == total_slots else start_cycle(si + 1, 0)):
+            if degree_ok(si) and (si + 1 == total_slots or start_cycle(si + 1, 0)):
                 return True
             toggle_factor(si)
             return False
@@ -307,10 +296,14 @@ def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOu
     if not ok:
         return SearchOutcome("unsat", nodes=nodes, elapsed=elapsed)
 
+    matching = None
+    if leftover_expected:
+        # a success toggles no factor back, so ``adj`` holds the leftover edges
+        matching = one_factor((u, a.bit_length() - 1) for u, a in enumerate(adj) if u < a.bit_length() - 1)
     factors = tuple(
         two_factor(cycles, n, cycle_length=slots[i]) for i, cycles in enumerate(factor_cycles)
     )
-    sol = Solution(v=n, factors=factors, one_factor=result["matching"])
+    sol = Solution(v=n, factors=factors, one_factor=matching)
     if first_proven(instance, [sol]) is None:
         raise RuntimeError(f"search produced an invalid result for {instance.name}")
     return SearchOutcome("found", sol, nodes, elapsed)

@@ -9,9 +9,18 @@ bitmask engine to return the same status, node count, factors and matching.
 
 import time
 
-from hwp4m.model import Solution, one_factor, two_factor
+from hwp4m.model import EdgeSpace, Solution, one_factor, two_factor
 from hwp4m.search import _TIME_CHECK_MASK, SearchInstance, SearchOutcome, _Timeout, check_budget
 from hwp4m.verifier import verify_factors_cover
+
+
+def adjacency(space: EdgeSpace) -> list[set[int]]:
+    """Each vertex's neighbours in ``space``, as a list of sets."""
+    adj: list[set[int]] = [set() for _ in range(space.vertex_count)]
+    for u, v in space.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOutcome:
@@ -25,7 +34,7 @@ def solve(instance: SearchInstance, time_limit: float | None = None) -> SearchOu
     leftover_expected = check_budget(instance)
 
     n = instance.space.vertex_count
-    adj: list[set[int]] = instance.space.adjacency()
+    adj = adjacency(instance.space)
     slots = instance.slots()
     total_slots = len(slots)
     all_vertices = frozenset(range(n))

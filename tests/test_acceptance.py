@@ -12,11 +12,11 @@ import time
 from dataclasses import replace
 
 import pytest
+from reference_audit import check_c4_cm3_nonexistence
 
 from hwp4m.blocks import (
     GF4_MUL,
     c4_block,
-    check_c4_cm3_nonexistence,
     cm_block,
     mixed_block,
     switch_block,

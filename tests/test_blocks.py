@@ -12,13 +12,12 @@ K_4 - I and K_{4,4}, and the brute-force audit of every m-cycle behind the
 import hashlib
 
 import pytest
+from reference_audit import audit_m_cycles, check_c4_cm3_nonexistence
 
 from hwp4m.blocks import (
     K4_MINUS_I,
     K44,
-    audit_m_cycles,
     c4_block,
-    check_c4_cm3_nonexistence,
     GF4_MUL,
     cm_block,
     gf4_base_layers,

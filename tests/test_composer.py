@@ -17,7 +17,7 @@ from hwp4m import composer, outer
 from hwp4m.blocks import BLOCK_BUILDERS, K4_MINUS_I, K44, PART, c4_block
 from hwp4m.composer import (
     CONSTRUCTIVE_ROUTES,
-    STATUS_ROUTES,
+    STATUS_ERRORS,
     ExternalRequired,
     Infeasible,
     Ingredient,
@@ -65,7 +65,7 @@ def test_counting_conditions_are_reported_verbatim():
 
 
 def test_route_names_are_partitioned():
-    assert CONSTRUCTIVE_ROUTES & STATUS_ROUTES == frozenset()
+    assert CONSTRUCTIVE_ROUTES & frozenset(STATUS_ERRORS) == frozenset()
 
 
 def test_pure_c4_requests_take_the_direct_route():

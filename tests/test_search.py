@@ -12,9 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 import reference_search as oracle
+from reference_audit import check_c4_cm3_nonexistence
 
 import hwp4m.search
-from hwp4m.blocks import check_c4_cm3_nonexistence
 from hwp4m.model import Solution, complete_graph, encode_solution, two_factor
 from hwp4m.search import (
     SearchInstance,
