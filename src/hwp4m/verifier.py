@@ -42,6 +42,16 @@ foreign, and counted once however many factors list it.  A vertex such
 as 6.5 in range covers none of 0..n-1, so every factor that does not
 span scans for the vertices it misses.
 
+A dense document of order n <= 255 whose counts fit (2 per factor, 1 for
+a matching and the part size a sum to n) is first offered to an
+accept-only proof in ``bytes.maketrans`` tables: per factor, one of
+successors and one of predecessors, one of matching partners, and a
+naming u's part.  Byte u of these n tables must cover 0..n-1, each value
+once, which rules out a missed vertex (it maps to itself twice), a 1- or
+2-cycle, a repeated edge, an edge in a part and an imperfect matching.
+Each covered byte is marked 0xFF, which is no vertex only below 256.
+The passes below decide, and explain, every rejection.
+
 A dense ambient, K_{a:b} (K_v is K_{1:v}), has n * n membership bytes,
 at most four per edge.  When they are also at most four per listed edge,
 the kept edges are written by a plain loop into a bitmap of n separate
@@ -96,8 +106,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain, filterfalse, islice, repeat
-from operator import eq, itemgetter
+from itertools import chain, filterfalse, groupby, islice, repeat
+from operator import eq, itemgetter, lt
 
 from .model import (
     EdgeSpace,
@@ -111,6 +121,7 @@ from .model import (
 
 _EXAMPLE_CAP = 6  # edges quoted per violation before truncating
 _UNSET, _SET = re.compile(b"\0"), re.compile(b"\1")  # an unset and a set bitmap byte
+_IDENT = bytes(range(256))  # the identity byte table
 
 
 @dataclass(frozen=True)
@@ -409,14 +420,59 @@ def _edge_faults(pairs: list, strays: list, space: EdgeSpace) -> list[Violation]
     return out
 
 
+def _tables_tile(factors, matching: OneFactor | None, space: EdgeSpace) -> Counter | None:
+    """The factor counts by cycle length when the byte tables prove that
+    the factors and the matching tile ``space``, else None."""
+    n, a = space.vertex_count, space.part
+    if a is None or not 0 < n <= 255 or 2 * len(factors) + (matching is not None) + a != n:
+        return None
+    pairs, lengths = () if matching is None else matching.edges, []
+    try:
+        for factor in factors:
+            found = set(map(len, factor.cycles))
+            k = found.pop() if len(found) == 1 else 0
+            if not k or factor.cycle_length not in (None, k) or len(factor.cycles) * k != n:
+                return None
+            lengths.append(k)
+        if matching is not None and (2 * len(pairs) != n or set(map(len, pairs)) != {2}):
+            return None
+        listed = list(chain(chain.from_iterable(chain.from_iterable(f.cycles for f in factors)), *pairs))
+        data = bytes(listed)
+    except (TypeError, ValueError):  # a vertex that is no byte, as 2.0, -1 or 256
+        return None
+    verts, ends = data[:n * len(lengths)], data[n * len(lengths):]
+    # a vertex must equal its byte, and a matching pair come smaller end first
+    if list(data) != listed or not all(map(lt, ends[::2], ends[1::2])):
+        return None
+    succ, pred = bytearray(verts[1:] + verts[:1]), bytearray(verts[-1:] + verts[:-1])
+    start = 0
+    for k, run in groupby(lengths):  # close the cycles of a run of factors at once
+        stop = start + n * len(list(run))
+        succ[start + k - 1:stop:k], pred[start:stop:k] = verts[start:stop:k], verts[start + k - 1:stop:k]
+        start = stop
+    swapped = bytes(chain.from_iterable(zip(ends[1::2], ends[::2])))
+    # one table per factor's successors, one per its predecessors, and the matching's
+    froms, tos = verts * 2 + ends, succ + pred + swapped
+    cuts = list(map(slice, range(0, len(froms), n), range(n, len(froms) + 1, n)))
+    tables = map(bytes.maketrans, map(froms.__getitem__, cuts), map(tos.__getitem__, cuts))
+    own = (bytes(u // a * a + j for u in range(n)) + _IDENT[n:] for j in range(a)) if a > 1 else [_IDENT]
+    tables = b"".join(chain(tables, own))
+    columns = map(tables.__getitem__, map(slice, range(n), repeat(None), repeat(256)))
+    marked = map(bytes.maketrans, columns, repeat(b"\xff" * n))  # 0xFF at each byte a column holds
+    return Counter(lengths) if all(map(eq, marked, repeat(b"\xff" * n + _IDENT[n:]))) else None
+
+
 def _certify(factors, matching: OneFactor | None, space: EdgeSpace, dense: bool = True):
     """One pass over the factors and the optional matching, whose edges join
-    the cover.  Returns the violations and the factor counts by uniform
-    cycle length.  A vertex that equals an int without being one, as 2.0
-    for 2, indexes no bitmap row, and True for 1 is quoted by the rows as
-    1: when the bitmap write raises TypeError, or the rows cannot quote a
-    rejection's edges as listed, the whole pass runs again, afresh, on the
-    sorted pairs (``dense`` false)."""
+    the cover, unless ``_tables_tile`` accepts them first.  Returns the
+    violations and the factor counts by uniform cycle length.  A vertex
+    that equals an int without being one, as 2.0 for 2, indexes no bitmap
+    row, and True for 1 is quoted by the rows as 1: when the bitmap write
+    raises TypeError, or the rows cannot quote a rejection's edges as
+    listed, the whole pass runs again, afresh, on the sorted pairs
+    (``dense`` false, which the tables never see)."""
+    if dense and (counts := _tables_tile(factors, matching, space)) is not None:
+        return [], counts
     n = space.vertex_count
     out: list[Violation] = []
     by_length: Counter[int] = Counter()

@@ -10,6 +10,7 @@ foreignness are reported separately.
 import ast
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import reference_verifier as oracle
 import hwp4m.model
 import hwp4m.verifier
 from test_acceptance import _mutate
+from test_codec_differential import Label
 
 from hwp4m.blocks import c4_block, switch_block
 from hwp4m.composer import build
@@ -37,10 +39,11 @@ from hwp4m.model import (
     switch_matching_edges,
     two_factor,
 )
-from hwp4m.outer import walecki
+from hwp4m.outer import hamilton_decomposition, walecki
 from hwp4m.verifier import (
     Report,
     Violation,
+    _tables_tile,
     certifies,
     verify_block,
     verify_factors_cover,
@@ -541,6 +544,182 @@ def test_a_nan_vertex_is_out_of_range():
         assert spans[0] == spans[1]
     assert certifies(c4_block(3), cycle_blowup4(3), [4] * 4)
     assert not certifies(spoiled(c4_block(3)), cycle_blowup4(3), [4] * 4)
+
+
+# ============================================================
+# the byte-table proof of small dense tilings
+# ============================================================
+
+
+def _tables(sol, space=None):
+    """What the byte tables decide on ``sol``: its factor counts, or None."""
+    return _tables_tile(sol.factors, sol.one_factor, space or complete_graph(sol.v))
+
+
+def _relabelled(sol, old, new):
+    """``sol`` with every factor vertex ``old`` listed as ``new``."""
+    factors = (TwoFactor(tuple(tuple(new if u == old else u for u in c) for c in f.cycles), f.n, f.cycle_length)
+               for f in sol.factors)
+    return replace(sol, factors=tuple(factors))
+
+
+def test_the_tables_accept_k255_and_leave_order_256_to_the_bitmap(monkeypatch):
+    k255, k256 = hamilton_decomposition(255), hamilton_decomposition(256)
+    drawn = []
+    row_ends = EdgeSpace.row_ends
+    monkeypatch.setattr(EdgeSpace, "row_ends", lambda space: drawn.append(space.vertex_count) or row_ends(space))
+    assert _tables(k255) == Counter({255: 127})
+    assert verify_solution(k255).summary() == "ok (r=0, s=127)" and drawn == []
+    assert _tables(k256) is None
+    assert verify_solution(k256).summary() == "ok (r=0, s=127)" and drawn == [256]
+    f = k256.factors[0]
+    cyc = list(f.cycles[0])
+    cyc[1], cyc[2] = cyc[2], cyc[1]
+    swapped = replace(k256, factors=(TwoFactor((tuple(cyc),), f.n, f.cycle_length), *k256.factors[1:]))
+    assert verify_solution(swapped).summary() == "EdgeMissing: 0-1, 2-254; EdgeDuplicated: 0-254, 1-2"
+    assert drawn == [256, 256]
+
+
+def test_the_tables_reject_one_and_two_cycles_in_a_spanning_factor():
+    # each vertex is its own successor, or a 2-cycle's successor is also its predecessor
+    loops = Solution(v=3, factors=(TwoFactor(((0,), (1,), (2,)), 3, 1),))
+    pairs = Solution(v=4, factors=(TwoFactor(((0, 1), (2, 3)), 4, 2),), one_factor=one_factor([(0, 2), (1, 3)]))
+    for sol, summary in (
+        (loops, "EdgeMissing: 0-1, 0-2, 1-2; EdgeForeign: 0-0, 1-1, 2-2"),
+        (pairs, "EdgeMissing: 0-3, 1-2; EdgeDuplicated: 0-1, 2-3"),
+    ):
+        assert _tables(sol) is None
+        assert verify_solution(sol).summary() == summary
+
+
+def test_the_tables_reject_a_factor_that_lists_a_vertex_twice():
+    k5 = hamilton_decomposition(5)
+    twice = replace(k5, factors=(TwoFactor(((0, 1, 3, 3, 4),), 5, 5), k5.factors[1]))
+    assert _tables(twice) is None
+    assert verify_solution(twice).summary() == (
+        "NotTwoRegular: factor 0: vertices in several cycles: [3]; NotSpanning: factor 0: vertices uncovered: [2]; "
+        "EdgeMissing: 2-3, 2-4; EdgeDuplicated: 3-4; EdgeForeign: 3-3"
+    )
+
+
+def test_the_tables_reject_reversed_and_repeated_matching_pairs():
+    k6 = hamilton_decomposition(6)
+    assert k6.one_factor.edges == ((0, 4), (1, 3), (2, 5))
+    for edges, summary in (
+        (((4, 0), (1, 3), (2, 5)), "EdgeMissing: 0-4; EdgeForeign: 4-0"),
+        (
+            ((0, 4), (0, 4), (2, 5)),
+            "MatchingInvalid: vertices covered twice: [0, 4]; MatchingInvalid: vertices uncovered: [1, 3]; "
+            "EdgeMissing: 1-3; EdgeDuplicated: 0-4",
+        ),
+    ):
+        sol = replace(k6, one_factor=OneFactor(edges))
+        assert _tables(sol) is None
+        assert verify_solution(sol).summary() == summary
+
+
+@pytest.mark.parametrize("edges", [((0, 4, 1), (1, 3), (2, 5)), ((0,), (4, 1, 3), (2, 5))], ids=["3-tuple", "1-tuple"])
+def test_a_matching_pair_of_other_than_two_ends_still_raises(edges):
+    sol = replace(hamilton_decomposition(6), one_factor=OneFactor(edges))
+    assert _tables(sol) is None
+    with pytest.raises(ValueError):
+        verify_solution(sol)
+
+
+def test_the_tables_decline_a_wrong_declared_length_and_mixed_lengths():
+    k5 = hamilton_decomposition(5)
+    declared = replace(k5, factors=(replace(k5.factors[0], cycle_length=4), k5.factors[1]))
+    # K_7 as a 3 + 4 factor and two Hamilton cycles: a tiling but for the mixed lengths
+    mixed = Solution(v=7, factors=(
+        TwoFactor(((0, 1, 2), (3, 4, 5, 6)), 7),
+        TwoFactor(((0, 3, 1, 4, 6, 2, 5),), 7),
+        TwoFactor(((0, 6, 1, 5, 3, 2, 4),), 7),
+    ))
+    # the C4-factor of a v = 12 build, its vertex list cut as 3 + 4 + 5: cut
+    # in fours, at the mean length, the same list would tile K_12 - I
+    hwp12 = build(12, 3, 1, 4)
+    assert hwp12.factors[0].cycles == ((0, 1, 3, 2), (4, 5, 7, 6), (8, 9, 11, 10))
+    recut = TwoFactor(((0, 1, 3), (2, 4, 5, 7), (6, 8, 9, 11, 10)), 12)
+    recut = replace(hwp12, factors=(recut, *hwp12.factors[1:]))
+    for sol, summary in (
+        (declared, "NonUniformCycleLength: factor 0: declared 4, actual 5"),
+        (mixed, "NonUniformCycleLength: factor 0: cycle lengths [3, 4]"),
+        (
+            recut,
+            "NonUniformCycleLength: factor 0: cycle lengths [3, 4, 5]; EdgeMissing: 0-2, 2-3, 4-6, 6-7, 8-10; "
+            "EdgeDuplicated: 0-3, 2-4, 2-7, 6-8, 6-10; CountMismatch: declared r=1 s=4 m=3, found lengths {3: 4}",
+        ),
+    ):
+        assert _tables(sol) is None
+        assert verify_solution(sol).summary() == summary
+
+
+class _Indexed:
+    """An object whose index is 2 but that equals no int."""
+
+    def __index__(self):
+        return 2
+
+
+def test_the_tables_read_a_vertex_as_the_int_it_equals():
+    """True, False and an int subclass equal their bytes, and the tables
+    accept them as the full pass does; 2.0 is no byte, and an object that
+    has an index but does not equal it is no vertex: the full pass decides
+    both, accepting 2.0 and raising on the other, as it did before."""
+    k5 = hamilton_decomposition(5)
+    for old, new in ((1, True), (0, False), (2, Label(2))):
+        assert _tables(_relabelled(k5, old, new)) == Counter({5: 2})
+        assert verify_solution(_relabelled(k5, old, new)).summary() == "ok (r=0, s=2)"
+    assert _tables(_relabelled(k5, 2, 2.0)) is None
+    assert verify_solution(_relabelled(k5, 2, 2.0)).summary() == "ok (r=0, s=2)"
+    assert _tables(_relabelled(k5, 2, _Indexed())) is None
+    with pytest.raises(TypeError):
+        verify_solution(_relabelled(k5, 2, _Indexed()))
+
+
+def test_the_tables_reject_an_edge_inside_a_part_of_k_a_b():
+    space = equipartite_graph(3, 3)
+    triangles = [
+        TwoFactor(((0, 3, 6), (1, 4, 7), (2, 5, 8)), 9, 3),
+        TwoFactor(((0, 4, 8), (1, 5, 6), (2, 3, 7)), 9, 3),
+        TwoFactor(((0, 5, 7), (1, 3, 8), (2, 4, 6)), 9, 3),
+    ]
+    assert _tables_tile(triangles, None, space) == Counter({3: 3})
+    assert certifies(Solution(v=9, factors=tuple(triangles)), space, [3, 3, 3])
+    # 1 and 3 trade cycles in factor 0, which still spans: 0-1 and 3-4 lie in parts
+    inside = [TwoFactor(((0, 1, 6), (3, 4, 7), (2, 5, 8)), 9, 3), *triangles[1:]]
+    assert _tables_tile(inside, None, space) is None
+    assert not certifies(Solution(v=9, factors=tuple(inside)), space, [3, 3, 3])
+    assert verify_factors_cover(inside, space).summary() == (
+        "EdgeMissing: 0-3, 1-4, 1-7, 3-6; EdgeDuplicated: 1-6, 3-7; EdgeForeign: 0-1, 3-4"
+    )
+
+
+class _Untouchable:
+    """A factor whose cycles must not be read."""
+
+    cycle_length = None
+
+    @property
+    def cycles(self):
+        raise AssertionError("read a cycle of a document the tables decline by its counts")
+
+
+def test_the_tables_decline_a_misfit_document_before_reading_a_cycle():
+    """The order, the part size and the factor count decide whether the
+    tables apply; a document they do not fit costs O(1).  The 46-byte
+    document of v = 2 * 10^6 is one such (see the tiny-document test)."""
+    for count, matching, space in (
+        (2, None, complete_graph(7)),  # 2 * 2 + 1 != 7
+        (3, one_factor([(0, 1)]), complete_graph(7)),  # 2 * 3 + 1 + 1 != 7
+        (5, None, equipartite_graph(3, 3)),  # 2 * 5 + 3 != 9
+        (128, None, complete_graph(257)),  # each of these two fits, but is above 255
+        (127, one_factor([(0, 1)]), complete_graph(256)),
+        (4, None, cycle_blowup4(4)),  # a ring
+        (1, None, complete_graph(2_000_000)),
+        (0, None, complete_graph(0)),
+    ):
+        assert _tables_tile([_Untouchable()] * count, matching, space) is None
 
 
 # ============================================================

@@ -23,6 +23,11 @@ to a later factor that misses a vertex, or to none when no factor spans,
 one vertex u listed as u + 0.5 in a block, a solution or a matching, a
 factor listed twice with 2.0 for 2 in the copy, a foreign pair with an
 end 8.0, small hostile documents, and documents of negative order.
+
+Every document here that the byte tables accept (a dense space of order
+at most 255) is certified once more with the tables declining, and both
+runs must give the same violations and factor counts; seeded edits of
+builds and of searched factorizations aim at that check.
 """
 
 import random
@@ -35,6 +40,7 @@ import reference_verifier as oracle
 from test_acceptance import _mutate
 from test_codec_differential import Label
 
+from hwp4m import verifier
 from hwp4m.blocks import c4_block, cm_block, mixed_block, switch_block
 from hwp4m.composer import build
 from hwp4m.k24 import k24_solution
@@ -54,6 +60,30 @@ from hwp4m.model import (
 from hwp4m.outer import walecki, walecki_even
 from hwp4m.search import cm_factorization_instance, equipartite_instance, first_proven, solve
 from hwp4m.verifier import certifies, verify_block, verify_factors_cover, verify_solution
+
+
+@pytest.fixture(autouse=True)
+def tables_accepted(monkeypatch):
+    """The factor counts of every document the byte tables accept, each
+    certified once more with the tables declining: the full pass must
+    give the same (violations, by_length), so the tables never accept what
+    the bitmap or the sorted pairs reject.  A document the tables decline
+    is certified by that full pass as it stands, so it needs no second run."""
+    tables_tile, accepted, declining = verifier._tables_tile, [], []
+
+    def checked(factors, matching, space):
+        counts = None if declining else tables_tile(factors, matching, space)
+        if counts is not None:
+            declining.append(True)
+            try:
+                assert verifier._certify(factors, matching, space) == ([], counts)
+            finally:
+                declining.clear()
+            accepted.append(counts)
+        return counts
+
+    monkeypatch.setattr(verifier, "_tables_tile", checked)
+    return accepted
 
 
 def _pairs(report):
@@ -847,6 +877,60 @@ def test_hostile_documents_agree_with_the_oracle():
     factors = tuple(walecki(9))
     _agree_solution(Solution(v=9, factors=factors + factors, m=9, r=0, s=8))
     _agree_solution(Solution(v=12, factors=tuple(walecki(9))))
+
+
+# ============================================================
+# the byte tables against the full pass
+# ============================================================
+
+
+def _fuzzed(factors, v, rng):
+    """``factors`` after one to three seeded edits, each in one factor
+    unless named: two vertices swapped, one vertex listed in place of
+    another, a run of a cycle reversed (2-opt), or two vertices trading
+    names in two factors.  Declared lengths are kept."""
+    edited = [[list(cyc) for cyc in f.cycles] for f in factors]
+    for _ in range(rng.randint(1, 3)):
+        op, cycles = rng.randrange(4), rng.choice(edited)
+        slots = [(cyc, i) for cyc in cycles for i in range(len(cyc))]
+        if op == 0:
+            (c, i), (d, j) = rng.sample(slots, 2)
+            c[i], d[j] = d[j], c[i]
+        elif op == 1:
+            (c, i), (d, j) = rng.sample(slots, 2)
+            c[i] = d[j]
+        elif op == 2:
+            cyc = rng.choice(cycles)
+            i, j = sorted(rng.sample(range(len(cyc) + 1), 2))
+            cyc[i:j] = cyc[i:j][::-1]
+        else:
+            u, w = rng.sample(range(v), 2)
+            for named in rng.sample(edited, min(2, len(edited))):
+                for cyc in named:
+                    cyc[:] = [w if x == u else u if x == w else x for x in cyc]
+    return tuple(TwoFactor(tuple(map(tuple, cycles)), v, f.cycle_length) for cycles, f in zip(edited, factors))
+
+
+@pytest.mark.parametrize("request_", [(12, 3, 1, 4), (28, 7, 5, 8), (36, 3, 17, 0), (60, 5, 5, 24), (116, 29, 11, 46)])
+def test_seeded_edits_of_builds_are_decided_alike_with_and_without_the_tables(request_, tables_accepted):
+    sol = build(*request_)
+    accepted = len(tables_accepted)
+    rng = random.Random(str(request_))
+    edits = (replace(sol, factors=_fuzzed(sol.factors, sol.v, rng)) for _ in range(150))
+    verdicts = Counter(verify_solution(edited).ok for edited in edits)
+    assert verdicts[False] > 0 and len(tables_accepted) > accepted
+
+
+def test_seeded_edits_of_searched_factorizations_are_decided_alike_with_and_without_the_tables(tables_accepted):
+    instances = [cm_factorization_instance(9, 3), cm_factorization_instance(10, 5)]
+    instances += [equipartite_instance(*params) for params in ((4, 3, 3), (2, 4, 4), (2, 5, 5))]
+    rng = random.Random(44)
+    for instance in instances:
+        sol, lengths = solve(instance).solution, instance.slots()
+        accepted = len(tables_accepted)
+        edits = (replace(sol, factors=_fuzzed(sol.factors, sol.v, rng)) for _ in range(300))
+        verdicts = Counter(certifies(edited, instance.space, lengths) for edited in edits)
+        assert verdicts[False] > 0 and len(tables_accepted) > accepted, instance.name
 
 
 @pytest.mark.parametrize("v", [-4, -3, -1])
