@@ -5,10 +5,10 @@ counts and edge coverage are audited, never trusted.  The only import from the
 rest of the package is the data layer, so a bug in a construction cannot leak
 into its own certificate.
 
-One core, ``_certify``, makes one pass over the cycles and the matching:
-spanning and 2-regularity of each factor, uniform and declared cycle lengths,
-the perfect matching, and the missing, duplicated and foreign edges against
-the ambient edge space.  ``verify_solution``, ``verify_block`` and
+One core, ``_certify``, checks the cycles and the matching: spanning and
+2-regularity of each factor, uniform and declared cycle lengths, the
+perfect matching, and the missing, duplicated and foreign edges against the
+ambient edge space.  ``verify_solution``, ``verify_block`` and
 ``verify_factors_cover`` are adapters that add only their document-level
 rules, and ``certifies``, behind ``search.first_proven``, is the one proof
 every outer factorization and every imported or cached ingredient passes.
@@ -42,51 +42,55 @@ foreign, and counted once however many factors list it.  A vertex such
 as 6.5 in range covers none of 0..n-1, so every factor that does not
 span scans for the vertices it misses.
 
-A dense document of order n <= 255 whose counts fit (2 per factor, 1 for
-a matching and the part size a sum to n) is first offered to an
-accept-only proof in ``bytes.maketrans`` tables: per factor, one of
-successors and one of predecessors, one of matching partners, and a
-naming u's part.  Byte u of these n tables must cover 0..n-1, each value
-once, which rules out a missed vertex (it maps to itself twice), a 1- or
-2-cycle, a repeated edge, an edge in a part and an imperfect matching.
-Each covered byte is marked 0xFF, which is no vertex only below 256.
-The passes below decide, and explain, every rejection.
+The core is a chain of three passes with one contract: each returns the
+violations and the factor counts by uniform cycle length, or None to
+decline, and the first that does not decline decides.
 
-A dense ambient, K_{a:b} (K_v is K_{1:v}), has n * n membership bytes,
-at most four per edge.  When they are also at most four per listed edge,
-the kept edges are written by a plain loop into a bitmap of n separate
-bytearray rows: edge (a, b), a < b, is byte b of row a, so no code is
-computed and no code list is built.  The ambient's row u holds the edges
-(u, w) for w from u's row end, the first vertex above u's part.  The
-tiling is accepted when the document lists exactly the edge count, with
-no stray, and one count per row, from its end, finds every ambient byte
-set: that many bytes from that many edges leave no edge missing, foreign
-or duplicated.  A rejection is explained from the same rows and ends: an
-unset byte of row u after its end is a missing edge, a set byte before
-it a foreign one, and more kept edges than set bytes means that some
-code repeats.  The repeats are read in the write loop: as the edges
-whose byte is already set, in the first pass, when the document lists
-more edges than the ambient holds; otherwise by writing the edges once
-more into the same rows, clearing each byte, so an edge whose byte is
-already clear repeats.  That pass only writes: each factor's span bit,
-kept from the first pass, says whether its edges pass the filter.  The
-repeats inside the ambient are duplicated edges.  The rows quote a
-duplicated or foreign edge by its ints, as it was listed unless an end
-was listed as False or True: a rejection that quotes one at 0 or 1, from
-a document that lists a bool, is explained on the sorted pairs.  Every
-other case (a sparse block ambient, a dense document too small for its
-bitmap, or one that lists a vertex equal to an int without being one, as
-2.0, which indexes no row) sorts the kept pairs, smaller end first,
-accepts them by one element-wise compare with the ambient's sorted edge
-walk, and explains a rejection by one membership test per distinct pair:
-every ambient is a simple graph, so a pair is foreign or hits one edge.
-Each pair is quoted as it was first listed, 0-2.0 for a listed (0, 2.0),
-as the reference oracle quotes it; the code a * n + b is made only for
-the bitmap pass's set of repeats.  The ambient's edge count, row ends,
-edge walk and membership test all come from ``model.EdgeSpace``; the
-verifier keeps no copy of them.  The walk for missing-edge examples stops
-after ``_EXAMPLE_CAP`` misses, and so does the scan of 0..n-1 for missing
-vertices, which never sorts the covered ones.
+The byte tables only accept.  A dense document of order n <= 255 whose
+counts fit (2 per factor, 1 for a matching and the part size a sum to n)
+is read into ``bytes.maketrans`` tables: per factor, one of successors
+and one of predecessors, one of matching partners, and a naming u's
+part.  Byte u of these n tables must cover 0..n-1, each value once, which
+rules out a missed vertex (it maps to itself twice), a 1- or 2-cycle, a
+repeated edge, an edge in a part and an imperfect matching.  Each covered
+byte is marked 0xFF, which is no vertex only below 256.
+
+The bitmap rows take a dense ambient, K_{a:b} (K_v is K_{1:v}), whose
+n * n bytes are at most four per edge and four per listed edge.  The kept
+edges are written by a plain loop into n separate bytearray rows: edge
+(a, b), a < b, is byte b of row a, so no code is computed and no code
+list is built.  The ambient's row u holds the edges (u, w) for w from
+u's row end, the first vertex above u's part.  The tiling is accepted
+when the document lists exactly the edge count, with no stray, and one
+count per row, from its end, finds every ambient byte set: that many
+bytes from that many edges leave no edge missing, foreign or duplicated.
+A rejection is explained from the same rows and ends: an unset byte of
+row u after its end is a missing edge, a set byte before it a foreign
+one, and more kept edges than set bytes means that some code repeats.
+The repeats are read in the write loop: as the edges whose byte is
+already set, in the first write, when the document lists more edges than
+the ambient holds; otherwise by writing the edges once more into the
+same rows, clearing each byte, so an edge whose byte is already clear
+repeats.  That write only writes: each factor's span bit, kept from the
+first, says whether its edges pass the filter.  The repeats inside the
+ambient are duplicated edges.  The rows quote an edge by its ints, so the
+pass declines a vertex equal to an int without being one, as 2.0, which
+indexes no row, and a rejection that would quote an edge at 0 or 1 from
+a document that lists False or True.
+
+The sorted pairs decide the rest: a ring, a space with no edges, a dense
+document too small for its bitmap, and one the rows decline.  The kept
+pairs, smaller end first, are sorted once, accepted by one element-wise
+compare with the ambient's sorted edge walk, and a rejection is
+explained by one membership test per distinct pair: every ambient is a
+simple graph, so a pair is foreign or hits one edge.  Each pair is quoted
+as it was first listed, 0-2.0 for a listed (0, 2.0), as the reference
+oracle quotes it; the code a * n + b is made only for the bitmap's set
+of repeats.  The ambient's edge count, row ends, edge walk and membership
+test all come from ``model.EdgeSpace``; the verifier keeps no copy of
+them.  The walk for missing-edge examples stops after ``_EXAMPLE_CAP``
+misses, and so does the scan of 0..n-1 for missing vertices, which never
+sorts the covered ones.
 
 A report carries a list of violations, each tagged with a stable code:
 
@@ -107,7 +111,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, filterfalse, groupby, islice, repeat
-from operator import eq, itemgetter, lt
+from operator import eq, lt
 
 from .model import (
     EdgeSpace,
@@ -281,20 +285,6 @@ def _relisted(factors, spanning: list, matching: OneFactor | None, n: int):
         yield _in_range(matching.edges, n, [])
 
 
-def _dense_listed(factors, matching: OneFactor | None, space: EdgeSpace) -> int:
-    """The number of listed edges when the bitmap applies, else 0: the space
-    is dense (it has a ``part`` size) and has edges, and its n * n bytes are
-    at most four per ambient edge and four per listed edge, so the bitmap
-    is bounded by the document."""
-    if space.part is None:
-        return 0
-    n, total = space.vertex_count, space.edge_count()
-    listed = sum(map(len, chain.from_iterable(f.cycles for f in factors)))
-    if matching is not None:
-        listed += len(matching.edges)
-    return listed if total > 0 and n * n <= 4 * min(total, listed) else 0
-
-
 def _write(rows: list, parts, n: int, value: int, repeats: set | None) -> None:
     """Write ``value`` to the byte of every pair (a, b) in ``parts``, the
     in-range pairs ``_listed`` yields, in the n bytearray ``rows``: edge
@@ -335,89 +325,6 @@ def _lists_a_bool(factors, matching: OneFactor | None) -> bool:
     if matching is not None:
         verts = chain(verts, chain.from_iterable(matching.edges))
     return bool in set(map(type, verts))
-
-
-def _bitmap_faults(
-    rows: list, repeats: set | None, listed: int, strays: list, factors, spanning: list, matching,
-    space: EdgeSpace,
-):
-    """The ``listed`` edges must tile the dense ``space``, a K_{a:b}:
-    the kept ones are written into the n bitmap ``rows``, and the others are
-    the ``strays``.  They are accepted when there is no stray, exactly
-    edge_count() are kept, and each row is set from its end in
-    ``space.row_ends()`` on: that many bytes from that many edges leave
-    none set twice or before an end.  A rejection is explained from the
-    same rows and ends.  ``repeats`` holds the repeated codes when they
-    were collected as the rows were written (more edges listed than the
-    space holds); else it is None, and only when there are more kept edges
-    than set bytes are the edges of ``factors`` and ``matching`` written
-    again, clearing the rows, to find them: each factor's span bit, kept in
-    ``spanning``, says whether its pairs pass ``_in_range``.  The rows
-    quote a duplicated or foreign edge by its ints: None, for the sorted
-    pairs to explain the rejection, when one they quote is at 0 or 1 and
-    the document lists a bool."""
-    n, total = space.vertex_count, space.edge_count()
-    ends = space.row_ends()
-    hit = sum(map(bytearray.count, rows, repeat(1), ends))
-    filled = listed - len(strays)  # each listed edge is kept or a stray
-    if not strays and filled == total == hit:
-        return []
-    outside = sum(map(bytearray.count, rows, repeat(1), repeat(0), ends))
-
-    out: list[Violation] = []
-    if hit < total:
-        missing = _quoted(rows, _UNSET, zip(ends, repeat(n)))
-        out.append(Violation("EdgeMissing", _fmt_edges(missing, total - hit)))
-    foreign = _quoted(rows, _SET, zip(repeat(0), ends)) if outside else []  # before the rows are cleared
-    duplicated = []
-    if filled > hit + outside:
-        if repeats is None:
-            repeats = set()
-            _write(rows, _relisted(factors, spanning, matching, n), n, 0, repeats)
-        duplicated = sorted(code for code in repeats if code % n >= ends[code // n])
-    quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
-    if any(u < 2 for u, _ in foreign + quoted) and _lists_a_bool(factors, matching):
-        return None
-    if duplicated:
-        out.append(Violation("EdgeDuplicated", _fmt_edges(quoted, len(duplicated))))
-    strays = sorted(set(strays))
-    if outside or strays:
-        quoted = sorted(strays[:_EXAMPLE_CAP] + foreign)
-        out.append(Violation("EdgeForeign", _fmt_edges(quoted, outside + len(strays))))
-    return out
-
-
-def _edge_faults(pairs: list, strays: list, space: EdgeSpace) -> list[Violation]:
-    """The listed edges, the kept ``pairs`` (smaller end first) plus the
-    foreign ``strays``, must equal the ambient edge set.  One sorted
-    compare accepts them; one membership test per distinct pair explains a
-    rejection, which quotes each pair as it was first listed."""
-    # two stable passes, each keyed on one end, compare vertices rather than
-    # tuples, so they sort faster; equal pairs keep their listed order
-    pairs.sort(key=itemgetter(1))
-    pairs.sort(key=itemgetter(0))
-    total = space.edge_count()
-    if not strays and len(pairs) == total and all(map(eq, pairs, space.edges())):
-        return []
-
-    listed = Counter(pairs)
-    multiplicity = space.multiplicity()
-    duplicated, foreign = [], []
-    for edge, k in listed.items():
-        if not multiplicity(edge):
-            foreign.append(edge)
-        elif k > 1:
-            duplicated.append(edge)
-
-    out: list[Violation] = []
-    if missed := total - len(listed) + len(foreign):  # each non-foreign pair hits one edge
-        missing = list(islice(filterfalse(listed.__contains__, space.edges()), _EXAMPLE_CAP))
-        out.append(Violation("EdgeMissing", _fmt_edges(missing, missed)))
-    if duplicated:
-        out.append(Violation("EdgeDuplicated", _fmt_edges(duplicated, len(duplicated))))
-    if foreign := sorted(set(strays).union(foreign)):
-        out.append(Violation("EdgeForeign", _fmt_edges(foreign, len(foreign))))
-    return out
 
 
 def _tables_tile(factors, matching: OneFactor | None, space: EdgeSpace) -> Counter | None:
@@ -462,43 +369,105 @@ def _tables_tile(factors, matching: OneFactor | None, space: EdgeSpace) -> Count
     return Counter(lengths) if all(map(eq, marked, repeat(b"\xff" * n + _IDENT[n:]))) else None
 
 
-def _certify(factors, matching: OneFactor | None, space: EdgeSpace, dense: bool = True):
-    """One pass over the factors and the optional matching, whose edges join
-    the cover, unless ``_tables_tile`` accepts them first.  Returns the
-    violations and the factor counts by uniform cycle length.  A vertex
-    that equals an int without being one, as 2.0 for 2, indexes no bitmap
-    row, and True for 1 is quoted by the rows as 1: when the bitmap write
-    raises TypeError, or the rows cannot quote a rejection's edges as
-    listed, the whole pass runs again, afresh, on the sorted pairs
-    (``dense`` false, which the tables never see)."""
-    if dense and (counts := _tables_tile(factors, matching, space)) is not None:
-        return [], counts
-    n = space.vertex_count
+def _bitmap_pass(factors, matching: OneFactor | None, space: EdgeSpace):
+    """The violations and factor counts when n bytearray rows decide whether
+    the listed edges tile the dense ``space``, a K_{a:b}, else None.  It
+    declines a ring, a space with no edges, and n * n bytes that are more
+    than four per ambient edge or per listed edge.  The tiling is accepted
+    when there is no stray, exactly edge_count() edges are kept, and each
+    row is set from its end in ``space.row_ends()`` on.  A rejection is
+    explained from the same rows and ends, with the repeats collected in
+    the first write when more edges are listed than the space holds, else
+    by a second write that clears the rows.  It also declines a vertex that
+    indexes no row, as 2.0, and a rejection that would quote an edge at 0
+    or 1 from a document that lists a bool."""
+    if space.part is None:
+        return None
+    n, total = space.vertex_count, space.edge_count()
+    listed = sum(map(len, chain.from_iterable(f.cycles for f in factors)))
+    if matching is not None:
+        listed += len(matching.edges)
+    if not total or n * n > 4 * min(total, listed):
+        return None
     out: list[Violation] = []
     by_length: Counter[int] = Counter()
     strays: list = []
     spanning: list[bool] = []
-    parts = _listed(factors, matching, n, out, by_length, strays, spanning)
-    listed = _dense_listed(factors, matching, space) if dense else 0
-    if listed:
-        rows = [bytearray(n) for _ in range(n)]
-        # with more edges listed than the space holds, repeats are likely, so
-        # they are collected as the edges are written; otherwise they are
-        # derived again only when a rejection shows that some code repeats
-        repeats = set() if listed > space.edge_count() else None
-        try:
-            _write(rows, parts, n, 1, repeats)
-        except TypeError:
-            faults = None
-        else:
-            faults = _bitmap_faults(rows, repeats, listed, strays, factors, spanning, matching, space)
-        if faults is None:
-            return _certify(factors, matching, space, dense=False)
-    else:
-        pairs = [(a, b) if a < b else (b, a) for part in parts for a, b in part]
-        faults = _edge_faults(pairs, strays, space)
-    out.extend(faults)  # after the vertex faults, added as the pairs were drawn
+    rows = [bytearray(n) for _ in range(n)]
+    repeats = set() if listed > total else None  # repeats are likely when more are listed
+    try:
+        _write(rows, _listed(factors, matching, n, out, by_length, strays, spanning), n, 1, repeats)
+    except TypeError:
+        return None
+    ends = space.row_ends()
+    hit = sum(map(bytearray.count, rows, repeat(1), ends))
+    filled = listed - len(strays)  # each listed edge is kept or a stray
+    if not strays and filled == total == hit:
+        return out, by_length
+    outside = sum(map(bytearray.count, rows, repeat(1), repeat(0), ends))
+    if hit < total:
+        missing = _quoted(rows, _UNSET, zip(ends, repeat(n)))
+        out.append(Violation("EdgeMissing", _fmt_edges(missing, total - hit)))
+    foreign = _quoted(rows, _SET, zip(repeat(0), ends)) if outside else []  # before the rows are cleared
+    duplicated = []
+    if filled > hit + outside:
+        if repeats is None:
+            repeats = set()
+            _write(rows, _relisted(factors, spanning, matching, n), n, 0, repeats)
+        duplicated = sorted(code for code in repeats if code % n >= ends[code // n])
+    quoted = [divmod(code, n) for code in duplicated[:_EXAMPLE_CAP]]
+    if any(u < 2 for u, _ in foreign + quoted) and _lists_a_bool(factors, matching):
+        return None
+    if duplicated:
+        out.append(Violation("EdgeDuplicated", _fmt_edges(quoted, len(duplicated))))
+    if outside or strays:
+        strays = sorted(set(strays))
+        quoted = sorted(strays[:_EXAMPLE_CAP] + foreign)
+        out.append(Violation("EdgeForeign", _fmt_edges(quoted, outside + len(strays))))
     return out, by_length
+
+
+def _sorted_pass(factors, matching: OneFactor | None, space: EdgeSpace):
+    """The violations and factor counts from the listed pairs, smaller end
+    first, plus the foreign strays, against the ambient edge set; decides
+    every document.  One sorted compare accepts them; one membership test
+    per distinct pair explains a rejection, which quotes each pair as it
+    was first listed."""
+    out: list[Violation] = []
+    by_length: Counter[int] = Counter()
+    strays: list = []
+    parts = _listed(factors, matching, space.vertex_count, out, by_length, strays, [])
+    pairs = [(a, b) if a < b else (b, a) for part in parts for a, b in part]
+    pairs.sort()  # stable: equal pairs, as (0, 2) and (0, 2.0), keep their listed order
+    total = space.edge_count()
+    if not strays and len(pairs) == total and all(map(eq, pairs, space.edges())):
+        return out, by_length
+    listed = Counter(pairs)
+    multiplicity = space.multiplicity()
+    duplicated, foreign = [], []
+    for edge, k in listed.items():
+        if not multiplicity(edge):
+            foreign.append(edge)
+        elif k > 1:
+            duplicated.append(edge)
+    if missed := total - len(listed) + len(foreign):  # each non-foreign pair hits one edge
+        missing = list(islice(filterfalse(listed.__contains__, space.edges()), _EXAMPLE_CAP))
+        out.append(Violation("EdgeMissing", _fmt_edges(missing, missed)))
+    if duplicated:
+        out.append(Violation("EdgeDuplicated", _fmt_edges(duplicated, len(duplicated))))
+    if foreign := sorted(set(strays).union(foreign)):
+        out.append(Violation("EdgeForeign", _fmt_edges(foreign, len(foreign))))
+    return out, by_length
+
+
+def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
+    """The violations and the factor counts by uniform cycle length of the
+    factors and the optional matching, whose edges join the cover: from the
+    first of the byte tables, the bitmap rows and the sorted pairs that
+    does not decline."""
+    if (counts := _tables_tile(factors, matching, space)) is not None:
+        return [], counts
+    return _bitmap_pass(factors, matching, space) or _sorted_pass(factors, matching, space)
 
 
 def certifies(sol: Solution, space: EdgeSpace, lengths) -> bool:

@@ -8,12 +8,13 @@ its own output before returning it.
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 import reference_codec as oracle
 from test_codec_differential import ENCODED_REQUESTS
 
-from hwp4m import composer, outer
+from hwp4m import cli, composer, outer
 from hwp4m.blocks import BLOCK_BUILDERS, K4_MINUS_I, K44, PART, c4_block
 from hwp4m.composer import (
     CONSTRUCTIVE_ROUTES,
@@ -307,6 +308,30 @@ def test_build_raises_by_plan_status():
         build(24, 3, 2, 9)
     with pytest.raises(ExternalRequired):
         build(12, 3, 0, 5)
+
+
+def test_a_build_never_returns_an_unverified_solution(tmp_path, monkeypatch):
+    # an assembler fault: two vertices of factor 0's first cycle swapped
+    assemble = composer._assemble
+
+    def swapped(*args):
+        sol = assemble(*args)
+        first = sol.factors[0]
+        cyc = list(first.cycles[0])
+        cyc[1], cyc[2] = cyc[2], cyc[1]
+        factors = (replace(first, cycles=(tuple(cyc), *first.cycles[1:])), *sol.factors[1:])
+        return replace(sol, factors=factors)
+
+    monkeypatch.setattr(composer, "_assemble", swapped)
+    out, cache = tmp_path / "sol.json", tmp_path / "cache"
+    failed = "^internal error: assembled solution failed verification: "
+    with pytest.raises(RuntimeError, match=failed + "EdgeMissing: 0-6, 1-7; EdgeDuplicated: 0-1, 6-7$"):
+        build(60, 5, 5, 24, cache_dir=str(cache))
+    with pytest.raises(RuntimeError, match=failed):
+        cli.main(["build", "--v", "60", "--m", "5", "--r", "5", "--s", "24",
+                  "--cache", str(cache), "--out", str(out)])
+    assert not out.exists()
+    assert not cache.exists()
 
 
 def test_build_reports_missing_searched_outer_honestly(tmp_path):

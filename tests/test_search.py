@@ -6,7 +6,9 @@ Found results (a longer time limit could upgrade unsat-reported-as-timeout,
 so negative outcomes are never persisted).
 """
 
+import inspect
 import os
+import sys
 from itertools import chain, repeat
 from types import SimpleNamespace
 
@@ -120,6 +122,55 @@ def test_a_limit_that_expires_during_the_search_times_out_and_caches_nothing(ins
     assert (reference.status, reference.nodes) == ("timeout", 1024)
     monkeypatch.setattr(hwp4m.search, "time", _expiring_clock())
     assert solve_cached(instance, cache_dir=tmp_path, time_limit=1.0).status == "timeout"
+    assert list(tmp_path.iterdir()) == []
+
+
+# (instance, mask, nodes at the timeout) reaching each clock check in turn:
+# start_cycle's entry, a triangle's child, its closers and its remainder,
+# then extend's entry, its closers and its remainder
+_CLOCK_CHECKS = [
+    (cm_factorization_instance(15, 5), 0, 1),
+    (c4_cm3_split_instance(3), 1, 2),
+    (c4_cm3_split_instance(3), 3, 5),
+    (c4_cm3_split_instance(3), 51, 56),
+    (cm_factorization_instance(15, 5), 1, 2),
+    (cm_factorization_instance(15, 5), 15, 16),
+    (cm_factorization_instance(10, 5), 31, 32),
+]
+
+
+def test_every_clock_check_in_the_search_can_end_it(tmp_path, monkeypatch):
+    reached = []
+
+    class Recorded(hwp4m.search._Timeout):
+        def __init__(self):
+            super().__init__()
+            reached[-1].add(sys._getframe(1).f_lineno)  # the line that raised it
+
+    monkeypatch.setattr(hwp4m.search, "_Timeout", Recorded)
+    source, first = inspect.getsourcelines(solve)
+    checks = {first + i for i, line in enumerate(source) if line.strip() == "raise _Timeout"}
+    for instance, mask, nodes in _CLOCK_CHECKS:
+        reached.append(set())
+        monkeypatch.setattr(hwp4m.search, "_TIME_CHECK_MASK", mask)
+        monkeypatch.setattr(hwp4m.search, "time", _expiring_clock())
+        outcome = solve(instance, time_limit=1.0)
+        assert (outcome.status, outcome.nodes) == ("timeout", nodes) and nodes > mask
+        monkeypatch.setattr(hwp4m.search, "time", _expiring_clock())
+        assert solve_cached(instance, cache_dir=tmp_path, time_limit=1.0).status == "timeout"
+    assert list(tmp_path.iterdir()) == []
+    assert all(len(lines) == 1 for lines in reached)  # each case, solved twice, ends at one check
+    assert set().union(*reached) == checks and len(checks) == len(_CLOCK_CHECKS)
+
+
+def test_a_search_never_returns_or_caches_an_unproven_result(tmp_path, monkeypatch):
+    monkeypatch.setattr(hwp4m.search, "first_proven", lambda instance, docs: None)
+    instance = cm_factorization_instance(9, 3)
+    invalid = "^search produced an invalid result for cmfact-n9-m3$"
+    with pytest.raises(RuntimeError, match=invalid):
+        solve(instance)
+    with pytest.raises(RuntimeError, match=invalid):
+        solve_cached(instance, cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
