@@ -50,9 +50,13 @@ solution's size on the groups, and the whole piece for an import or the
 table.  Every map keeps the order inside each part of p and sends part 0
 below the others, so one comparison decides whether a piece cycle's copy
 is canonical as read or takes a reordering fixed once per piece cycle,
-and no route canonicalizes a copy.  The remaining shapes are genuinely
-open (r = 2 at v = 8m, and ``OPEN_CORNERS``), or fall to known results we
-do not reconstruct (route "external").
+and no route canonicalizes a copy.  A block's copies through one
+placement's maps are a pure function of the block and the maps, so at
+v <= 256 each cached block keeps them, one byte per vertex, keyed by the
+maps, and a sweep that places it again rebuilds them from those bytes; no
+kept copy is trusted, since every build is verified.  The remaining
+shapes are genuinely open (r = 2 at v = 8m, and ``OPEN_CORNERS``), or fall
+to known results we do not reconstruct (route "external").
 
 The planner's precedence: the open corners, the v = 24 table, the r1/r2
 routes, the c = 0 recipe when its outer is available (an import included),
@@ -74,7 +78,7 @@ it is returned.
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 from .blocks import BLOCK_BUILDERS, K4_MINUS_I, K44, PART
@@ -395,19 +399,28 @@ def _copier(cyc, p):
 _reorder = lru_cache(maxsize=None)(itemgetter)  # one getter per reordering
 
 
-def _copiers(piece: Solution, p: int):
+def _copiers(piece: Solution, p: int, kept: dict | None = None):
     """What ``_assemble`` reads of a piece on parts of p: per factor, its
-    cycle length and cycle copiers, and one itemgetter per matching edge."""
+    cycle length and cycle copiers, one itemgetter per matching edge, and
+    ``kept``, the store of the piece's copies, or None to keep none."""
     matched = piece.one_factor.edges if piece.one_factor is not None else ()
     return (
         [(len(f.cycles[0]), [_copier(c, p) for c in f.cycles]) for f in piece.factors],
         [itemgetter(*e) for e in matched],
+        kept,
     )
 
 
 @lru_cache(maxsize=None)
 def _block(kind: str, m: int):
-    return _copiers(BLOCK_BUILDERS[kind](m), PART)
+    """A block's copiers and the store of its copies at v <= 256: per
+    placement, a ``bytes`` key, its maps' vertices, and a ``bytes`` value,
+    its sorted factors' vertices.  An entry takes at most 6 * 256 bytes
+    plus about 100 of object overhead, one per distinct placement of the
+    process, at most 4 kinds times the factors of each outer it blows up at
+    v <= 256: a v <= 120 sweep keeps 497 in 0.25 MB.  The store lives as
+    long as the cached block: ``_block.cache_clear()`` drops it."""
+    return _copiers(BLOCK_BUILDERS[kind](m), PART, {})
 
 
 _K4_MINUS_I, _K44 = _copiers(K4_MINUS_I, PART), _copiers(K44, PART)
@@ -439,16 +452,33 @@ def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
     map sends each part of p onto p consecutive vertices in order, and part
     0 below the others.  Maps joined from a ``_part_table``'s rows keep it,
     so every copy is canonical and the factors are only sorted, each
-    piece's once its maps are used up: no two pieces' buckets live at once."""
+    piece's once its maps are used up: no two pieces' buckets live at once.
+    When v <= 256 and the piece is a block, whose copiers carry a store,
+    its sorted factors are kept as bytes keyed by its maps' vertices, and a
+    placement met again is rebuilt from them, with no copier and no sort;
+    above 256, and for every other piece, every copy is made afresh."""
     c4_factors, cm_factors, matching = [], [], []
-    for (factors, edge_getters), maps in placed:
-        buckets = [[] for _ in factors]
-        for vmap in maps:
-            for bucket, (_, copiers) in zip(buckets, factors):
-                bucket += [f(vmap) if vmap[a] < vmap[b] else g(f(vmap)) for a, b, f, g in copiers]
-            matching += [g(vmap) for g in edge_getters]
-        for bucket, (length, _) in zip(buckets, factors):
-            (c4_factors if length == 4 else cm_factors).append(tuple(sorted(bucket)))
+    for (factors, edge_getters, kept), maps in placed:
+        data = key = None
+        if kept is not None and v <= 256:  # every vertex fits a byte
+            maps = list(maps)
+            data = kept.get(key := bytes(chain.from_iterable(maps)))
+        if data is None:
+            buckets = [[] for _ in factors]
+            for vmap in maps:
+                for bucket, (_, copiers) in zip(buckets, factors):
+                    bucket += [f(vmap) if vmap[a] < vmap[b] else g(f(vmap)) for a, b, f, g in copiers]
+                matching += [g(vmap) for g in edge_getters]
+            copies = [tuple(sorted(bucket)) for bucket in buckets]
+            if key is not None:
+                kept[key] = bytes(chain.from_iterable(chain.from_iterable(copies)))
+        else:  # a placement met before: its kept copy, rebuilt
+            matching += [g(vmap) for vmap in maps for g in edge_getters]
+            vertices = iter(data)
+            copies = [tuple(islice(zip(*[vertices] * length), len(maps) * len(copiers)))
+                      for length, copiers in factors]
+        for (length, _), copy in zip(factors, copies):
+            (c4_factors if length == 4 else cm_factors).append(copy)
     if len(c4_factors) != r or len(cm_factors) != s:
         raise RuntimeError(
             f"assembly mismatch: built {len(c4_factors)} C4-factors and "

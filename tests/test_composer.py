@@ -334,6 +334,52 @@ def test_a_build_never_returns_an_unverified_solution(tmp_path, monkeypatch):
     assert not cache.exists()
 
 
+def test_a_kept_copy_is_never_trusted(monkeypatch):
+    # (60, 5, 5, 24) places a block on the three outer cycles of each
+    # (15, 5) starter factor; one kept copy with two vertices swapped
+    composer._block.cache_clear()
+    build(60, 5, 5, 24)
+    kept = composer._block("cm", 5)[2]
+    assert len(kept) == 6  # one per outer factor that takes the cm kind
+    key, data = next(iter(kept.items()))
+    swapped = bytearray(data)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    monkeypatch.setitem(kept, key, bytes(swapped))
+    with pytest.raises(RuntimeError, match="^internal error: assembled solution failed verification: "):
+        build(60, 5, 5, 24)
+
+
+def _stores(*ms):
+    """The stores of kept copies of every block kind at each m of ``ms``
+    (the switch block only at odd m)."""
+    return [composer._block(kind, m)[2] for kind in BLOCK_BUILDERS for m in ms
+            if m % 2 or kind != "switch"]
+
+
+@pytest.mark.parametrize("request_, ms", [
+    ((60, 5, 13, 16), (5,)), ((56, 7, 3, 24), (7,)), ((60, 5, 14, 15), (5,)),
+    ((48, 3, 10, 13), (3,)), ((40, 5, 19, 0), (10,)),
+], ids=["odd_r_odd_t", "odd_r_even_t", "even_r_switch", "inner_blowup", "all_c4"])
+def test_kept_copies_rebuild_the_bytes_of_fresh_copies(request_, ms):
+    once = encode_solution(build(*request_))
+    kept = [dict(store) for store in _stores(*ms)]
+    assert any(kept)
+    again = encode_solution(build(*request_))  # every placement found kept
+    assert [dict(store) for store in _stores(*ms)] == kept
+    composer._block.cache_clear()
+    assert not any(_stores(*ms))
+    fresh = encode_solution(build(*request_))
+    assert once == again == fresh
+
+
+def test_kept_copies_stop_above_order_256():
+    composer._block.cache_clear()
+    build(256, 3, 127, 0)  # the largest order that keeps copies
+    assert any(_stores(64))
+    build(260, 65, 1, 128)
+    assert not any(_stores(65))
+
+
 def test_build_reports_missing_searched_outer_honestly(tmp_path):
     # the outer module raises it, and the composer re-exports the same class
     assert IngredientUnavailable is outer.IngredientUnavailable
@@ -470,7 +516,7 @@ def test_copies_match_the_reference_canonical_form():
     pieces += [c4_block(4), K4_MINUS_I, K44, build(60, 5, 5, 24), k24_solution()]
     shapes = set()
     for piece in pieces:
-        factors, _ = _copiers(piece, PART)
+        factors = _copiers(piece, PART)[0]
         for vmap in _contract_maps(piece.v // 4, rng):
             for f, (length, copiers) in zip(piece.factors, factors):
                 assert length == len(f.cycles[0])
