@@ -33,17 +33,29 @@ same object, same bytes.
 ``encode_solution`` writes the text itself, byte for byte what
 ``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"`` writes
 for the ``doc`` of the reference encoder in ``tests/reference_codec.py``.
-A document lists each vertex once per factor but has at most v distinct
-vertices, so the decimal text of each int in it is made once, on its
-first occurrence, and kept in a table of the ints that document lists
-(no term in v).  Contract: every int of the document, a vertex in range
-or not or one of ``v``, ``m``, ``r``, ``s`` and ``cycle_length``, is
-written as json writes it.  A vertex or field that is not an int (a
-bool, float, str, ...) raises ``ValueError`` when the table first meets
-it, or ``TypeError`` when it cannot be hashed.  A non-int equal to an int
+Contract: every int of the document, a vertex in range or not or one of
+``v``, ``m``, ``r``, ``s`` and ``cycle_length``, is written as json
+writes it.  A vertex or field that is not an int (a bool, float, str,
+...) raises ``ValueError`` when the names table below first meets it, or
+``TypeError`` when it cannot be hashed.  A non-int equal to an int
 already named (True after 1, 2.0 after 2) is outside the contract: it
-takes that int's text.  The decoder rejects every such document.  Each
-factor's bytes join one ``bytearray`` as made; the document is copied once.
+takes that int's text.  The decoder rejects every such document.
+
+A Solution of order 0 < v <= 256 has a vertex view (``vertex_view``),
+made from its own immutable factors by this module alone, on first use,
+and kept on it: every factor's vertices in stored order, one byte each
+(at most 32,512 bytes, at v = 256), and whether each is an exact int.
+``verifier.verify_solution`` hands its bytes to the byte tables, so a
+verified build is flattened once.  From an exact view, when every factor
+is uniform with strictly rising cycle firsts (so already sorted) and every
+declared length, field and matching end is an exact int, the ends below
+256, the byte path writes the text with ``bytes.translate`` digit tables
+and one split; every other document, every order above 256 among them,
+takes the names path.  It sorts each factor's cycles, and since a document
+lists each vertex once per factor but has at most v distinct vertices, it
+makes the decimal text of each int once, on its first occurrence, in a
+table of the ints that document lists (no term in v).  Each factor's
+bytes join one ``bytearray`` as made; the document is copied once.
 
 ``decode_solution`` keeps the mirror table, from text to int: ``json.loads``
 takes it as ``parse_int``, so each distinct number text of a document is
@@ -57,9 +69,11 @@ raises the same ``ValueError``.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain, groupby, repeat
 from operator import eq, itemgetter, lt
 
 Edge = tuple[int, int]
@@ -137,6 +151,35 @@ class Solution:
     r: int | None = None
     s: int | None = None
     one_factor: OneFactor | None = None
+
+    @cached_property
+    def _view(self):
+        # read only through vertex_view; never raises, whatever a vertex's __index__ or __eq__ does
+        try:
+            cycles = [f.cycles for f in self.factors]
+            rows = list(chain.from_iterable(cycles))
+            if type(self.factors) is not tuple or not (
+                set(map(type, self.factors)) <= {TwoFactor}
+                and set(map(type, chain(cycles, rows))) <= {tuple}
+            ):
+                return None  # a view of mutable factors could go stale
+            listed = list(chain.from_iterable(rows))
+            data = bytes(listed)
+            exact = set(map(type, listed)) <= {int}  # an exact int equals its byte
+            return VertexView(data, exact) if exact or list(data) == listed else None
+        except Exception:
+            return None
+
+
+VertexView = namedtuple("VertexView", "data exact")
+
+
+def vertex_view(sol: Solution) -> VertexView | None:
+    """The view of a Solution of order 0 < v <= 256 (see "Solution
+    interchange format"); None for any other order or object, and for
+    factors other than a tuple of TwoFactors of tuples of tuples or a
+    vertex that does not equal its byte."""
+    return sol._view if isinstance(sol, Solution) and type(sol.v) is int and 0 < sol.v <= 256 else None
 
 
 # ============================================================
@@ -449,8 +492,62 @@ def _rows_text(rows, names: _IntNames, lengths: set) -> str:
     return "[" + ",".join(["[" + ",".join(map(names.__getitem__, row)) + "]" for row in rows]) + "]"
 
 
+# each byte's hundreds, tens and units digit, 0 for a leading digit it lacks
+_DIGITS = [bytes(col).replace(b" ", b"\0") for col in zip(*map(b"%3d".__mod__, range(256)))]
+
+
+def _byte_text(sol: Solution, data: bytes) -> bytes | None:
+    """The byte path (see "Solution interchange format") from the bytes of
+    an exact view, or None.  A vertex takes 4 bytes: three digits and ","
+    in a cycle, "]" after one, widened to "],[", or "|" after a factor,
+    where the text is split into one body per factor and the matching's."""
+    fields = {key: val for key in ("m", "r", "s", "v") if (val := getattr(sol, key)) is not None}
+    lengths, runs, start = [], [], 0
+    for f in sol.factors:
+        found = set(map(len, f.cycles))
+        k = found.pop() if len(found) == 1 else 0
+        length = k if f.cycle_length is None else f.cycle_length
+        stop = start + k * len(f.cycles)
+        if not k or type(length) is not int or not all(map(lt, data[start:stop:k], data[start + k:stop:k])):
+            return None
+        lengths.append(length)
+        runs.append((k, stop - start))
+        start = stop
+    matching = sol.one_factor
+    try:  # AttributeError or TypeError: no pairs; ValueError: an end out of 0..255
+        edges = () if matching is None else matching.edges
+        ends = list(chain.from_iterable(edges))
+        if set(map(len, edges)) - {2} or set(map(type, chain(ends, fields.values()))) - {int}:
+            return None
+        ends = bytes(ends)
+    except (AttributeError, TypeError, ValueError):
+        return None
+    if ends:
+        data += ends
+        runs.append((2, len(ends)))
+    buf = bytearray(b"\0\0\0," * len(data))
+    buf[0::4], buf[1::4], buf[2::4] = (data.translate(table) for table in _DIGITS)
+    start = 0
+    for (k, count), run in groupby(runs):
+        stop = start + count * len(list(run))
+        buf[4 * (start + k) - 1:4 * stop:4 * k] = b"]" * ((stop - start) // k)
+        buf[4 * (start + count) - 1:4 * stop:4 * count] = b"|" * ((stop - start) // count)
+        start = stop
+    bodies = buf.translate(None, b"\0").replace(b"]", b"],[").split(b"|")
+    named = {key: b"%d" % val for key, val in fields.items()}
+    if matching is not None:
+        named["one_factor"] = b"[[%s]]" % bodies[len(lengths)] if ends else b"[]"
+    text = b"]]},".join(map(b'{"cycle_length":%d,"cycles":[[%s'.__mod__, zip(lengths, bodies)))
+    text += b"]]}" * bool(lengths)
+    tail = b",".join(b'"%s":%s' % (key.encode(), named[key]) for key in sorted(named))
+    return b'{"factors":[%s],%s}\n' % (text, tail)
+
+
 def encode_solution(sol: Solution) -> bytes:
     """The document's bytes (see "Solution interchange format" above)."""
+    view = vertex_view(sol)
+    if view and view.exact and (out := _byte_text(sol, view.data)):
+        return out
     names = _IntNames()
     # each factor's text joins one buffer as bytes as soon as it is written,
     # so the document is never held as str, and the buffer is copied out once

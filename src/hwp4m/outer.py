@@ -158,7 +158,9 @@ def hamilton_decomposition(n: int) -> Solution:
     ``walecki_even``, and shared: the Solution is frozen.  It costs about
     4n^2 bytes, (n-1)/2 cycles of n pointers to n shared ints, where a block costs O(m); the 32
     orders kept cover the 25 of a v <= 120 sweep and hold at most 32 * 4n^2
-    bytes, 128 MB were all of them near n = 1000."""
+    bytes, 128 MB were all of them near n = 1000.  Once verified or
+    encoded, one of order n <= 256 also keeps its vertex view
+    (``model.vertex_view``), at most n(n-1)/2 bytes."""
     if n % 2 == 1:
         return Solution(v=n, factors=tuple(walecki(n)), m=n)
     factors, leftover = walecki_even(n)

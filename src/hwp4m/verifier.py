@@ -53,7 +53,12 @@ and one of predecessors, one of matching partners, and a naming u's
 part.  Byte u of these n tables must cover 0..n-1, each value once, which
 rules out a missed vertex (it maps to itself twice), a 1- or 2-cycle, a
 repeated edge, an edge in a part and an imperfect matching.  Each covered
-byte is marked 0xFF, which is no vertex only below 256.
+byte is marked 0xFF, which is no vertex only below 256.  A vertex is read
+when it equals its byte, so True, False and an int subclass are read.
+``verify_solution`` hands the tables the factors' bytes from the
+Solution's ``model.vertex_view``, which the encoder then reuses; other
+callers, and a Solution with no view, have them read from the factors.
+The tables read the matching's ends themselves.
 
 The bitmap rows take a dense ambient, K_{a:b} (K_v is K_{1:v}), whose
 n * n bytes are at most four per edge and four per listed edge.  The kept
@@ -121,6 +126,7 @@ from .model import (
     cycle_blowup4,
     switch_graph,
     switch_matching_edges,
+    vertex_view,
 )
 
 _EXAMPLE_CAP = 6  # edges quoted per violation before truncating
@@ -327,9 +333,23 @@ def _lists_a_bool(factors, matching: OneFactor | None) -> bool:
     return bool in set(map(type, verts))
 
 
-def _tables_tile(factors, matching: OneFactor | None, space: EdgeSpace) -> Counter | None:
+def _bytes_of(values) -> bytes | None:
+    """``values`` as one byte each, when each equals its byte, else None."""
+    try:
+        listed = list(values)
+        data = bytes(listed)
+    except (TypeError, ValueError):  # a vertex that is no byte, as 2.0, -1 or 256
+        return None
+    return data if list(data) == listed else None
+
+
+def _tables_tile(
+    factors, matching: OneFactor | None, space: EdgeSpace, verts: bytes | None = None,
+) -> Counter | None:
     """The factor counts by cycle length when the byte tables prove that
-    the factors and the matching tile ``space``, else None."""
+    the factors and the matching tile ``space``, else None.  ``verts``, the
+    bytes of a Solution's ``model.vertex_view``, are the factors' vertices
+    in order; without them they are read from ``factors``."""
     n, a = space.vertex_count, space.part
     if a is None or not 0 < n <= 255 or 2 * len(factors) + (matching is not None) + a != n:
         return None
@@ -343,13 +363,13 @@ def _tables_tile(factors, matching: OneFactor | None, space: EdgeSpace) -> Count
             lengths.append(k)
         if matching is not None and (2 * len(pairs) != n or set(map(len, pairs)) != {2}):
             return None
-        listed = list(chain(chain.from_iterable(chain.from_iterable(f.cycles for f in factors)), *pairs))
-        data = bytes(listed)
-    except (TypeError, ValueError):  # a vertex that is no byte, as 2.0, -1 or 256
+    except (TypeError, ValueError):
         return None
-    verts, ends = data[:n * len(lengths)], data[n * len(lengths):]
+    if verts is None:
+        verts = _bytes_of(chain.from_iterable(chain.from_iterable(f.cycles for f in factors)))
+    ends = _bytes_of(chain.from_iterable(pairs))
     # a vertex must equal its byte, and a matching pair come smaller end first
-    if list(data) != listed or not all(map(lt, ends[::2], ends[1::2])):
+    if verts is None or ends is None or not all(map(lt, ends[::2], ends[1::2])):
         return None
     succ, pred = bytearray(verts[1:] + verts[:1]), bytearray(verts[-1:] + verts[:-1])
     start = 0
@@ -460,12 +480,12 @@ def _sorted_pass(factors, matching: OneFactor | None, space: EdgeSpace):
     return out, by_length
 
 
-def _certify(factors, matching: OneFactor | None, space: EdgeSpace):
+def _certify(factors, matching: OneFactor | None, space: EdgeSpace, verts: bytes | None = None):
     """The violations and the factor counts by uniform cycle length of the
     factors and the optional matching, whose edges join the cover: from the
     first of the byte tables, the bitmap rows and the sorted pairs that
-    does not decline."""
-    if (counts := _tables_tile(factors, matching, space)) is not None:
+    does not decline.  ``verts`` goes to the byte tables."""
+    if (counts := _tables_tile(factors, matching, space, verts)) is not None:
         return [], counts
     return _bitmap_pass(factors, matching, space) or _sorted_pass(factors, matching, space)
 
@@ -507,7 +527,8 @@ def verify_solution(sol: Solution) -> Report:
     if v % 2 == 1 and sol.one_factor is not None:
         out.append(Violation("MatchingInvalid", "odd order cannot remove a 1-factor"))
 
-    found, by_length = _certify(sol.factors, sol.one_factor, complete_graph(v))
+    view = vertex_view(sol)
+    found, by_length = _certify(sol.factors, sol.one_factor, complete_graph(v), view and view.data)
     out.extend(found)
 
     if sol.r is not None or sol.s is not None:

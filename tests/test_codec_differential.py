@@ -27,10 +27,12 @@ import copy
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 import reference_codec as oracle
 
+from hwp4m import model
 from hwp4m.blocks import BLOCK_BUILDERS, c4_block, cm_block, mixed_block, switch_block
 from hwp4m.composer import build
 from hwp4m.k24 import k24_solution
@@ -45,6 +47,7 @@ from hwp4m.model import (
     encode_solution,
     one_factor,
     two_factor,
+    vertex_view,
 )
 from hwp4m.outer import hamilton_decomposition, walecki
 from hwp4m.search import cm_factorization_instance, solve
@@ -370,7 +373,7 @@ EDGE_FACTORS = {
 @pytest.mark.parametrize("name", sorted(EDGE_FACTORS))
 def test_edge_case_factors_encode_alike(name):
     factors = tuple(EDGE_FACTORS[name])
-    for v in (1, 5, 12, 101):
+    for v in (1, 5, 12, 101, 256):
         _encodes_alike(Solution(v=v, factors=factors, m=3, r=1, s=0))
     _encodes_alike(Solution(v=12, factors=factors + tuple(walecki(5)), one_factor=OneFactor(((0, 1),))))
 
@@ -387,3 +390,80 @@ def test_v_1_and_empty_documents_encode_alike():
     assert _encodes_alike(Solution(v=1, factors=())) == b'{"factors":[],"v":1}\n'
     _encodes_alike(Solution(v=1, factors=(), m=1, r=0, s=0, one_factor=OneFactor(())))
     _encodes_alike(Solution(v=1, factors=(_factor([(0,)]),)))
+
+
+# Documents at the boundary of the encoder's two paths.  The byte path
+# writes a document of order v <= 256 from the bytes of its exact vertex
+# view when every factor is uniform with strictly rising cycle firsts and
+# every declared length, field and matching end is an exact int; every
+# other document takes the names path.  Each case: its Solution, whether
+# the byte path writes it, and whether the reference agrees.  Where json
+# writes a bool or a float as itself, the package raises ValueError, or
+# writes the int it equals when that int was named first (outside the
+# contract), as the names path always did; those cases are checked
+# against the names path alone.
+_TRIANGLE = _factor([(0, 1, 2)], 3)
+BOUNDARY = {
+    "vertex_255_at_256": (Solution(v=256, factors=(_factor([(0, 1, 255), (3, 4, 254)], 3),)), True, True),
+    "vertex_256_at_256": (Solution(v=256, factors=(_factor([(0, 1, 256)], 3),)), False, True),
+    "any_vertex_at_257": (Solution(v=257, factors=(_TRIANGLE,)), False, True),
+    "equal_firsts": (Solution(v=12, factors=(_factor([(0, 3, 4), (0, 1, 2)], 3),)), False, True),
+    "bool_vertex": (Solution(v=12, factors=(_factor([(0, True, 2)], 3),)), False, False),
+    "bool_after_its_int": (Solution(v=12, factors=(_TRIANGLE, _factor([(0, True, 2)], 3))), False, False),
+    "label_vertex": (Solution(v=12, factors=(_factor([(0, Label(1), 2)], 3),)), False, True),
+    "float_vertex": (Solution(v=12, factors=(_factor([(0, 1, 2.0)], 3),)), False, False),
+    "float_after_its_int": (Solution(v=12, factors=(_TRIANGLE, _factor([(0, 1, 2.0)], 3))), False, False),
+    "bool_cycle_length": (Solution(v=12, factors=(_factor([(0, 1, 2)], True),)), False, False),
+    "bool_cycle_length_after_1": (Solution(v=12, factors=(_TRIANGLE, _factor([(3, 4, 5)], True))), False, False),
+    "bool_matching_end": (Solution(v=12, factors=(_TRIANGLE,), one_factor=OneFactor(((True, 5),))), False, False),
+    "matching_end_256": (Solution(v=256, factors=(_TRIANGLE,), one_factor=OneFactor(((0, 256),))), False, True),
+    "reversed_matching_pair": (Solution(v=4, factors=(_TRIANGLE,), one_factor=OneFactor(((3, 0),))), True, True),
+    "empty_matching": (Solution(v=4, factors=(_TRIANGLE,), one_factor=OneFactor(())), True, True),
+    "factor_with_no_cycles": (Solution(v=12, factors=(_TRIANGLE, _factor([], 3))), False, True),
+    "no_factors": (Solution(v=12, factors=(), m=3, r=0, s=0, one_factor=OneFactor(((0, 1), (2, 3)))), True, True),
+    "bool_field": (Solution(v=12, factors=(_TRIANGLE,), m=True), False, False),
+}
+
+
+@pytest.fixture
+def byte_path(monkeypatch):
+    """The outcome of each call of the encoder's byte path: True when it
+    wrote the document, False when it left it to the names path."""
+    byte_text, outcomes = model._byte_text, []
+
+    def recorded(sol, data):
+        out = byte_text(sol, data)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(model, "_byte_text", recorded)
+    return outcomes
+
+
+def _names_path(sol, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "_byte_text", lambda sol, data: None)
+        return _encoded(encode_solution, sol)
+
+
+@pytest.mark.parametrize("name", BOUNDARY)
+def test_documents_at_the_byte_path_boundary_encode_alike(name, byte_path, monkeypatch):
+    sol, written, agrees = BOUNDARY[name]
+    new = _encoded(encode_solution, sol)
+    assert (True in byte_path) == written
+    assert new == _names_path(sol, monkeypatch)
+    if agrees:
+        assert new == _encoded(oracle.encode_solution, sol)
+    else:
+        assert new != _encoded(oracle.encode_solution, sol)
+
+
+def test_the_built_solutions_of_a_sweep_take_the_byte_path(byte_path):
+    # vertex 255 of K_256 - I, a C4-factor of v = 12 and an all-C4 build at the largest order with a view
+    for sol in (hamilton_decomposition(256), build(12, 3, 1, 4), build(256, 3, 127, 0)):
+        assert _encodes_alike(sol) == encode_solution(replace(sol))
+        assert len(vertex_view(sol).data) <= 33_000
+    assert byte_path == [True] * 6
+    big = build(260, 65, 1, 128)
+    _encodes_alike(big)
+    assert byte_path == [True] * 6 and vertex_view(big) is None

@@ -9,6 +9,7 @@ its own output before returning it.
 import hashlib
 import random
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 import reference_codec as oracle
@@ -38,7 +39,7 @@ from hwp4m.composer import (
     plan,
 )
 from hwp4m.k24 import k24_solution
-from hwp4m.model import Solution, encode_solution, two_factor
+from hwp4m.model import Solution, encode_solution, two_factor, vertex_view
 from hwp4m.outer import outer_availability
 from hwp4m.search import cm_factorization_instance, equipartite_instance, solve_cached
 from hwp4m.verifier import verify_solution
@@ -347,6 +348,30 @@ def test_a_kept_copy_is_never_trusted(monkeypatch):
     monkeypatch.setitem(kept, key, bytes(swapped))
     with pytest.raises(RuntimeError, match="^internal error: assembled solution failed verification: "):
         build(60, 5, 5, 24)
+
+
+def test_construction_never_hands_the_verifier_a_vertex_view(monkeypatch):
+    """Only model makes a Solution's vertex view, from the Solution's own
+    factors: the Solution that _assemble returns holds none when its
+    verification starts, a replaced one makes its own, and a build above
+    order 256 is verified and encoded without one."""
+    verify, held = composer.verify_solution, []
+
+    def checked(sol):
+        held.append("_view" in vars(sol))
+        return verify(sol)
+
+    monkeypatch.setattr(composer, "verify_solution", checked)
+    sol = build(60, 5, 5, 24)
+    assert held == [False] and "_view" in vars(sol)  # made by the verification
+    for other in (replace(sol), replace(sol, factors=sol.factors[::-1])):
+        assert "_view" not in vars(other)
+        listed = chain.from_iterable(chain.from_iterable(f.cycles for f in other.factors))
+        assert vertex_view(other) == (bytes(listed), True)
+    big = build(260, 65, 1, 128)
+    assert held == [False, False]
+    assert verify_solution(big).ok and encode_solution(big) == oracle.encode_solution(big)
+    assert "_view" not in vars(big)
 
 
 def _stores(*ms):

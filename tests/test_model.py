@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 import reference_codec
 from reference_verifier import factor_edges, listed_edges
+from test_codec_differential import Label
 
 from hwp4m.model import (
     DecodeError,
@@ -31,6 +32,7 @@ from hwp4m.model import (
     switch_graph,
     switch_matching_edges,
     two_factor,
+    vertex_view,
 )
 
 # ============================================================
@@ -415,3 +417,59 @@ def test_doc_cycles_are_sorted_canonical():
     for entry in doc["factors"]:
         cycles = [tuple(c) for c in entry["cycles"]]
         assert cycles == sorted(canonicalize_cycle(c) for c in cycles)
+
+
+# ============================================================
+# the vertex view
+# ============================================================
+
+
+class _Faulty:
+    """A vertex whose index and equality raise something other than
+    TypeError or ValueError."""
+
+    def __index__(self):
+        raise RuntimeError("no index")
+
+    def __eq__(self, other):
+        raise RuntimeError("no equality")
+
+    __hash__ = object.__hash__
+
+
+def _pentagons(v=5, old=None, new=None):
+    """K_5 as two Hamilton cycles, every vertex ``old`` listed as ``new``."""
+    cycles = ((0, 1, 2, 3, 4), (0, 2, 4, 1, 3))
+    factors = (TwoFactor((tuple(new if u == old else u for u in c),), 5, 5) for c in cycles)
+    return Solution(v=v, factors=tuple(factors))
+
+
+def test_the_vertex_view_is_every_factor_vertex_as_one_byte():
+    sol = _pentagons()
+    view = vertex_view(sol)
+    assert view == (bytes([0, 1, 2, 3, 4, 0, 2, 4, 1, 3]), True)
+    assert vertex_view(sol) is view and vars(sol)["_view"] is view  # made once, kept on the Solution
+    # a vertex equal to its byte is read as that byte, but only exact ints make the view exact
+    for new in (True, Label(1)):
+        assert vertex_view(_pentagons(old=1, new=new)) == (view.data, False)
+    for new in (1.0, 256, -1, "1", None, _Faulty()):  # no byte, or one it does not equal
+        assert vertex_view(_pentagons(old=1, new=new)) is None
+    assert vertex_view(_pentagons(v=256)) == view
+
+
+def test_the_vertex_view_reads_only_immutable_factors():
+    sol = _pentagons()
+    f = sol.factors[0]
+    for factors in (
+        list(sol.factors),
+        (TwoFactor(list(f.cycles), 5, 5), sol.factors[1]),
+        (TwoFactor((list(f.cycles[0]),), 5, 5), sol.factors[1]),
+        (f, object()),
+    ):
+        assert vertex_view(Solution(v=5, factors=factors)) is None
+
+
+@pytest.mark.parametrize("v", [0, -1, 257, 2 ** 70, True, 5.0, None])
+def test_the_vertex_view_is_never_made_outside_orders_1_to_256(v):
+    sol = _pentagons(v=v)
+    assert vertex_view(sol) is None and "_view" not in vars(sol)

@@ -38,6 +38,7 @@ from hwp4m.model import (
     switch_graph,
     switch_matching_edges,
     two_factor,
+    vertex_view,
 )
 from hwp4m.outer import hamilton_decomposition, walecki
 from hwp4m.verifier import (
@@ -675,6 +676,31 @@ def test_the_tables_read_a_vertex_as_the_int_it_equals():
     assert _tables(_relabelled(k5, 2, _Indexed())) is None
     with pytest.raises(TypeError):
         verify_solution(_relabelled(k5, 2, _Indexed()))
+
+
+def test_verify_solution_hands_the_tables_the_bytes_of_the_vertex_view(monkeypatch):
+    """The tables read the view's bytes as they read the factors, for a
+    vertex equal to its byte without being an exact int too, and still
+    check the matching themselves; a Solution with no view, as one that
+    lists 2.0, is read from its factors."""
+    k5, k6 = hamilton_decomposition(5), hamilton_decomposition(6)
+    reversed_pair = replace(k6, one_factor=OneFactor(((4, 0), (1, 3), (2, 5))))
+    sols = (k5, k6, _relabelled(k5, 1, True), _relabelled(k5, 0, False), _relabelled(k5, 2, Label(2)), reversed_pair)
+    for sol, counts in zip(sols, [Counter({5: 2}), Counter({6: 2})] + [Counter({5: 2})] * 3 + [None]):
+        view = vertex_view(sol)
+        assert _tables_tile(sol.factors, sol.one_factor, complete_graph(sol.v), view.data) == _tables(sol) == counts
+    floated, k257 = _relabelled(k5, 2, 2.0), hamilton_decomposition(257)
+    assert vertex_view(floated) is None
+    tables_tile, given = hwp4m.verifier._tables_tile, []
+
+    def recorded(factors, matching, space, verts=None):
+        given.append(verts)
+        return tables_tile(factors, matching, space, verts)
+
+    monkeypatch.setattr(hwp4m.verifier, "_tables_tile", recorded)
+    for sol in (k6, floated, k257):
+        verify_solution(sol)
+    assert given == [vertex_view(k6).data, None, None]
 
 
 def test_the_tables_reject_an_edge_inside_a_part_of_k_a_b():

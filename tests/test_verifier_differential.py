@@ -71,8 +71,8 @@ def tables_accepted(monkeypatch):
     is certified by that full pass as it stands, so it needs no second run."""
     tables_tile, accepted, declining = verifier._tables_tile, [], []
 
-    def checked(factors, matching, space):
-        counts = None if declining else tables_tile(factors, matching, space)
+    def checked(factors, matching, space, verts=None):
+        counts = None if declining else tables_tile(factors, matching, space, verts)
         if counts is not None:
             declining.append(True)
             try:
