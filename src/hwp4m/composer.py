@@ -53,10 +53,13 @@ is canonical as read or takes a reordering fixed once per piece cycle,
 and no route canonicalizes a copy.  A block's copies through one
 placement's maps are a pure function of the block and the maps, so at
 v <= 256 each cached block keeps them, one byte per vertex, keyed by the
-maps, and a sweep that places it again rebuilds them from those bytes; no
-kept copy is trusted, since every build is verified.  The remaining
-shapes are genuinely open (r = 2 at v = 8m, and ``OPEN_CORNERS``), or fall
-to known results we do not reconstruct (route "external").
+maps, and a sweep that places it again slices them from those bytes.  At
+v <= 256 every global factor is one ``bytes``, and
+``model.packed_solution`` makes both the build's cycles and its vertex
+view from them; no kept copy is trusted, since every build is verified.
+The remaining shapes are genuinely open (r = 2 at v = 8m, and
+``OPEN_CORNERS``), or fall to known results we do not reconstruct (route
+"external").
 
 The planner's precedence: the open corners, the v = 24 table, the r1/r2
 routes, the c = 0 recipe when its outer is available (an import included),
@@ -78,12 +81,12 @@ it is returned.
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import chain, islice
+from itertools import accumulate, chain
 from operator import itemgetter
 
 from .blocks import BLOCK_BUILDERS, K4_MINUS_I, K44, PART
 from .k24 import k24_solution
-from .model import Solution, TwoFactor, canonicalize_cycle, one_factor
+from .model import Solution, TwoFactor, canonicalize_cycle, one_factor, packed_solution
 from .outer import (
     IngredientUnavailable,
     hamilton_decomposition,
@@ -415,11 +418,12 @@ def _copiers(piece: Solution, p: int, kept: dict | None = None):
 def _block(kind: str, m: int):
     """A block's copiers and the store of its copies at v <= 256: per
     placement, a ``bytes`` key, its maps' vertices, and a ``bytes`` value,
-    its sorted factors' vertices.  An entry takes at most 6 * 256 bytes
-    plus about 100 of object overhead, one per distinct placement of the
-    process, at most 4 kinds times the factors of each outer it blows up at
-    v <= 256: a v <= 120 sweep keeps 497 in 0.25 MB.  The store lives as
-    long as the cached block: ``_block.cache_clear()`` drops it."""
+    its sorted factors' vertices, which a placement met again slices into
+    its factors' bytes.  An entry takes at most 6 * 256 bytes plus about
+    100 of object overhead, one per distinct placement of the process, at
+    most 4 kinds times the factors of each outer it blows up at v <= 256:
+    a v <= 120 sweep keeps 497 in 0.25 MB.  The store lives as long as the
+    cached block: ``_block.cache_clear()`` drops it."""
     return _copiers(BLOCK_BUILDERS[kind](m), PART, {})
 
 
@@ -453,14 +457,17 @@ def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
     0 below the others.  Maps joined from a ``_part_table``'s rows keep it,
     so every copy is canonical and the factors are only sorted, each
     piece's once its maps are used up: no two pieces' buckets live at once.
-    When v <= 256 and the piece is a block, whose copiers carry a store,
-    its sorted factors are kept as bytes keyed by its maps' vertices, and a
-    placement met again is rebuilt from them, with no copier and no sort;
-    above 256, and for every other piece, every copy is made afresh."""
+    When v <= 256 every global factor is one ``bytes``: a first
+    placement's sorted copies, or, for a block placement met before, a
+    slice of the copy its store keeps under its maps' vertices, with no
+    copier and no sort.  ``model.packed_solution`` then makes the factors'
+    cycles and the vertex view from the same bytes.  Above 256 every copy
+    is made afresh, as tuples."""
     c4_factors, cm_factors, matching = [], [], []
+    packed = v <= 256  # every vertex fits a byte
     for (factors, edge_getters, kept), maps in placed:
         data = key = None
-        if kept is not None and v <= 256:  # every vertex fits a byte
+        if kept is not None and packed:
             maps = list(maps)
             data = kept.get(key := bytes(chain.from_iterable(maps)))
         if data is None:
@@ -469,21 +476,26 @@ def _assemble(v: int, m: int, r: int, s: int, placed) -> Solution:
                 for bucket, (_, copiers) in zip(buckets, factors):
                     bucket += [f(vmap) if vmap[a] < vmap[b] else g(f(vmap)) for a, b, f, g in copiers]
                 matching += [g(vmap) for g in edge_getters]
-            copies = [tuple(sorted(bucket)) for bucket in buckets]
-            if key is not None:
-                kept[key] = bytes(chain.from_iterable(chain.from_iterable(copies)))
-        else:  # a placement met before: its kept copy, rebuilt
+            if packed:
+                copies = [bytes(chain.from_iterable(sorted(bucket))) for bucket in buckets]
+                if key is not None:
+                    kept[key] = b"".join(copies)
+            else:
+                copies = [tuple(sorted(bucket)) for bucket in buckets]
+        else:  # a placement met before: slices of its kept copy
             matching += [g(vmap) for vmap in maps for g in edge_getters]
-            vertices = iter(data)
-            copies = [tuple(islice(zip(*[vertices] * length), len(maps) * len(copiers)))
-                      for length, copiers in factors]
+            sizes = [len(maps) * len(copiers) * length for length, copiers in factors]
+            copies = [data[stop - size:stop] for size, stop in zip(sizes, accumulate(sizes))]
         for (length, _), copy in zip(factors, copies):
-            (c4_factors if length == 4 else cm_factors).append(copy)
+            (c4_factors if length == 4 else cm_factors).append((length, copy) if packed else copy)
     if len(c4_factors) != r or len(cm_factors) != s:
         raise RuntimeError(
             f"assembly mismatch: built {len(c4_factors)} C4-factors and "
             f"{len(cm_factors)} Cm-factors, wanted ({r}, {s})"
         )
+    if packed:
+        rows = [(k, 4, copy) for k, copy in c4_factors] + [(k, m, copy) for k, copy in cm_factors]
+        return packed_solution(v, m if s > 0 else None, r, s, rows, one_factor(matching))
     factors = [TwoFactor(c, v, 4) for c in c4_factors]
     factors += [TwoFactor(c, v, m) for c in cm_factors]
     return Solution(

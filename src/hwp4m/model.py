@@ -42,11 +42,19 @@ already named (True after 1, 2.0 after 2) is outside the contract: it
 takes that int's text.  The decoder rejects every such document.
 
 A Solution of order 0 < v <= 256 has a vertex view (``vertex_view``),
-made from its own immutable factors by this module alone, on first use,
-and kept on it: every factor's vertices in stored order, one byte each
-(at most 32,512 bytes, at v = 256), and whether each is an exact int.
-``verifier.verify_solution`` hands its bytes to the byte tables, so a
-verified build is flattened once.  From an exact view, when every factor
+made by this module alone and kept on it: every factor's vertices in
+stored order, one byte each (at most 32,512 bytes, at v = 256), whether
+each is an exact int, and the factors' shapes (``cycle_shapes``): each
+factor's one cycle length k, 0 when it has several or none, and its
+cycle count.  ``packed_solution`` makes a Solution from rows (k, declared
+length, bytes), as the assembler hands over each build of order <= 256:
+each factor's cycles are its bytes cut k at a time, and the view is made
+at once from the same bytes, so it is exact and cannot disagree with the
+factors.  Any other Solution, decoded or ``replace``d among them, is
+flattened on first use from its own immutable factors.
+``verifier.verify_solution`` hands the view to the byte tables, and the
+encoder reads the same view, so a build is never flattened and any
+other Solution once.  From an exact view, when every factor
 is uniform with strictly rising cycle firsts (so already sorted) and every
 declared length, field and matching end is an exact int, the ends below
 256, the byte path writes the text with ``bytes.translate`` digit tables
@@ -154,7 +162,8 @@ class Solution:
 
     @cached_property
     def _view(self):
-        # read only through vertex_view; never raises, whatever a vertex's __index__ or __eq__ does
+        # read only through vertex_view, and set by packed_solution; never
+        # raises, whatever a vertex's __index__ or __eq__ does
         try:
             cycles = [f.cycles for f in self.factors]
             rows = list(chain.from_iterable(cycles))
@@ -166,12 +175,18 @@ class Solution:
             listed = list(chain.from_iterable(rows))
             data = bytes(listed)
             exact = set(map(type, listed)) <= {int}  # an exact int equals its byte
-            return VertexView(data, exact) if exact or list(data) == listed else None
+            return VertexView(data, exact, cycle_shapes(self.factors)) if exact or list(data) == listed else None
         except Exception:
             return None
 
 
-VertexView = namedtuple("VertexView", "data exact")
+VertexView = namedtuple("VertexView", "data exact shapes")
+
+
+def cycle_shapes(factors) -> tuple:
+    """Each factor's (k, cycle count), k its one cycle length, or 0 when its
+    cycles have several lengths or none; raises as ``len`` of a cycle does."""
+    return tuple((found.pop() if len(found := set(map(len, f.cycles))) == 1 else 0, len(f.cycles)) for f in factors)
 
 
 def vertex_view(sol: Solution) -> VertexView | None:
@@ -180,6 +195,21 @@ def vertex_view(sol: Solution) -> VertexView | None:
     factors other than a tuple of TwoFactors of tuples of tuples or a
     vertex that does not equal its byte."""
     return sol._view if isinstance(sol, Solution) and type(sol.v) is int and 0 < sol.v <= 256 else None
+
+
+def packed_solution(v: int, m, r, s, rows, one_factor: OneFactor | None) -> Solution:
+    """The Solution whose factor i is row i = (k, declared cycle length,
+    bytes): the bytes cut k at a time into cycles, one byte per vertex.  Its
+    vertex view is made here from the same bytes (see "Solution interchange
+    format").  ValueError for v outside 1..256, a row that is not bytes,
+    k < 3, or bytes whose length is not a multiple of k."""
+    if not 0 < v <= 256 or any(type(data) is not bytes or k < 3 or len(data) % k for k, _, data in rows):
+        raise ValueError(f"rows of order {v} that are not cycles of bytes")
+    factors = tuple(TwoFactor(tuple(zip(*[iter(data)] * k)), v, length) for k, length, data in rows)
+    sol = Solution(v, factors, m, r, s, one_factor)
+    shapes = tuple((k if data else 0, len(data) // k) for k, _, data in rows)  # as cycle_shapes reads factors
+    vars(sol)["_view"] = VertexView(b"".join(row[2] for row in rows), True, shapes)
+    return sol
 
 
 # ============================================================
@@ -496,18 +526,17 @@ def _rows_text(rows, names: _IntNames, lengths: set) -> str:
 _DIGITS = [bytes(col).replace(b" ", b"\0") for col in zip(*map(b"%3d".__mod__, range(256)))]
 
 
-def _byte_text(sol: Solution, data: bytes) -> bytes | None:
-    """The byte path (see "Solution interchange format") from the bytes of
-    an exact view, or None.  A vertex takes 4 bytes: three digits and ","
-    in a cycle, "]" after one, widened to "],[", or "|" after a factor,
-    where the text is split into one body per factor and the matching's."""
+def _byte_text(sol: Solution, view: VertexView) -> bytes | None:
+    """The byte path (see "Solution interchange format") from an exact
+    view, its bytes and its shapes, or None.  A vertex takes 4 bytes: three
+    digits and "," in a cycle, "]" after one, widened to "],[", or "|"
+    after a factor, where the text is split into one body per factor and
+    the matching's."""
     fields = {key: val for key in ("m", "r", "s", "v") if (val := getattr(sol, key)) is not None}
-    lengths, runs, start = [], [], 0
-    for f in sol.factors:
-        found = set(map(len, f.cycles))
-        k = found.pop() if len(found) == 1 else 0
+    data, lengths, runs, start = view.data, [], [], 0
+    for (k, count), f in zip(view.shapes, sol.factors):
         length = k if f.cycle_length is None else f.cycle_length
-        stop = start + k * len(f.cycles)
+        stop = start + k * count
         if not k or type(length) is not int or not all(map(lt, data[start:stop:k], data[start + k:stop:k])):
             return None
         lengths.append(length)
@@ -546,7 +575,7 @@ def _byte_text(sol: Solution, data: bytes) -> bytes | None:
 def encode_solution(sol: Solution) -> bytes:
     """The document's bytes (see "Solution interchange format" above)."""
     view = vertex_view(sol)
-    if view and view.exact and (out := _byte_text(sol, view.data)):
+    if view and view.exact and (out := _byte_text(sol, view)):
         return out
     names = _IntNames()
     # each factor's text joins one buffer as bytes as soon as it is written,

@@ -55,10 +55,14 @@ rules out a missed vertex (it maps to itself twice), a 1- or 2-cycle, a
 repeated edge, an edge in a part and an imperfect matching.  Each covered
 byte is marked 0xFF, which is no vertex only below 256.  A vertex is read
 when it equals its byte, so True, False and an int subclass are read.
-``verify_solution`` hands the tables the factors' bytes from the
-Solution's ``model.vertex_view``, which the encoder then reuses; other
-callers, and a Solution with no view, have them read from the factors.
-The tables read the matching's ends themselves.
+Each factor must be of one cycle length k, the declared one if any, with
+n / k cycles; the tables read this from the factors' shapes
+(``model.cycle_shapes``).  ``verify_solution`` hands the tables the
+Solution's ``model.vertex_view``, its bytes and shapes, which model made
+with a build's factors from the same bytes, or flattened from any other
+Solution's factors, and which the encoder then reuses; other callers, and
+a Solution with no view, have both read from the factors.  The tables
+read the matching's ends themselves.
 
 The bitmap rows take a dense ambient, K_{a:b} (K_v is K_{1:v}), whose
 n * n bytes are at most four per edge and four per listed edge.  The kept
@@ -122,8 +126,10 @@ from .model import (
     EdgeSpace,
     OneFactor,
     Solution,
+    VertexView,
     complete_graph,
     cycle_blowup4,
+    cycle_shapes,
     switch_graph,
     switch_matching_edges,
     vertex_view,
@@ -344,29 +350,26 @@ def _bytes_of(values) -> bytes | None:
 
 
 def _tables_tile(
-    factors, matching: OneFactor | None, space: EdgeSpace, verts: bytes | None = None,
+    factors, matching: OneFactor | None, space: EdgeSpace, view: VertexView | None = None,
 ) -> Counter | None:
     """The factor counts by cycle length when the byte tables prove that
-    the factors and the matching tile ``space``, else None.  ``verts``, the
-    bytes of a Solution's ``model.vertex_view``, are the factors' vertices
-    in order; without them they are read from ``factors``."""
+    the factors and the matching tile ``space``, else None.  ``view``, a
+    Solution's ``model.vertex_view``, gives the factors' vertices in order
+    and their shapes; without it both are read from ``factors``."""
     n, a = space.vertex_count, space.part
     if a is None or not 0 < n <= 255 or 2 * len(factors) + (matching is not None) + a != n:
         return None
-    pairs, lengths = () if matching is None else matching.edges, []
+    pairs = () if matching is None else matching.edges
     try:
-        for factor in factors:
-            found = set(map(len, factor.cycles))
-            k = found.pop() if len(found) == 1 else 0
-            if not k or factor.cycle_length not in (None, k) or len(factor.cycles) * k != n:
-                return None
-            lengths.append(k)
+        shapes = view.shapes if view else cycle_shapes(factors)
+        if not all(k and f.cycle_length in (None, k) and k * count == n for (k, count), f in zip(shapes, factors)):
+            return None
         if matching is not None and (2 * len(pairs) != n or set(map(len, pairs)) != {2}):
             return None
     except (TypeError, ValueError):
         return None
-    if verts is None:
-        verts = _bytes_of(chain.from_iterable(chain.from_iterable(f.cycles for f in factors)))
+    lengths = [k for k, _ in shapes]
+    verts = view.data if view else _bytes_of(chain.from_iterable(chain.from_iterable(f.cycles for f in factors)))
     ends = _bytes_of(chain.from_iterable(pairs))
     # a vertex must equal its byte, and a matching pair come smaller end first
     if verts is None or ends is None or not all(map(lt, ends[::2], ends[1::2])):
@@ -480,12 +483,12 @@ def _sorted_pass(factors, matching: OneFactor | None, space: EdgeSpace):
     return out, by_length
 
 
-def _certify(factors, matching: OneFactor | None, space: EdgeSpace, verts: bytes | None = None):
+def _certify(factors, matching: OneFactor | None, space: EdgeSpace, view: VertexView | None = None):
     """The violations and the factor counts by uniform cycle length of the
     factors and the optional matching, whose edges join the cover: from the
     first of the byte tables, the bitmap rows and the sorted pairs that
-    does not decline.  ``verts`` goes to the byte tables."""
-    if (counts := _tables_tile(factors, matching, space, verts)) is not None:
+    does not decline.  ``view`` goes to the byte tables."""
+    if (counts := _tables_tile(factors, matching, space, view)) is not None:
         return [], counts
     return _bitmap_pass(factors, matching, space) or _sorted_pass(factors, matching, space)
 
@@ -527,8 +530,7 @@ def verify_solution(sol: Solution) -> Report:
     if v % 2 == 1 and sol.one_factor is not None:
         out.append(Violation("MatchingInvalid", "odd order cannot remove a 1-factor"))
 
-    view = vertex_view(sol)
-    found, by_length = _certify(sol.factors, sol.one_factor, complete_graph(v), view and view.data)
+    found, by_length = _certify(sol.factors, sol.one_factor, complete_graph(v), vertex_view(sol))
     out.extend(found)
 
     if sol.r is not None or sol.s is not None:

@@ -431,8 +431,8 @@ def byte_path(monkeypatch):
     wrote the document, False when it left it to the names path."""
     byte_text, outcomes = model._byte_text, []
 
-    def recorded(sol, data):
-        out = byte_text(sol, data)
+    def recorded(sol, view):
+        out = byte_text(sol, view)
         outcomes.append(out is not None)
         return out
 
@@ -442,7 +442,7 @@ def byte_path(monkeypatch):
 
 def _names_path(sol, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(model, "_byte_text", lambda sol, data: None)
+        patch.setattr(model, "_byte_text", lambda sol, view: None)
         return _encoded(encode_solution, sol)
 
 

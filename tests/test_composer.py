@@ -9,7 +9,7 @@ its own output before returning it.
 import hashlib
 import random
 from dataclasses import replace
-from itertools import chain
+from pathlib import Path
 
 import pytest
 import reference_codec as oracle
@@ -350,11 +350,33 @@ def test_a_kept_copy_is_never_trusted(monkeypatch):
         build(60, 5, 5, 24)
 
 
-def test_construction_never_hands_the_verifier_a_vertex_view(monkeypatch):
-    """Only model makes a Solution's vertex view, from the Solution's own
-    factors: the Solution that _assemble returns holds none when its
-    verification starts, a replaced one makes its own, and a build above
-    order 256 is verified and encoded without one."""
+@pytest.mark.parametrize("request_", [
+    (24, 3, 4, 7), (256, 3, 127, 0), (252, 63, 3, 122), (252, 63, 6, 119), (48, 3, 10, 13), (56, 7, 3, 24),
+], ids=["k24_table", "all_c4", "odd_r_odd_t_mixed", "even_r_switch", "inner_blowup", "odd_r_even_t"])
+def test_a_build_holds_the_view_of_its_own_factors(request_, monkeypatch):
+    """At v <= 256 model makes a build's vertex view with its factors, from
+    the same bytes, before the build's verification starts.  It equals the
+    view model flattens from a replaced copy, in data, exactness and
+    shapes, on a first build and on one that slices every block placement
+    from its kept copy."""
+    verify, held = composer.verify_solution, []
+
+    def checked(sol):
+        held.append(vars(sol).get("_view"))
+        return verify(sol)
+
+    monkeypatch.setattr(composer, "verify_solution", checked)
+    for _ in range(2):
+        sol = build(*request_)
+        view = held[-1]  # an inner build is verified first
+        assert view is not None and vertex_view(sol) is view
+        assert view == vertex_view(replace(sol)) and view.exact
+        assert view.shapes == tuple((len(f.cycles[0]), len(f.cycles)) for f in sol.factors)
+
+
+def test_only_model_makes_a_vertex_view_and_none_above_order_256(monkeypatch):
+    source = Path(composer.__file__).read_text()
+    assert "_view" not in source and "VertexView" not in source
     verify, held = composer.verify_solution, []
 
     def checked(sol):
@@ -362,16 +384,10 @@ def test_construction_never_hands_the_verifier_a_vertex_view(monkeypatch):
         return verify(sol)
 
     monkeypatch.setattr(composer, "verify_solution", checked)
-    sol = build(60, 5, 5, 24)
-    assert held == [False] and "_view" in vars(sol)  # made by the verification
-    for other in (replace(sol), replace(sol, factors=sol.factors[::-1])):
-        assert "_view" not in vars(other)
-        listed = chain.from_iterable(chain.from_iterable(f.cycles for f in other.factors))
-        assert vertex_view(other) == (bytes(listed), True)
     big = build(260, 65, 1, 128)
-    assert held == [False, False]
+    assert held == [False]
     assert verify_solution(big).ok and encode_solution(big) == oracle.encode_solution(big)
-    assert "_view" not in vars(big)
+    assert "_view" not in vars(big) and vertex_view(big) is None
 
 
 def _stores(*ms):

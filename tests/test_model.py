@@ -9,12 +9,15 @@ makes every serialized artifact byte-stable.
 import json
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
+from itertools import chain
 
 import pytest
 import reference_codec
 from reference_verifier import factor_edges, listed_edges
 from test_codec_differential import Label
 
+from hwp4m import model
 from hwp4m.model import (
     DecodeError,
     EdgeSpace,
@@ -24,16 +27,20 @@ from hwp4m.model import (
     canonicalize_cycle,
     complete_graph,
     cycle_blowup4,
+    cycle_shapes,
     decode_solution,
     encode_solution,
     equipartite_graph,
     normalize_edge,
     one_factor,
+    packed_solution,
     switch_graph,
     switch_matching_edges,
     two_factor,
     vertex_view,
 )
+from hwp4m.outer import hamilton_decomposition
+from hwp4m.verifier import verify_solution
 
 # ============================================================
 # vertex layout and cycle canonicalization
@@ -447,11 +454,11 @@ def _pentagons(v=5, old=None, new=None):
 def test_the_vertex_view_is_every_factor_vertex_as_one_byte():
     sol = _pentagons()
     view = vertex_view(sol)
-    assert view == (bytes([0, 1, 2, 3, 4, 0, 2, 4, 1, 3]), True)
+    assert view == (bytes([0, 1, 2, 3, 4, 0, 2, 4, 1, 3]), True, ((5, 1), (5, 1)))
     assert vertex_view(sol) is view and vars(sol)["_view"] is view  # made once, kept on the Solution
     # a vertex equal to its byte is read as that byte, but only exact ints make the view exact
     for new in (True, Label(1)):
-        assert vertex_view(_pentagons(old=1, new=new)) == (view.data, False)
+        assert vertex_view(_pentagons(old=1, new=new)) == (view.data, False, view.shapes)
     for new in (1.0, 256, -1, "1", None, _Faulty()):  # no byte, or one it does not equal
         assert vertex_view(_pentagons(old=1, new=new)) is None
     assert vertex_view(_pentagons(v=256)) == view
@@ -473,3 +480,84 @@ def test_the_vertex_view_reads_only_immutable_factors():
 def test_the_vertex_view_is_never_made_outside_orders_1_to_256(v):
     sol = _pentagons(v=v)
     assert vertex_view(sol) is None and "_view" not in vars(sol)
+
+
+def test_the_shapes_are_each_factors_one_cycle_length_and_cycle_count():
+    factors = (
+        TwoFactor(((0, 1, 2), (3, 4, 5)), 6),
+        TwoFactor(((0, 1, 2), (3, 4, 5, 6)), 7),  # two lengths: no k
+        TwoFactor((), 6, 3),  # no cycles: no k
+        TwoFactor(((0, 1, 2, 3, 4, 5),), 6, 4),  # k as listed, not as declared
+    )
+    assert cycle_shapes(factors) == ((3, 2), (0, 2), (0, 0), (6, 1))
+    assert vertex_view(Solution(v=7, factors=factors)).shapes == cycle_shapes(factors)
+
+
+# ============================================================
+# solutions packed from bytes
+# ============================================================
+
+
+def _rows(sol):
+    """Each factor of ``sol`` as a row (k, declared length, bytes)."""
+    return [(len(f.cycles[0]), f.cycle_length, bytes(chain.from_iterable(f.cycles))) for f in sol.factors]
+
+
+def _twin(v, m, r, s, rows, matching):
+    """The Solution of the same cycles, built through ``two_factor``."""
+    factors = (two_factor(zip(*[iter(data)] * k), v, length) for k, length, data in rows)
+    return Solution(v, tuple(factors), m, r, s, matching)
+
+
+@pytest.mark.parametrize("v, rows", [
+    (8, [(4, 4, bytes(range(7)))]),  # not a multiple of k
+    (8, [(4, 4, bytes(range(8))), (3, 3, bytes(range(4)))]),
+    (8, [(2, 2, bytes(range(8)))]),  # k < 3
+    (8, [(0, 3, b"")]),
+    (0, [(4, 4, bytes(range(8)))]),  # v outside 1..256
+    (257, [(4, 4, bytes(range(8)))]),
+    (-1, []),
+    (8, [(4, 4, bytearray(range(8)))]),  # not bytes
+    (8, [(4, 4, list(range(8)))]),
+    (8, [(4, 4, "01234567")]),
+])
+def test_a_packed_solution_refuses_rows_that_are_not_cycles_of_bytes(v, rows):
+    with pytest.raises(ValueError):
+        packed_solution(v, None, None, None, rows, None)
+
+
+def _packed_cases():
+    k5, k8, sol = hamilton_decomposition(5), hamilton_decomposition(8), _pentagons()
+    swapped = [(5, 5, b"\0\3\1\2\4"), *_rows(k5)[1:]]  # factor 0 no longer tiles with factor 1
+    return {
+        "k5": (5, 5, 0, 2, _rows(k5), None),
+        "k8_minus_i": (8, 8, 0, 3, _rows(k8), k8.one_factor),
+        "triangles_and_squares": (12, 3, 1, 1, [(4, 4, bytes(range(12))), (3, 3, bytes(range(12)))], None),
+        "not_a_tiling": (5, 5, 0, 2, swapped, None),
+        "declared_4_listed_5": (5, None, 2, 0, [(5, 4, data) for _, _, data in _rows(k5)], None),
+        "no_cycles": (5, 5, 0, 2, [_rows(k5)[0], (5, 5, b"")], None),
+        "odd_order_with_a_matching": (5, 5, 0, 2, _rows(sol), one_factor([(0, 1)])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_packed_cases()))
+def test_a_packed_solution_encodes_and_verifies_as_its_cycles_through_two_factor(name, monkeypatch):
+    case = _packed_cases()[name]
+    sol, twin = packed_solution(*case), _twin(*case)
+    assert sol == twin  # the same fields, every cycle canonical and sorted as given
+    assert {type(c) for f in sol.factors for c in f.cycles} <= {tuple}
+    assert {type(u) for f in sol.factors for c in f.cycles for u in c} <= {int}
+    view = vertex_view(sol)
+    assert vars(sol)["_view"] is view and view == vertex_view(twin) == vertex_view(replace(sol))
+    assert view.exact
+    byte_text, written = model._byte_text, []
+
+    def recorded(*args):
+        written.append(byte_text(*args))
+        return written[-1]
+
+    monkeypatch.setattr(model, "_byte_text", recorded)
+    data = encode_solution(sol)
+    assert data == encode_solution(twin) == reference_codec.encode_solution(twin)
+    assert (written[0] is not None) == all(k for k, _ in view.shapes)
+    assert verify_solution(sol) == verify_solution(twin)

@@ -679,28 +679,64 @@ def test_the_tables_read_a_vertex_as_the_int_it_equals():
 
 
 def test_verify_solution_hands_the_tables_the_bytes_of_the_vertex_view(monkeypatch):
-    """The tables read the view's bytes as they read the factors, for a
-    vertex equal to its byte without being an exact int too, and still
-    check the matching themselves; a Solution with no view, as one that
-    lists 2.0, is read from its factors."""
+    """The tables read the view's bytes and shapes as they read the
+    factors, for a vertex equal to its byte without being an exact int
+    too, and still check the matching themselves; a Solution with no view,
+    as one that lists 2.0, is read from its factors."""
     k5, k6 = hamilton_decomposition(5), hamilton_decomposition(6)
     reversed_pair = replace(k6, one_factor=OneFactor(((4, 0), (1, 3), (2, 5))))
     sols = (k5, k6, _relabelled(k5, 1, True), _relabelled(k5, 0, False), _relabelled(k5, 2, Label(2)), reversed_pair)
     for sol, counts in zip(sols, [Counter({5: 2}), Counter({6: 2})] + [Counter({5: 2})] * 3 + [None]):
         view = vertex_view(sol)
-        assert _tables_tile(sol.factors, sol.one_factor, complete_graph(sol.v), view.data) == _tables(sol) == counts
+        assert _tables_tile(sol.factors, sol.one_factor, complete_graph(sol.v), view) == _tables(sol) == counts
     floated, k257 = _relabelled(k5, 2, 2.0), hamilton_decomposition(257)
     assert vertex_view(floated) is None
     tables_tile, given = hwp4m.verifier._tables_tile, []
 
-    def recorded(factors, matching, space, verts=None):
-        given.append(verts)
-        return tables_tile(factors, matching, space, verts)
+    def recorded(factors, matching, space, view=None):
+        given.append(view)
+        return tables_tile(factors, matching, space, view)
 
     monkeypatch.setattr(hwp4m.verifier, "_tables_tile", recorded)
     for sol in (k6, floated, k257):
         verify_solution(sol)
-    assert given == [vertex_view(k6).data, None, None]
+    assert given == [vertex_view(k6), None, None]
+
+
+def _shape_cases():
+    k5, k7 = hamilton_decomposition(5), hamilton_decomposition(7)
+    return {
+        "non_uniform": (
+            replace(k7, factors=(TwoFactor(((0, 1, 2), (3, 4, 5, 6)), 7), *k7.factors[1:])),
+            ((0, 2), (7, 1), (7, 1)),
+            "NonUniformCycleLength: factor 0: cycle lengths [3, 4]; EdgeMissing: 0-6, 1-5, 2-4, 2-5; "
+            "EdgeDuplicated: 0-2, 1-2, 4-5, 5-6",
+        ),
+        "no_cycles": (
+            replace(k5, factors=(k5.factors[0], TwoFactor((), 5, 5))),
+            ((5, 1), (0, 0)),
+            "NotSpanning: factor 1: vertices uncovered: [0, 1, 2, 3, 4]; NotSpanning: factor 1: factor has no "
+            "cycles; EdgeMissing: 0-2, 0-3, 1-2, 1-4, 3-4",
+        ),
+        "declared_4_listed_5": (
+            replace(k5, factors=(TwoFactor(k5.factors[0].cycles, 5, 4), k5.factors[1])),
+            ((5, 1), (5, 1)),
+            "NonUniformCycleLength: factor 0: declared 4, actual 5",
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_shape_cases()))
+def test_the_tables_decline_a_view_whose_shapes_do_not_tile(name):
+    """Each factor's shape, from the view or from the factors, must be one
+    cycle length k, as declared, whose cycles cover the order; else the
+    tables decline and the full pass reports the document as before."""
+    sol, shapes, summary = _shape_cases()[name]
+    view = vertex_view(sol)
+    assert view.shapes == shapes
+    assert _tables_tile(sol.factors, sol.one_factor, complete_graph(sol.v), view) is None
+    assert _tables(sol) is None
+    assert verify_solution(sol).summary() == summary
 
 
 def test_the_tables_reject_an_edge_inside_a_part_of_k_a_b():
