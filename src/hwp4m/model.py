@@ -41,25 +41,22 @@ writes it.  A vertex or field that is not an int (a bool, float, str,
 already named (True after 1, 2.0 after 2) is outside the contract: it
 takes that int's text.  The decoder rejects every such document.
 
-A Solution of order 0 < v <= 256 has a vertex view (``vertex_view``),
-made by this module alone and kept on it: every factor's vertices in
-stored order, one byte each (at most 32,512 bytes, at v = 256), whether
-each is an exact int, and the factors' shapes (``cycle_shapes``): each
-factor's one cycle length k, 0 when it has several or none, and its
-cycle count.  ``packed_solution`` makes a Solution from rows (k, declared
-length, bytes), as the assembler hands over each build of order <= 256:
-each factor's cycles are its bytes cut k at a time, and the view is made
-at once from the same bytes, so it is exact and cannot disagree with the
-factors.  Any other Solution, decoded or ``replace``d among them, is
-flattened on first use from its own immutable factors.
-``verifier.verify_solution`` hands the view to the byte tables, and the
-encoder reads the same view, so a build is never flattened and any
-other Solution once.  From an exact view, when every factor
-is uniform with strictly rising cycle firsts (so already sorted) and every
-declared length, field and matching end is an exact int, the ends below
-256, the byte path writes the text with ``bytes.translate`` digit tables
-and one split; every other document, every order above 256 among them,
-takes the names path.  It sorts each factor's cycles, and since a document
+A build of order 0 < v <= 256 has a vertex view (``vertex_view``): every
+factor's vertices in stored order, one byte each (at most 32,512 bytes,
+at v = 256), and each factor's shape, its cycle length k (0 when it has
+no cycles) and its cycle count.  Only ``packed_solution`` makes a view.
+It makes a Solution from rows (k, declared length, bytes), as the
+assembler hands over each build of order <= 256: each factor's cycles are
+its bytes cut k at a time, and the view is made from the same bytes, so
+it cannot disagree with the factors.  Any other Solution, decoded or
+``replace``d among them, has none.  ``verifier.verify_solution`` hands the
+view to the byte tables, and the encoder reads the same view, so no
+Solution is flattened into bytes.  From a view, when every factor has
+cycles with strictly rising firsts (so already sorted) and every declared
+length, field and matching end is an exact int, the ends below 256, the
+byte path writes the text with ``bytes.translate`` digit tables and one
+split; every other document, every one without a view among them, takes
+the names path.  It sorts each factor's cycles, and since a document
 lists each vertex once per factor but has at most v distinct vertices, it
 makes the decimal text of each int once, on its first occurrence, in a
 table of the ints that document lists (no term in v).  Each factor's
@@ -80,7 +77,6 @@ import json
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, groupby, repeat
 from operator import eq, itemgetter, lt
 
@@ -160,41 +156,14 @@ class Solution:
     s: int | None = None
     one_factor: OneFactor | None = None
 
-    @cached_property
-    def _view(self):
-        # read only through vertex_view, and set by packed_solution; never
-        # raises, whatever a vertex's __index__ or __eq__ does
-        try:
-            cycles = [f.cycles for f in self.factors]
-            rows = list(chain.from_iterable(cycles))
-            if type(self.factors) is not tuple or not (
-                set(map(type, self.factors)) <= {TwoFactor}
-                and set(map(type, chain(cycles, rows))) <= {tuple}
-            ):
-                return None  # a view of mutable factors could go stale
-            listed = list(chain.from_iterable(rows))
-            data = bytes(listed)
-            exact = set(map(type, listed)) <= {int}  # an exact int equals its byte
-            return VertexView(data, exact, cycle_shapes(self.factors)) if exact or list(data) == listed else None
-        except Exception:
-            return None
 
-
-VertexView = namedtuple("VertexView", "data exact shapes")
-
-
-def cycle_shapes(factors) -> tuple:
-    """Each factor's (k, cycle count), k its one cycle length, or 0 when its
-    cycles have several lengths or none; raises as ``len`` of a cycle does."""
-    return tuple((found.pop() if len(found := set(map(len, f.cycles))) == 1 else 0, len(f.cycles)) for f in factors)
+VertexView = namedtuple("VertexView", "data shapes")
 
 
 def vertex_view(sol: Solution) -> VertexView | None:
-    """The view of a Solution of order 0 < v <= 256 (see "Solution
-    interchange format"); None for any other order or object, and for
-    factors other than a tuple of TwoFactors of tuples of tuples or a
-    vertex that does not equal its byte."""
-    return sol._view if isinstance(sol, Solution) and type(sol.v) is int and 0 < sol.v <= 256 else None
+    """The view ``packed_solution`` made with ``sol`` (see "Solution
+    interchange format"), else None."""
+    return vars(sol).get("_view") if isinstance(sol, Solution) else None
 
 
 def packed_solution(v: int, m, r, s, rows, one_factor: OneFactor | None) -> Solution:
@@ -207,8 +176,8 @@ def packed_solution(v: int, m, r, s, rows, one_factor: OneFactor | None) -> Solu
         raise ValueError(f"rows of order {v} that are not cycles of bytes")
     factors = tuple(TwoFactor(tuple(zip(*[iter(data)] * k)), v, length) for k, length, data in rows)
     sol = Solution(v, factors, m, r, s, one_factor)
-    shapes = tuple((k if data else 0, len(data) // k) for k, _, data in rows)  # as cycle_shapes reads factors
-    vars(sol)["_view"] = VertexView(b"".join(row[2] for row in rows), True, shapes)
+    shapes = tuple((k if data else 0, len(data) // k) for k, _, data in rows)
+    vars(sol)["_view"] = VertexView(b"".join(row[2] for row in rows), shapes)
     return sol
 
 
@@ -527,8 +496,8 @@ _DIGITS = [bytes(col).replace(b" ", b"\0") for col in zip(*map(b"%3d".__mod__, r
 
 
 def _byte_text(sol: Solution, view: VertexView) -> bytes | None:
-    """The byte path (see "Solution interchange format") from an exact
-    view, its bytes and its shapes, or None.  A vertex takes 4 bytes: three
+    """The byte path (see "Solution interchange format") from a view, its
+    bytes and its shapes, or None.  A vertex takes 4 bytes: three
     digits and "," in a cycle, "]" after one, widened to "],[", or "|"
     after a factor, where the text is split into one body per factor and
     the matching's."""
@@ -575,7 +544,7 @@ def _byte_text(sol: Solution, view: VertexView) -> bytes | None:
 def encode_solution(sol: Solution) -> bytes:
     """The document's bytes (see "Solution interchange format" above)."""
     view = vertex_view(sol)
-    if view and view.exact and (out := _byte_text(sol, view)):
+    if view and (out := _byte_text(sol, view)):
         return out
     names = _IntNames()
     # each factor's text joins one buffer as bytes as soon as it is written,

@@ -53,16 +53,15 @@ and one of predecessors, one of matching partners, and a naming u's
 part.  Byte u of these n tables must cover 0..n-1, each value once, which
 rules out a missed vertex (it maps to itself twice), a 1- or 2-cycle, a
 repeated edge, an edge in a part and an imperfect matching.  Each covered
-byte is marked 0xFF, which is no vertex only below 256.  A vertex is read
-when it equals its byte, so True, False and an int subclass are read.
-Each factor must be of one cycle length k, the declared one if any, with
-n / k cycles; the tables read this from the factors' shapes
-(``model.cycle_shapes``).  ``verify_solution`` hands the tables the
-Solution's ``model.vertex_view``, its bytes and shapes, which model made
-with a build's factors from the same bytes, or flattened from any other
-Solution's factors, and which the encoder then reuses; other callers, and
-a Solution with no view, have both read from the factors.  The tables
-read the matching's ends themselves.
+byte is marked 0xFF, which is no vertex only below 256.  Each factor must
+be of one cycle length k, the declared one if any, with n / k cycles.
+The tables run only on a build's ``model.vertex_view``, its bytes and
+shapes, which model made with the build from the bytes the assembler
+wrote, and which the encoder then reuses.  ``verify_solution`` hands them
+the view; a Solution without one, decoded or ``replace``d among them, and
+every other entry point go straight to the bitmap rows or the sorted
+pairs, which decide every document.  The tables read the matching's ends
+themselves, each when it equals its byte.
 
 The bitmap rows take a dense ambient, K_{a:b} (K_v is K_{1:v}), whose
 n * n bytes are at most four per edge and four per listed edge.  The kept
@@ -129,7 +128,6 @@ from .model import (
     VertexView,
     complete_graph,
     cycle_blowup4,
-    cycle_shapes,
     switch_graph,
     switch_matching_edges,
     vertex_view,
@@ -349,19 +347,17 @@ def _bytes_of(values) -> bytes | None:
     return data if list(data) == listed else None
 
 
-def _tables_tile(
-    factors, matching: OneFactor | None, space: EdgeSpace, view: VertexView | None = None,
-) -> Counter | None:
+def _tables_tile(factors, matching: OneFactor | None, space: EdgeSpace, view: VertexView) -> Counter | None:
     """The factor counts by cycle length when the byte tables prove that
-    the factors and the matching tile ``space``, else None.  ``view``, a
+    the factors and the matching tile ``space``, else None.  ``view``, the
     Solution's ``model.vertex_view``, gives the factors' vertices in order
-    and their shapes; without it both are read from ``factors``."""
+    and their shapes."""
     n, a = space.vertex_count, space.part
     if a is None or not 0 < n <= 255 or 2 * len(factors) + (matching is not None) + a != n:
         return None
     pairs = () if matching is None else matching.edges
+    verts, shapes = view
     try:
-        shapes = view.shapes if view else cycle_shapes(factors)
         if not all(k and f.cycle_length in (None, k) and k * count == n for (k, count), f in zip(shapes, factors)):
             return None
         if matching is not None and (2 * len(pairs) != n or set(map(len, pairs)) != {2}):
@@ -369,10 +365,9 @@ def _tables_tile(
     except (TypeError, ValueError):
         return None
     lengths = [k for k, _ in shapes]
-    verts = view.data if view else _bytes_of(chain.from_iterable(chain.from_iterable(f.cycles for f in factors)))
     ends = _bytes_of(chain.from_iterable(pairs))
-    # a vertex must equal its byte, and a matching pair come smaller end first
-    if verts is None or ends is None or not all(map(lt, ends[::2], ends[1::2])):
+    # a matching end must equal its byte, and a pair come smaller end first
+    if ends is None or not all(map(lt, ends[::2], ends[1::2])):
         return None
     succ, pred = bytearray(verts[1:] + verts[:1]), bytearray(verts[-1:] + verts[:-1])
     start = 0
@@ -487,8 +482,8 @@ def _certify(factors, matching: OneFactor | None, space: EdgeSpace, view: Vertex
     """The violations and the factor counts by uniform cycle length of the
     factors and the optional matching, whose edges join the cover: from the
     first of the byte tables, the bitmap rows and the sorted pairs that
-    does not decline.  ``view`` goes to the byte tables."""
-    if (counts := _tables_tile(factors, matching, space, view)) is not None:
+    does not decline.  The byte tables run only on a ``view``."""
+    if view is not None and (counts := _tables_tile(factors, matching, space, view)) is not None:
         return [], counts
     return _bitmap_pass(factors, matching, space) or _sorted_pass(factors, matching, space)
 

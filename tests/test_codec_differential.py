@@ -27,12 +27,12 @@ import copy
 import itertools
 import json
 import random
-from dataclasses import replace
+from collections import Counter
 
 import pytest
 import reference_codec as oracle
 
-from hwp4m import model
+from hwp4m import model, verifier
 from hwp4m.blocks import BLOCK_BUILDERS, c4_block, cm_block, mixed_block, switch_block
 from hwp4m.composer import build
 from hwp4m.k24 import k24_solution
@@ -46,11 +46,13 @@ from hwp4m.model import (
     doc_to_solution,
     encode_solution,
     one_factor,
+    packed_solution,
     two_factor,
     vertex_view,
 )
 from hwp4m.outer import hamilton_decomposition, walecki
 from hwp4m.search import cm_factorization_instance, solve
+from hwp4m.verifier import verify_solution
 
 
 def _outcome(decode, doc):
@@ -314,6 +316,24 @@ def _encodes_alike(sol):
     return new
 
 
+def _packed(sol):
+    """``sol`` packed from bytes as the assembler packs a build, so with a
+    vertex view, or None when it cannot be: an order outside 1..256, or a
+    factor whose cycles are not of one length of at least 3, of ints in
+    0..255.  A factor with no cycles packs as an empty row."""
+    rows = []
+    try:
+        for f in sol.factors:
+            lengths = set(map(len, f.cycles)) or {3}
+            verts = list(itertools.chain.from_iterable(f.cycles))
+            if len(lengths) > 1 or set(map(type, verts)) - {int}:
+                return None
+            rows.append((lengths.pop(), f.cycle_length, bytes(verts)))
+        return packed_solution(sol.v, sol.m, sol.r, sol.s, rows, sol.one_factor)
+    except (TypeError, ValueError):
+        return None
+
+
 @pytest.mark.parametrize("kind", sorted(BLOCK_BUILDERS))
 def test_every_block_kind_encodes_alike(kind):
     for m in (3, 5, 7, 9, 13, 25):
@@ -393,15 +413,16 @@ def test_v_1_and_empty_documents_encode_alike():
 
 
 # Documents at the boundary of the encoder's two paths.  The byte path
-# writes a document of order v <= 256 from the bytes of its exact vertex
-# view when every factor is uniform with strictly rising cycle firsts and
-# every declared length, field and matching end is an exact int; every
-# other document takes the names path.  Each case: its Solution, whether
-# the byte path writes it, and whether the reference agrees.  Where json
-# writes a bool or a float as itself, the package raises ValueError, or
-# writes the int it equals when that int was named first (outside the
-# contract), as the names path always did; those cases are checked
-# against the names path alone.
+# writes a document of order v <= 256 from the bytes of its vertex view,
+# which only a packed build has, when every factor has cycles with strictly
+# rising firsts and every declared length, field and matching end is an
+# exact int; every other document takes the names path.  Each case is
+# packed as a build is where its factors allow (``_packed``).  Each case:
+# its Solution, whether the byte path writes it, and whether the reference
+# agrees.  Where json writes a bool or a float as itself, the package
+# raises ValueError, or writes the int it equals when that int was named
+# first (outside the contract), as the names path always did; those cases
+# are checked against the names path alone.
 _TRIANGLE = _factor([(0, 1, 2)], 3)
 BOUNDARY = {
     "vertex_255_at_256": (Solution(v=256, factors=(_factor([(0, 1, 255), (3, 4, 254)], 3),)), True, True),
@@ -449,6 +470,7 @@ def _names_path(sol, monkeypatch):
 @pytest.mark.parametrize("name", BOUNDARY)
 def test_documents_at_the_byte_path_boundary_encode_alike(name, byte_path, monkeypatch):
     sol, written, agrees = BOUNDARY[name]
+    sol = _packed(sol) or sol
     new = _encoded(encode_solution, sol)
     assert (True in byte_path) == written
     assert new == _names_path(sol, monkeypatch)
@@ -458,12 +480,28 @@ def test_documents_at_the_byte_path_boundary_encode_alike(name, byte_path, monke
         assert new != _encoded(oracle.encode_solution, sol)
 
 
-def test_the_built_solutions_of_a_sweep_take_the_byte_path(byte_path):
-    # vertex 255 of K_256 - I, a C4-factor of v = 12 and an all-C4 build at the largest order with a view
-    for sol in (hamilton_decomposition(256), build(12, 3, 1, 4), build(256, 3, 127, 0)):
-        assert _encodes_alike(sol) == encode_solution(replace(sol))
+def test_the_built_solutions_of_a_sweep_take_the_byte_path(byte_path, monkeypatch):
+    """Builds of order <= 256 are written from their views.  A decoded copy
+    of one has no view: it is written to the build's exact bytes by the
+    names path, and gets the build's report from the bitmap rows, never
+    reaching the byte tables, which accept the build at v = 252 and leave
+    v = 256 to the bitmap rows.  K_256 - I, which is not packed, and a
+    build above order 256 take the names path too."""
+    tables_tile, tabled = verifier._tables_tile, []
+    monkeypatch.setattr(verifier, "_tables_tile", lambda *args: tabled.append(tables_tile(*args)) or tabled[-1])
+    builds = [build(12, 3, 1, 4), build(252, 63, 3, 122), build(256, 3, 127, 0)]
+    tabled.clear()
+    for sol, accepted in zip(builds, (Counter({4: 1, 3: 4}), Counter({4: 3, 63: 122}), None)):
+        data = _encodes_alike(sol)
         assert len(vertex_view(sol).data) <= 33_000
-    assert byte_path == [True] * 6
-    big = build(260, 65, 1, 128)
-    _encodes_alike(big)
-    assert byte_path == [True] * 6 and vertex_view(big) is None
+        report = verify_solution(sol)
+        assert report.ok and tabled == [accepted]
+        copy = decode_solution(data)
+        assert vertex_view(copy) is None and encode_solution(copy) == data
+        assert verify_solution(copy) == report and tabled == [accepted]
+        tabled.clear()
+    assert byte_path == [True] * 3
+    for sol in (hamilton_decomposition(256), build(260, 65, 1, 128)):
+        _encodes_alike(sol)
+        assert vertex_view(sol) is None
+    assert byte_path == [True] * 3 and not tabled

@@ -6,16 +6,17 @@ the two follows it, which kills the 2k rotation/reflection symmetries and
 makes every serialized artifact byte-stable.
 """
 
+import ast
 import json
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
+from pathlib import Path
 
 import pytest
 import reference_codec
 from reference_verifier import factor_edges, listed_edges
-from test_codec_differential import Label
 
 from hwp4m import model
 from hwp4m.model import (
@@ -27,7 +28,6 @@ from hwp4m.model import (
     canonicalize_cycle,
     complete_graph,
     cycle_blowup4,
-    cycle_shapes,
     decode_solution,
     encode_solution,
     equipartite_graph,
@@ -431,49 +431,40 @@ def test_doc_cycles_are_sorted_canonical():
 # ============================================================
 
 
-class _Faulty:
-    """A vertex whose index and equality raise something other than
-    TypeError or ValueError."""
-
-    def __index__(self):
-        raise RuntimeError("no index")
-
-    def __eq__(self, other):
-        raise RuntimeError("no equality")
-
-    __hash__ = object.__hash__
-
-
-def _pentagons(v=5, old=None, new=None):
-    """K_5 as two Hamilton cycles, every vertex ``old`` listed as ``new``."""
+def _pentagons(v=5):
+    """K_5 as two Hamilton cycles."""
     cycles = ((0, 1, 2, 3, 4), (0, 2, 4, 1, 3))
-    factors = (TwoFactor((tuple(new if u == old else u for u in c),), 5, 5) for c in cycles)
-    return Solution(v=v, factors=tuple(factors))
+    return Solution(v=v, factors=tuple(TwoFactor((c,), 5, 5) for c in cycles))
 
 
-def test_the_vertex_view_is_every_factor_vertex_as_one_byte():
+def test_only_a_packed_solution_has_a_vertex_view():
     sol = _pentagons()
-    view = vertex_view(sol)
-    assert view == (bytes([0, 1, 2, 3, 4, 0, 2, 4, 1, 3]), True, ((5, 1), (5, 1)))
-    assert vertex_view(sol) is view and vars(sol)["_view"] is view  # made once, kept on the Solution
-    # a vertex equal to its byte is read as that byte, but only exact ints make the view exact
-    for new in (True, Label(1)):
-        assert vertex_view(_pentagons(old=1, new=new)) == (view.data, False, view.shapes)
-    for new in (1.0, 256, -1, "1", None, _Faulty()):  # no byte, or one it does not equal
-        assert vertex_view(_pentagons(old=1, new=new)) is None
-    assert vertex_view(_pentagons(v=256)) == view
+    packed = packed_solution(5, None, None, None, _rows(sol), None)
+    view = vertex_view(packed)
+    assert packed == sol and view == (bytes([0, 1, 2, 3, 4, 0, 2, 4, 1, 3]), ((5, 1), (5, 1)))
+    assert vertex_view(packed) is view and vars(packed)["_view"] is view  # made once, kept on the Solution
+    for other in (sol, replace(packed), decode_solution(encode_solution(packed)), _pentagons(v=256)):
+        assert vertex_view(other) is None and "_view" not in vars(other)
 
 
-def test_the_vertex_view_reads_only_immutable_factors():
-    sol = _pentagons()
-    f = sol.factors[0]
-    for factors in (
-        list(sol.factors),
-        (TwoFactor(list(f.cycles), 5, 5), sol.factors[1]),
-        (TwoFactor((list(f.cycles[0]),), 5, 5), sol.factors[1]),
-        (f, object()),
-    ):
-        assert vertex_view(Solution(v=5, factors=factors)) is None
+def test_no_code_but_packed_solution_makes_a_vertex_view():
+    """Every ``VertexView`` call and every mention of ``_view`` in the
+    package lies in ``packed_solution``, but the one read in ``vertex_view``."""
+    places = []
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # each node's innermost function: ast.walk reaches an outer def first
+        owner = {node: f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "VertexView":
+                places.append((path.name, owner.get(node), "VertexView"))
+            elif isinstance(node, ast.Constant) and node.value == "_view":
+                places.append((path.name, owner.get(node), "_view"))
+    assert sorted(places) == [
+        ("model.py", "packed_solution", "VertexView"),
+        ("model.py", "packed_solution", "_view"),
+        ("model.py", "vertex_view", "_view"),
+    ]
 
 
 @pytest.mark.parametrize("v", [0, -1, 257, 2 ** 70, True, 5.0, None])
@@ -482,15 +473,9 @@ def test_the_vertex_view_is_never_made_outside_orders_1_to_256(v):
     assert vertex_view(sol) is None and "_view" not in vars(sol)
 
 
-def test_the_shapes_are_each_factors_one_cycle_length_and_cycle_count():
-    factors = (
-        TwoFactor(((0, 1, 2), (3, 4, 5)), 6),
-        TwoFactor(((0, 1, 2), (3, 4, 5, 6)), 7),  # two lengths: no k
-        TwoFactor((), 6, 3),  # no cycles: no k
-        TwoFactor(((0, 1, 2, 3, 4, 5),), 6, 4),  # k as listed, not as declared
-    )
-    assert cycle_shapes(factors) == ((3, 2), (0, 2), (0, 0), (6, 1))
-    assert vertex_view(Solution(v=7, factors=factors)).shapes == cycle_shapes(factors)
+def test_the_shapes_are_each_rows_cycle_length_and_cycle_count():
+    rows = [(3, None, bytes(range(6))), (3, 3, b""), (6, 4, bytes(range(6)))]  # k as listed, not as declared
+    assert vertex_view(packed_solution(6, None, None, None, rows, None)).shapes == ((3, 2), (0, 0), (6, 1))
 
 
 # ============================================================
@@ -548,8 +533,7 @@ def test_a_packed_solution_encodes_and_verifies_as_its_cycles_through_two_factor
     assert {type(c) for f in sol.factors for c in f.cycles} <= {tuple}
     assert {type(u) for f in sol.factors for c in f.cycles for u in c} <= {int}
     view = vertex_view(sol)
-    assert vars(sol)["_view"] is view and view == vertex_view(twin) == vertex_view(replace(sol))
-    assert view.exact
+    assert vars(sol)["_view"] is view and vertex_view(twin) is vertex_view(replace(sol)) is None
     byte_text, written = model._byte_text, []
 
     def recorded(*args):

@@ -20,7 +20,7 @@ import reference_verifier as oracle
 import hwp4m.model
 import hwp4m.verifier
 from test_acceptance import _mutate
-from test_codec_differential import Label
+from test_codec_differential import Label, _packed
 
 from hwp4m.blocks import c4_block, switch_block
 from hwp4m.composer import build
@@ -33,6 +33,7 @@ from hwp4m.model import (
     complete_graph,
     cycle_blowup4,
     decode_solution,
+    encode_solution,
     equipartite_graph,
     one_factor,
     switch_graph,
@@ -553,8 +554,12 @@ def test_a_nan_vertex_is_out_of_range():
 
 
 def _tables(sol, space=None):
-    """What the byte tables decide on ``sol``: its factor counts, or None."""
-    return _tables_tile(sol.factors, sol.one_factor, space or complete_graph(sol.v))
+    """What the byte tables decide on ``sol`` packed as a build is: its
+    factor counts, or None, also when it cannot be packed."""
+    packed = _packed(sol)
+    if packed is None:
+        return None
+    return _tables_tile(packed.factors, packed.one_factor, space or complete_graph(sol.v), vertex_view(packed))
 
 
 def _relabelled(sol, old, new):
@@ -565,7 +570,7 @@ def _relabelled(sol, old, new):
 
 
 def test_the_tables_accept_k255_and_leave_order_256_to_the_bitmap(monkeypatch):
-    k255, k256 = hamilton_decomposition(255), hamilton_decomposition(256)
+    k255, k256 = _packed(hamilton_decomposition(255)), hamilton_decomposition(256)
     drawn = []
     row_ends = EdgeSpace.row_ends
     monkeypatch.setattr(EdgeSpace, "row_ends", lambda space: drawn.append(space.vertex_count) or row_ends(space))
@@ -662,45 +667,39 @@ class _Indexed:
         return 2
 
 
-def test_the_tables_read_a_vertex_as_the_int_it_equals():
-    """True, False and an int subclass equal their bytes, and the tables
-    accept them as the full pass does; 2.0 is no byte, and an object that
-    has an index but does not equal it is no vertex: the full pass decides
-    both, accepting 2.0 and raising on the other, as it did before."""
+def test_the_full_pass_reads_a_vertex_as_the_int_it_equals():
+    """True, False, an int subclass and 2.0 are accepted as the ints they
+    equal, and an object that has an index but does not equal it is no
+    vertex, on which the full pass raises.  None of them is packed as a
+    build is, so none reaches the byte tables."""
     k5 = hamilton_decomposition(5)
-    for old, new in ((1, True), (0, False), (2, Label(2))):
-        assert _tables(_relabelled(k5, old, new)) == Counter({5: 2})
+    for old, new in ((1, True), (0, False), (2, Label(2)), (2, 2.0)):
+        assert _packed(_relabelled(k5, old, new)) is None
         assert verify_solution(_relabelled(k5, old, new)).summary() == "ok (r=0, s=2)"
-    assert _tables(_relabelled(k5, 2, 2.0)) is None
-    assert verify_solution(_relabelled(k5, 2, 2.0)).summary() == "ok (r=0, s=2)"
-    assert _tables(_relabelled(k5, 2, _Indexed())) is None
+    assert _packed(_relabelled(k5, 2, _Indexed())) is None
     with pytest.raises(TypeError):
         verify_solution(_relabelled(k5, 2, _Indexed()))
 
 
-def test_verify_solution_hands_the_tables_the_bytes_of_the_vertex_view(monkeypatch):
-    """The tables read the view's bytes and shapes as they read the
-    factors, for a vertex equal to its byte without being an exact int
-    too, and still check the matching themselves; a Solution with no view,
-    as one that lists 2.0, is read from its factors."""
-    k5, k6 = hamilton_decomposition(5), hamilton_decomposition(6)
-    reversed_pair = replace(k6, one_factor=OneFactor(((4, 0), (1, 3), (2, 5))))
-    sols = (k5, k6, _relabelled(k5, 1, True), _relabelled(k5, 0, False), _relabelled(k5, 2, Label(2)), reversed_pair)
-    for sol, counts in zip(sols, [Counter({5: 2}), Counter({6: 2})] + [Counter({5: 2})] * 3 + [None]):
-        view = vertex_view(sol)
-        assert _tables_tile(sol.factors, sol.one_factor, complete_graph(sol.v), view) == _tables(sol) == counts
-    floated, k257 = _relabelled(k5, 2, 2.0), hamilton_decomposition(257)
-    assert vertex_view(floated) is None
+def test_verify_solution_hands_the_tables_only_a_packed_solutions_view(monkeypatch):
+    """The tables read a packed Solution's view, and still check the
+    matching themselves; a Solution with no view, built by hand, replaced
+    or decoded, is decided by the full pass alone."""
+    k5, k6 = _packed(hamilton_decomposition(5)), _packed(hamilton_decomposition(6))
+    reversed_pair = _packed(replace(k6, one_factor=OneFactor(((4, 0), (1, 3), (2, 5)))))
+    for sol, counts in ((k5, Counter({5: 2})), (k6, Counter({6: 2})), (reversed_pair, None)):
+        assert _tables_tile(sol.factors, sol.one_factor, complete_graph(sol.v), vertex_view(sol)) == counts
     tables_tile, given = hwp4m.verifier._tables_tile, []
 
-    def recorded(factors, matching, space, view=None):
+    def recorded(factors, matching, space, view):
         given.append(view)
         return tables_tile(factors, matching, space, view)
 
     monkeypatch.setattr(hwp4m.verifier, "_tables_tile", recorded)
-    for sol in (k6, floated, k257):
-        verify_solution(sol)
-    assert given == [vertex_view(k6), None, None]
+    others = (hamilton_decomposition(6), replace(k6), decode_solution(encode_solution(k6)), hamilton_decomposition(257))
+    for sol in (k6, *others):
+        assert verify_solution(sol).ok
+    assert given == [vertex_view(k6)]
 
 
 def _shape_cases():
@@ -708,7 +707,7 @@ def _shape_cases():
     return {
         "non_uniform": (
             replace(k7, factors=(TwoFactor(((0, 1, 2), (3, 4, 5, 6)), 7), *k7.factors[1:])),
-            ((0, 2), (7, 1), (7, 1)),
+            None,
             "NonUniformCycleLength: factor 0: cycle lengths [3, 4]; EdgeMissing: 0-6, 1-5, 2-4, 2-5; "
             "EdgeDuplicated: 0-2, 1-2, 4-5, 5-6",
         ),
@@ -728,15 +727,15 @@ def _shape_cases():
 
 @pytest.mark.parametrize("name", sorted(_shape_cases()))
 def test_the_tables_decline_a_view_whose_shapes_do_not_tile(name):
-    """Each factor's shape, from the view or from the factors, must be one
-    cycle length k, as declared, whose cycles cover the order; else the
-    tables decline and the full pass reports the document as before."""
+    """Each factor's shape in the view must be one cycle length k, as
+    declared, whose cycles cover the order; else the tables decline and the
+    full pass reports the document as before.  Mixed lengths cannot be
+    packed, so they have no view."""
     sol, shapes, summary = _shape_cases()[name]
-    view = vertex_view(sol)
-    assert view.shapes == shapes
-    assert _tables_tile(sol.factors, sol.one_factor, complete_graph(sol.v), view) is None
+    packed = _packed(sol)
+    assert (packed and vertex_view(packed).shapes) == shapes
     assert _tables(sol) is None
-    assert verify_solution(sol).summary() == summary
+    assert verify_solution(sol).summary() == verify_solution(packed or sol).summary() == summary
 
 
 def test_the_tables_reject_an_edge_inside_a_part_of_k_a_b():
@@ -746,11 +745,11 @@ def test_the_tables_reject_an_edge_inside_a_part_of_k_a_b():
         TwoFactor(((0, 4, 8), (1, 5, 6), (2, 3, 7)), 9, 3),
         TwoFactor(((0, 5, 7), (1, 3, 8), (2, 4, 6)), 9, 3),
     ]
-    assert _tables_tile(triangles, None, space) == Counter({3: 3})
+    assert _tables(Solution(v=9, factors=tuple(triangles)), space) == Counter({3: 3})
     assert certifies(Solution(v=9, factors=tuple(triangles)), space, [3, 3, 3])
     # 1 and 3 trade cycles in factor 0, which still spans: 0-1 and 3-4 lie in parts
     inside = [TwoFactor(((0, 1, 6), (3, 4, 7), (2, 5, 8)), 9, 3), *triangles[1:]]
-    assert _tables_tile(inside, None, space) is None
+    assert _tables(Solution(v=9, factors=tuple(inside)), space) is None
     assert not certifies(Solution(v=9, factors=tuple(inside)), space, [3, 3, 3])
     assert verify_factors_cover(inside, space).summary() == (
         "EdgeMissing: 0-3, 1-4, 1-7, 3-6; EdgeDuplicated: 1-6, 3-7; EdgeForeign: 0-1, 3-4"
@@ -758,13 +757,16 @@ def test_the_tables_reject_an_edge_inside_a_part_of_k_a_b():
 
 
 class _Untouchable:
-    """A factor whose cycles must not be read."""
+    """A factor, or a view, that must not be read."""
 
     cycle_length = None
 
     @property
     def cycles(self):
         raise AssertionError("read a cycle of a document the tables decline by its counts")
+
+    def __iter__(self):
+        raise AssertionError("read the view of a document the tables decline by its counts")
 
 
 def test_the_tables_decline_a_misfit_document_before_reading_a_cycle():
@@ -781,7 +783,7 @@ def test_the_tables_decline_a_misfit_document_before_reading_a_cycle():
         (1, None, complete_graph(2_000_000)),
         (0, None, complete_graph(0)),
     ):
-        assert _tables_tile([_Untouchable()] * count, matching, space) is None
+        assert _tables_tile([_Untouchable()] * count, matching, space, _Untouchable()) is None
 
 
 # ============================================================

@@ -24,10 +24,11 @@ one vertex u listed as u + 0.5 in a block, a solution or a matching, a
 factor listed twice with 2.0 for 2 in the copy, a foreign pair with an
 end 8.0, small hostile documents, and documents of negative order.
 
-Every document here that the byte tables accept (a dense space of order
-at most 255) is certified once more with the tables declining, and both
-runs must give the same violations and factor counts; seeded edits of
-builds and of searched factorizations aim at that check.
+Every document here that the byte tables accept (a packed Solution on a
+dense space of order at most 255) is certified once more with no view,
+which leaves the tables out, and both runs must give the same violations
+and factor counts; seeded edits of builds and of searched
+factorizations, each packed as a build is, aim at that check.
 """
 
 import random
@@ -38,7 +39,7 @@ from itertools import chain
 import pytest
 import reference_verifier as oracle
 from test_acceptance import _mutate
-from test_codec_differential import Label
+from test_codec_differential import Label, _packed
 
 from hwp4m import verifier
 from hwp4m.blocks import c4_block, cm_block, mixed_block, switch_block
@@ -56,6 +57,7 @@ from hwp4m.model import (
     switch_graph,
     switch_matching_edges,
     two_factor,
+    vertex_view,
 )
 from hwp4m.outer import walecki, walecki_even
 from hwp4m.search import cm_factorization_instance, equipartite_instance, first_proven, solve
@@ -65,20 +67,17 @@ from hwp4m.verifier import certifies, verify_block, verify_factors_cover, verify
 @pytest.fixture(autouse=True)
 def tables_accepted(monkeypatch):
     """The factor counts of every document the byte tables accept, each
-    certified once more with the tables declining: the full pass must
-    give the same (violations, by_length), so the tables never accept what
-    the bitmap or the sorted pairs reject.  A document the tables decline
-    is certified by that full pass as it stands, so it needs no second run."""
-    tables_tile, accepted, declining = verifier._tables_tile, [], []
+    certified once more with no view, which leaves the tables out: the full
+    pass must give the same (violations, by_length), so the tables never
+    accept what the bitmap or the sorted pairs reject.  A document the
+    tables decline is certified by that full pass as it stands, so it needs
+    no second run."""
+    tables_tile, accepted = verifier._tables_tile, []
 
-    def checked(factors, matching, space, view=None):
-        counts = None if declining else tables_tile(factors, matching, space, view)
+    def checked(factors, matching, space, view):
+        counts = tables_tile(factors, matching, space, view)
         if counts is not None:
-            declining.append(True)
-            try:
-                assert verifier._certify(factors, matching, space) == ([], counts)
-            finally:
-                declining.clear()
+            assert verifier._certify(factors, matching, space) == ([], counts)
             accepted.append(counts)
         return counts
 
@@ -888,7 +887,8 @@ def _fuzzed(factors, v, rng):
     """``factors`` after one to three seeded edits, each in one factor
     unless named: two vertices swapped, one vertex listed in place of
     another, a run of a cycle reversed (2-opt), or two vertices trading
-    names in two factors.  Declared lengths are kept."""
+    names in two factors.  Declared lengths, and every cycle's length, are
+    kept."""
     edited = [[list(cyc) for cyc in f.cycles] for f in factors]
     for _ in range(rng.randint(1, 3)):
         op, cycles = rng.randrange(4), rng.choice(edited)
@@ -916,7 +916,8 @@ def test_seeded_edits_of_builds_are_decided_alike_with_and_without_the_tables(re
     sol = build(*request_)
     accepted = len(tables_accepted)
     rng = random.Random(str(request_))
-    edits = (replace(sol, factors=_fuzzed(sol.factors, sol.v, rng)) for _ in range(150))
+    # each edit is packed as a build is, so the tables try it before the full pass
+    edits = (_packed(replace(sol, factors=_fuzzed(sol.factors, sol.v, rng))) for _ in range(150))
     verdicts = Counter(verify_solution(edited).ok for edited in edits)
     assert verdicts[False] > 0 and len(tables_accepted) > accepted
 
@@ -927,9 +928,12 @@ def test_seeded_edits_of_searched_factorizations_are_decided_alike_with_and_with
     rng = random.Random(44)
     for instance in instances:
         sol, lengths = solve(instance).solution, instance.slots()
-        accepted = len(tables_accepted)
-        edits = (replace(sol, factors=_fuzzed(sol.factors, sol.v, rng)) for _ in range(300))
-        verdicts = Counter(certifies(edited, instance.space, lengths) for edited in edits)
+        accepted, verdicts = len(tables_accepted), Counter()
+        for _ in range(300):
+            # certifies leaves the tables out, so they are tried on the packed edit's view directly
+            edited = _packed(replace(sol, factors=_fuzzed(sol.factors, sol.v, rng)))
+            verifier._certify(edited.factors, edited.one_factor, instance.space, vertex_view(edited))
+            verdicts[certifies(edited, instance.space, lengths)] += 1
         assert verdicts[False] > 0 and len(tables_accepted) > accepted, instance.name
 
 
