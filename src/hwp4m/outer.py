@@ -10,9 +10,12 @@ needs from this module:
                      either of the two as one Solution, with the leftover
                      matching of even n as its one-factor, built once per
                      order per process and shared
-  STARTERS, develop(base, n, m, fixed)
-                     one base Cm-factor per outer, developed under a cyclic
-                     group into a Cm-factorization and proven as it is made
+  cyclic_action(n, fixed)
+                     the one cyclic group every outer is developed under,
+                     named by its number of fixed points
+  STARTERS, develop(base, n, m, action)
+                     one base Cm-factor per outer with its action, developed
+                     into a Cm-factorization and proven as it is made
   outer_availability(n, m)
                      the one static ladder for a Cm-factorization of K_n
                      (odd n) or K_n - I (even n): builtin when n = m or a
@@ -27,16 +30,12 @@ needs from this module:
 Every outer factorization, developed, searched, imported or cached, is
 proven by ``search.first_proven`` where it is made.
 
-A starter is one Cm-factor whose translates tile the graph, and
-``develop`` is the one place that translates.  For odd n it is
-1-rotational (Buratti and Rinaldi, J. Combin. Des. 16, 2008): the ring
-Z_{n-1} plus a fixed infinity, the factor invariant under +(n-1)/2, and the
-translates by g < (n-1)/2 are the factors.  For even n it is 2-pyramidal
-(Buratti and Traetta, J. Combin. Des. 20, 2012): two copies of Z_h,
-h = (n-2)/2, plus two fixed points, and the h translates are the factors;
-the edges none of them uses are the removed matching.  A literal that does
-not develop into a factorization raises; nothing unproven is returned.
-tests/reference_starters.py re-derives every literal by a starter search.
+A starter is one Cm-factor whose images under a cyclic group tile the
+graph.  ``cyclic_action`` is the one place that knows the group's shape,
+and ``develop`` the one place that takes images.  A literal that does not
+develop into a factorization raises; nothing unproven is returned.
+tests/reference_starters.py re-derives every literal by a starter search
+over the same group.
 
 The Hamilton decompositions are the classical rotating zigzag, itself a
 1-rotational starter of one cycle for either parity: the hub n - 1, then
@@ -51,19 +50,18 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
+from itertools import chain, islice
 from operator import itemgetter
 
 from . import search
 from .model import OneFactor, Solution, TwoFactor, one_factor, two_factor
 
-# Base factors of the starter outers (see the module docstring).  (15, 5):
-# ring Z_14 and infinity 14, developed by x -> x + g mod 14 for g < 7.
-# (14, 7): x + 6 * side for x in Z_6, infinities 12 and 13, developed by
-# x -> x + g mod 6 on each side; the removed matching is {12 13} and pure
-# difference 3 on each side.
+# The action, as its number of fixed points (see ``cyclic_action``), and the
+# base factor of each starter outer.  (14, 7) removes the matching {12 13}
+# and pure difference 3 on each side.
 STARTERS = {
-    (15, 5): ((0, 1, 3, 12, 4), (7, 8, 10, 5, 11), (2, 9, 6, 14, 13)),
-    (14, 7): ((0, 1, 3, 6, 2, 7, 8), (4, 10, 12, 5, 13, 9, 11)),
+    (15, 5): (1, ((0, 1, 3, 12, 4), (7, 8, 10, 5, 11), (2, 9, 6, 14, 13))),
+    (14, 7): (2, ((0, 1, 3, 6, 2, 7, 8), (4, 10, 12, 5, 13, 9, 11))),
 }
 
 # The outers without a builtin that the ladder knows.  Searchable: the
@@ -82,30 +80,41 @@ OUTER_LADDER = {
 
 
 # ============================================================
-# starters: base factors developed under a cyclic group
+# starters: base factors developed under a cyclic action
 # ============================================================
 
-def develop(base, n: int, m: int, fixed: int) -> Solution:
-    """The translates of the base Cm-factor ``base`` as one Solution on n
-    vertices, proven by ``search.first_proven`` or raised against.  The group
-    translates within blocks of h vertices and fixes the ``fixed`` vertices
-    above them: one block Z_{n-1} and one fixed point (1-rotational starters,
-    Walecki's zigzag), or two blocks Z_h, h = (n-2)/2, and two fixed points
-    (2-pyramidal starters).  The (n-1)//2 translates g = 0, 1, ... are the
-    factors; for even n each vertex's one free neighbour in n bytearray rows
-    gives the one-factor.  Every image, and both ends of each leftover edge,
-    is drawn from one list of 0..n-1, so the Solution holds n int objects."""
-    ring = n - fixed
-    h = ring // fixed
+def cyclic_action(n: int, fixed: int):
+    """The elements g = 0, 1, ... of a cyclic group on 0..n-1, one at a time,
+    each the image list of 0..n-1 drawn from one list of 0..n-1.  Element g
+    maps x to x + g within ``fixed`` blocks of h = (n - fixed) // fixed
+    vertices and fixes the vertices above them.  fixed = 1 is 1-rotational
+    (Buratti and Rinaldi, J. Combin. Des. 16, 2008), Z_{n-1} plus the
+    infinity n - 1: Walecki's zigzag, and the starters of odd n, invariant
+    under element (n-1)/2.  fixed = 2 is 2-pyramidal (Buratti and Traetta,
+    J. Combin. Des. 20, 2012), x + h * side for x in Z_h, h = (n-2)/2, plus
+    the infinities 2h and 2h + 1: the starters of even n, whose images
+    leave the removed matching unused."""
+    h = (n - fixed) // fixed
     verts = list(range(n))
-    getters = [itemgetter(*c) for c in base]
-    factors = []
-    for g in range((n - 1) // 2):
+    for g in range(h):
         image = []
-        for b in range(0, ring, h):
+        for b in range(0, fixed * h, h):
             image += verts[b + g:b + h] + verts[b:b + g]
-        image += verts[ring:]
-        factors.append(two_factor([get(image) for get in getters], n, m))
+        yield image + verts[fixed * h:]
+
+
+def develop(base, n: int, m: int, action: int) -> Solution:
+    """The images of the base Cm-factor ``base`` under the first (n-1)//2
+    elements of ``cyclic_action(n, action)`` as one Solution on n vertices,
+    proven by ``search.first_proven`` or raised against.  For even n each
+    vertex's one free neighbour in n bytearray rows gives the one-factor.
+    Every image, and both ends of each leftover edge, is drawn from the
+    action's identity image, so the Solution holds n int objects."""
+    getters = [itemgetter(*c) for c in base]
+    elements = cyclic_action(n, action)
+    verts = next(elements, [])
+    factors = [two_factor([get(image) for get in getters], n, m)
+               for image in islice(chain([verts], elements), (n - 1) // 2)]
     leftover = None
     if n % 2 == 0:
         rows = [bytearray(n) for _ in verts]
@@ -119,7 +128,8 @@ def develop(base, n: int, m: int, fixed: int) -> Solution:
             (u, verts[w]) for u, row in zip(verts, rows) if (w := row.find(0, u + 1)) > u)
     sol = Solution(v=n, factors=tuple(factors), m=m, one_factor=leftover)
     if search.first_proven(search.cm_factorization_instance(n, m), [sol]) is None:
-        raise RuntimeError(f"the base {base} does not develop into C{m}-factors on {n} vertices")
+        raise RuntimeError(f"the base {base} under cyclic_action({n}, {action}) "
+                           f"does not develop into C{m}-factors on {n} vertices")
     return sol
 
 
@@ -203,7 +213,10 @@ def outer_cm_factorization(n: int, m: int, cache_dir=None, time_limit: float | N
 
     availability = outer_availability(n, m)
     if availability == "builtin":
-        return hamilton_decomposition(n) if n == m else develop(STARTERS[n, m], n, m, 2 - n % 2)
+        if n == m:
+            return hamilton_decomposition(n)
+        action, base = STARTERS[n, m]
+        return develop(base, n, m, action)
     if availability == "nonexistent":
         raise _unavailable(n, m, "nonexistent", f"K_{n} minus a 1-factor has no C{m}-factorization")
     if availability == "unavailable":

@@ -1,56 +1,39 @@
 """Starter search for outer Cm-factorizations, kept in the tests to re-derive
 ``outer.STARTERS``.
 
-A starter is one Cm-factor F whose translates tile K_n (odd n) or K_n - I
-(even n); ``outer.develop`` turns it into the factorization.
+A starter is one Cm-factor F whose images under the group of
+``outer.cyclic_action(n, fixed)``, which describes both groups, tile K_n
+(odd n) or K_n - I (even n); ``outer.develop`` turns it into the
+factorization.  The factors are the images of F under the first
+q = (n-1)//2 elements, and sigma, element q of the group (the identity for
+even n), maps F onto itself.  I is the edge between the infinities plus
+pure difference q/2 on both sides (q even) or mixed difference 0 (q odd).
 
-- 1-rotational, odd n: the ring Z_{n-1} and a fixed infinity n - 1.  F is
-  invariant under sigma: x -> x + (n-1)/2, and its translates by
-  g < (n-1)/2 are the factors.  Buratti and Rinaldi, J. Combin. Des. 16
-  (2008).
-- 2-pyramidal, even n: vertex x + h * side stands for (x, side), x in Z_h,
-  h = (n-2)/2, with fixed infinities 2h and 2h + 1; the h translates are
-  the factors.  I is the edge between the infinities plus pure difference
-  h/2 on both sides (h even) or mixed difference 0 (h odd).  Buratti and
-  Traetta, J. Combin. Des. 20 (2012).
-
-The translates tile the graph exactly when F meets every edge orbit of the
-group in its capacity: |orbit| * k / h edges, where k = 2 for 1-rotational
-(F and F + sigma coincide) and k = 1 for 2-pyramidal; the orbits of I have
-capacity 0.  The depth-first search opens each cycle at the smallest
-uncovered vertex, extends with candidates in ascending order, accepts a
-closed cycle only in the orientation whose second vertex is smaller than
-its last, and never lets an orbit exceed its capacity.  For 1-rotational n
-a closed cycle C is either sigma-invariant, as the cycle through infinity
-is, or kept together with its image C + sigma, listed right after it.
+The images tile the graph exactly when F meets every edge orbit of the
+group in its capacity, |orbit| // q edges; the orbits of I have capacity 0.
+The depth-first search opens each cycle at the smallest uncovered vertex,
+extends with candidates in ascending order, accepts a closed cycle only in
+the orientation whose second vertex is smaller than its last, and never lets
+an orbit exceed its capacity.  For odd n a closed cycle C is either
+sigma-invariant, as the cycle through infinity is, or kept together with its
+image C + sigma, listed right after it.
 """
 
 from itertools import combinations
 
-
-def _action(n: int) -> tuple[int, int]:
-    """(ring, h): the vertices below ``ring`` are translated within blocks
-    of h, the ones above are fixed."""
-    fixed = 2 - n % 2
-    ring = n - fixed
-    return ring, ring // fixed
+from hwp4m.outer import cyclic_action
 
 
-def _orbits(n: int) -> tuple[dict, dict]:
+def _orbits(n: int, group) -> tuple[dict, dict]:
     """The orbit key of every ordered edge, and each orbit's capacity."""
-    ring, h = _action(n)
-    k = 2 if n % 2 else 1
-
-    def shift(x, g):
-        return x if x >= ring else x - x % h + (x + g) % h
-
+    q = (n - 1) // 2
     key, capacity = {}, {}
     for u, w in combinations(range(n), 2):
-        orbit = {tuple(sorted((shift(u, g), shift(w, g)))) for g in range(h)}
+        orbit = {tuple(sorted((g[u], g[w]))) for g in group}
         key[u, w] = key[w, u] = least = min(orbit)
-        capacity[least] = len(orbit) * k // h
-    if n % 2 == 0 and h % 2 == 1:
-        capacity[0, h] = 0  # mixed difference 0 joins I
+        capacity[least] = len(orbit) // q
+    if n % 4 == 0:
+        capacity[0, q] = 0  # q is odd: mixed difference 0 joins I
     return key, capacity
 
 
@@ -62,13 +45,13 @@ def _edge_set(cycle) -> set[frozenset[int]]:
     return {frozenset(e) for e in _ring_edges(cycle)}
 
 
-def find_starter(n: int, m: int):
-    """The first starter the search meets, as the tuple of F's cycles, or
-    None when there is none (the search is exhaustive)."""
-    ring, h = _action(n)
-    key, capacity = _orbits(n)
-    step = ring // 2 if n % 2 else 0  # sigma; the identity for even n
-    sigma = [x if x >= ring else (x + step) % ring for x in range(n)]
+def find_starter(n: int, m: int, fixed: int):
+    """The first starter under ``cyclic_action(n, fixed)`` the search meets,
+    as the tuple of F's cycles, or None when there is none (the search is
+    exhaustive)."""
+    group = list(cyclic_action(n, fixed))
+    key, capacity = _orbits(n, group)
+    sigma = group[(n - 1) // 2 % len(group)]
     used = dict.fromkeys(capacity, 0)
     covered: set[int] = set()
     cycles: list[tuple[int, ...]] = []

@@ -206,22 +206,35 @@ def test_a_request_built_twice_in_one_process_writes_the_same_bytes(request_, tm
 
 @pytest.mark.parametrize("n, m", sorted(STARTERS))
 def test_every_starter_is_rederived_and_develops_into_a_factorization(n, m):
-    # the starter search meets each literal first, and its development
-    # passes the reference verifier
-    assert find_starter(n, m) == STARTERS[n, m]
-    sol = develop(STARTERS[n, m], n, m, 2 - n % 2)
+    # the starter search under the entry's action meets its literal first,
+    # and its development passes the reference verifier
+    action, base = STARTERS[n, m]
+    assert find_starter(n, m, action) == base
+    sol = develop(base, n, m, action)
     assert len(sol.factors) == (n - 1) // 2
     assert all(f.cycle_length == m for f in sol.factors)
     rep = oracle.verify_solution(sol)
     assert rep.ok, rep.summary()
 
 
+def test_every_development_keeps_its_bytes():
+    # Walecki's zigzag for n = 3..59, then each starter in sorted key order
+    digest = hashlib.sha256()
+    for n in range(3, 60):
+        digest.update(encode_solution(develop([_zigzag(n)], n, n, 1)))
+    for n, m in sorted(STARTERS):
+        action, base = STARTERS[n, m]
+        digest.update(encode_solution(develop(base, n, m, action)))
+    assert digest.hexdigest() == "643afc378b30a2da5cbf61b8f874fd85ea34684bf9f75845dea930544bf35063"
+
+
 def test_the_searched_10_5_has_no_2_pyramidal_starter():
-    assert find_starter(10, 5) is None
+    assert find_starter(10, 5, 2) is None
 
 
 def test_14_7_starter_removes_difference_3_and_the_infinities():
-    matching = develop(STARTERS[14, 7], 14, 7, 2).one_factor
+    action, base = STARTERS[14, 7]
+    matching = develop(base, 14, 7, action).one_factor
     assert matching.edges == ((0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11), (12, 13))
 
 
@@ -233,7 +246,8 @@ def test_a_starter_is_proven_on_every_use(n, m, certify_calls):
         out = outer_cm_factorization(n, m)
         assert [call[1] for call in certify_calls] == [space]
         assert isinstance(out, Solution)
-        assert out == develop(STARTERS[n, m], n, m, 2 - n % 2)
+        action, base = STARTERS[n, m]
+        assert out == develop(base, n, m, action)
 
 
 @pytest.mark.parametrize("request_", [(56, 7, 3, 24), (60, 5, 5, 24)])
@@ -252,10 +266,23 @@ def test_cold_builds_over_starters_run_no_search(request_, tmp_path, monkeypatch
 @pytest.mark.parametrize("n, m", sorted(STARTERS))
 def test_a_broken_starter_raises_and_writes_nothing(n, m, tmp_path, monkeypatch):
     # one vertex of the first cycle changed to another of the same factor
-    first, *rest = STARTERS[n, m]
+    action, (first, *rest) = STARTERS[n, m]
     broken = (first[:-1] + (rest[0][0],), *rest)
-    monkeypatch.setitem(STARTERS, (n, m), broken)
+    monkeypatch.setitem(STARTERS, (n, m), (action, broken))
     with pytest.raises(RuntimeError, match="does not develop"):
+        outer_cm_factorization(n, m, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n, m", sorted(STARTERS))
+def test_a_starter_under_the_other_action_raises_naming_it_and_writes_nothing(
+    n, m, tmp_path, monkeypatch
+):
+    # the literal is developed under the action its entry names, and no other
+    action, base = STARTERS[n, m]
+    other = 3 - action
+    monkeypatch.setitem(STARTERS, (n, m), (other, base))
+    with pytest.raises(RuntimeError, match=rf"under cyclic_action\({n}, {other}\) does not develop"):
         outer_cm_factorization(n, m, cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
 
